@@ -45,7 +45,7 @@ __all__ = [
 def _as_fraction(x, name: str) -> Fraction:
     try:
         return Fraction(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise InvalidArgument(f"{name} must be rational, got {x!r}") from None
 
 
@@ -273,6 +273,11 @@ class BezoutCoverage:
         raise InvalidArgument(f"n={n} was not part of this certificate")
 
 
+# Largest value_cap bezout_cover accepts. Each base index n holds an int64
+# witness array of value_cap + 1 entries, so this caps it at 80 MB.
+MAX_VALUE_CAP = 10**7
+
+
 def _min_j_over(a: Fraction, b: Fraction, n: int) -> int:
     # smallest integer j >= 0 with j > a n + b
     return max(0, math.floor(a * n + b) + 1)
@@ -294,6 +299,8 @@ def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> Bezout
         raise InvalidArgument("the slope a must be > 0")
     if value_cap < 1:
         raise InvalidArgument(f"value_cap must be >= 1, got {value_cap}")
+    if value_cap > MAX_VALUE_CAP:
+        raise InvalidArgument(f"value_cap must be <= {MAX_VALUE_CAP}, got {value_cap}")
     if isinstance(n_range, int):
         n_range = [n_range]
     g_prime = math.gcd(alpha, beta)

@@ -3,15 +3,21 @@ and certified root profiles (phi, |psi|, g).
 
 The dominant root phi is certified by sign-change bisection in exact
 dyadic arithmetic, so the stored enclosure [phi_lo, phi_hi] really does
-satisfy P(phi_lo) < 0 < P(phi_hi).  The full complex root cloud is only
-needed for |psi| and is produced by Aberth-Ehrlich simultaneous iteration
-with a residual acceptance gate; phi itself never depends on that path.
+satisfy P(phi_lo) < 0 < P(phi_hi).  Each polynomial keeps one bisection
+state that is refined in place along the one bisection path, so a sweep
+at rising precision never restarts from the initial bracket; every
+enclosure equals the one a bisection from scratch would return.  The full
+complex root cloud is only needed for |psi| and is produced by
+Aberth-Ehrlich simultaneous iteration with a residual acceptance gate,
+once per polynomial and working precision; phi itself never depends on
+that path.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -41,6 +47,10 @@ ORBIT_PATTERN_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
 _ABERTH_BITS = 160
 _ABERTH_MAX_ITER = 500
+# Largest precision certified_phi accepts. Bisection time grows about 6x per
+# doubling of the bits (z^3 - z - 1 from scratch: 0.5 s at 8192, 20 s at 32768
+# on a 2-core Xeon host); a report up to M = 4000 asks for about 6.5k bits.
+MAX_PRECISION_BITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -176,30 +186,67 @@ def precision_for_exponent(n_max: int, phi_upper: float) -> int:
     return max(bits, 64, floor)
 
 
+class _Bisection:
+    """The one bisection path of a polynomial from [0, H], refined in place.
+
+    Bisection from a fixed bracket is deterministic: after s steps the
+    bracket is [j H, (j + 1) H] / 2^s for one integer j.  Only (H, j, s) at
+    the deepest step reached is kept.  A request for more steps continues
+    from there; a request for fewer reads its bracket off as j >> (s - s').
+    Either way the answer is the bracket a bisection from scratch returns.
+    P(0) = a_0 <= -1 for this family, so [0, H] brackets phi once P(H) > 0.
+    """
+
+    def __init__(self, poly: MonicIntPoly):
+        self.poly = poly
+        self.exact: tuple[int, int] | None = None  # (num, shift) with phi = num / 2^shift
+        self.j, self.steps = 0, 0
+        self.h = poly.coeff_bound()
+        while True:
+            s = poly.eval_scaled(self.h, 0)
+            if s > 0:
+                break
+            if s == 0:
+                self.exact = (self.h, 0)
+                break
+            self.h *= 2
+        self._lock = threading.Lock()
+
+    def enclosure(self, bits: int) -> tuple[int, int, int]:
+        """(lo_num, hi_num, shift) with P(lo) < 0 < P(hi), hi - lo <= 2^-bits."""
+        # each step halves the width H / 2^s; run until it is <= 2^-bits
+        steps = bits + self.h.bit_length()
+        with self._lock:
+            while self.steps < steps and self.exact is None:
+                self._step()
+            # A rational phi is an integer m (P is monic), met if at all at step
+            # v2(H) - v2(m) < H.bit_length() <= steps: a bisection from scratch
+            # for any request meets it too.
+            if self.exact is not None:
+                return _exact_root_enclosure(self.poly, *self.exact, bits)
+            j = self.j >> (self.steps - steps)
+        lo_num, hi_num = j * self.h, (j + 1) * self.h
+        if not (self.poly.eval_scaled(lo_num, steps) < 0 < self.poly.eval_scaled(hi_num, steps)):
+            raise NumericFailure("bisection bracket lost its sign change")
+        return lo_num, hi_num, steps
+
+    def _step(self) -> None:
+        mid, shift = (2 * self.j + 1) * self.h, self.steps + 1
+        s = self.poly.eval_scaled(mid, shift)
+        if s == 0:
+            self.exact = (mid, shift)
+            return
+        self.j = 2 * self.j + (s < 0)
+        self.steps = shift
+
+
+# the one bisection state of each polynomial
+_bisection = lru_cache(maxsize=None)(_Bisection)
+
+
 def _certified_enclosure(poly: MonicIntPoly, bits: int) -> tuple[int, int, int]:
     """Dyadic (lo_num, hi_num, shift) with P(lo) < 0 < P(hi), hi - lo <= 2^-bits."""
-    lo_num, hi_num, shift = 0, poly.coeff_bound(), 0
-    while True:
-        s = poly.eval_scaled(hi_num, shift)
-        if s > 0:
-            break
-        if s == 0:
-            return _exact_root_enclosure(poly, hi_num, shift, bits)
-        hi_num *= 2
-    # P(0) = a_0 <= -1 for this family, so the bracket is valid from the start.
-    # Each step halves the width; run until width <= 2^-bits.
-    steps = bits + (hi_num - lo_num).bit_length()
-    for _ in range(steps):
-        lo_num, hi_num, shift = lo_num * 2, hi_num * 2, shift + 1
-        mid = (lo_num + hi_num) // 2
-        s = poly.eval_scaled(mid, shift)
-        if s == 0:
-            return _exact_root_enclosure(poly, mid, shift, bits)
-        if s < 0:
-            lo_num = mid
-        else:
-            hi_num = mid
-    return lo_num, hi_num, shift
+    return _bisection(poly).enclosure(bits)
 
 
 def _exact_root_enclosure(poly: MonicIntPoly, num: int, shift: int, bits: int) -> tuple[int, int, int]:
@@ -213,13 +260,17 @@ def _exact_root_enclosure(poly: MonicIntPoly, num: int, shift: int, bits: int) -
     return lo, hi, shift
 
 
-def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[list, list]:
-    """All complex roots by Aberth-Ehrlich iteration; returns (roots, residuals)."""
+@lru_cache(maxsize=None)
+def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[tuple, tuple]:
+    """All complex roots by Aberth-Ehrlich iteration; returns (roots, residuals).
+
+    Memoized: a polynomial's cloud is computed once per working precision.
+    """
     k = poly.degree
     with mp.workprec(bits):
         if k == 1:
-            z = [mpmath.mpc(-poly.coeffs[0])]
-            return z, [abs(poly(z[0]))]
+            z = mpmath.mpc(-poly.coeffs[0])
+            return (z,), (abs(poly(z)),)
         radius = max(mpf(abs(poly.coeffs[0])) ** (mpf(1) / k), mpf("0.5"))
         # slightly irrational angular offset so symmetric configurations cannot lock
         z = [radius * mpmath.expjpi(mpf(2 * j + 1) / k + mpf(1) / (3 * k + 1)) for j in range(k)]
@@ -251,7 +302,7 @@ def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[list, list]:
                 f"root iteration left residuals above gate at indices {bad}; "
                 f"max residual {mpmath.nstr(max(residuals), 8)}"
             )
-        return z, residuals
+        return tuple(z), tuple(residuals)
 
 
 @dataclass(frozen=True)
@@ -283,6 +334,8 @@ def certified_phi(poly: MonicIntPoly, precision_bits: int) -> tuple[Fraction, Fr
     """
     if precision_bits < 64:
         raise InvalidArgument(f"precision_bits must be >= 64, got {precision_bits}")
+    if precision_bits > MAX_PRECISION_BITS:
+        raise InvalidArgument(f"precision_bits must be <= {MAX_PRECISION_BITS}, got {precision_bits}")
     if not poly.is_dominant_family():
         raise InvalidArgument(
             "certified_phi expects z^k - sum c_i z^i with c_i >= 0 and c_0 >= 1"
@@ -335,8 +388,8 @@ def root_profile(poly: MonicIntPoly, g: int, precision_bits: int) -> RootProfile
         phi_hi=phi_hi,
         psi_abs=psi_abs,
         g=g,
-        roots=tuple(roots),
-        residuals=tuple(residuals),
+        roots=roots,
+        residuals=residuals,
         root_errors=tuple(errors),
         precision_bits=precision_bits,
     )

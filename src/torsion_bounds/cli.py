@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import functools
 import sys
-from fractions import Fraction
 
 import click
 import mpmath
 
 from . import verify as verify_mod
+from .bounds import MAX_VALUE_CAP, _as_fraction
 from .bounds import bezout_cover, f_q, homology_params, ktheory_lower, ktheory_params, weak_lower
-from .charpoly import GeneratorSet, char_poly, precision_for_exponent, root_profile
+from .charpoly import MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, root_profile
 from .dgl_fp import WeightedAlphabet, subspace_dims
 from .errors import (
     CoverageViolation,
@@ -115,7 +115,7 @@ def lie_rank_cmd(degrees, upto, oracle_check, fmt, out):
 
 @main.command("roots")
 @click.option("--degrees", required=True, help="generator degrees, e.g. 2:1,3:1")
-@click.option("--precision-bits", type=int, default=None, help="certified bits for phi")
+@click.option("--precision-bits", type=int, default=None, help=f"certified bits for phi, 64 to {MAX_PRECISION_BITS}")
 @_format_option
 @_out_option
 @_handle_errors
@@ -166,6 +166,7 @@ def bound_cmd(route, q, p, degrees, conn, dim, eps, from_, upto, fmt, out):
     """Guaranteed lower bounds: boundary-rank route or K-theory route."""
     if route is None:
         raise InvalidArgument("choose one of --homology or --ktheory")
+    eps = _as_fraction(eps, "--eps")
     reports = []
     if route == "homology":
         if q is None:
@@ -186,7 +187,7 @@ def bound_cmd(route, q, p, degrees, conn, dim, eps, from_, upto, fmt, out):
             if m % kt.g_prime:
                 continue
             reports.append(ktheory_lower(kt, m))
-            value = weak_lower(kt, m, Fraction(eps))
+            value = weak_lower(kt, m, eps)
             reports.append(_plain_report(m, value, "ktheory_weak", reports[-1].precision_bits))
     rows = report_rows(reports)
     if fmt == "csv":
@@ -213,14 +214,14 @@ def _plain_report(degree, value, theorem, bits):
 @click.option("--a", "a_", required=True, help="slope, a rational like 1/2")
 @click.option("--b", "b_", default="0", show_default=True, help="offset, rational")
 @click.option("--n", "ns", type=int, multiple=True, required=True, help="base index (repeatable)")
-@click.option("--cap", type=int, required=True, help="verify multiples up to this value")
+@click.option("--cap", type=int, required=True, help=f"verify multiples up to this value, at most {MAX_VALUE_CAP}")
 @click.option("--witnesses", is_flag=True, help="include the witness map (json only)")
 @_format_option
 @_out_option
 @_handle_errors
 def bezout_cmd(alpha, beta, a_, b_, ns, cap, witnesses, fmt, out):
     """Brute-force-verified covering certificate for the sets S_n."""
-    cert = bezout_cover(alpha, beta, Fraction(a_), Fraction(b_), list(ns), cap)
+    cert = bezout_cover(alpha, beta, _as_fraction(a_, "--a"), _as_fraction(b_, "--b"), list(ns), cap)
     rows = []
     for entry in cert.entries:
         rows.append(
@@ -303,7 +304,7 @@ def report_cmd(space_name, q, p, r, n, k, l, eps, from_, upto, fmt, out):
         start = from_ if from_ is not None else gp
         start += (-start) % gp
         degree_range = range(start, upto + 1, gp)
-    reports = space_report(space, params, degree_range, eps=Fraction(eps))
+    reports = space_report(space, params, degree_range, eps=_as_fraction(eps, "--eps"))
     rows = report_rows(reports)
     if fmt == "csv":
         _emit(to_csv(rows, REPORT_FIELDS), out)

@@ -21,7 +21,7 @@ from torsion_bounds import (
     sigma_upper,
     weak_lower,
 )
-from torsion_bounds.bounds import KTheoryParams, ktheory_main_term, ktheory_params
+from torsion_bounds.bounds import MAX_VALUE_CAP, KTheoryParams, ktheory_main_term, ktheory_params
 from torsion_bounds.verify import (
     check_bezout_coverage,
     check_boundary_equals_fq,
@@ -181,6 +181,13 @@ def test_bezout_cover_parity():
 def test_bezout_cover_rejects_zero_slope():
     with pytest.raises(InvalidArgument):
         bezout_cover(3, 4, 0, 0, [1], 100)
+
+
+def test_bezout_cover_rejects_oversized_cap_and_zero_denominator():
+    with pytest.raises(InvalidArgument):
+        bezout_cover(2, 3, Fraction(1, 2), 0, [1], MAX_VALUE_CAP + 1)
+    with pytest.raises(InvalidArgument):
+        bezout_cover(3, 4, "1/0", 0, [1], 100)
 
 
 def test_bezout_cover_randomized():

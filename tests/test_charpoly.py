@@ -1,7 +1,10 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from torsion_bounds import (
@@ -14,8 +17,10 @@ from torsion_bounds import (
     precision_for_exponent,
     root_profile,
 )
-from torsion_bounds.charpoly import certified_phi
+from torsion_bounds import charpoly
+from torsion_bounds.charpoly import MAX_PRECISION_BITS, RootProfile, certified_phi
 from torsion_bounds.verify import (
+    generator_family,
     check_newton_growth,
     check_newton_root_agreement,
     check_phi_window,
@@ -145,3 +150,78 @@ def test_newton_growth_inequalities():
 
 def test_newton_sums_match_root_cloud():
     assert check_newton_root_agreement(40) == []
+
+
+def test_certified_phi_rejects_oversized_precision():
+    with pytest.raises(InvalidArgument):
+        certified_phi(char_poly(GeneratorSet.of((2, 1), (3, 1))), MAX_PRECISION_BITS + 1)
+
+
+# -- refinement state: warm answers equal cold ones ----------------------------
+
+
+def _reference_enclosure(poly, bits):
+    """Bisection from [0, H] from scratch, as a reference for the refined state."""
+    lo_num, hi_num, shift = 0, poly.coeff_bound(), 0
+    while True:
+        s = poly.eval_scaled(hi_num, shift)
+        if s > 0:
+            break
+        if s == 0:
+            return charpoly._exact_root_enclosure(poly, hi_num, shift, bits)
+        hi_num *= 2
+    for _ in range(bits + (hi_num - lo_num).bit_length()):
+        lo_num, hi_num, shift = lo_num * 2, hi_num * 2, shift + 1
+        mid = (lo_num + hi_num) // 2
+        s = poly.eval_scaled(mid, shift)
+        if s == 0:
+            return charpoly._exact_root_enclosure(poly, mid, shift, bits)
+        if s < 0:
+            lo_num = mid
+        else:
+            hi_num = mid
+    return lo_num, hi_num, shift
+
+
+def _clear_refinement_state():
+    charpoly._bisection.cache_clear()
+    charpoly._aberth_roots.cache_clear()
+
+
+# dominant-family generator sets whose profiles check_profile_family certifies
+GENERATOR_SETS = st.sampled_from(generator_family(4, 6))
+# bit requests in a random, rising, falling or repeated order
+BIT_REQUESTS = st.lists(st.integers(64, 400), min_size=1, max_size=4).flatmap(
+    lambda bits: st.sampled_from([bits, sorted(bits), sorted(bits, reverse=True), bits + bits])
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(gen=GENERATOR_SETS, requests=BIT_REQUESTS)
+@example(gen=GeneratorSet.of((1, 1)), requests=[64, 300, 64])
+@example(gen=GeneratorSet.of((2, 1)), requests=[300, 64, 300])
+def test_refined_enclosure_equals_cold_bisection(gen, requests):
+    poly = char_poly(gen)
+    _clear_refinement_state()
+    warm = [charpoly._certified_enclosure(poly, bits) for bits in requests]
+    for bits, (lo, hi, shift) in zip(requests, warm):
+        _clear_refinement_state()
+        assert charpoly._certified_enclosure(poly, bits) == (lo, hi, shift)
+        assert _reference_enclosure(poly, bits) == (lo, hi, shift)
+        assert poly(Fraction(lo, 2**shift)) < 0 < poly(Fraction(hi, 2**shift))
+        assert Fraction(hi - lo, 2**shift) <= Fraction(1, 2**bits)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(gen=GENERATOR_SETS, requests=BIT_REQUESTS)
+@example(gen=GeneratorSet.of((1, 1)), requests=[64, 300, 64])
+@example(gen=GeneratorSet.of((2, 1)), requests=[300, 64, 300])
+def test_warm_root_profile_equals_cold(gen, requests):
+    poly = char_poly(gen)
+    _clear_refinement_state()
+    warm = {bits: root_profile(poly, gen.g, bits) for bits in requests}
+    for bits, profile in warm.items():
+        _clear_refinement_state()
+        cold = root_profile(poly, gen.g, bits)
+        for field in fields(RootProfile):
+            assert getattr(profile, field.name) == getattr(cold, field.name), field.name

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from torsion_bounds.cli import main
@@ -143,3 +144,34 @@ def test_decimal_str_plain_notation():
     assert decimal_str(mpf(0)) == "0"
     assert decimal_str(5) == "5"
     assert "e" not in decimal_str(mpf("1e-30")).lower()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bound", "--ktheory", "--degrees", "2:1,4:1", "--conn", "1", "--dim", "4",
+         "--p", "3", "--upto", "10", "--eps", "abc"),
+        ("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3",
+         "--upto", "10", "--eps", "abc"),
+        ("bezout", "--alpha", "3", "--beta", "4", "--a", "abc", "--n", "1", "--cap", "100"),
+        ("bezout", "--alpha", "3", "--beta", "4", "--a", "1/0", "--n", "1", "--cap", "100"),
+    ],
+    ids=["bound-eps", "report-eps", "bezout-a", "bezout-zero-denominator"],
+)
+def test_bad_rational_option_exit_code(args):
+    result = run(*args)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ") and "must be rational" in result.stderr
+
+
+def test_bezout_oversized_cap_exit_code():
+    result = run("bezout", "--alpha", "2", "--beta", "3", "--a", "1/2", "--n", "1",
+                 "--cap", "100000000000")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: value_cap must be <=")
+
+
+def test_roots_oversized_precision_exit_code():
+    result = run("roots", "--degrees", "2:1,3:1", "--precision-bits", "1000000000")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: precision_bits must be <=")
