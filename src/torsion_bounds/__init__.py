@@ -34,12 +34,7 @@ from .dgl_fp import (
     FreeDgl,
     LieElement,
     WeightedAlphabet,
-    basis,
-    bracket,
-    differential,
-    sigma,
     subspace_dims,
-    tau,
 )
 from .errors import (
     CoverageViolation,

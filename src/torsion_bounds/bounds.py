@@ -1,18 +1,21 @@
 """Evaluation of every explicit lower bound with certified constants.
 
 All real arithmetic runs under an explicit mpmath working precision that
-auto-scales with the largest exponent in play (see
-charpoly.precision_for_exponent), so identical inputs give bit-identical
-outputs.  Rational constants (a, b, B, theta, thresholds) are kept as
-exact Fractions and only converted to floating point inside a formula.
+auto-scales with the largest exponent in play (charpoly.profile_bits; the
+TORSION_BOUNDS_PRECISION floor is read in charpoly.precision_for_exponent
+only), so identical inputs give bit-identical outputs.  Rational constants
+(a, b, B, theta, thresholds) are kept as exact Fractions in the parameter
+objects and only converted to floating point inside a formula; each row
+sizes its own root profile.
 
-Negative bound values are reported as-is: they are valid but vacuous.
+homology_row and ktheory_rows build the report rows of the two routes;
+the CLI's bound and report commands both go through them.  Negative
+bound values are reported as-is: they are valid but vacuous.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp, mpf
 
-from .charpoly import GeneratorSet, RootProfile, profile_for_exponent
+from .charpoly import GeneratorSet, char_poly, profile_bits, profile_for_exponent, root_profile
 from .combinat import is_odd_prime
 from .errors import CoverageViolation, InvalidArgument
 
@@ -34,7 +37,9 @@ __all__ = [
     "boundary_lower",
     "condition_star",
     "f_q",
+    "homology_row",
     "ktheory_lower",
+    "ktheory_rows",
     "min_j",
     "rank_window",
     "sigma_upper",
@@ -76,17 +81,11 @@ class HomologyBoundParams:
     c1: mpf
     c2: mpf
     precision_bits: int
-    profile: RootProfile = field(repr=False)
 
     @classmethod
-    def create(cls, q: int, p: int, n_max: int) -> "HomologyBoundParams":
-        if q < 2:
-            raise InvalidArgument(f"q must be >= 2, got {q}")
-        if not is_odd_prime(p):
-            raise InvalidArgument(f"p must be an odd prime, got {p}")
-        gen = GeneratorSet.of((q, 1), (q + 1, 1))
-        profile = profile_for_exponent(gen, n_max)
-        bits = profile.precision_bits
+    def create(cls, q: int, p: int, bits: int) -> "HomologyBoundParams":
+        gen = _homology_gen(q, p)
+        profile = root_profile(char_poly(gen), gen.g, bits)
         with mp.workprec(bits):
             phi = profile.phi
             psi = profile.psi_or_zero()
@@ -108,20 +107,27 @@ class HomologyBoundParams:
                 c1=2 * (q + 2) * phi ** (mpf(2) / p),
                 c2=(q + 2) * (1 + 1 / mp.sqrt(phi)),
                 precision_bits=bits,
-                profile=profile,
             )
 
 
+def _homology_gen(q: int, p: int) -> GeneratorSet:
+    if q < 2:
+        raise InvalidArgument(f"q must be >= 2, got {q}")
+    if not is_odd_prime(p):
+        raise InvalidArgument(f"p must be an odd prime, got {p}")
+    return GeneratorSet.of((q, 1), (q + 1, 1))
+
+
 @lru_cache(maxsize=None)
-def _homology_params(q: int, p: int, bits_hint: int, _floor: int) -> HomologyBoundParams:
-    return HomologyBoundParams.create(q, p, bits_hint)
+def _homology_params(q: int, p: int, bits: int) -> HomologyBoundParams:
+    return HomologyBoundParams.create(q, p, bits)
 
 
 def homology_params(q: int, p: int, n_max: int) -> HomologyBoundParams:
-    # bucket the precision hint so N sweeps share one profile; the cache key
-    # carries the environment precision floor so overrides take effect
-    floor = int(os.environ.get("TORSION_BOUNDS_PRECISION", "0") or 0)
-    return _homology_params(q, p, max(64 * math.ceil(n_max / 64), 64), floor)
+    # Homology rows size their precision for N rounded up to a multiple of 64
+    # (an output-visible quirk kept until the golden digests are re-recorded).
+    bits = profile_bits(_homology_gen(q, p), 64 * max(math.ceil(n_max / 64), 1))
+    return _homology_params(q, p, bits)
 
 
 def f_q(q: int, n: int, p: int = 3) -> mpf:
@@ -137,6 +143,13 @@ def f_q(q: int, n: int, p: int = 3) -> mpf:
         phi, psi = params.phi, params.psi_abs
         main = (1 - (mpf(n) / (n - 1)) / phi) * phi**n / n
         return main - params.c * n * phi ** (mpf(n) / 2) - params.kappa * psi**n
+
+
+def homology_row(q: int, p: int, n: int, note: str = "") -> BoundReport:
+    """The homology_boundary row at degree N: f_q(N) at its working precision."""
+    value = f_q(q, n, p)
+    bits = homology_params(q, p, n).precision_bits
+    return BoundReport(n, value, "homology_boundary", bool(value <= 0), bits, note=note)
 
 
 def boundary_lower(q: int, n: int, p: int = 3) -> mpf:
@@ -192,29 +205,25 @@ def rank_window(gen: GeneratorSet, n: int) -> tuple[mpf, mpf]:
 # -- Condition (*) and the covering certificate --------------------------------
 
 
-def _star_threshold(p: int, conn: int, dim: int, n: int, trailing: int) -> Fraction:
+def _star_threshold(p: int, conn: int, dim: int, n: int) -> Fraction:
     ratio = Fraction(dim + 1, conn + 1)
-    return Fraction(1, 2 * (p - 1)) * ((ratio - 1) * n + ratio * (conn + 2) + trailing)
+    return Fraction(1, 2 * (p - 1)) * ((ratio - 1) * n + ratio * (conn + 2) + 1)
 
 
-def condition_star(p: int, conn: int, dim: int, n: int, j: int, trailing: int = 1) -> bool:
+def condition_star(p: int, conn: int, dim: int, n: int, j: int) -> bool:
     """True iff j clears the linear threshold in N.
 
-    trailing is the constant term at the end of the threshold; +1 is the
-    conservative reading consistent with the covering constants and is
-    used everywhere, -1 is available for comparison only.
+    The threshold ends in the constant +1, the conservative reading
+    consistent with the covering constants.
     """
     _validate_star(p, conn, dim, n)
-    if trailing not in (1, -1):
-        raise InvalidArgument(f"trailing must be +1 or -1, got {trailing}")
-    return j > _star_threshold(p, conn, dim, n, trailing)
+    return j > _star_threshold(p, conn, dim, n)
 
 
-def min_j(p: int, conn: int, dim: int, n: int, trailing: int = 1) -> int:
+def min_j(p: int, conn: int, dim: int, n: int) -> int:
     """Least integer j >= 0 satisfying the condition."""
     _validate_star(p, conn, dim, n)
-    t = _star_threshold(p, conn, dim, n, trailing)
-    return max(0, math.floor(t) + 1)
+    return max(0, math.floor(_star_threshold(p, conn, dim, n)) + 1)
 
 
 def _validate_star(p: int, conn: int, dim: int, n: int):
@@ -379,12 +388,9 @@ class KTheoryParams:
     big_b: Fraction
     theta: Fraction
     theta_safe: Fraction
-    profile: RootProfile = field(repr=False)
-    tau_const: mpf = field(repr=False)
-    precision_bits: int = 0
 
     @classmethod
-    def create(cls, p: int, gen: GeneratorSet, conn: int, dim: int, n_max: int) -> "KTheoryParams":
+    def create(cls, p: int, gen: GeneratorSet, conn: int, dim: int) -> "KTheoryParams":
         if not is_odd_prime(p):
             raise InvalidArgument(f"p must be an odd prime, got {p}")
         if conn < 0:
@@ -400,10 +406,6 @@ class KTheoryParams:
         big_b = 4 * (p - 1) ** 2 * (g + a * (1 + 2 * (p - 1))) + 2 * (p - 1)
         theta = 8 * (p - 1) ** 2 - compression * 2 * (p - 1) * (b + 1 + big_b) / g
         theta_safe = 8 * (p - 1) ** 2 - compression * (2 * (p - 1) * (b + 1) + big_b) / g
-        profile = profile_for_exponent(gen, max(n_max, 1))
-        with mp.workprec(profile.precision_bits):
-            exponent = -g - compression * (2 * (p - 1) * (b + 1) + big_b)
-            tau_const = profile.phi ** _mpf_of(exponent)
         return cls(
             p=p,
             gen=gen,
@@ -416,9 +418,6 @@ class KTheoryParams:
             big_b=big_b,
             theta=theta,
             theta_safe=theta_safe,
-            profile=profile,
-            tau_const=tau_const,
-            precision_bits=profile.precision_bits,
         )
 
     @property
@@ -434,13 +433,12 @@ class KTheoryParams:
 
 
 @lru_cache(maxsize=None)
-def _ktheory_params(p: int, gen: GeneratorSet, conn: int, dim: int, n_hint: int, _floor: int) -> KTheoryParams:
-    return KTheoryParams.create(p, gen, conn, dim, n_hint)
+def _ktheory_params(p: int, gen: GeneratorSet, conn: int, dim: int) -> KTheoryParams:
+    return KTheoryParams.create(p, gen, conn, dim)
 
 
-def ktheory_params(p: int, gen: GeneratorSet, conn: int, dim: int, n_max: int) -> KTheoryParams:
-    floor = int(os.environ.get("TORSION_BOUNDS_PRECISION", "0") or 0)
-    return _ktheory_params(p, gen, conn, dim, max(64 * math.ceil(n_max / 64), 64), floor)
+def ktheory_params(p: int, gen: GeneratorSet, conn: int, dim: int) -> KTheoryParams:
+    return _ktheory_params(p, gen, conn, dim)
 
 
 @dataclass(frozen=True)
@@ -454,7 +452,6 @@ class BoundReport:
     precision_bits: int
     exact_rank: int | None = None
     note: str = ""
-    constants: tuple[tuple[str, str], ...] = ()
 
 
 def _exponent_budget(params: KTheoryParams, m: int) -> int:
@@ -475,7 +472,6 @@ def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
     bits = profile.precision_bits
     n = params.n_of(m)
-    snapshot = _constants_snapshot(params)
     if n is None:
         return BoundReport(
             degree=m,
@@ -484,7 +480,6 @@ def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
             vacuous=True,
             precision_bits=bits,
             note="below-threshold",
-            constants=snapshot,
         )
     with mp.workprec(bits):
         phi = profile.phi
@@ -500,18 +495,19 @@ def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
             vacuous=bool(value <= 0),
             precision_bits=bits,
             note=f"n(M)={n}",
-            constants=snapshot,
         )
 
 
 def ktheory_main_term(params: KTheoryParams, m: int) -> mpf:
-    """Display form tau / ((1/g) ratio M + theta_safe) * phi^{ratio M}."""
+    """Display form tau / ((1/g) ratio M + theta_safe) * phi^{ratio M},
+    tau = phi^{-g - ratio (2(p-1)(b+1) + B)}, at the precision of the row at M."""
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
     with mp.workprec(profile.precision_bits):
         denom = _mpf_of(params.ratio) * m / params.g + _mpf_of(params.theta_safe)
         if denom <= 0:
             return mpf(0)
-        return params.tau_const / denom * profile.phi ** _mpf_of(params.ratio * m)
+        tau_exponent = -params.g - params.ratio * (2 * (params.p - 1) * (params.b + 1) + params.big_b)
+        return profile.phi ** _mpf_of(tau_exponent) / denom * profile.phi ** _mpf_of(params.ratio * m)
 
 
 def weak_lower(params: KTheoryParams, m: int, epsilon) -> mpf:
@@ -529,17 +525,19 @@ def weak_lower(params: KTheoryParams, m: int, epsilon) -> mpf:
         return profile.phi**exponent / mpf(m) ** (1 + _mpf_of(eps))
 
 
-def _constants_snapshot(params: KTheoryParams) -> tuple[tuple[str, str], ...]:
-    return (
-        ("p", str(params.p)),
-        ("degrees", params.gen.spec_string()),
-        ("conn", str(params.conn)),
-        ("dim", str(params.dim)),
-        ("g", str(params.g)),
-        ("g_prime", str(params.g_prime)),
-        ("a", str(params.a)),
-        ("b", str(params.b)),
-        ("B", str(params.big_b)),
-        ("theta", str(params.theta)),
-        ("theta_safe", str(params.theta_safe)),
-    )
+def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[BoundReport]:
+    """The ktheory_guaranteed and the ktheory_weak row at each degree M, in order.
+
+    The deepest row's profile is built first, so a range past the
+    precision ceiling fails before any row is computed.
+    """
+    degrees = list(degrees)
+    if degrees:
+        profile_for_exponent(params.gen, _exponent_budget(params, max(degrees)))
+    rows = []
+    for m in degrees:
+        strong = ktheory_lower(params, m)
+        weak = weak_lower(params, m, eps)
+        weak_row = BoundReport(m, weak, "ktheory_weak", bool(weak <= 0), strong.precision_bits, note=note)
+        rows += [strong, weak_row]
+    return rows

@@ -35,8 +35,9 @@ __all__ = [
     "char_poly",
     "newton_sums",
     "precision_for_exponent",
-    "root_profile",
+    "profile_bits",
     "profile_for_exponent",
+    "root_profile",
 ]
 
 # relative tolerance deciding "this root's modulus equals phi"
@@ -179,7 +180,8 @@ def newton_sums(poly: MonicIntPoly, n_max: int) -> list[int]:
 def precision_for_exponent(n_max: int, phi_upper: float) -> int:
     """Bits so that phi^n_max still carries >= 64 correct bits.
 
-    The TORSION_BOUNDS_PRECISION environment variable raises the floor.
+    The TORSION_BOUNDS_PRECISION environment variable raises the floor;
+    this is the one place in the package that reads it.
     """
     bits = math.ceil(max(n_max, 1) * math.log2(max(phi_upper, 1.0) + 1e-9)) + 64
     floor = int(os.environ.get("TORSION_BOUNDS_PRECISION", "0") or 0)
@@ -400,12 +402,12 @@ def _cached_profile(coeffs: tuple[int, ...], g: int, bits: int) -> RootProfile:
     return root_profile(MonicIntPoly(coeffs), g, bits)
 
 
-def profile_for_exponent(gen: GeneratorSet, n_max: int) -> RootProfile:
-    """Root profile of char_poly(gen) at precision auto-scaled for phi^n_max.
+def profile_bits(gen: GeneratorSet, n_max: int) -> int:
+    """Precision for phi^n_max over char_poly(gen), bucketed to 64-bit steps
+    so sweeps share cached profiles."""
+    return 64 * math.ceil(precision_for_exponent(n_max, char_poly(gen).coeff_bound()) / 64)
 
-    Precision is bucketed to 64-bit steps so sweeps share cached profiles.
-    """
-    poly = char_poly(gen)
-    bits = precision_for_exponent(n_max, poly.coeff_bound())
-    bits = 64 * math.ceil(bits / 64)
-    return _cached_profile(poly.coeffs, gen.g, bits)
+
+def profile_for_exponent(gen: GeneratorSet, n_max: int) -> RootProfile:
+    """Root profile of char_poly(gen) at profile_bits(gen, n_max)."""
+    return _cached_profile(char_poly(gen).coeffs, gen.g, profile_bits(gen, n_max))

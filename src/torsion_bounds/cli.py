@@ -15,8 +15,7 @@ import click
 import mpmath
 
 from . import verify as verify_mod
-from .bounds import MAX_VALUE_CAP, _as_fraction
-from .bounds import bezout_cover, f_q, homology_params, ktheory_lower, ktheory_params, weak_lower
+from .bounds import MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_row, ktheory_params, ktheory_rows
 from .charpoly import MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, root_profile
 from .dgl_fp import WeightedAlphabet, subspace_dims
 from .errors import (
@@ -36,6 +35,12 @@ from .spaces import report as space_report
 from .spaces import space_by_name
 
 REPORT_FIELDS = ["degree", "bound", "exact_rank", "theorem", "vacuous", "precision_bits"]
+
+# Largest lie-rank --upto; babenko_ranks takes about 0.2 s there.
+MAX_LIE_RANK_DEGREE = 10_000
+# Largest dgl --upto. q = 1 grows fastest: at 20 its largest boundary matrix is 1164 x 10946
+# int64 and the run takes 14 s and 460 MB peak RSS (2-core Xeon); at 24 it is 6710 x 75025 (4 GB).
+MAX_DGL_DEGREE = 20
 
 _EXIT_INVALID = 1
 _EXIT_VERIFICATION = 2
@@ -90,7 +95,7 @@ def main():
 
 @main.command("lie-rank")
 @click.option("--degrees", required=True, help="generator degrees, e.g. 2:1,3:1")
-@click.option("--upto", type=int, required=True)
+@click.option("--upto", type=int, required=True, help=f"last degree, at most {MAX_LIE_RANK_DEGREE}")
 @click.option("--oracle-check", is_flag=True, help="cross-check against the series oracle")
 @_format_option
 @_out_option
@@ -100,6 +105,8 @@ def lie_rank_cmd(degrees, upto, oracle_check, fmt, out):
     gen = GeneratorSet.parse(degrees)
     if upto < 1:
         raise InvalidArgument(f"--upto must be >= 1, got {upto}")
+    if upto > MAX_LIE_RANK_DEGREE:
+        raise InvalidArgument(f"--upto must be <= {MAX_LIE_RANK_DEGREE}, got {upto}")
     ranks = babenko_ranks(gen, upto)
     if oracle_check:
         from .lie_rank import pbw_ranks
@@ -163,49 +170,35 @@ def roots_cmd(degrees, precision_bits, fmt, out):
 @_out_option
 @_handle_errors
 def bound_cmd(route, q, p, degrees, conn, dim, eps, from_, upto, fmt, out):
-    """Guaranteed lower bounds: boundary-rank route or K-theory route."""
+    """Guaranteed lower bounds: boundary-rank route or K-theory route.
+
+    Emits the same rows as report, without the notes: --homology is
+    report --space moore, --ktheory the K-theory route for any wedge.
+    """
     if route is None:
         raise InvalidArgument("choose one of --homology or --ktheory")
     eps = _as_fraction(eps, "--eps")
-    reports = []
     if route == "homology":
         if q is None:
             raise InvalidArgument("--homology requires --q")
-        start = from_ if from_ is not None else 2
-        for n in range(start, upto + 1):
-            value = f_q(q, n, p)
-            reports.append(
-                _plain_report(n, value, "homology_boundary", homology_params(q, p, n).precision_bits)
-            )
+        reports = [homology_row(q, p, n) for n in _degree_range(from_, upto, 2)]
     else:
         if degrees is None or conn is None or dim is None:
             raise InvalidArgument("--ktheory requires --degrees, --conn and --dim")
-        gen = GeneratorSet.parse(degrees)
-        kt = ktheory_params(p, gen, conn, dim, upto)
-        start = from_ if from_ is not None else kt.g_prime
-        for m in range(start, upto + 1):
-            if m % kt.g_prime:
-                continue
-            reports.append(ktheory_lower(kt, m))
-            value = weak_lower(kt, m, eps)
-            reports.append(_plain_report(m, value, "ktheory_weak", reports[-1].precision_bits))
+        kt = ktheory_params(p, GeneratorSet.parse(degrees), conn, dim)
+        reports = ktheory_rows(kt, _degree_range(from_, upto, kt.g_prime, kt.g_prime), eps)
+    _emit_reports(reports, fmt, out)
+
+
+def _degree_range(from_, upto, first, step=1) -> range:
+    """FROM (default: first) rounded up to a multiple of step, through UPTO."""
+    start = first if from_ is None else from_
+    return range(start + (-start) % step, upto + 1, step)
+
+
+def _emit_reports(reports, fmt, out):
     rows = report_rows(reports)
-    if fmt == "csv":
-        _emit(to_csv(rows, REPORT_FIELDS), out)
-    else:
-        _emit(to_json(rows), out)
-
-
-def _plain_report(degree, value, theorem, bits):
-    from .bounds import BoundReport
-
-    return BoundReport(
-        degree=degree,
-        bound=value,
-        theorem=theorem,
-        vacuous=bool(value <= 0),
-        precision_bits=bits,
-    )
+    _emit(to_csv(rows, REPORT_FIELDS) if fmt == "csv" else to_json(rows), out)
 
 
 @main.command("bezout")
@@ -254,12 +247,14 @@ def bezout_cmd(alpha, beta, a_, b_, ns, cap, witnesses, fmt, out):
 @main.command("dgl")
 @click.option("--q", type=int, required=True, help="lower generator degree (x has degree q+1)")
 @click.option("--p", type=int, required=True, help="odd prime")
-@click.option("--upto", type=int, default=12, show_default=True)
+@click.option("--upto", type=int, default=12, show_default=True, help=f"last degree, at most {MAX_DGL_DEGREE}")
 @_format_option
 @_out_option
 @_handle_errors
 def dgl_cmd(q, p, upto, fmt, out):
     """Brute-force dims of L_n, cycles, boundaries, homology over F_p."""
+    if upto > MAX_DGL_DEGREE:
+        raise InvalidArgument(f"--upto must be <= {MAX_DGL_DEGREE}, got {upto}")
     dims = subspace_dims(WeightedAlphabet.moore(q), {"x": "y", "y": None}, p, upto)
     rows = [
         {
@@ -297,19 +292,11 @@ def report_cmd(space_name, q, p, r, n, k, l, eps, from_, upto, fmt, out):
     supplied = {"q": q, "p": p, "r": r, "n": n, "k": k, "l": l}
     params = {key: val for key, val in supplied.items() if val is not None}
     if space.route == "homology":
-        start = from_ if from_ is not None else 2
-        degree_range = range(start, upto + 1)
+        degree_range = _degree_range(from_, upto, 2)
     else:
         gp = space.g_prime(p)
-        start = from_ if from_ is not None else gp
-        start += (-start) % gp
-        degree_range = range(start, upto + 1, gp)
-    reports = space_report(space, params, degree_range, eps=_as_fraction(eps, "--eps"))
-    rows = report_rows(reports)
-    if fmt == "csv":
-        _emit(to_csv(rows, REPORT_FIELDS), out)
-    else:
-        _emit(to_json(rows), out)
+        degree_range = _degree_range(from_, upto, gp, gp)
+    _emit_reports(space_report(space, params, degree_range, eps=_as_fraction(eps, "--eps")), fmt, out)
 
 
 @main.command("verify")

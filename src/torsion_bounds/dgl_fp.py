@@ -37,12 +37,7 @@ __all__ = [
     "FreeDgl",
     "LieElement",
     "WeightedAlphabet",
-    "basis",
-    "bracket",
-    "differential",
-    "sigma",
     "subspace_dims",
-    "tau",
 ]
 
 DEFAULT_DEGREE_CAP = 14
@@ -199,11 +194,6 @@ def super_lyndon_basis(alphabet: WeightedAlphabet, up_to: int) -> dict[int, list
                 f"rank formula gives {expected[deg - 1]}"
             )
     return out
-
-
-def basis(alphabet: WeightedAlphabet, up_to: int) -> dict[int, list[BasisElement]]:
-    """Certified per-degree basis of the free graded Lie algebra."""
-    return super_lyndon_basis(alphabet, up_to)
 
 
 class FpMatrix:
@@ -669,25 +659,3 @@ def subspace_dims(
         "homology": homology,
     }
 
-
-# -- module-level wrappers matching the operation signatures -------------------
-
-
-def bracket(a: LieElement, b: LieElement) -> LieElement:
-    return a.algebra.bracket(a, b)
-
-
-def differential(e: LieElement, d_letters: dict[str, str | None] | None = None) -> LieElement:
-    return e.algebra.differential(e, d_letters)
-
-
-def tau(u: LieElement, k: int, p: int) -> LieElement:
-    if p != u.algebra.p:
-        raise InvalidArgument(f"p={p} does not match the algebra's p={u.algebra.p}")
-    return u.algebra.tau(u, k)
-
-
-def sigma(u: LieElement, k: int, p: int) -> LieElement:
-    if p != u.algebra.p:
-        raise InvalidArgument(f"p={p} does not match the algebra's p={u.algebra.p}")
-    return u.algebra.sigma(u, k)

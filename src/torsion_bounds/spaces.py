@@ -1,8 +1,8 @@
 """Catalog of example spaces and guaranteed torsion lower-bound tables.
 
-A SpaceSpec is a parameterized family; report() instantiates it with
-concrete parameters and sweeps a degree range, emitting one BoundReport
-row per (degree, bound kind).  Homology-route rows carry f_q(N) as the
+A SpaceSpec is a parameterized family; report() instantiates it and builds
+its rows with bounds.homology_row / bounds.ktheory_rows, one BoundReport
+per (degree, bound kind).  Homology-route rows carry f_q(N) as the
 lower bound for the torsion of the homotopy group one degree up (pi_{N+1});
 K-theory-route rows carry both the guaranteed bound and the weak
 1/M^{1+eps} bound for the p-torsion rank of pi_M of the suspension.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import BoundReport, f_q, homology_params, ktheory_lower, ktheory_params, weak_lower
+from .bounds import BoundReport, homology_row, ktheory_params, ktheory_rows
 from .charpoly import GeneratorSet
 from .combinat import is_odd_prime
 from .errors import InvalidArgument, ParameterMismatch
@@ -159,49 +159,16 @@ def report(space: SpaceSpec, params: dict[str, int], degree_range, eps="1/2") ->
     """
     _validate_params(space, params)
     degrees = sorted(set(int(d) for d in degree_range))
-    rows: list[BoundReport] = []
-    if space.route == "homology":
-        q, p, r = params["q"], params["p"], params["r"]
-        constants = (("q", str(q)), ("p", str(p)), ("r", str(r)), ("s", str(r)))
-        for n in degrees:
-            if n < 2:
-                raise InvalidArgument(f"homology-route degrees start at 2, got {n}")
-            value = f_q(q, n, p)
-            bits = homology_params(q, p, n).precision_bits
-            rows.append(
-                BoundReport(
-                    degree=n,
-                    bound=value,
-                    theorem="homology_boundary",
-                    vacuous=bool(value <= 0),
-                    precision_bits=bits,
-                    note=f"bounds rank of pi_{{{n + 1}}} torsion",
-                    constants=constants,
-                )
-            )
-        return rows
     p = params["p"]
-    dim = space.dim(params)
-    if degrees:
-        kt = ktheory_params(p, space.gen, space.conn, dim, max(degrees))
-        for m in degrees:
-            if m % kt.g_prime:
-                raise InvalidArgument(
-                    f"K-theory degrees must be multiples of g'={kt.g_prime}, got {m}"
-                )
-            strong = ktheory_lower(kt, m)
-            rows.append(strong)
-            weak = weak_lower(kt, m, eps)
-            rows.append(
-                BoundReport(
-                    degree=m,
-                    bound=weak,
-                    theorem="ktheory_weak",
-                    vacuous=bool(weak <= 0),
-                    precision_bits=strong.precision_bits,
-                    note=f"eps={eps}",
-                    constants=(("conn", str(space.conn)), ("dim", str(dim)), ("p", str(p))),
-                )
-            )
-    rows.sort(key=lambda row: (row.degree, row.theorem))
-    return rows
+    if space.route == "homology":
+        if degrees and degrees[0] < 2:
+            raise InvalidArgument(f"homology-route degrees start at 2, got {degrees[0]}")
+        q = params["q"]
+        return [homology_row(q, p, n, note=f"bounds rank of pi_{{{n + 1}}} torsion") for n in degrees]
+    kt = ktheory_params(p, space.gen, space.conn, space.dim(params))
+    off_grid = [m for m in degrees if m % kt.g_prime]
+    if off_grid:
+        raise InvalidArgument(
+            f"K-theory degrees must be multiples of g'={kt.g_prime}, got {off_grid[0]}"
+        )
+    return ktheory_rows(kt, degrees, eps, note=f"eps={eps}")

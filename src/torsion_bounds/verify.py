@@ -468,7 +468,7 @@ def check_ktheory_positivity(space_name: str, params: dict, m_cap: int = 6000, w
     space = space_by_name(space_name)
     p = params["p"]
     dim = space.dim(params)
-    kt = bnd.ktheory_params(p, space.gen, space.conn, dim, m_cap)
+    kt = bnd.ktheory_params(p, space.gen, space.conn, dim)
     gp = kt.g_prime
     m1 = None
     for m in range(gp, m_cap + 1, gp):
@@ -510,7 +510,7 @@ def check_closed_form_specializations(m_max: int = 500, tol: float = 1e-9) -> li
         for n, k in ((3, 1), (4, 2), (6, 2)):
             space = space_by_name("grassmannian")
             dim = space.dim({"n": n, "k": k, "p": 3})
-            kt = bnd.ktheory_params(3, space.gen, space.conn, dim, 2 * m_max)
+            kt = bnd.ktheory_params(3, space.gen, space.conn, dim)
             for m in range(1, m_max + 1):
                 got = bnd.weak_lower(kt, 2 * m, Fraction(1, 2))
                 want = golden4 ** (mpf(m) / (2 * k * (n - k) + 1)) / mpf(2 * m) ** mpf("1.5")
@@ -521,7 +521,7 @@ def check_closed_form_specializations(m_max: int = 500, tol: float = 1e-9) -> li
         for n, l in ((2, 3), (3, 4)):
             space = space_by_name("milnor-hypersurface")
             dim = space.dim({"n": n, "l": l, "p": 3})
-            kt = bnd.ktheory_params(3, space.gen, space.conn, dim, 2 * m_max)
+            kt = bnd.ktheory_params(3, space.gen, space.conn, dim)
             for m in range(1, m_max + 1):
                 got = bnd.weak_lower(kt, 2 * m, Fraction(1, 2))
                 want = golden4 ** (mpf(m) / (2 * (n + l) - 1)) / mpf(2 * m) ** mpf("1.5")

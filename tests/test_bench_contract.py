@@ -1,0 +1,52 @@
+"""The names the benchmark harness in perfbench/ reaches into the package by.
+
+perfbench/tracer.py wraps the functions and methods it lists by name, and
+perfbench/worker.py asserts three profile caches empty through cache_info().
+A rename or deletion in the package would break the harness only when it
+runs; these tests catch it in the suite. They read perfbench and change
+nothing there.
+"""
+
+import importlib
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_every_traced_function_resolves(tracer):
+    for mod_name, names in tracer.FUNCTIONS.items():
+        module = importlib.import_module(f"torsion_bounds.{mod_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{mod_name}.{name}"
+
+
+def test_every_traced_method_resolves(tracer):
+    for mod_name, classes in tracer.METHODS.items():
+        module = importlib.import_module(f"torsion_bounds.{mod_name}")
+        for cls_name, methods in classes.items():
+            for meth in methods:
+                assert callable(getattr(getattr(module, cls_name), meth, None)), f"{cls_name}.{meth}"
+
+
+def test_worker_caches_expose_cache_info():
+    source = (PERFBENCH / "worker.py").read_text()
+    names = re.search(r"for cache in \(([^)]*)\)", source).group(1)
+    caches = [name.strip() for name in names.split(",") if name.strip()]
+    assert len(caches) == 3
+    for dotted in caches:
+        mod_name, attr = dotted.split(".")
+        cache = getattr(importlib.import_module(f"torsion_bounds.{mod_name}"), attr)
+        assert callable(cache.cache_info), dotted

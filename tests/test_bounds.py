@@ -22,6 +22,7 @@ from torsion_bounds import (
     weak_lower,
 )
 from torsion_bounds.bounds import MAX_VALUE_CAP, KTheoryParams, ktheory_main_term, ktheory_params
+from torsion_bounds.charpoly import profile_for_exponent
 from torsion_bounds.verify import (
     check_bezout_coverage,
     check_boundary_equals_fq,
@@ -148,12 +149,6 @@ def test_condition_star_minimality():
     assert check_condition_star_minimality(200, seed=13) == []
 
 
-def test_condition_star_display_variant_differs():
-    strict = min_j(3, 1, 2, 10, trailing=1)
-    loose = min_j(3, 1, 2, 10, trailing=-1)
-    assert loose <= strict
-
-
 def test_bezout_cover_worked_example():
     cert = bezout_cover(3, 4, Fraction(1, 2), 0, [1], 500)
     entry = cert.entries[0]
@@ -197,8 +192,8 @@ def test_bezout_cover_randomized():
 GRASSMANNIAN_GEN = GeneratorSet.of((2, 1), (4, 1))
 
 
-def _grassmannian_params(m_cap=1200):
-    return ktheory_params(3, GRASSMANNIAN_GEN, 1, 4, m_cap)  # n=3, k=1: dim 4
+def _grassmannian_params():
+    return ktheory_params(3, GRASSMANNIAN_GEN, 1, 4)  # n=3, k=1: dim 4
 
 
 def test_ktheory_constants_exact():
@@ -220,7 +215,7 @@ def test_ktheory_constants_match_stated_formulas():
         conn = random.randint(0, 4)
         dim = conn + random.randint(1, 6)
         gen = random.choice([GRASSMANNIAN_GEN, GeneratorSet.of((3, 1), (5, 1))])
-        kt = ktheory_params(p, gen, conn, dim, 64)
+        kt = ktheory_params(p, gen, conn, dim)
         g = gen.g
         ratio = Fraction(dim + 1, conn + 1)
         assert kt.a == Fraction(g, 2 * (p - 1)) * (ratio - 1)
@@ -258,13 +253,14 @@ def test_ktheory_n_of_monotone_step():
 def test_ktheory_bound_dominates_display_main_term():
     'the fully explicit bound sits above the theta/tau display form minus its error terms'
     kt = _grassmannian_params()
+    profile = profile_for_exponent(kt.gen, 1200)
     for m in range(380, 1200, 2):
         report = ktheory_lower(kt, m)
         n = kt.n_of(m)
         big_e = n + 8 * (kt.p - 1) ** 2
         with mp.workprec(report.precision_bits):
-            error_terms = kt.g * kt.profile.phi ** (mpf(big_e * kt.g) / 2)
-            error_terms += kt.gen.q_max * (3 + 2 * kt.profile.psi_abs ** (big_e * kt.g))
+            error_terms = kt.g * profile.phi ** (mpf(big_e * kt.g) / 2)
+            error_terms += kt.gen.q_max * (3 + 2 * profile.psi_abs ** (big_e * kt.g))
             main = ktheory_main_term(kt, m)
             assert report.bound >= main - error_terms - mpf("1e-12") * (1 + abs(main))
 
@@ -294,6 +290,6 @@ def test_weak_lower_rejects_bad_epsilon():
 
 def test_ktheory_params_validation():
     with pytest.raises(InvalidArgument):
-        KTheoryParams.create(2, GRASSMANNIAN_GEN, 1, 4, 64)  # p even
+        KTheoryParams.create(2, GRASSMANNIAN_GEN, 1, 4)  # p even
     with pytest.raises(InvalidArgument):
-        KTheoryParams.create(3, GRASSMANNIAN_GEN, 3, 3, 64)  # dim < conn + 1
+        KTheoryParams.create(3, GRASSMANNIAN_GEN, 3, 3)  # dim < conn + 1

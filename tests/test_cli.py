@@ -3,7 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from torsion_bounds.cli import main
+from torsion_bounds import bounds, cli
+from torsion_bounds.cli import MAX_DGL_DEGREE, MAX_LIE_RANK_DEGREE, main
 from torsion_bounds.render import decimal_str
 
 
@@ -120,13 +121,48 @@ def test_report_out_file(tmp_path):
     assert raw.startswith(b"degree,bound,exact_rank,theorem,vacuous,precision_bits\r\n")
 
 
-def test_precision_env_override():
-    result = run(
-        "report", "--space", "moore", "--q", "2", "--p", "3", "--r", "1",
-        "--upto", "3", "--format", "json", env={"TORSION_BOUNDS_PRECISION": "1024"},
-    )
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("report", "--space", "moore", "--q", "2", "--p", "3", "--r", "1", "--upto", "3"),
+        ("bound", "--homology", "--q", "2", "--p", "3", "--upto", "3"),
+        ("bound", "--ktheory", "--degrees", "2:1,4:1", "--conn", "1", "--dim", "4", "--p", "3", "--upto", "6"),
+    ],
+    ids=["report-moore", "bound-homology", "bound-ktheory"],
+)
+def test_precision_env_override(args):
+    # the first run warms every cache, so the override must not be served from them
+    cold = json.loads(run(*args, "--format", "json").output)
+    assert all(row["precision_bits"] < 1024 for row in cold)
+    result = run(*args, "--format", "json", env={"TORSION_BOUNDS_PRECISION": "1024"})
     rows = json.loads(result.output)
-    assert all(row["precision_bits"] >= 1024 for row in rows)
+    assert rows and all(row["precision_bits"] >= 1024 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "bound_args, report_args",
+    [
+        (
+            ("bound", "--homology", "--q", "2", "--p", "3", "--upto", "200"),
+            ("report", "--space", "moore", "--q", "2", "--p", "3", "--r", "1", "--upto", "200"),
+        ),
+        (
+            ("bound", "--ktheory", "--degrees", "2:1,4:1", "--conn", "1", "--dim", "4", "--p", "3", "--upto", "600"),
+            ("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "600"),
+        ),
+        (
+            ("bound", "--ktheory", "--degrees", "3:1,5:1", "--conn", "0", "--dim", "9", "--p", "3",
+             "--from", "101", "--upto", "400"),
+            ("report", "--space", "unitary", "--n", "3", "--p", "3", "--from", "101", "--upto", "400"),
+        ),
+    ],
+    ids=["moore", "grassmannian", "unitary"],
+)
+def test_bound_and_report_emit_identical_csv(bound_args, report_args):
+    bound, report = run(*bound_args), run(*report_args)
+    assert bound.exit_code == report.exit_code == 0
+    assert bound.stdout_bytes.count(b"\r\n") > 10
+    assert bound.stdout_bytes == report.stdout_bytes
 
 
 def test_verify_suite_combinat():
@@ -169,6 +205,40 @@ def test_bezout_oversized_cap_exit_code():
                  "--cap", "100000000000")
     assert result.exit_code == 1
     assert result.stderr.startswith("error: value_cap must be <=")
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("the ceiling must be checked before any work starts")
+
+
+def test_dgl_oversized_upto_exit_code(monkeypatch):
+    monkeypatch.setattr(cli, "subspace_dims", _no_allocation)
+    result = run("dgl", "--q", "1", "--p", "3", "--upto", "24")
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: --upto must be <= {MAX_DGL_DEGREE}")
+
+
+def test_lie_rank_oversized_upto_exit_code(monkeypatch):
+    monkeypatch.setattr(cli, "babenko_ranks", _no_allocation)
+    result = run("lie-rank", "--degrees", "2:1,3:1", "--upto", str(MAX_LIE_RANK_DEGREE + 1))
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: --upto must be <= {MAX_LIE_RANK_DEGREE}")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bound", "--ktheory", "--degrees", "2:1,4:1", "--conn", "1", "--dim", "4", "--p", "3", "--upto", "100000"),
+        ("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "100000"),
+    ],
+    ids=["bound", "report"],
+)
+def test_ktheory_oversized_range_exit_code(monkeypatch, args):
+    # the deepest row's precision is checked before the first row is built
+    monkeypatch.setattr(bounds, "ktheory_lower", _no_allocation)
+    result = run(*args)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: precision_bits must be <=")
 
 
 def test_roots_oversized_precision_exit_code():
