@@ -17,7 +17,7 @@ import mpmath
 from . import verify as verify_mod
 from .bounds import MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_row, ktheory_params, ktheory_rows
 from .charpoly import MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, root_profile
-from .dgl_fp import WeightedAlphabet, subspace_dims
+from .dgl_fp import MAX_PRIME, WeightedAlphabet, subspace_dims
 from .errors import (
     CoverageViolation,
     DimensionMismatch,
@@ -113,11 +113,11 @@ def lie_rank_cmd(degrees, upto, oracle_check, fmt, out):
 
         if pbw_ranks(gen, upto) != ranks:
             raise OracleInconsistency("series oracle disagrees with the rank formula")
-    rows = [{"N": n, "rank": str(r)} for n, r in enumerate(ranks, start=1)]
+    ranks = [decimal_str(r) for r in ranks]
     if fmt == "csv":
-        _emit(to_csv(rows, ["N", "rank"]), out)
+        _emit(to_csv([{"N": n, "rank": r} for n, r in enumerate(ranks, start=1)], ["N", "rank"]), out)
     else:
-        _emit(to_json([{"degree": n, "rank": str(r)} for n, r in enumerate(ranks, start=1)]), out)
+        _emit(to_json([{"degree": n, "rank": r} for n, r in enumerate(ranks, start=1)]), out)
 
 
 @main.command("roots")
@@ -246,13 +246,15 @@ def bezout_cmd(alpha, beta, a_, b_, ns, cap, witnesses, fmt, out):
 
 @main.command("dgl")
 @click.option("--q", type=int, required=True, help="lower generator degree (x has degree q+1)")
-@click.option("--p", type=int, required=True, help="odd prime")
+@click.option("--p", type=int, required=True, help=f"odd prime, at most {MAX_PRIME}")
 @click.option("--upto", type=int, default=12, show_default=True, help=f"last degree, at most {MAX_DGL_DEGREE}")
 @_format_option
 @_out_option
 @_handle_errors
 def dgl_cmd(q, p, upto, fmt, out):
     """Brute-force dims of L_n, cycles, boundaries, homology over F_p."""
+    if upto < 1:
+        raise InvalidArgument(f"--upto must be >= 1, got {upto}")
     if upto > MAX_DGL_DEGREE:
         raise InvalidArgument(f"--upto must be <= {MAX_DGL_DEGREE}, got {upto}")
     dims = subspace_dims(WeightedAlphabet.moore(q), {"x": "y", "y": None}, p, upto)

@@ -12,7 +12,11 @@ failure raises DimensionMismatch.
 
 This module is deliberately a brute-force oracle: ranks of cycles,
 boundaries and homology come from dense Gaussian elimination over F_p,
-never from the formulas it is used to check.
+never from the formulas it is used to check.  The elimination is one
+in-place int64 RREF whose pivot step updates every other row in a single
+numpy block; the transform of rref_with_transform is read off the reduced
+[M | I].  Entries stay in [0, p) and products below (p - 1)^2, so p is
+capped at MAX_PRIME, the largest prime with (p - 1)^2 < 2^63.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ __all__ = [
 ]
 
 DEFAULT_DEGREE_CAP = 14
+# Largest prime p with (p - 1)^2 < 2^63: every product in the int64 elimination stays exact.
+MAX_PRIME = 3_037_000_493
 
 
 @dataclass(frozen=True)
@@ -197,9 +203,10 @@ def super_lyndon_basis(alphabet: WeightedAlphabet, up_to: int) -> dict[int, list
 
 
 class FpMatrix:
-    """Dense matrix over F_p with exact Gaussian elimination."""
+    """Dense matrix over F_p, p <= MAX_PRIME, with exact Gaussian elimination."""
 
     def __init__(self, data, p: int):
+        _check_prime_ceiling(p)
         self.p = p
         a = np.asarray(data, dtype=np.int64)
         if a.ndim != 2:
@@ -215,72 +222,45 @@ class FpMatrix:
         return self.a.shape[1]
 
     def rank(self) -> int:
-        return _row_reduce(self.a.copy(), self.p)[2]
+        return len(_row_reduce(self.a.copy(), self.p, self.cols))
 
     def rref_with_transform(self):
-        """(R, E, pivots) with R the RREF and R = E @ self over F_p."""
-        a = self.a.copy()
-        e = np.eye(self.rows, dtype=np.int64)
-        rank = _row_reduce(a, self.p, transform=e)[2]
-        pivots = _pivot_columns(a, rank)
-        return a[:rank], e[:rank], pivots
+        """(R, E, pivots) with R the RREF and R = E @ self over F_p, read off the reduced [self | I]."""
+        a = np.hstack([self.a, np.eye(self.rows, dtype=np.int64)])
+        pivots = _row_reduce(a, self.p, self.cols)
+        rank = len(pivots)
+        return a[:rank, : self.cols], a[:rank, self.cols :], pivots
 
 
-def _row_reduce(a: np.ndarray, p: int, transform: np.ndarray | None = None):
-    rows, cols = a.shape
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(row, rows):
-            if a[i, col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != row:
-            a[[row, pivot]] = a[[pivot, row]]
-            if transform is not None:
-                transform[[row, pivot]] = transform[[pivot, row]]
-        inv = pow(int(a[row, col]), -1, p)
-        a[row] = a[row] * inv % p
-        if transform is not None:
-            transform[row] = transform[row] * inv % p
-        for i in range(rows):
-            if i != row and a[i, col]:
-                f = int(a[i, col])
-                a[i] = (a[i] - f * a[row]) % p
-                if transform is not None:
-                    transform[i] = (transform[i] - f * transform[row]) % p
-        row += 1
+def _check_prime_ceiling(p: int):
+    if p > MAX_PRIME:
+        raise InvalidArgument(f"p must be <= {MAX_PRIME} for exact int64 elimination, got {p}")
+
+
+def _row_reduce(a: np.ndarray, p: int, ncols: int) -> list[int]:
+    """Reduce a in place to RREF over its first ncols columns; the pivot columns.
+
+    Entries must lie in [0, p); every product stays below (p - 1)^2.
+    """
+    rows = a.shape[0]
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
         if row == rows:
             break
-    return a, transform, row
-
-
-def _pivot_columns(rref: np.ndarray, rank: int) -> list[int]:
-    pivots = []
-    col = 0
-    for r in range(rank):
-        while not rref[r, col]:
-            col += 1
+        below = np.flatnonzero(a[row:, col])
+        if not below.size:
+            continue
+        pivot = row + below[0]
+        if pivot != row:
+            a[[row, pivot]] = a[[pivot, row]]
+        a[row, col:] = a[row, col:] * pow(int(a[row, col]), -1, p) % p
+        others = np.flatnonzero(a[:, col])
+        others = others[others != row]
+        if others.size:
+            a[others, col:] = (a[others, col:] - np.outer(a[others, col], a[row, col:])) % p
         pivots.append(col)
     return pivots
-
-
-class _DegreeSolver:
-    """Solves 'express this tensor in the basis' for one degree."""
-
-    def __init__(self, rref, transform, pivots, p):
-        self.rref = rref
-        self.transform = transform
-        self.pivots = pivots
-        self.p = p
-
-    def solve(self, vec: np.ndarray) -> np.ndarray:
-        u = vec[self.pivots] % self.p
-        if np.any((u @ self.rref - vec) % self.p):
-            raise InternalError("tensor is not in the span of the Lie basis")
-        return u @ self.transform % self.p
 
 
 class LieElement:
@@ -356,6 +336,7 @@ class FreeDgl:
         up_to: int = DEFAULT_DEGREE_CAP,
         d_letters: dict[str, str | None] | None = None,
     ):
+        _check_prime_ceiling(p)
         if not is_odd_prime(p):
             raise InvalidArgument(f"p must be an odd prime, got {p}")
         if up_to < 1:
@@ -368,7 +349,7 @@ class FreeDgl:
         self._tensor_dims = tensor_dims(alphabet.generator_set(), up_to)
         self._expansion_cache: dict[tuple[int, ...], dict] = {}
         self._words_cache: dict[int, dict[tuple[int, ...], int]] = {}
-        self._solver_cache: dict[int, _DegreeSolver] = {}
+        self._solver_cache: dict[int, tuple] = {}  # degree -> (R, E, pivots) of its basis expansions
         self._pair_cache: dict[tuple[BasisElement, BasisElement], dict] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -396,11 +377,6 @@ class FreeDgl:
     def dims(self) -> list[int]:
         """dim L_n for n = 1..up_to."""
         return [len(self.basis_by_degree[n]) for n in range(1, self.up_to + 1)]
-
-    def basis_elements(self, degree: int) -> list[BasisElement]:
-        if not 1 <= degree <= self.up_to:
-            raise DegreeLimitExceeded(f"degree {degree} outside 1..{self.up_to}")
-        return list(self.basis_by_degree[degree])
 
     def zero(self, degree: int) -> LieElement:
         return LieElement(self, degree, {})
@@ -475,37 +451,43 @@ class FreeDgl:
         self._words_cache[n] = index
         return index
 
-    def _vectorize(self, tensor: dict, n: int) -> np.ndarray:
-        index = self._words_of_degree(n)
-        vec = np.zeros(len(index), dtype=np.int64)
-        for w, c in tensor.items():
-            vec[index[w]] = c
-        return vec
+    def _matrix(self, n: int, rows: int, tensors) -> np.ndarray:
+        """int64 matrix over the words of degree n, filled one row per tensor.
 
-    def _solver(self, n: int) -> _DegreeSolver:
+        tensors may be a generator, so no list of all tensors is held.
+        """
+        index = self._words_of_degree(n)
+        mat = np.zeros((rows, len(index)), dtype=np.int64)
+        for i, tensor in enumerate(tensors):
+            for w, c in tensor.items():
+                mat[i, index[w]] = c
+        return mat
+
+    def _solver(self, n: int) -> tuple:
         solver = self._solver_cache.get(n)
         if solver is not None:
             return solver
         elems = self.basis_by_degree[n]
-        index = self._words_of_degree(n)
-        mat = np.zeros((len(elems), len(index)), dtype=np.int64)
-        for i, be in enumerate(elems):
-            for w, c in self.expansion(be).items():
-                mat[i, index[w]] = c
-        rref, transform, pivots = FpMatrix(mat, self.p).rref_with_transform()
-        if len(pivots) != len(elems):
+        mat = self._matrix(n, len(elems), (self.expansion(be) for be in elems))
+        solver = FpMatrix(mat, self.p).rref_with_transform()
+        if len(solver[2]) != len(elems):
             raise DimensionMismatch(
                 f"basis expansions in degree {n} are linearly dependent over F_{self.p}"
             )
-        solver = _DegreeSolver(rref, transform, pivots, self.p)
         self._solver_cache[n] = solver
         return solver
 
     def _coords(self, tensor: dict, n: int) -> dict[BasisElement, int]:
+        """Basis coordinates of a degree-n tensor: with R = E M, the tensor is u R for u
+        its entries at the pivots, so its coordinates are u E."""
         if not tensor:
             return {}
-        vec = self._vectorize(tensor, n)
-        x = self._solver(n).solve(vec)
+        vec = self._matrix(n, 1, [tensor])[0]
+        rref, transform, pivots = self._solver(n)
+        u = vec[pivots] % self.p
+        if np.any((u @ rref - vec) % self.p):
+            raise InternalError("tensor is not in the span of the Lie basis")
+        x = u @ transform % self.p
         elems = self.basis_by_degree[n]
         return {elems[i]: int(x[i]) for i in np.nonzero(x)[0]}
 
@@ -627,13 +609,8 @@ class FreeDgl:
         elems = self.basis_by_degree.get(n + 1, [])
         if not elems or n < 1:
             return 0
-        index = self._words_of_degree(n)
-        mat = np.zeros((len(elems), len(index)), dtype=np.int64)
-        for i, be in enumerate(elems):
-            image = self._tensor_differential(self.expansion(be), self.d_letters)
-            for w, c in image.items():
-                mat[i, index[w]] = c
-        return FpMatrix(mat, self.p).rank()
+        images = (self._tensor_differential(self.expansion(be), self.d_letters) for be in elems)
+        return FpMatrix(self._matrix(n, len(elems), images), self.p).rank()
 
 
 def subspace_dims(

@@ -59,7 +59,10 @@ def pbw_ranks(gen: GeneratorSet, n_max: int) -> list[int]:
     """r_1..r_N solving prod_{n odd}(1+t^n)^{r_n} prod_{n even}(1-t^n)^{-r_n} = T(t).
 
     Solved degree by degree in exact integer arithmetic; a degree-n element
-    is odd iff n is odd.  Independent of the Newton/Moebius route.
+    is odd iff n is odd.  Once r_n is known the running product is
+    multiplied in place by the degree-n factor, whose coefficients sit only
+    at multiples of n, so the solve makes O(N^2 log N) big-integer
+    additions.  Independent of the Newton/Moebius route.
     """
     if n_max < 1:
         raise InvalidArgument(f"pbw_ranks requires N >= 1, got {n_max}")
@@ -67,8 +70,7 @@ def pbw_ranks(gen: GeneratorSet, n_max: int) -> list[int]:
 
 
 def _pbw_solve(target: list[int], n_max: int) -> list[int]:
-    series = [0] * (n_max + 1)
-    series[0] = 1
+    series = [1] + [0] * n_max
     ranks = []
     for n in range(1, n_max + 1):
         r = target[n] - series[n]
@@ -79,19 +81,12 @@ def _pbw_solve(target: list[int], n_max: int) -> list[int]:
         ranks.append(r)
         if r == 0:
             continue
-        factor = [0] * (n_max + 1)
-        factor[0] = 1
+        # multiply by the factor 1 + sum_{j >= 1} c_j t^{nj}, nonzero only at multiples of n
+        base = series[:]
         for j in range(1, n_max // n + 1):
-            factor[n * j] = math.comb(r, j) if n % 2 else math.comb(r + j - 1, j)
-        series = _mul_trunc(series, factor, n_max)
+            c = math.comb(r, j) if n % 2 else math.comb(r + j - 1, j)
+            if c == 0:  # (1 + t^n)^r stops at j = r
+                break
+            shift = n * j
+            series[shift:] = [s + c * b for s, b in zip(series[shift:], base)]
     return ranks
-
-
-def _mul_trunc(a: list[int], b: list[int], n_max: int) -> list[int]:
-    out = [0] * (n_max + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(0, n_max - i + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out

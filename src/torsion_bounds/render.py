@@ -25,12 +25,13 @@ SIGNIFICANT_DIGITS = 24
 def decimal_str(x, sig: int = SIGNIFICANT_DIGITS) -> str:
     """Plain decimal string of x with sig significant digits.
 
-    Accepts mpf, int, or Fraction.  mpf values are binary rationals, so
-    the conversion itself is exact and only the final rounding depends
-    on sig.
+    Accepts mpf, int, or Fraction.  An int is rendered with all of its
+    digits, however many (str(int) refuses more than 4300).  mpf values
+    are binary rationals, so the conversion itself is exact and only the
+    final rounding depends on sig.
     """
     if isinstance(x, int):
-        return str(x)
+        return format(decimal.Decimal(x), "f")
     if isinstance(x, Fraction):
         num, den = x.numerator, x.denominator
     elif isinstance(x, mpf) or hasattr(x, "_mpf_"):

@@ -50,3 +50,14 @@ def test_worker_caches_expose_cache_info():
         mod_name, attr = dotted.split(".")
         cache = getattr(importlib.import_module(f"torsion_bounds.{mod_name}"), attr)
         assert callable(cache.cache_info), dotted
+
+
+def test_fp_matrix_exposes_its_array():
+    # tracer._elim_cells counts eliminated cells through FpMatrix.a.shape
+    from torsion_bounds.dgl_fp import FpMatrix
+
+    mat = FpMatrix([[1, 2, 0], [0, 4, 1]], 5)
+    assert mat.a.shape == (2, 3)
+    mat.rank()
+    mat.rref_with_transform()
+    assert mat.a.shape == (2, 3)

@@ -1,10 +1,12 @@
 import json
+from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
 
-from torsion_bounds import bounds, cli
+from torsion_bounds import GeneratorSet, babenko_ranks, bounds, cli
 from torsion_bounds.cli import MAX_DGL_DEGREE, MAX_LIE_RANK_DEGREE, main
+from torsion_bounds.dgl_fp import MAX_PRIME
 from torsion_bounds.render import decimal_str
 
 
@@ -245,3 +247,33 @@ def test_roots_oversized_precision_exit_code():
     result = run("roots", "--degrees", "2:1,3:1", "--precision-bits", "1000000000")
     assert result.exit_code == 1
     assert result.stderr.startswith("error: precision_bits must be <=")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lie_rank_renders_ranks_over_4300_digits(fmt):
+    # str(int) refuses more than 4300 digits; the last rank here has 4397
+    result = run("lie-rank", "--degrees", "1:10", "--upto", "4400", "--format", fmt)
+    assert result.exit_code == 0, result.stderr
+    expected = format(Decimal(babenko_ranks(GeneratorSet.parse("1:10"), 4400)[-1]), "f")
+    assert len(expected) == 4397
+    if fmt == "csv":
+        last = result.stdout_bytes.rstrip(b"\r\n").rsplit(b"\r\n", 1)[1].decode()
+        assert last == f"4400,{expected}"
+    else:
+        assert json.loads(result.stdout)[-1] == {"degree": 4400, "rank": expected}
+
+
+@pytest.mark.parametrize("upto", ["0", "-3"])
+def test_dgl_upto_below_one_exit_code(monkeypatch, upto):
+    monkeypatch.setattr(cli, "subspace_dims", _no_allocation)
+    result = run("dgl", "--q", "1", "--p", "3", "--upto", upto)
+    assert result.exit_code == 1
+    assert result.stderr == f"error: --upto must be >= 1, got {upto}\n"
+
+
+def test_dgl_prime_above_ceiling_exit_code():
+    # (p - 1)^2 >= 2^63 here, so an int64 elimination would overflow silently
+    result = run("dgl", "--q", "2", "--p", "4294967311", "--upto", "12")
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: p must be <= {MAX_PRIME}")
+    assert str(MAX_PRIME) in run("dgl", "--help").stdout

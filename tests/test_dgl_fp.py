@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsion_bounds import (
     DegreeLimitExceeded,
@@ -12,7 +14,7 @@ from torsion_bounds import (
     subspace_dims,
 )
 from torsion_bounds.combinat import binom_div_p
-from torsion_bounds.dgl_fp import super_lyndon_basis
+from torsion_bounds.dgl_fp import MAX_PRIME, super_lyndon_basis
 from torsion_bounds.verify import (
     check_basis_certification,
     check_cycle_elements,
@@ -171,6 +173,95 @@ def test_fp_matrix_rank():
     mat = FpMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 3]], 5)
     assert mat.rank() == 2  # row 2 = 2*row 1 mod 5
     assert FpMatrix(np.zeros((2, 3), dtype=int), 3).rank() == 0
+
+
+def test_prime_ceiling():
+    # (p - 1)^2 >= 2^63 above MAX_PRIME, so int64 products could wrap around
+    assert (MAX_PRIME - 1) ** 2 < 2**63 <= (4294967311 - 1) ** 2
+    with pytest.raises(InvalidArgument):
+        FpMatrix([[1]], 4294967311)
+    with pytest.raises(InvalidArgument):
+        FreeDgl(WeightedAlphabet.moore(2), 4294967311, 6)
+    assert FpMatrix([[MAX_PRIME - 1, 1], [1, MAX_PRIME - 1]], MAX_PRIME).rank() == 1
+    assert FreeDgl(WeightedAlphabet.moore(2), MAX_PRIME, 6, MOORE_D).p == MAX_PRIME
+
+
+def _reference_row_reduce(a, p, transform=None):
+    """The row-by-row elimination the vectorised one replaced, kept as a reference."""
+    rows, cols = a.shape
+    row = 0
+    for col in range(cols):
+        pivot = None
+        for i in range(row, rows):
+            if a[i, col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != row:
+            a[[row, pivot]] = a[[pivot, row]]
+            if transform is not None:
+                transform[[row, pivot]] = transform[[pivot, row]]
+        inv = pow(int(a[row, col]), -1, p)
+        a[row] = a[row] * inv % p
+        if transform is not None:
+            transform[row] = transform[row] * inv % p
+        for i in range(rows):
+            if i != row and a[i, col]:
+                f = int(a[i, col])
+                a[i] = (a[i] - f * a[row]) % p
+                if transform is not None:
+                    transform[i] = (transform[i] - f * transform[row]) % p
+        row += 1
+        if row == rows:
+            break
+    return a, transform, row
+
+
+def _reference_pivot_columns(rref, rank):
+    pivots = []
+    col = 0
+    for r in range(rank):
+        while not rref[r, col]:
+            col += 1
+        pivots.append(col)
+    return pivots
+
+
+@st.composite
+def fp_matrices(draw):
+    """(entries, p): a random matrix, or a product of two through a narrow middle
+    dimension so that it is rank-deficient, with entries reduced mod p."""
+    p = draw(st.sampled_from([3, 5, 7, 13, 65537, MAX_PRIME]))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def grid(n, m):
+        return draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m), min_size=n, max_size=n))
+
+    if draw(st.booleans()):
+        return grid(rows, cols), p
+    k = draw(st.integers(0, min(rows, cols)))
+    left, right = grid(rows, k), grid(k, cols)
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) % p for j in range(cols)] for i in range(rows)], p
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=fp_matrices())
+def test_elimination_matches_reference(case):
+    entries, p = case
+    m = FpMatrix(entries, p)
+    ref = np.array(entries, dtype=np.int64)
+    ref_e = np.eye(m.rows, dtype=np.int64)
+    _, _, rank = _reference_row_reduce(ref, p, ref_e)
+    assert m.rank() == rank == _reference_row_reduce(m.a.copy(), p)[2]
+    r, e, pivots = m.rref_with_transform()
+    assert np.array_equal(r, ref[:rank])
+    assert np.array_equal(e, ref_e[:rank])
+    assert pivots == _reference_pivot_columns(ref, rank)
+    assert np.array_equal(m.a, np.array(entries, dtype=np.int64))  # the input is left as it was
+    # R = E M over F_p, in exact integers
+    exact = e.astype(object).dot(np.array(entries, dtype=object)) % p
+    assert np.array_equal(exact.astype(np.int64), r)
 
 
 def test_algebra_validation():

@@ -25,6 +25,7 @@ DIGESTS_FILE = Path(__file__).with_name("golden_digests.json")
 INVOCATIONS = [
     (("lie-rank", "--degrees", "2:1,3:1", "--upto", "40"), None),
     (("lie-rank", "--degrees", "1:2,3:1", "--upto", "30", "--oracle-check", "--format", "json"), None),
+    (("lie-rank", "--degrees", "1:1,2:1", "--upto", "200", "--oracle-check", "--format", "json"), None),
     (("roots", "--degrees", "2:1,3:1", "--format", "json"), None),
     (("roots", "--degrees", "2:1,4:1", "--format", "json"), None),
     (("roots", "--degrees", "2:1,3:1", "--precision-bits", "512"), None),
@@ -50,6 +51,7 @@ INVOCATIONS = [
     ),
     (("dgl", "--q", "2", "--p", "3", "--upto", "9"), None),
     (("dgl", "--q", "1", "--p", "5", "--upto", "8", "--format", "json"), None),
+    (("dgl", "--q", "1", "--p", "3", "--upto", "14"), None),
     (("report", "--space", "moore", "--q", "2", "--p", "3", "--r", "1", "--upto", "200"), None),
     (("report", "--space", "suspended-em", "--q", "3", "--p", "3", "--r", "2", "--upto", "120", "--format", "json"), None),
     (("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "600"), None),

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsion_bounds import (
     GeneratorSet,
@@ -61,3 +63,15 @@ def test_g_divisibility():
 
 def test_rank_window_contains_exact_rank():
     assert check_rank_window(60, 1e-6) == []
+
+
+# random generator sets: up to four distinct degrees in 1..8, multiplicities 1..4
+GENERATOR_SETS = st.dictionaries(st.integers(1, 8), st.integers(1, 4), min_size=1, max_size=4).map(
+    lambda mult: GeneratorSet.of(*sorted(mult.items()))
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(gen=GENERATOR_SETS, n_max=st.integers(1, 60))
+def test_pbw_ranks_equal_babenko_ranks(gen, n_max):
+    assert pbw_ranks(gen, n_max) == babenko_ranks(gen, n_max)
