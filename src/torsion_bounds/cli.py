@@ -39,7 +39,7 @@ REPORT_FIELDS = ["degree", "bound", "exact_rank", "theorem", "vacuous", "precisi
 # Largest lie-rank --upto; babenko_ranks takes about 0.2 s there.
 MAX_LIE_RANK_DEGREE = 10_000
 # Largest dgl --upto. q = 1 grows fastest: at 20 its largest boundary matrix is 1164 x 10946
-# int64 and the run takes 14 s and 460 MB peak RSS (2-core Xeon); at 24 it is 6710 x 75025 (4 GB).
+# int64 and the run takes 6 s and 310 MB peak RSS (2-core Xeon); at 24 it is 6710 x 75025 (4 GB).
 MAX_DGL_DEGREE = 20
 
 _EXIT_INVALID = 1

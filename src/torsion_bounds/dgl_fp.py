@@ -10,18 +10,34 @@ the exact divisor-sum ranks at construction time, and linear independence
 of the expansions is certified when a degree is first row-reduced; either
 failure raises DimensionMismatch.
 
+Tensors are arrays (FreeDgl.expansion returns a Tensor): one row of letters
+per word and an int64 coefficient vector.  The rows share one length,
+since a basis element's expansion permutes one multiset of letters.  A
+word's column among the words of degree n is computed, not looked up.  The
+words of degree n are ordered by first letter and then recursively by the
+rest, so the column of w_1..w_k is the sum over i of off[rem_i, w_i], where
+rem_i is n minus the degree of w_1..w_{i-1} and off[m, c] = sum over
+letters c' < c with d_{c'} <= m of T(m - d_{c'}), T(m) being the number of
+words of degree m (tensor_dims).  On that index the bracket merges repeated words by sorting
+their columns, the differential reads each image word's column off prefix
+and suffix sums of off over the original word (one batch per degree and
+word length), and one builder fills every word matrix with np.add.at.
+
 This module is deliberately a brute-force oracle: ranks of cycles,
 boundaries and homology come from dense Gaussian elimination over F_p,
 never from the formulas it is used to check.  The elimination is one
 in-place int64 RREF whose pivot step updates every other row in a single
 numpy block; the transform of rref_with_transform is read off the reduced
 [M | I].  Entries stay in [0, p) and products below (p - 1)^2, so p is
-capped at MAX_PRIME, the largest prime with (p - 1)^2 < 2^63.
+capped at MAX_PRIME, the largest prime with (p - 1)^2 < 2^63; basis
+coordinates reduce each product mod p before summing, so they are exact
+up to MAX_PRIME too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +56,7 @@ __all__ = [
     "FpMatrix",
     "FreeDgl",
     "LieElement",
+    "Tensor",
     "WeightedAlphabet",
     "subspace_dims",
 ]
@@ -154,22 +171,32 @@ def _bracketing(word: tuple[int, ...]):
 
 
 def _lyndon_words_by_degree(alphabet: WeightedAlphabet, up_to: int) -> dict[int, list[tuple[int, ...]]]:
-    """All Lyndon words of total degree <= up_to, grouped by degree (Duval)."""
-    s = alphabet.size
-    max_len = up_to // min(alphabet.degree_list)
+    """All Lyndon words of total degree <= up_to, grouped by degree.
+
+    Duval's enumeration, written as a depth-first walk over prenecklaces (prefixes of
+    powers of Lyndon words) that carries each prefix's period and degree: a prefix is
+    Lyndon when its period is its length, and a branch stops once its degree passes up_to.
+    """
+    degs = alphabet.degree_list
     out: dict[int, list[tuple[int, ...]]] = {n: [] for n in range(1, up_to + 1)}
-    w = [-1]
-    while w:
-        w[-1] += 1
-        m = len(w)
-        word = tuple(w)
-        deg = alphabet.word_degree(word)
-        if deg <= up_to:
-            out[deg].append(word)
-        while len(w) < max_len:
-            w.append(w[len(w) - m])
-        while w and w[-1] == s - 1:
-            w.pop()
+    word: list[int] = []
+
+    def extend(period: int, degree: int):
+        t = len(word)
+        first = word[t - period] if t else 0
+        for c in range(first, alphabet.size):
+            deg = degree + degs[c]
+            if deg > up_to:
+                continue
+            word.append(c)
+            if c != first or not t:
+                out[deg].append(tuple(word))
+                extend(t + 1, deg)
+            else:
+                extend(period, deg)
+            word.pop()
+
+    extend(1, 0)
     return out
 
 
@@ -200,6 +227,16 @@ def super_lyndon_basis(alphabet: WeightedAlphabet, up_to: int) -> dict[int, list
                 f"rank formula gives {expected[deg - 1]}"
             )
     return out
+
+
+class Tensor(NamedTuple):
+    """Homogeneous tensor of the tensor algebra: one word per row of letters, all
+    of one length, with coefficients in [1, p) and each word's column among the
+    words of its degree (see FreeDgl._index)."""
+
+    letters: np.ndarray
+    coeffs: np.ndarray
+    cols: np.ndarray
 
 
 class FpMatrix:
@@ -345,34 +382,50 @@ class FreeDgl:
         self.p = p
         self.up_to = up_to
         self.basis_by_degree = super_lyndon_basis(alphabet, up_to)
-        self.d_letters = self._resolve_differential(d_letters)
-        self._tensor_dims = tensor_dims(alphabet.generator_set(), up_to)
-        self._expansion_cache: dict[tuple[int, ...], dict] = {}
-        self._words_cache: dict[int, dict[tuple[int, ...], int]] = {}
+        self.d_image = self._resolve_differential(d_letters)
+        self._degrees = np.array(alphabet.degree_list, dtype=np.int64)
+        self._offsets = self._word_offsets()
+        self._expansion_cache: dict[tuple[int, ...], Tensor] = {}
         self._solver_cache: dict[int, tuple] = {}  # degree -> (R, E, pivots) of its basis expansions
         self._pair_cache: dict[tuple[BasisElement, BasisElement], dict] = {}
 
     # -- construction helpers ------------------------------------------------
 
-    def _resolve_differential(self, d_letters):
+    def _resolve_differential(self, d_letters) -> np.ndarray | None:
+        """Letter images as an int array over the alphabet, -1 where d is zero."""
         if d_letters is None:
             return None
         degs = dict(self.alphabet.letters)
-        resolved: dict[int, int | None] = {}
+        image = np.full(self.alphabet.size, -1, dtype=np.int64)
         for name, target in d_letters.items():
             i = self.alphabet.index(name)
             if target is None:
-                resolved[i] = None
                 continue
             j = self.alphabet.index(target)
             if degs[target] != degs[name] - 1:
                 raise InvalidArgument(
                     f"d({name}) = {target} is not a degree -1 assignment"
                 )
-            resolved[i] = j
-        for i in range(self.alphabet.size):
-            resolved.setdefault(i, None)
-        return resolved
+            image[i] = j
+        return image
+
+    def _word_offsets(self) -> np.ndarray:
+        """off[m, c]: how many words of degree m start with a letter before c.
+
+        Column s (the alphabet size) is the number T(m) of all words of degree m,
+        which must agree with tensor_dims.
+        """
+        s = self.alphabet.size
+        off = np.zeros((self.up_to + 1, s + 1), dtype=np.int64)
+        off[0, s] = 1  # the empty word
+        for m in range(1, self.up_to + 1):
+            for c, d in enumerate(self.alphabet.degree_list):
+                off[m, c + 1] = off[m, c] + (off[m - d, s] if d <= m else 0)
+        expected = tensor_dims(self.alphabet.generator_set(), self.up_to)
+        for m in range(1, self.up_to + 1):
+            if off[m, s] != expected[m]:
+                raise InternalError(f"word count in degree {m} disagrees with tensor dims")
+        return off
 
     def dims(self) -> list[int]:
         """dim L_n for n = 1..up_to."""
@@ -391,12 +444,26 @@ class FreeDgl:
 
     # -- tensor algebra ------------------------------------------------------
 
-    def _expand_lyndon(self, word: tuple[int, ...]) -> dict:
+    def _index(self, letters: np.ndarray, n: int) -> np.ndarray:
+        """Column of each word (a row of letters) among the words of degree n.
+
+        The words of degree n are ordered by first letter, then recursively by the
+        rest, so a word's column is the sum over its positions i of off[n - pre_i, w_i],
+        pre_i being the degree of the letters before i.  For a proper prefix of a
+        degree-n word the same sum is that prefix's share of the column.
+        """
+        degs = self._degrees[letters]
+        rem = n - (np.cumsum(degs, axis=1) - degs)
+        return self._offsets[rem, letters].sum(axis=1)
+
+    def _expand_lyndon(self, word: tuple[int, ...]) -> Tensor:
         cached = self._expansion_cache.get(word)
         if cached is not None:
             return cached
         if len(word) == 1:
-            result = {word: 1}
+            letters = np.array([word], dtype=np.min_scalar_type(self.alphabet.size - 1))
+            cols = self._index(letters, self.alphabet.word_degree(word))
+            result = Tensor(letters, np.ones(1, dtype=np.int64), cols)
         else:
             u, v = _standard_factorization(word)
             result = self._tensor_bracket(
@@ -408,67 +475,110 @@ class FreeDgl:
         self._expansion_cache[word] = result
         return result
 
-    def expansion(self, be: BasisElement) -> dict:
-        """Tensor-algebra expansion of a basis element (word -> F_p coeff)."""
+    def expansion(self, be: BasisElement) -> Tensor:
+        """Tensor-algebra expansion of a basis element, its words sorted by column."""
         if be.is_square:
-            half = be.lyndon_word
-            e = self._expand_lyndon(half)
-            d = self.alphabet.word_degree(half)
-            return self._tensor_bracket(e, d, e, d)
+            cached = self._expansion_cache.get(be.word)
+            if cached is None:
+                half = be.lyndon_word
+                e = self._expand_lyndon(half)
+                d = self.alphabet.word_degree(half)
+                cached = self._expansion_cache[be.word] = self._tensor_bracket(e, d, e, d)
+            return cached
         return self._expand_lyndon(be.word)
 
-    def _tensor_bracket(self, ea: dict, da: int, eb: dict, db: int) -> dict:
-        sign = -1 if (da % 2) and (db % 2) else 1
-        out: dict[tuple[int, ...], int] = {}
-        for wa, ca in ea.items():
-            for wb, cb in eb.items():
-                k = wa + wb
-                out[k] = out.get(k, 0) + ca * cb
-                k = wb + wa
-                out[k] = out.get(k, 0) - sign * ca * cb
-        p = self.p
-        return {w: c % p for w, c in out.items() if c % p}
+    def _tensor_bracket(self, a: Tensor, da: int, b: Tensor, db: int) -> Tensor:
+        """ab - (-1)^{da db} ba, repeated words merged mod p and zeros dropped.
 
-    def _words_of_degree(self, n: int) -> dict[tuple[int, ...], int]:
-        cached = self._words_cache.get(n)
-        if cached is not None:
-            return cached
-        degs = self.alphabet.degree_list
-        words: list[tuple[int, ...]] = []
-
-        def rec(prefix: tuple[int, ...], remaining: int):
-            if remaining == 0:
-                words.append(prefix)
-                return
-            for i, d in enumerate(degs):
-                if d <= remaining:
-                    rec(prefix + (i,), remaining - d)
-
-        rec((), n)
-        if n <= self.up_to and len(words) != self._tensor_dims[n]:
-            raise InternalError(f"word count in degree {n} disagrees with tensor dims")
-        index = {w: i for i, w in enumerate(words)}
-        self._words_cache[n] = index
-        return index
-
-    def _matrix(self, n: int, rows: int, tensors) -> np.ndarray:
-        """int64 matrix over the words of degree n, filled one row per tensor.
-
-        tensors may be a generator, so no list of all tensors is held.
+        A concatenation's column is its left factor's share plus its right
+        factor's column, so the columns of all ka * kb products come from one
+        outer sum; letters are built only for the words that survive.
         """
-        index = self._words_of_degree(n)
-        mat = np.zeros((rows, len(index)), dtype=np.int64)
-        for i, tensor in enumerate(tensors):
-            for w, c in tensor.items():
-                mat[i, index[w]] = c
-        return mat
+        p = self.p
+        n = da + db
+        ka, kb = len(a.coeffs), len(b.coeffs)
+        la, lb = a.letters.shape[1], b.letters.shape[1]
+        prod = np.multiply.outer(a.coeffs, b.coeffs) % p
+        swapped = prod.T if da % 2 and db % 2 else -prod.T
+        cols = np.concatenate([
+            np.add.outer(self._index(a.letters, n), b.cols).ravel(),
+            np.add.outer(self._index(b.letters, n), a.cols).ravel(),
+        ])
+        order = np.argsort(cols, kind="stable")
+        cols = cols[order]
+        first = np.ones(len(cols), dtype=bool)
+        np.not_equal(cols[1:], cols[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        coeffs = np.add.reduceat(np.concatenate([prod.ravel(), swapped.ravel()])[order], starts) % p
+        nonzero = coeffs != 0
+        kept, coeffs, cols = order[starts[nonzero]], coeffs[nonzero], cols[starts[nonzero]]
+        letters = np.empty((len(kept), la + lb), dtype=a.letters.dtype)
+        ab = kept < ka * kb
+        i, j = np.divmod(kept[ab], kb)
+        letters[ab, :la], letters[ab, la:] = a.letters[i], b.letters[j]
+        ba = ~ab
+        i, j = np.divmod(kept[ba] - ka * kb, ka)
+        letters[ba, :lb], letters[ba, lb:] = b.letters[i], a.letters[j]
+        return Tensor(letters, coeffs, cols)
+
+    def _batches(self, items):
+        """(rows, tensor) for c * expansion(be) over (row, c, be) items with c in
+        [0, p), one batch per word length: the words of all items in one Tensor,
+        rows naming the item of each word."""
+        groups: dict[int, list] = {}
+        for row, c, be in items:
+            e = self.expansion(be)
+            groups.setdefault(e.letters.shape[1], []).append((row, c, e))
+        p = self.p
+        for group in groups.values():
+            sizes = [len(e.coeffs) for _, _, e in group]
+            yield np.repeat([row for row, _, _ in group], sizes), Tensor(
+                np.concatenate([e.letters for _, _, e in group]),
+                np.concatenate([e.coeffs * c % p for _, c, e in group]),
+                np.concatenate([e.cols for _, _, e in group]),
+            )
+
+    def _differential_terms(self, rows: np.ndarray, t: Tensor, n: int, image: np.ndarray):
+        """(rows, columns, values) of d on words of degree n: one term per letter
+        with an image, signed by the parity of the degree before it.
+
+        The image word has degree n - 1.  Each letter before the changed one has
+        one degree less after it, so its share is read one row of off lower; each
+        letter after it keeps its share, and those shares are the word's own
+        column minus the running sum of its shares.
+        """
+        letters = t.letters.astype(np.intp)  # index arrays of another dtype are converted on every use
+        width = self._offsets.shape[1]
+        off = self._offsets.ravel()
+        degs = self._degrees[letters]
+        rem = n + degs - np.cumsum(degs, axis=1)  # the degree from each position to the end
+        share = width * rem + letters  # off[rem_i, w_i], flattened
+        lower = off[share - width]
+        before = np.cumsum(lower, axis=1) - lower
+        after = t.cols[:, None] - np.cumsum(off[share], axis=1)
+        targets = image[letters]
+        hit = np.flatnonzero(targets >= 0)
+        k = hit // letters.shape[1]
+        rem = rem.ravel()[hit]
+        cols = before.ravel()[hit] + after.ravel()[hit] + off[width * (rem - 1) + targets.ravel()[hit]]
+        vals = np.where((n - rem) % 2, -t.coeffs[k], t.coeffs[k])
+        return rows[k], cols, vals
+
+    def _matrix(self, n: int, rows: int, terms) -> np.ndarray:
+        """rows x T(n) int64 matrix over F_p from (rows, columns, values) term arrays;
+        terms in one cell add up."""
+        mat = np.zeros((rows, self._offsets[n, -1]), dtype=np.int64)
+        for row, col, val in terms:
+            np.add.at(mat, (row, col), val)
+        return np.mod(mat, self.p, out=mat)
 
     def _solver(self, n: int) -> tuple:
         solver = self._solver_cache.get(n)
         if solver is not None:
             return solver
         elems = self.basis_by_degree[n]
-        mat = self._matrix(n, len(elems), (self.expansion(be) for be in elems))
+        batches = self._batches((row, 1, be) for row, be in enumerate(elems))
+        mat = self._matrix(n, len(elems), ((rows, t.cols, t.coeffs) for rows, t in batches))
         solver = FpMatrix(mat, self.p).rref_with_transform()
         if len(solver[2]) != len(elems):
             raise DimensionMismatch(
@@ -477,19 +587,18 @@ class FreeDgl:
         self._solver_cache[n] = solver
         return solver
 
-    def _coords(self, tensor: dict, n: int) -> dict[BasisElement, int]:
-        """Basis coordinates of a degree-n tensor: with R = E M, the tensor is u R for u
-        its entries at the pivots, so its coordinates are u E."""
-        if not tensor:
-            return {}
-        vec = self._matrix(n, 1, [tensor])[0]
+    def _coords(self, vec: np.ndarray, n: int) -> dict[BasisElement, int]:
+        """Basis coordinates of a degree-n tensor given as its row over the words:
+        with R = E M, the tensor is u R for u its entries at the pivots, so its
+        coordinates are u E."""
         rref, transform, pivots = self._solver(n)
-        u = vec[pivots] % self.p
-        if np.any((u @ rref - vec) % self.p):
+        u = vec[pivots]
+        nz = np.flatnonzero(u)
+        if np.any((_dot_mod(u[nz], rref[nz], self.p) - vec) % self.p):
             raise InternalError("tensor is not in the span of the Lie basis")
-        x = u @ transform % self.p
+        x = _dot_mod(u[nz], transform[nz], self.p)
         elems = self.basis_by_degree[n]
-        return {elems[i]: int(x[i]) for i in np.nonzero(x)[0]}
+        return {elems[i]: int(x[i]) for i in np.flatnonzero(x)}
 
     # -- Lie operations ------------------------------------------------------
 
@@ -512,47 +621,29 @@ class FreeDgl:
         cached = self._pair_cache.get((ba, bb))
         if cached is not None:
             return cached
-        tensor = self._tensor_bracket(
-            self.expansion(ba), ba.degree, self.expansion(bb), bb.degree
-        )
-        result = self._coords(tensor, ba.degree + bb.degree)
+        n = ba.degree + bb.degree
+        t = self._tensor_bracket(self.expansion(ba), ba.degree, self.expansion(bb), bb.degree)
+        vec = self._matrix(n, 1, [(0, t.cols, t.coeffs)])[0]
+        result = self._coords(vec, n)
         self._pair_cache[(ba, bb)] = result
         return result
-
-    def _tensor_differential(self, tensor: dict, d_map: dict[int, int | None]) -> dict:
-        degs = self.alphabet.degree_list
-        out: dict[tuple[int, ...], int] = {}
-        for word, c in tensor.items():
-            pre = 0
-            for i, letter in enumerate(word):
-                img = d_map[letter]
-                if img is not None:
-                    w = word[:i] + (img,) + word[i + 1 :]
-                    s = -c if pre % 2 else c
-                    out[w] = out.get(w, 0) + s
-                pre += degs[letter]
-        p = self.p
-        return {w: c % p for w, c in out.items() if c % p}
 
     def differential(self, e: LieElement, d_letters: dict[str, str | None] | None = None) -> LieElement:
         """Apply the degree -1 derivation determined by the letter images."""
         if d_letters is None:
-            d_map = self.d_letters
-            if d_map is None:
+            image = self.d_image
+            if image is None:
                 raise InvalidArgument("algebra has no differential configured")
         else:
-            d_map = self._resolve_differential(d_letters)
+            image = self._resolve_differential(d_letters)
         n = e.degree - 1
-        tensor: dict[tuple[int, ...], int] = {}
-        for be, c in e.coeffs.items():
-            for w, cw in self.expansion(be).items():
-                tensor[w] = tensor.get(w, 0) + c * cw
-        image = self._tensor_differential(tensor, d_map)
+        batches = self._batches((0, c, be) for be, c in e.coeffs.items())
+        vec = self._matrix(max(n, 0), 1, (self._differential_terms(*b, e.degree, image) for b in batches))[0]
         if n < 1:
-            if image:
+            if vec.any():
                 raise InternalError("differential image escaped below degree 1")
             return self.zero(max(n, 0))
-        return LieElement(self, n, self._coords(image, n))
+        return LieElement(self, n, self._coords(vec, n))
 
     def tau(self, u: LieElement, k: int) -> LieElement:
         """ad^{p^k - 1}(u)(du); degree p^k |u| - 1."""
@@ -595,22 +686,29 @@ class FreeDgl:
             raise InvalidArgument("tau/sigma require an even-degree element")
         if k < 1:
             raise InvalidArgument(f"k must be >= 1, got {k}")
-        if self.d_letters is None:
+        if self.d_image is None:
             raise InvalidArgument("algebra has no differential configured")
 
     # -- linear-algebra summaries ---------------------------------------------
 
     def boundary_rank(self, n: int) -> int:
         """rank of d: L_{n+1} -> L_n over F_p (0 when either side is empty)."""
-        if self.d_letters is None:
+        if self.d_image is None:
             raise InvalidArgument("algebra has no differential configured")
         if n + 1 > self.up_to:
             raise DegreeLimitExceeded(f"need degree {n + 1} > cap {self.up_to}")
         elems = self.basis_by_degree.get(n + 1, [])
         if not elems or n < 1:
             return 0
-        images = (self._tensor_differential(self.expansion(be), self.d_letters) for be in elems)
-        return FpMatrix(self._matrix(n, len(elems), images), self.p).rank()
+        batches = self._batches((row, 1, be) for row, be in enumerate(elems))
+        terms = (self._differential_terms(*b, n + 1, self.d_image) for b in batches)
+        return FpMatrix(self._matrix(n, len(elems), terms), self.p).rank()
+
+
+def _dot_mod(u: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
+    """u @ m over F_p for entries in [0, p), exact in int64: each product is
+    reduced mod p before the sum, so the sum stays below len(u) * p."""
+    return (u[:, None] * m % p).sum(axis=0) % p
 
 
 def subspace_dims(

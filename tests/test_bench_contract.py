@@ -61,3 +61,22 @@ def test_fp_matrix_exposes_its_array():
     mat.rank()
     mat.rref_with_transform()
     assert mat.a.shape == (2, 3)
+
+
+def test_subspace_dims_reaches_the_traced_oracle_methods(monkeypatch):
+    # the fp-oracle per-layer metrics dgl_fp.FreeDgl.expansion.calls and
+    # dgl_fp.elim.cells count calls of these two methods on the dgl job's path
+    from torsion_bounds import dgl_fp
+
+    calls = {"expansion": 0, "rank": 0}
+    for cls, name in ((dgl_fp.FreeDgl, "expansion"), (dgl_fp.FpMatrix, "rank")):
+        original = getattr(cls, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    dims = dgl_fp.subspace_dims(dgl_fp.WeightedAlphabet.moore(1), {"x": "y", "y": None}, 3, 8)
+    assert dims["boundaries"][-1] > 0
+    assert calls["expansion"] > 0 and calls["rank"] > 0

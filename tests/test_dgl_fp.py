@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from torsion_bounds import (
     subspace_dims,
 )
 from torsion_bounds.combinat import binom_div_p
-from torsion_bounds.dgl_fp import MAX_PRIME, super_lyndon_basis
+from torsion_bounds.dgl_fp import MAX_PRIME, _standard_factorization, super_lyndon_basis
+from torsion_bounds.lie_rank import tensor_dims
 from torsion_bounds.verify import (
     check_basis_certification,
     check_cycle_elements,
@@ -101,6 +104,11 @@ def test_differential_examples():
 
 def test_differential_squares_to_zero():
     assert check_differential_squares_to_zero(qs=(2, 3), ps=(3, 5), up_to=12) == []
+
+
+def test_differential_squares_to_zero_at_max_prime():
+    # coordinates sum rank-many products below (p - 1)^2, so each is reduced mod p first
+    assert check_differential_squares_to_zero(qs=(1,), ps=(MAX_PRIME,), up_to=12) == []
 
 
 def test_graded_jacobi_sample():
@@ -272,3 +280,142 @@ def test_algebra_validation():
     alg = FreeDgl(WeightedAlphabet.moore(2), 3, 6)
     with pytest.raises(InvalidArgument):
         alg.differential(alg.letter("x"))  # no differential configured
+
+
+# -- the word index and the array tensors against the dict-of-tuples build they replaced
+
+
+def _reference_words_of_degree(degs, n):
+    """Every word of degree n in the recursive order that defines the word columns."""
+    words = []
+
+    def rec(prefix, remaining):
+        if remaining == 0:
+            words.append(prefix)
+            return
+        for i, d in enumerate(degs):
+            if d <= remaining:
+                rec(prefix + (i,), remaining - d)
+
+    rec((), n)
+    return words
+
+
+def _reference_bracket(ea, da, eb, db, p):
+    sign = -1 if (da % 2) and (db % 2) else 1
+    out = {}
+    for wa, ca in ea.items():
+        for wb, cb in eb.items():
+            k = wa + wb
+            out[k] = out.get(k, 0) + ca * cb
+            k = wb + wa
+            out[k] = out.get(k, 0) - sign * ca * cb
+    return {w: c % p for w, c in out.items() if c % p}
+
+
+def _reference_expansion(be, degs, p, cache):
+    def expand(word):
+        if word not in cache:
+            if len(word) == 1:
+                cache[word] = {word: 1}
+            else:
+                u, v = _standard_factorization(word)
+                cache[word] = _reference_bracket(expand(u), _degree(u, degs), expand(v), _degree(v, degs), p)
+        return cache[word]
+
+    if be.is_square:
+        e, d = expand(be.lyndon_word), _degree(be.lyndon_word, degs)
+        return _reference_bracket(e, d, e, d, p)
+    return expand(be.word)
+
+
+def _degree(word, degs):
+    return sum(degs[i] for i in word)
+
+
+def _reference_differential(tensor, degs, d_map, p):
+    out = {}
+    for word, c in tensor.items():
+        pre = 0
+        for i, letter in enumerate(word):
+            img = d_map[letter]
+            if img is not None:
+                w = word[:i] + (img,) + word[i + 1 :]
+                out[w] = out.get(w, 0) + (-c if pre % 2 else c)
+            pre += degs[letter]
+    return {w: c % p for w, c in out.items() if c % p}
+
+
+def _reference_matrix(degs, n, tensors):
+    index = {w: i for i, w in enumerate(_reference_words_of_degree(degs, n))}
+    mat = np.zeros((len(tensors), len(index)), dtype=np.int64)
+    for i, tensor in enumerate(tensors):
+        for w, c in tensor.items():
+            mat[i, index[w]] = c
+    return mat
+
+
+@st.composite
+def dgl_cases(draw):
+    """(degrees, letter map, p, up_to): 2-3 letters of degree 1-3 in random order and a
+    random degree -1 map on them, with up_to cut so that T(up_to) stays small."""
+    degs = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    d_map = {
+        i: draw(st.sampled_from([None] + [j for j, e in enumerate(degs) if e == d - 1]))
+        for i, d in enumerate(degs)
+    }
+    p = draw(st.sampled_from([3, 5, 65537, MAX_PRIME]))
+    up_to = draw(st.integers(2, 10))
+    gen = GeneratorSet.of(*((d, degs.count(d)) for d in sorted(set(degs))))
+    while tensor_dims(gen, up_to)[-1] > 600:
+        up_to -= 1
+    return degs, d_map, p, up_to
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=dgl_cases())
+def test_word_index_and_matrices_match_dict_reference(case):
+    degs, d_map, p, up_to = case
+    names = [f"l{i}" for i in range(len(degs))]
+    alpha = WeightedAlphabet(tuple(zip(names, degs)))
+    alg = FreeDgl(alpha, p, up_to, {names[i]: None if j is None else names[j] for i, j in d_map.items()})
+
+    for n in range(1, up_to + 1):
+        words = _reference_words_of_degree(degs, n)
+        for length in {len(w) for w in words}:
+            rows = [i for i, w in enumerate(words) if len(w) == length]
+            letters = np.array([words[i] for i in rows], dtype=np.int64)
+            assert alg._index(letters, n).tolist() == rows
+
+    cache = {}
+    expansions = {}
+    for n in range(1, up_to + 1):
+        for be in alg.basis_by_degree[n]:
+            expansions[be] = _reference_expansion(be, degs, p, cache)
+            e = alg.expansion(be)
+            assert {tuple(w): c for w, c in zip(e.letters.tolist(), e.coeffs.tolist())} == expansions[be]
+            assert np.array_equal(e.cols, alg._index(e.letters, n))
+
+    for n in range(1, up_to + 1):
+        elems = alg.basis_by_degree[n]
+        if elems:
+            ref = FpMatrix(_reference_matrix(degs, n, [expansions[be] for be in elems]), p)
+            for got, want in zip(alg._solver(n), ref.rref_with_transform()):
+                assert np.array_equal(got, want)
+
+    captured = []
+    real_rank = FpMatrix.rank
+
+    def rank(self):
+        captured.append(self.a.copy())
+        return real_rank(self)
+
+    with patch.object(FpMatrix, "rank", rank):
+        for n in range(1, up_to):
+            captured.clear()
+            alg.boundary_rank(n)
+            elems = alg.basis_by_degree[n + 1]
+            if elems:
+                images = [_reference_differential(expansions[be], degs, d_map, p) for be in elems]
+                (mat,) = captured
+                assert np.array_equal(mat, _reference_matrix(degs, n, images))
