@@ -38,8 +38,9 @@ REPORT_FIELDS = ["degree", "bound", "exact_rank", "theorem", "vacuous", "precisi
 
 # Largest lie-rank --upto; babenko_ranks takes about 0.2 s there.
 MAX_LIE_RANK_DEGREE = 10_000
-# Largest dgl --upto. q = 1 grows fastest: at 20 its largest boundary matrix is 1164 x 10946
-# int64 and the run takes 6 s and 310 MB peak RSS (2-core Xeon); at 24 it is 6710 x 75025 (4 GB).
+# Largest dgl --upto. q = 1 grows fastest: at 20 the run takes 1.4 s and 240 MB peak RSS
+# (2-core Xeon). The matrix it ranks last is only 1164 x 750; most of the peak is the
+# differential's working arrays over the 1164 basis expansions of degree 21.
 MAX_DGL_DEGREE = 20
 
 _EXIT_INVALID = 1

@@ -4,11 +4,22 @@ Everything is realized inside the tensor algebra on the weighted alphabet:
 the bracket of homogeneous tensors is [a, b] = ab - (-1)^{|a||b|} ba, and
 the basis elements are the standard-factorization bracketings of
 super-Lyndon words (Lyndon words, plus ww for Lyndon w of odd degree).
-Expressing a tensor back in the basis is a linear solve over F_p against
-the per-degree basis expansion matrix.  Basis sizes are certified against
-the exact divisor-sum ranks at construction time, and linear independence
-of the expansions is certified when a degree is first row-reduced; either
-failure raises DimensionMismatch.
+Basis sizes are certified against the exact divisor-sum ranks at
+construction time.
+
+Each expansion is its leading (least) word plus larger words (for a
+Lyndon word, the word itself: Reutenauer, Free Lie Algebras, 1993,
+Thm 5.1), but nothing rests on that citation.  The first time a degree is
+used, its leading words are checked to be pairwise distinct.  That is the
+certificate: with S the columns of those words, the block E[:, S] of the
+expansion matrix E is then triangular with a nonzero diagonal, so the
+expansions are independent over F_p.  A zero expansion or two equal
+leading words raise DimensionMismatch, as does a count mismatch.  Every
+boundary matrix is M = C E, C holding the basis coordinates of the
+boundaries, so rank M = rank M[:, S]: boundary ranks come from
+L_{n+1} x L_n matrices rather than L_{n+1} x T(n) ones.  Likewise a
+tensor's basis coordinates are its entries on S times E[:, S]^-1, checked
+against its whole row.
 
 Tensors are arrays (FreeDgl.expansion returns a Tensor): one row of letters
 per word and an int64 coefficient vector.  The rows share one length,
@@ -26,9 +37,9 @@ word length), and one builder fills every word matrix with np.add.at.
 This module is deliberately a brute-force oracle: ranks of cycles,
 boundaries and homology come from dense Gaussian elimination over F_p,
 never from the formulas it is used to check.  The elimination is one
-in-place int64 RREF whose pivot step updates every other row in a single
-numpy block; the transform of rref_with_transform is read off the reduced
-[M | I].  Entries stay in [0, p) and products below (p - 1)^2, so p is
+in-place int64 RREF whose pivot step updates every other row in numpy row
+blocks of bounded size; the transform of rref_with_transform is read off
+the reduced [M | I].  Entries stay in [0, p) and products below (p - 1)^2, so p is
 capped at MAX_PRIME, the largest prime with (p - 1)^2 < 2^63; basis
 coordinates reduce each product mod p before summing, so they are exact
 up to MAX_PRIME too.
@@ -147,13 +158,6 @@ class BasisElement:
         return fmt(self.bracketing())
 
 
-def _is_lyndon(word: tuple[int, ...]) -> bool:
-    n = len(word)
-    if n == 1:
-        return True
-    return all(word < word[i:] for i in range(1, n))
-
-
 def _standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """w = uv with v the lexicographically smallest proper suffix."""
     best = 1
@@ -240,7 +244,11 @@ class Tensor(NamedTuple):
 
 
 class FpMatrix:
-    """Dense matrix over F_p, p <= MAX_PRIME, with exact Gaussian elimination."""
+    """Dense matrix over F_p, p <= MAX_PRIME, with exact Gaussian elimination.
+
+    An int64 array whose entries already lie in [0, p) is kept as it is, not copied;
+    the methods never write to it.
+    """
 
     def __init__(self, data, p: int):
         _check_prime_ceiling(p)
@@ -248,7 +256,9 @@ class FpMatrix:
         a = np.asarray(data, dtype=np.int64)
         if a.ndim != 2:
             raise InvalidArgument("FpMatrix expects a two-dimensional array")
-        self.a = np.mod(a, p)
+        if a.size and (a.min() < 0 or a.max() >= p):
+            a = np.mod(a, p, out=a) if a is not data else np.mod(a, p)
+        self.a = a
 
     @property
     def rows(self) -> int:
@@ -263,7 +273,9 @@ class FpMatrix:
 
     def rref_with_transform(self):
         """(R, E, pivots) with R the RREF and R = E @ self over F_p, read off the reduced [self | I]."""
-        a = np.hstack([self.a, np.eye(self.rows, dtype=np.int64)])
+        a = np.zeros((self.rows, self.cols + self.rows), dtype=np.int64)
+        a[:, : self.cols] = self.a
+        np.fill_diagonal(a[:, self.cols :], 1)
         pivots = _row_reduce(a, self.p, self.cols)
         rank = len(pivots)
         return a[:rank, : self.cols], a[:rank, self.cols :], pivots
@@ -274,10 +286,18 @@ def _check_prime_ceiling(p: int):
         raise InvalidArgument(f"p must be <= {MAX_PRIME} for exact int64 elimination, got {p}")
 
 
+# Cells per row block of the pivot step's update: its two temporaries stay below
+# 2 MB whatever the size of the matrix.
+_BLOCK_CELLS = 1 << 17
+
+
 def _row_reduce(a: np.ndarray, p: int, ncols: int) -> list[int]:
     """Reduce a in place to RREF over its first ncols columns; the pivot columns.
 
-    Entries must lie in [0, p); every product stays below (p - 1)^2.
+    Entries must lie in [0, p); every product stays below (p - 1)^2.  The rows a
+    pivot clears are updated in blocks of at most _BLOCK_CELLS cells; each row
+    depends only on itself and the pivot row, so the blocks give the same result
+    as one update.
     """
     rows = a.shape[0]
     pivots: list[int] = []
@@ -294,8 +314,14 @@ def _row_reduce(a: np.ndarray, p: int, ncols: int) -> list[int]:
         a[row, col:] = a[row, col:] * pow(int(a[row, col]), -1, p) % p
         others = np.flatnonzero(a[:, col])
         others = others[others != row]
-        if others.size:
-            a[others, col:] = (a[others, col:] - np.outer(a[others, col], a[row, col:])) % p
+        pivot_row = a[row, col:]
+        step = max(1, _BLOCK_CELLS // pivot_row.size)
+        for start in range(0, others.size, step):
+            block = others[start : start + step]
+            update = a[block, col:]
+            update -= np.multiply.outer(a[block, col], pivot_row)
+            update %= p
+            a[block, col:] = update
         pivots.append(col)
     return pivots
 
@@ -386,7 +412,8 @@ class FreeDgl:
         self._degrees = np.array(alphabet.degree_list, dtype=np.int64)
         self._offsets = self._word_offsets()
         self._expansion_cache: dict[tuple[int, ...], Tensor] = {}
-        self._solver_cache: dict[int, tuple] = {}  # degree -> (R, E, pivots) of its basis expansions
+        self._lead_cache: dict[int, np.ndarray] = {}  # degree -> sorted leading columns S
+        self._solver_cache: dict[int, tuple] = {}  # degree -> (S, E[:, S]^-1, E) of its basis expansions
         self._pair_cache: dict[tuple[BasisElement, BasisElement], dict] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -564,41 +591,68 @@ class FreeDgl:
         vals = np.where((n - rem) % 2, -t.coeffs[k], t.coeffs[k])
         return rows[k], cols, vals
 
-    def _matrix(self, n: int, rows: int, terms) -> np.ndarray:
+    def _matrix(self, n: int, rows: int, terms, columns: np.ndarray | None = None) -> np.ndarray:
         """rows x T(n) int64 matrix over F_p from (rows, columns, values) term arrays;
-        terms in one cell add up."""
-        mat = np.zeros((rows, self._offsets[n, -1]), dtype=np.int64)
+        terms in one cell add up.  Given a nonempty sorted array of word columns, the
+        matrix has only those columns, in that order, and terms elsewhere are dropped."""
+        width = self._offsets[n, -1] if columns is None else len(columns)
+        mat = np.zeros((rows, width), dtype=np.int64)
         for row, col, val in terms:
+            if columns is not None:
+                pos = np.minimum(np.searchsorted(columns, col), width - 1)
+                keep = columns[pos] == col
+                row, col, val = row[keep], pos[keep], val[keep]
             np.add.at(mat, (row, col), val)
         return np.mod(mat, self.p, out=mat)
 
+    def _leading_columns(self, n: int) -> np.ndarray:
+        """The sorted columns S of the leading (least) words of the degree-n basis
+        expansions, certified pairwise distinct.
+
+        An expansion's words are sorted by column, so its first is its least.  With
+        the rows of the expansion matrix E taken in the order of their leading
+        columns, E[:, S] is then triangular with a nonzero diagonal: the expansions
+        are independent, and a tensor in their span is fixed by its entries on S.
+        A zero expansion or two equal leading columns raise DimensionMismatch.
+        """
+        lead = self._lead_cache.get(n)
+        if lead is None:
+            elems = self.basis_by_degree[n]
+            lead = np.sort(np.array([c for be in elems for c in self.expansion(be).cols[:1]], dtype=np.int64))
+            if len(lead) < len(elems) or np.any(lead[1:] == lead[:-1]):
+                raise DimensionMismatch(
+                    f"basis expansions in degree {n} do not have distinct leading words, "
+                    f"so their independence over F_{self.p} is not certified"
+                )
+            self._lead_cache[n] = lead
+        return lead
+
     def _solver(self, n: int) -> tuple:
+        """(S, E[:, S]^-1, E) for degree n: the leading columns, the inverse of the
+        square block on them, and the whole L_n x T(n) expansion matrix."""
         solver = self._solver_cache.get(n)
-        if solver is not None:
-            return solver
-        elems = self.basis_by_degree[n]
-        batches = self._batches((row, 1, be) for row, be in enumerate(elems))
-        mat = self._matrix(n, len(elems), ((rows, t.cols, t.coeffs) for rows, t in batches))
-        solver = FpMatrix(mat, self.p).rref_with_transform()
-        if len(solver[2]) != len(elems):
-            raise DimensionMismatch(
-                f"basis expansions in degree {n} are linearly dependent over F_{self.p}"
-            )
-        self._solver_cache[n] = solver
+        if solver is None:
+            lead = self._leading_columns(n)
+            elems = self.basis_by_degree[n]
+            batches = self._batches((row, 1, be) for row, be in enumerate(elems))
+            mat = self._matrix(n, len(elems), ((rows, t.cols, t.coeffs) for rows, t in batches))
+            _, inverse, _ = FpMatrix(mat[:, lead], self.p).rref_with_transform()
+            solver = self._solver_cache[n] = (lead, inverse, mat)
         return solver
 
     def _coords(self, vec: np.ndarray, n: int) -> dict[BasisElement, int]:
         """Basis coordinates of a degree-n tensor given as its row over the words:
-        with R = E M, the tensor is u R for u its entries at the pivots, so its
-        coordinates are u E."""
-        rref, transform, pivots = self._solver(n)
-        u = vec[pivots]
+        the tensor is x E for its coordinates x, so x = vec[S] E[:, S]^-1, and
+        x E must give back the whole row."""
+        lead, inverse, mat = self._solver(n)
+        u = vec[lead]
         nz = np.flatnonzero(u)
-        if np.any((_dot_mod(u[nz], rref[nz], self.p) - vec) % self.p):
+        x = _dot_mod(u[nz], inverse[nz], self.p)
+        nz = np.flatnonzero(x)
+        if np.any((_dot_mod(x[nz], mat[nz], self.p) - vec) % self.p):
             raise InternalError("tensor is not in the span of the Lie basis")
-        x = _dot_mod(u[nz], transform[nz], self.p)
         elems = self.basis_by_degree[n]
-        return {elems[i]: int(x[i]) for i in np.flatnonzero(x)}
+        return {elems[i]: int(x[i]) for i in nz}
 
     # -- Lie operations ------------------------------------------------------
 
@@ -692,7 +746,13 @@ class FreeDgl:
     # -- linear-algebra summaries ---------------------------------------------
 
     def boundary_rank(self, n: int) -> int:
-        """rank of d: L_{n+1} -> L_n over F_p (0 when either side is empty)."""
+        """rank of d: L_{n+1} -> L_n over F_p (0 when either side is empty).
+
+        The boundary matrix is M = C E, with C the basis coordinates of the
+        boundaries and E the degree-n expansion matrix, whose block E[:, S] on the
+        leading columns is invertible (_leading_columns).  So rank M = rank C =
+        rank M[:, S], and only the L_{n+1} x L_n matrix M[:, S] is built.
+        """
         if self.d_image is None:
             raise InvalidArgument("algebra has no differential configured")
         if n + 1 > self.up_to:
@@ -700,9 +760,12 @@ class FreeDgl:
         elems = self.basis_by_degree.get(n + 1, [])
         if not elems or n < 1:
             return 0
+        lead = self._leading_columns(n)
+        if not lead.size:
+            return 0
         batches = self._batches((row, 1, be) for row, be in enumerate(elems))
         terms = (self._differential_terms(*b, n + 1, self.d_image) for b in batches)
-        return FpMatrix(self._matrix(n, len(elems), terms), self.p).rank()
+        return FpMatrix(self._matrix(n, len(elems), terms, lead), self.p).rank()
 
 
 def _dot_mod(u: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:

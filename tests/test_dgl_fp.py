@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -7,14 +8,17 @@ from hypothesis import strategies as st
 
 from torsion_bounds import (
     DegreeLimitExceeded,
+    DimensionMismatch,
     FpMatrix,
     FreeDgl,
     GeneratorSet,
+    InternalError,
     InvalidArgument,
     WeightedAlphabet,
     babenko_ranks,
     subspace_dims,
 )
+from torsion_bounds import dgl_fp
 from torsion_bounds.combinat import binom_div_p
 from torsion_bounds.dgl_fp import MAX_PRIME, _standard_factorization, super_lyndon_basis
 from torsion_bounds.lie_rank import tensor_dims
@@ -272,6 +276,49 @@ def test_elimination_matches_reference(case):
     assert np.array_equal(exact.astype(np.int64), r)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=fp_matrices(), block_cells=st.integers(1, 9))
+def test_elimination_in_row_blocks_matches_reference(case, block_cells):
+    # a pivot step updates the rows it clears a few cells at a time on matrices larger than one block
+    entries, p = case
+    ref = np.array(entries, dtype=np.int64)
+    ref_e = np.eye(len(entries), dtype=np.int64)
+    _, _, rank = _reference_row_reduce(ref, p, ref_e)
+    with patch.object(dgl_fp, "_BLOCK_CELLS", block_cells):
+        m = FpMatrix(entries, p)
+        assert m.rank() == rank
+        r, e, pivots = m.rref_with_transform()
+    assert np.array_equal(r, ref[:rank]) and np.array_equal(e, ref_e[:rank])
+    assert pivots == _reference_pivot_columns(ref, rank)
+
+
+def test_fp_matrix_keeps_a_reduced_array_and_never_writes_to_its_input():
+    reduced = np.array([[1, 2, 0], [2, 4, 1]], dtype=np.int64)
+    assert FpMatrix(reduced, 5).a is reduced
+    raw = np.array([[6, -3, 10], [2, 4, 1]], dtype=np.int64)
+    m = FpMatrix(raw, 5)
+    assert m.a.tolist() == [[1, 2, 0], [2, 4, 1]]
+    assert m.rank() == 2 and m.rref_with_transform()[2] == [0, 2]
+    assert raw.tolist() == [[6, -3, 10], [2, 4, 1]]
+    assert reduced.tolist() == [[1, 2, 0], [2, 4, 1]]
+
+
+def test_rank_peak_memory_is_at_most_twice_the_matrix():
+    # a reduced int64 matrix is not copied on construction, and the pivot step's
+    # temporaries are bounded by row blocks, so rank() holds one working copy
+    rng = np.random.default_rng(0)
+    m = rng.integers(0, 3, (600, 12)).dot(rng.integers(0, 3, (12, 2400))) % 3  # rank <= 12: quick
+    assert m.dtype == np.int64 and m.size > 8 * dgl_fp._BLOCK_CELLS
+    tracemalloc.start()
+    try:
+        rank = FpMatrix(m, 3).rank()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == 12
+    assert peak <= 2.0 * m.nbytes
+
+
 def test_algebra_validation():
     with pytest.raises(InvalidArgument):
         FreeDgl(WeightedAlphabet.moore(2), 2, 6)  # p must be odd prime
@@ -396,13 +443,36 @@ def test_word_index_and_matrices_match_dict_reference(case):
             assert {tuple(w): c for w, c in zip(e.letters.tolist(), e.coeffs.tolist())} == expansions[be]
             assert np.array_equal(e.cols, alg._index(e.letters, n))
 
+    lead = {}
     for n in range(1, up_to + 1):
         elems = alg.basis_by_degree[n]
+        ref = _reference_matrix(degs, n, [expansions[be] for be in elems])
+        lead[n] = _reference_leading_columns(ref)
         if elems:
-            ref = FpMatrix(_reference_matrix(degs, n, [expansions[be] for be in elems]), p)
-            for got, want in zip(alg._solver(n), ref.rref_with_transform()):
-                assert np.array_equal(got, want)
+            got_lead, inverse, mat = alg._solver(n)
+            assert got_lead.tolist() == lead[n]
+            assert np.array_equal(mat, ref)
+            square = inverse.astype(object).dot(ref[:, lead[n]].astype(object)) % p
+            assert np.array_equal(square.astype(np.int64), np.eye(len(elems), dtype=np.int64))
 
+    for n, mat, ref in _boundary_matrices(alg, degs, d_map, p, expansions):
+        if lead[n]:
+            assert np.array_equal(mat, ref[:, lead[n]])
+            assert FpMatrix(mat, p).rank() == _reference_row_reduce(ref.copy(), p)[2]
+        else:
+            assert mat is None and not ref.any()
+
+
+def _reference_leading_columns(mat):
+    """Sorted column of each row's first nonzero entry, asserted distinct."""
+    lead = sorted(int(np.flatnonzero(row)[0]) for row in mat)
+    assert len(set(lead)) == len(lead)
+    return lead
+
+
+def _boundary_matrices(alg, degs, d_map, p, expansions):
+    """(n, the matrix boundary_rank(n) hands to FpMatrix.rank or None, the whole
+    boundary matrix of the dict reference) for every n with L_{n+1} nonempty."""
     captured = []
     real_rank = FpMatrix.rank
 
@@ -410,12 +480,126 @@ def test_word_index_and_matrices_match_dict_reference(case):
         captured.append(self.a.copy())
         return real_rank(self)
 
+    out = []
     with patch.object(FpMatrix, "rank", rank):
-        for n in range(1, up_to):
+        for n in range(1, alg.up_to):
             captured.clear()
-            alg.boundary_rank(n)
+            got = alg.boundary_rank(n)
             elems = alg.basis_by_degree[n + 1]
             if elems:
                 images = [_reference_differential(expansions[be], degs, d_map, p) for be in elems]
-                (mat,) = captured
-                assert np.array_equal(mat, _reference_matrix(degs, n, images))
+                mat = captured.pop() if captured else None
+                assert not captured and got == (0 if mat is None else real_rank(FpMatrix(mat, p)))
+                out.append((n, mat, _reference_matrix(degs, n, images)))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=dgl_cases())
+def test_leading_column_rank_equals_full_reference_rank(case):
+    degs, d_map, p, up_to = case
+    names = [f"l{i}" for i in range(len(degs))]
+    alpha = WeightedAlphabet(tuple(zip(names, degs)))
+    alg = FreeDgl(alpha, p, up_to, {names[i]: None if j is None else names[j] for i, j in d_map.items()})
+    cache = {}
+    expansions = {
+        be: _reference_expansion(be, degs, p, cache) for n in range(1, up_to + 1) for be in alg.basis_by_degree[n]
+    }
+    for n, mat, ref in _boundary_matrices(alg, degs, d_map, p, expansions):
+        full_rank = _reference_row_reduce(ref.copy(), p)[2]
+        assert alg.boundary_rank(n) == full_rank
+        assert (0 if mat is None else _reference_row_reduce(mat.copy(), p)[2]) == full_rank
+
+
+def test_shared_leading_column_raises_dimension_mismatch():
+    for force in (FreeDgl.boundary_rank, FreeDgl._solver):
+        alg = moore_algebra(1, 3, 8)
+        first, second = alg.basis_by_degree[5][:2]
+        real = alg.expansion
+        alg.expansion = lambda be: real(first) if be == second else real(be)
+        with pytest.raises(DimensionMismatch):
+            force(alg, 5)
+
+
+def test_boundary_rank_eliminates_only_the_leading_columns():
+    # the cells FpMatrix.rank sees over a subspace_dims run are sum L_{n+1} L_n,
+    # not the sum L_{n+1} T(n) of the whole boundary matrices
+    alpha = WeightedAlphabet.moore(1)
+    cells = []
+    real_rank = FpMatrix.rank
+
+    def rank(self):
+        cells.append(self.a.size)
+        return real_rank(self)
+
+    with patch.object(FpMatrix, "rank", rank):
+        subspace_dims(alpha, MOORE_D, 3, 12)
+    dims = babenko_ranks(alpha.generator_set(), 13)
+    assert sum(cells) == sum(dims[n] * dims[n - 1] for n in range(1, 13)) > 0
+
+
+# -- the basis solve against the one it replaced
+
+
+class _FullSolveDgl(FreeDgl):
+    """FreeDgl with the basis solve it had before the leading-word columns, kept as a
+    reference: R = E M is the RREF of the whole L_n x T(n) expansion matrix M, read
+    off the reduced [M | I]; a tensor in the span is u R for u its entries at the
+    pivots, and its coordinates are u E (in exact integers here)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._full_solves = {}
+
+    def _coords(self, vec, n):
+        if n not in self._full_solves:
+            elems = self.basis_by_degree[n]
+            batches = self._batches((row, 1, be) for row, be in enumerate(elems))
+            mat = self._matrix(n, len(elems), ((rows, t.cols, t.coeffs) for rows, t in batches))
+            rref, transform, pivots = FpMatrix(mat, self.p).rref_with_transform()
+            assert len(pivots) == len(elems)
+            self._full_solves[n] = rref.astype(object), transform.astype(object), pivots
+        rref, transform, pivots = self._full_solves[n]
+        u = vec[pivots].astype(object)
+        if np.any((u.dot(rref) - vec) % self.p):
+            raise InternalError("tensor is not in the span of the Lie basis")
+        x = u.dot(transform) % self.p
+        elems = self.basis_by_degree[n]
+        return {elems[i]: int(x[i]) for i in np.flatnonzero(x)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=dgl_cases())
+def test_brackets_and_differentials_match_the_full_solve(case):
+    degs, d_map, p, up_to = case
+    names = [f"l{i}" for i in range(len(degs))]
+    args = (WeightedAlphabet(tuple(zip(names, degs))), p, up_to)
+    d_letters = {names[i]: None if j is None else names[j] for i, j in d_map.items()}
+    alg, ref = FreeDgl(*args, d_letters), _FullSolveDgl(*args, d_letters)
+    elems = [be for n in range(1, up_to + 1) for be in alg.basis_by_degree[n]]
+    for be in elems:
+        assert alg.differential(alg.from_basis(be)).coeffs == ref.differential(ref.from_basis(be)).coeffs
+    pairs = [(a, b) for a in elems for b in elems if a.degree + b.degree <= up_to]
+    for a, b in pairs[:: max(1, len(pairs) // 150)]:
+        assert alg.bracket(alg.from_basis(a), alg.from_basis(b)).coeffs == (
+            ref.bracket(ref.from_basis(a), ref.from_basis(b)).coeffs
+        )
+    # zero on the leading columns, so in the span only if it is zero
+    vec = np.ones(alg._offsets[up_to, -1], dtype=np.int64)
+    vec[alg._leading_columns(up_to)] = 0
+    for solve in (alg._coords, ref._coords):
+        if vec.any():
+            with pytest.raises(InternalError):
+                solve(vec, up_to)
+        else:
+            assert solve(vec, up_to) == {}
+
+
+@pytest.mark.parametrize("q, p", [(1, 3), (1, 5), (1, 7), (3, 3), (3, 5)])
+def test_tau_and_sigma_match_the_full_solve(q, p):
+    up_to = p * (q + 1) - 1  # tau_1(x) lands there
+    alg, ref = moore_algebra(q, p, up_to), _FullSolveDgl(WeightedAlphabet.moore(q), p, up_to, MOORE_D)
+    x, ref_x = alg.letter("x"), ref.letter("x")
+    assert alg.tau(x, 1).coeffs == ref.tau(ref_x, 1).coeffs
+    sigma = alg.sigma(x, 1)
+    assert sigma.coeffs == ref.sigma(ref_x, 1).coeffs and not sigma.is_zero()
