@@ -11,6 +11,20 @@ sizes its own root profile.
 homology_row and ktheory_rows build the report rows of the two routes;
 the CLI's bound and report commands both go through them.  Negative
 bound values are reported as-is: they are valid but vacuous.
+
+Two values of the K-theory rows are computed once and reused:
+
+- log phi, once per (phi, precision).  A non-dyadic power phi ** t makes
+  mpmath take log phi at prec + 10 bits and return exp(t log phi) with the
+  product exact; _phi_pow takes the same steps with the logarithm cached,
+  and leaves the exact integer and square-root powers to mpmath.
+- the ktheory_lower value, once per (params, n(M), bits).  M enters the
+  formula only through n(M) and the row's precision, and a profile is
+  fixed by its precision.
+
+Both reuse a value that the same operations at the same precision would
+compute again, so every result stays bit-identical.  ktheory_lower and
+weak_lower are still called once per row.
 """
 
 from __future__ import annotations
@@ -454,6 +468,24 @@ class BoundReport:
     note: str = ""
 
 
+@lru_cache(maxsize=None)
+def _log_phi(phi: mpf, bits: int) -> mpf:
+    return mp.ln(phi, prec=bits + 10)
+
+
+def _phi_pow(phi: mpf, t: mpf) -> mpf:
+    """phi ** t at the working precision, bit for bit as mpmath computes it.
+
+    mpmath's mpf_pow takes an exact integer or square-root path when 2t is
+    an integer; otherwise it returns exp(t log phi) with log phi taken at
+    prec + 10 bits and the product exact.  That branch is repeated here with
+    log phi computed once per (phi, precision) instead of once per call.
+    """
+    if t._mpf_[2] >= -1:  # t = man 2^exp with man odd: 2t is an integer iff exp >= -1
+        return phi**t
+    return mp.exp(mp.fmul(t, _log_phi(phi, mp.prec), exact=True))
+
+
 def _exponent_budget(params: KTheoryParams, m: int) -> int:
     return m + 8 * (params.p - 1) ** 2 * params.g + 64
 
@@ -481,21 +513,27 @@ def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
             precision_bits=bits,
             note="below-threshold",
         )
+    value = _strong_value(params, n, bits, profile.phi, profile.psi_abs)
+    return BoundReport(
+        degree=m,
+        bound=value,
+        theorem="ktheory_guaranteed",
+        vacuous=bool(value <= 0),
+        precision_bits=bits,
+        note=f"n(M)={n}",
+    )
+
+
+@lru_cache(maxsize=None)
+def _strong_value(params: KTheoryParams, n: int, bits: int, phi: mpf, psi_abs: mpf | None) -> mpf:
+    # phi and psi_abs are those of the profile at bits, so the key is (params, n, bits)
     with mp.workprec(bits):
-        phi = profile.phi
         big_e = n + 8 * (params.p - 1) ** 2
         value = phi ** (n * params.g) / big_e
         value -= params.g * phi ** (mpf(big_e * params.g) / 2)
-        if profile.has_psi:
-            value -= params.gen.q_max * (3 + 2 * profile.psi_abs ** (big_e * params.g))
-        return BoundReport(
-            degree=m,
-            bound=value,
-            theorem="ktheory_guaranteed",
-            vacuous=bool(value <= 0),
-            precision_bits=bits,
-            note=f"n(M)={n}",
-        )
+        if psi_abs is not None:
+            value -= params.gen.q_max * (3 + 2 * psi_abs ** (big_e * params.g))
+        return value
 
 
 def ktheory_main_term(params: KTheoryParams, m: int) -> mpf:
@@ -507,7 +545,8 @@ def ktheory_main_term(params: KTheoryParams, m: int) -> mpf:
         if denom <= 0:
             return mpf(0)
         tau_exponent = -params.g - params.ratio * (2 * (params.p - 1) * (params.b + 1) + params.big_b)
-        return profile.phi ** _mpf_of(tau_exponent) / denom * profile.phi ** _mpf_of(params.ratio * m)
+        phi = profile.phi
+        return _phi_pow(phi, _mpf_of(tau_exponent)) / denom * _phi_pow(phi, _mpf_of(params.ratio * m))
 
 
 def weak_lower(params: KTheoryParams, m: int, epsilon) -> mpf:
@@ -522,7 +561,7 @@ def weak_lower(params: KTheoryParams, m: int, epsilon) -> mpf:
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
     with mp.workprec(profile.precision_bits):
         exponent = _mpf_of(params.ratio * m)
-        return profile.phi**exponent / mpf(m) ** (1 + _mpf_of(eps))
+        return _phi_pow(profile.phi, exponent) / mpf(m) ** (1 + _mpf_of(eps))
 
 
 def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[BoundReport]:

@@ -405,9 +405,14 @@ def _cached_profile(coeffs: tuple[int, ...], g: int, bits: int) -> RootProfile:
 def profile_bits(gen: GeneratorSet, n_max: int) -> int:
     """Precision for phi^n_max over char_poly(gen), bucketed to 64-bit steps
     so sweeps share cached profiles."""
-    return 64 * math.ceil(precision_for_exponent(n_max, char_poly(gen).coeff_bound()) / 64)
+    return _bucketed_bits(char_poly(gen), n_max)
+
+
+def _bucketed_bits(poly: MonicIntPoly, n_max: int) -> int:
+    return 64 * math.ceil(precision_for_exponent(n_max, poly.coeff_bound()) / 64)
 
 
 def profile_for_exponent(gen: GeneratorSet, n_max: int) -> RootProfile:
     """Root profile of char_poly(gen) at profile_bits(gen, n_max)."""
-    return _cached_profile(char_poly(gen).coeffs, gen.g, profile_bits(gen, n_max))
+    poly = char_poly(gen)
+    return _cached_profile(poly.coeffs, gen.g, _bucketed_bits(poly, n_max))

@@ -60,6 +60,8 @@ INVOCATIONS = [
     (("report", "--space", "suspended-em", "--q", "3", "--p", "3", "--r", "2", "--upto", "120", "--format", "json"), None),
     (("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "600"), None),
     (("report", "--space", "milnor-hypersurface", "--n", "2", "--l", "4", "--p", "3", "--from", "300", "--upto", "500", "--format", "json"), None),
+    # rows at 4096 to 4352 bits
+    (("report", "--space", "milnor-hypersurface", "--n", "3", "--l", "5", "--p", "3", "--from", "3900", "--upto", "4100"), None),
     (("report", "--space", "unitary", "--n", "3", "--p", "3", "--upto", "400"), None),
     (("report", "--space", "special-unitary", "--n", "4", "--p", "5", "--from", "1000", "--upto", "1100"), None),
     (("report", "--space", "grassmannian", "--n", "4", "--k", "2", "--p", "3", "--upto", "60"), {"TORSION_BOUNDS_PRECISION": "1024"}),

@@ -1,0 +1,137 @@
+"""The K-theory rows compute log phi once per precision and the strong bound
+once per (n(M), bits), and stay bit-identical to the uncached formulas.
+
+The reference functions below are the uncached ktheory_lower, weak_lower and
+ktheory_main_term as they stood before either cache existed; every bound is
+compared by its raw mpf tuple, not by value.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+
+from torsion_bounds import bounds
+from torsion_bounds.bounds import BoundReport, _exponent_budget, _mpf_of, _phi_pow, ktheory_params
+from torsion_bounds.charpoly import GeneratorSet, char_poly, profile_for_exponent, root_profile
+from torsion_bounds.spaces import space_by_name
+
+PHI_GENS = ("2:1,4:1", "2:1,3:1", "3:1,4:1")
+SPACES = (("grassmannian", {"n": 3, "k": 1, "p": 3}), ("milnor-hypersurface", {"n": 3, "l": 5, "p": 3}))
+EPS = "1/2"
+
+
+def _space_params(name, values):
+    space = space_by_name(name)
+    return ktheory_params(values["p"], space.gen, space.conn, space.dim(values))
+
+
+def _tau_exponent(params) -> Fraction:
+    return -params.g - params.ratio * (2 * (params.p - 1) * (params.b + 1) + params.big_b)
+
+
+# -- the uncached formulas ------------------------------------------------------
+
+
+def _reference_lower(params, m) -> BoundReport:
+    profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
+    bits = profile.precision_bits
+    n = params.n_of(m)
+    if n is None:
+        return BoundReport(m, mpf(0), "ktheory_guaranteed", True, bits, note="below-threshold")
+    with mp.workprec(bits):
+        phi = profile.phi
+        big_e = n + 8 * (params.p - 1) ** 2
+        value = phi ** (n * params.g) / big_e
+        value -= params.g * phi ** (mpf(big_e * params.g) / 2)
+        if profile.has_psi:
+            value -= params.gen.q_max * (3 + 2 * profile.psi_abs ** (big_e * params.g))
+        return BoundReport(m, value, "ktheory_guaranteed", bool(value <= 0), bits, note=f"n(M)={n}")
+
+
+def _reference_weak(params, m, epsilon) -> mpf:
+    profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
+    with mp.workprec(profile.precision_bits):
+        exponent = _mpf_of(params.ratio * m)
+        return profile.phi**exponent / mpf(m) ** (1 + _mpf_of(Fraction(epsilon)))
+
+
+def _reference_main_term(params, m) -> mpf:
+    profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
+    with mp.workprec(profile.precision_bits):
+        denom = _mpf_of(params.ratio) * m / params.g + _mpf_of(params.theta_safe)
+        if denom <= 0:
+            return mpf(0)
+        tau = _mpf_of(_tau_exponent(params))
+        return profile.phi**tau / denom * profile.phi ** _mpf_of(params.ratio * m)
+
+
+def _reference_rows(params, degrees, eps, note) -> list[BoundReport]:
+    rows = []
+    for m in degrees:
+        strong = _reference_lower(params, m)
+        weak = _reference_weak(params, m, eps)
+        rows += [strong, BoundReport(m, weak, "ktheory_weak", bool(weak <= 0), strong.precision_bits, note=note)]
+    return rows
+
+
+def _fields(row: BoundReport) -> tuple:
+    return (row.degree, row.bound._mpf_, row.theorem, row.vacuous, row.precision_bits, row.exact_rank, row.note)
+
+
+# -- the power helper ------------------------------------------------------------
+
+
+def _exponents():
+    integers = st.integers(-6000, 6000).map(Fraction)
+    halves = st.integers(-6000, 6000).map(lambda k: Fraction(k, 2))
+    rationals = st.fractions(min_value=-6000, max_value=6000, max_denominator=400)
+    taus = st.sampled_from([_tau_exponent(_space_params(name, values)) for name, values in SPACES])
+    return st.one_of(integers, halves, rationals, taus)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    spec=st.sampled_from(PHI_GENS),
+    bits=st.integers(1, 128).map(lambda k: 64 * k),
+    t=_exponents(),
+)
+@example(spec="2:1,4:1", bits=8192, t=Fraction(-1373, 5))
+@example(spec="3:1,4:1", bits=4160, t=Fraction(2401, 3))
+def test_phi_pow_matches_mpmath_bit_for_bit(spec, bits, t):
+    gen = GeneratorSet.parse(spec)
+    phi = root_profile(char_poly(gen), gen.g, bits).phi
+    with mp.workprec(bits):
+        t = _mpf_of(t)
+        assert _phi_pow(phi, t)._mpf_ == (phi**t)._mpf_
+
+
+# -- the rows ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, values", SPACES, ids=[name for name, _ in SPACES])
+def test_rows_match_uncached_reference(monkeypatch, name, values):
+    params = _space_params(name, values)
+    degrees = list(range(params.g_prime, 1201, params.g_prime))
+    calls = {"ktheory_lower": 0, "weak_lower": 0}
+    for fn in calls:
+        original = getattr(bounds, fn)
+
+        def counted(*args, _fn=fn, _original=original):
+            calls[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(bounds, fn, counted)
+    bounds._strong_value.cache_clear()
+
+    rows = bounds.ktheory_rows(params, degrees, EPS, note=f"eps={EPS}")
+
+    want = _reference_rows(params, degrees, EPS, f"eps={EPS}")
+    assert [_fields(r) for r in rows] == [_fields(r) for r in want]
+    assert calls == {"ktheory_lower": len(degrees), "weak_lower": len(degrees)}
+    pairs = {(params.n_of(m), row.precision_bits) for m, row in zip(degrees, rows[::2]) if params.n_of(m) is not None}
+    assert bounds._strong_value.cache_info().misses == len(pairs) < len(degrees)
+    for m in degrees:
+        assert bounds.ktheory_main_term(params, m)._mpf_ == _reference_main_term(params, m)._mpf_
