@@ -10,11 +10,19 @@ enclosure equals the one a bisection from scratch would return.  The full
 complex root cloud is only needed for |psi| and is produced by
 Aberth-Ehrlich simultaneous iteration with a residual acceptance gate,
 once per polynomial and working precision; phi itself never depends on
-that path.
+that path.  The one sweep loop runs twice: on Python complex from a circle
+start until the relative step is 2^-40, then in mpmath at the working
+precision from where that run ended, usually for two sweeps.  The double
+run keeps each root at the index the circle start gives it.  When it
+overflows, divides by zero, leaves a non-finite root or does not converge,
+the mpmath run starts from the circle instead, exactly as without a seed.
+Acceptance (step tolerance, residual gate, orbit checks) is the same on
+both paths.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import threading
@@ -29,6 +37,7 @@ from .errors import InvalidArgument, NumericFailure, RootStructureViolation
 
 __all__ = [
     "GeneratorSet",
+    "MAX_POLY_DEGREE",
     "MonicIntPoly",
     "RootProfile",
     "certified_phi",
@@ -48,10 +57,16 @@ ORBIT_PATTERN_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
 _ABERTH_BITS = 160
 _ABERTH_MAX_ITER = 500
+# the double-precision seed run stops at a relative step of 2^-40
+_SEED_STEP_TOL = 2.0**-40
 # Largest precision certified_phi accepts. Bisection time grows about 6x per
 # doubling of the bits (z^3 - z - 1 from scratch: 0.5 s at 8192, 20 s at 32768
 # on a 2-core Xeon host); a report up to M = 4000 asks for about 6.5k bits.
 MAX_PRECISION_BITS = 1 << 15
+# Largest generator degree, i.e. degree of the characteristic polynomial. Each
+# Aberth sweep costs O(k^2) mpmath operations: roots --degrees 1:1,k:1 takes
+# 3.0 s at k = 150, 5.8 s at 200 and 15 s at 300 on a 2-core Xeon host.
+MAX_POLY_DEGREE = 150
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,8 @@ class GeneratorSet:
                 raise InvalidArgument(f"degrees and multiplicities must be >= 1, got ({q}, {m})")
             if q <= prev:
                 raise InvalidArgument("degrees must be strictly increasing")
+            if q > MAX_POLY_DEGREE:
+                raise InvalidArgument(f"generator degrees must be <= {MAX_POLY_DEGREE}, got {q}")
             prev = q
 
     @classmethod
@@ -266,7 +283,10 @@ def _exact_root_enclosure(poly: MonicIntPoly, num: int, shift: int, bits: int) -
 def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[tuple, tuple]:
     """All complex roots by Aberth-Ehrlich iteration; returns (roots, residuals).
 
-    Memoized: a polynomial's cloud is computed once per working precision.
+    The sweeps run first in double precision from the circle start, then at
+    `bits` from where that run ended; when the double run fails they start
+    at `bits` from the circle.  Memoized: a polynomial's cloud is computed
+    once per working precision.
     """
     k = poly.degree
     with mp.workprec(bits):
@@ -276,26 +296,11 @@ def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[tuple, tuple]:
         radius = max(mpf(abs(poly.coeffs[0])) ** (mpf(1) / k), mpf("0.5"))
         # slightly irrational angular offset so symmetric configurations cannot lock
         z = [radius * mpmath.expjpi(mpf(2 * j + 1) / k + mpf(1) / (3 * k + 1)) for j in range(k)]
+        seed = _double_seed(poly, [complex(zi) for zi in z])
+        if seed is not None:
+            z = [mpmath.mpc(zi.real, zi.imag) for zi in seed]
         step_tol = mpf(2) ** (-(bits - 8))
-        for _ in range(_ABERTH_MAX_ITER):
-            max_step = mpf(0)
-            for i in range(k):
-                pv = poly(z[i])
-                if pv == 0:
-                    continue
-                dv = poly.derivative_at(z[i])
-                if dv == 0:
-                    z[i] += step_tol + mpf("1e-3")
-                    max_step = mpf(1)
-                    continue
-                w = pv / dv
-                s = mpmath.fsum((1 / (z[i] - z[j]) for j in range(k) if j != i), absolute=False)
-                denom = 1 - w * s
-                delta = w if denom == 0 else w / denom
-                z[i] -= delta
-                max_step = max(max_step, abs(delta) / (1 + abs(z[i])))
-            if max_step <= step_tol:
-                break
+        _aberth_sweeps(poly, z, step_tol, step_tol + mpf("1e-3"), _mp_sum)
         residuals = [abs(poly(zi)) for zi in z]
         gate = [RESIDUAL_TOL * (1 + abs(zi)) ** k for zi in z]
         bad = [i for i in range(k) if residuals[i] > gate[i]]
@@ -305,6 +310,53 @@ def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[tuple, tuple]:
                 f"max residual {mpmath.nstr(max(residuals), 8)}"
             )
         return tuple(z), tuple(residuals)
+
+
+def _mp_sum(terms):
+    return mpmath.fsum(terms, absolute=False)
+
+
+def _double_seed(poly: MonicIntPoly, z: list[complex]) -> list[complex] | None:
+    """The Aberth sweeps on Python complex from z to a relative step of 2^-40;
+    None when they overflow, divide by zero, leave a non-finite root or do
+    not converge."""
+    try:
+        converged = _aberth_sweeps(poly, z, _SEED_STEP_TOL, _SEED_STEP_TOL + 1e-3, sum)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not converged or not all(cmath.isfinite(zi) for zi in z):
+        return None
+    return z
+
+
+def _aberth_sweeps(poly: MonicIntPoly, z: list, step_tol, nudge, total) -> bool:
+    """Aberth-Ehrlich sweeps on z in place, in the number type of z.
+
+    True once a sweep's largest step relative to 1 + |z_i| is <= step_tol;
+    False after _ABERTH_MAX_ITER sweeps.  A root where P' vanishes moves by
+    `nudge`; `total` sums the 1/(z_i - z_j) terms.
+    """
+    k = len(z)
+    for _ in range(_ABERTH_MAX_ITER):
+        max_step = 0
+        for i in range(k):
+            pv = poly(z[i])
+            if pv == 0:
+                continue
+            dv = poly.derivative_at(z[i])
+            if dv == 0:
+                z[i] += nudge
+                max_step = 1
+                continue
+            w = pv / dv
+            s = total(1 / (z[i] - z[j]) for j in range(k) if j != i)
+            denom = 1 - w * s
+            delta = w if denom == 0 else w / denom
+            z[i] -= delta
+            max_step = max(max_step, abs(delta) / (1 + abs(z[i])))
+        if max_step <= step_tol:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import mpmath
 
 from . import verify as verify_mod
 from .bounds import MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_row, ktheory_params, ktheory_rows
-from .charpoly import MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, root_profile
+from .charpoly import MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, root_profile
 from .dgl_fp import MAX_PRIME, WeightedAlphabet, subspace_dims
 from .errors import (
     CoverageViolation,
@@ -42,6 +42,8 @@ MAX_LIE_RANK_DEGREE = 10_000
 # (2-core Xeon). The matrix it ranks last is only 1164 x 750; most of the peak is the
 # differential's working arrays over the 1164 basis expansions of degree 21.
 MAX_DGL_DEGREE = 20
+
+_DEGREES_HELP = f"generator degrees, e.g. 2:1,3:1, each at most {MAX_POLY_DEGREE}"
 
 _EXIT_INVALID = 1
 _EXIT_VERIFICATION = 2
@@ -95,7 +97,7 @@ def main():
 
 
 @main.command("lie-rank")
-@click.option("--degrees", required=True, help="generator degrees, e.g. 2:1,3:1")
+@click.option("--degrees", required=True, help=_DEGREES_HELP)
 @click.option("--upto", type=int, required=True, help=f"last degree, at most {MAX_LIE_RANK_DEGREE}")
 @click.option("--oracle-check", is_flag=True, help="cross-check against the series oracle")
 @_format_option
@@ -122,7 +124,7 @@ def lie_rank_cmd(degrees, upto, oracle_check, fmt, out):
 
 
 @main.command("roots")
-@click.option("--degrees", required=True, help="generator degrees, e.g. 2:1,3:1")
+@click.option("--degrees", required=True, help=_DEGREES_HELP)
 @click.option("--precision-bits", type=int, default=None, help=f"certified bits for phi, 64 to {MAX_PRECISION_BITS}")
 @_format_option
 @_out_option
@@ -159,9 +161,9 @@ def roots_cmd(degrees, precision_bits, fmt, out):
 @main.command("bound")
 @click.option("--homology", "route", flag_value="homology")
 @click.option("--ktheory", "route", flag_value="ktheory")
-@click.option("--q", type=int, default=None, help="homology route: degree parameter")
+@click.option("--q", type=int, default=None, help=f"homology route: degree parameter, at most {MAX_POLY_DEGREE - 1}")
 @click.option("--p", type=int, required=True, help="odd prime")
-@click.option("--degrees", default=None, help="ktheory route: wedge degrees q_i:m_i")
+@click.option("--degrees", default=None, help=f"ktheory route: wedge degrees q_i:m_i, each at most {MAX_POLY_DEGREE}")
 @click.option("--conn", type=int, default=None, help="ktheory route: p-local connectivity")
 @click.option("--dim", type=int, default=None, help="ktheory route: rational cohomological dimension")
 @click.option("--eps", default="1/2", show_default=True, help="ktheory route: weak-bound epsilon")
@@ -277,7 +279,9 @@ def dgl_cmd(q, p, upto, fmt, out):
 
 @main.command("report")
 @click.option("--space", "space_name", required=True)
-@click.option("--q", type=int, default=None)
+@click.option(
+    "--q", type=int, default=None, help=f"homology-route spaces: degree parameter, at most {MAX_POLY_DEGREE - 1}"
+)
 @click.option("--p", type=int, required=True)
 @click.option("--r", type=int, default=None)
 @click.option("--n", type=int, default=None)

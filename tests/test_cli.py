@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from torsion_bounds import GeneratorSet, babenko_ranks, bounds, cli
+from torsion_bounds.charpoly import MAX_POLY_DEGREE
 from torsion_bounds.cli import MAX_DGL_DEGREE, MAX_LIE_RANK_DEGREE, main
 from torsion_bounds.dgl_fp import MAX_PRIME
 from torsion_bounds.render import decimal_str
@@ -241,6 +242,33 @@ def test_ktheory_oversized_range_exit_code(monkeypatch, args):
     result = run(*args)
     assert result.exit_code == 1
     assert result.stderr.startswith("error: precision_bits must be <=")
+
+
+@pytest.mark.parametrize(
+    "args, ceiling",
+    [
+        (("roots", "--degrees", f"1:1,{MAX_POLY_DEGREE + 1}:1"), MAX_POLY_DEGREE),
+        (("lie-rank", "--degrees", f"1:1,{MAX_POLY_DEGREE + 1}:1", "--upto", "10"), MAX_POLY_DEGREE),
+        (("bound", "--homology", "--q", "5000", "--p", "3", "--upto", "10"), MAX_POLY_DEGREE - 1),
+        (
+            ("bound", "--ktheory", "--degrees", f"2:1,{MAX_POLY_DEGREE + 2}:1", "--conn", "1", "--dim", "4",
+             "--p", "3", "--upto", "10"),
+            MAX_POLY_DEGREE,
+        ),
+        (("report", "--space", "moore", "--q", str(MAX_POLY_DEGREE), "--p", "3", "--r", "1", "--upto", "10"),
+         MAX_POLY_DEGREE - 1),
+    ],
+    ids=["roots", "lie-rank", "bound-homology", "bound-ktheory", "report"],
+)
+def test_oversized_generator_degree_exit_code(monkeypatch, args, ceiling):
+    # the generator set refuses the degree before any root or rank work starts
+    for module, name in [(cli, "root_profile"), (cli, "babenko_ranks"), (bounds, "root_profile"),
+                         (bounds, "profile_for_exponent")]:
+        monkeypatch.setattr(module, name, _no_allocation)
+    result = run(*args)
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: generator degrees must be <= {MAX_POLY_DEGREE}, got ")
+    assert f"at most {ceiling}" in run(args[0], "--help").stdout
 
 
 def test_roots_oversized_precision_exit_code():
