@@ -549,6 +549,12 @@ def ktheory_main_term(params: KTheoryParams, m: int) -> mpf:
         return _phi_pow(phi, _mpf_of(tau_exponent)) / denom * _phi_pow(phi, _mpf_of(params.ratio * m))
 
 
+# Largest epsilon weak_lower accepts (the default is 1/2). The weak bound divides by
+# M^{1+eps}, so a huge eps drives its binary exponent far enough below zero that
+# the rendered decimal would need an integer of that many bits.
+MAX_EPSILON = 64
+
+
 def weak_lower(params: KTheoryParams, m: int, epsilon) -> mpf:
     """(1 / M^{1+eps}) phi^{ratio M}."""
     if m < 1:
@@ -558,6 +564,8 @@ def weak_lower(params: KTheoryParams, m: int, epsilon) -> mpf:
     eps = _as_fraction(epsilon, "epsilon")
     if eps <= 0:
         raise InvalidArgument(f"epsilon must be > 0, got {epsilon}")
+    if eps > MAX_EPSILON:
+        raise InvalidArgument(f"epsilon must be <= {MAX_EPSILON}")  # its digits may run to any length
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
     with mp.workprec(profile.precision_bits):
         exponent = _mpf_of(params.ratio * m)

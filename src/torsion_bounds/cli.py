@@ -15,7 +15,7 @@ import click
 import mpmath
 
 from . import verify as verify_mod
-from .bounds import MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_row, ktheory_params, ktheory_rows
+from .bounds import MAX_EPSILON, MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_row, ktheory_params, ktheory_rows
 from .charpoly import MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, root_profile
 from .dgl_fp import MAX_PRIME, WeightedAlphabet, subspace_dims
 from .errors import (
@@ -38,9 +38,9 @@ REPORT_FIELDS = ["degree", "bound", "exact_rank", "theorem", "vacuous", "precisi
 
 # Largest lie-rank --upto; babenko_ranks takes about 0.2 s there.
 MAX_LIE_RANK_DEGREE = 10_000
-# Largest dgl --upto. q = 1 grows fastest: at 20 the run takes 1.4 s and 240 MB peak RSS
-# (2-core Xeon). The matrix it ranks last is only 1164 x 750; most of the peak is the
-# differential's working arrays over the 1164 basis expansions of degree 21.
+# Largest dgl --upto. q = 1 grows fastest: at 20 the run takes 1.1-1.2 s and 82 MB peak
+# RSS (2-core Xeon). The matrix it ranks last is only 1164 x 750; the expansion cache,
+# about 19 MiB at degree 21, is what grows fastest.
 MAX_DGL_DEGREE = 20
 
 _DEGREES_HELP = f"generator degrees, e.g. 2:1,3:1, each at most {MAX_POLY_DEGREE}"
@@ -166,7 +166,9 @@ def roots_cmd(degrees, precision_bits, fmt, out):
 @click.option("--degrees", default=None, help=f"ktheory route: wedge degrees q_i:m_i, each at most {MAX_POLY_DEGREE}")
 @click.option("--conn", type=int, default=None, help="ktheory route: p-local connectivity")
 @click.option("--dim", type=int, default=None, help="ktheory route: rational cohomological dimension")
-@click.option("--eps", default="1/2", show_default=True, help="ktheory route: weak-bound epsilon")
+@click.option(
+    "--eps", default="1/2", show_default=True, help=f"ktheory route: weak-bound epsilon, above 0 and at most {MAX_EPSILON}"
+)
 @click.option("--from", "from_", type=int, default=None)
 @click.option("--upto", type=int, required=True)
 @_format_option
@@ -287,7 +289,10 @@ def dgl_cmd(q, p, upto, fmt, out):
 @click.option("--n", type=int, default=None)
 @click.option("--k", type=int, default=None)
 @click.option("--l", type=int, default=None)
-@click.option("--eps", default="1/2", show_default=True)
+@click.option(
+    "--eps", default="1/2", show_default=True,
+    help=f"K-theory-route spaces: weak-bound epsilon, above 0 and at most {MAX_EPSILON}",
+)
 @click.option("--from", "from_", type=int, default=None)
 @click.option("--upto", type=int, required=True)
 @_format_option

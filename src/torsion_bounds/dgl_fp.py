@@ -30,9 +30,18 @@ rest, so the column of w_1..w_k is the sum over i of off[rem_i, w_i], where
 rem_i is n minus the degree of w_1..w_{i-1} and off[m, c] = sum over
 letters c' < c with d_{c'} <= m of T(m - d_{c'}), T(m) being the number of
 words of degree m (tensor_dims).  On that index the bracket merges repeated words by sorting
-their columns, the differential reads each image word's column off prefix
+their columns, differential() reads each image word's column off prefix
 and suffix sums of off over the original word (one batch per degree and
 word length), and one builder fills every word matrix with np.add.at.
+
+boundary_rank differentiates nothing.  The entry M[b, s] of the boundary
+matrix on the leading word w_s is the sum, over the positions i of w_s and
+the letters c with d c = w_s[i], of (-1)^{deg w_s[:i]} times the
+coefficient of u = w_s[:i] c w_s[i+1:] in the degree-(n + 1) expansion E_b.
+So the columns of these preimages u are computed once per degree, from the
+leading words' letters cached with their columns, and sorted; one
+searchsorted of every expansion column against them finds the terms that
+count, and np.add.at adds those terms into the L_{n+1} x L_n matrix.
 
 This module is deliberately a brute-force oracle: ranks of cycles,
 boundaries and homology come from dense Gaussian elimination over F_p,
@@ -412,7 +421,7 @@ class FreeDgl:
         self._degrees = np.array(alphabet.degree_list, dtype=np.int64)
         self._offsets = self._word_offsets()
         self._expansion_cache: dict[tuple[int, ...], Tensor] = {}
-        self._lead_cache: dict[int, np.ndarray] = {}  # degree -> sorted leading columns S
+        self._lead_cache: dict[int, tuple] = {}  # degree -> (sorted leading columns S, their words' letters)
         self._solver_cache: dict[int, tuple] = {}  # degree -> (S, E[:, S]^-1, E) of its basis expansions
         self._pair_cache: dict[tuple[BasisElement, BasisElement], dict] = {}
 
@@ -591,23 +600,18 @@ class FreeDgl:
         vals = np.where((n - rem) % 2, -t.coeffs[k], t.coeffs[k])
         return rows[k], cols, vals
 
-    def _matrix(self, n: int, rows: int, terms, columns: np.ndarray | None = None) -> np.ndarray:
+    def _matrix(self, n: int, rows: int, terms) -> np.ndarray:
         """rows x T(n) int64 matrix over F_p from (rows, columns, values) term arrays;
-        terms in one cell add up.  Given a nonempty sorted array of word columns, the
-        matrix has only those columns, in that order, and terms elsewhere are dropped."""
-        width = self._offsets[n, -1] if columns is None else len(columns)
-        mat = np.zeros((rows, width), dtype=np.int64)
+        terms in one cell add up."""
+        mat = np.zeros((rows, self._offsets[n, -1]), dtype=np.int64)
         for row, col, val in terms:
-            if columns is not None:
-                pos = np.minimum(np.searchsorted(columns, col), width - 1)
-                keep = columns[pos] == col
-                row, col, val = row[keep], pos[keep], val[keep]
             np.add.at(mat, (row, col), val)
         return np.mod(mat, self.p, out=mat)
 
-    def _leading_columns(self, n: int) -> np.ndarray:
+    def _leading_columns(self, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
         """The sorted columns S of the leading (least) words of the degree-n basis
-        expansions, certified pairwise distinct.
+        expansions, certified pairwise distinct, and those words' letters in the
+        same order.
 
         An expansion's words are sorted by column, so its first is its least.  With
         the rows of the expansion matrix E taken in the order of their leading
@@ -618,13 +622,16 @@ class FreeDgl:
         lead = self._lead_cache.get(n)
         if lead is None:
             elems = self.basis_by_degree[n]
-            lead = np.sort(np.array([c for be in elems for c in self.expansion(be).cols[:1]], dtype=np.int64))
-            if len(lead) < len(elems) or np.any(lead[1:] == lead[:-1]):
+            firsts = [(e.cols[0], e.letters[0]) for e in map(self.expansion, elems) if len(e.cols)]
+            cols = np.array([c for c, _ in firsts], dtype=np.int64)
+            order = np.argsort(cols)
+            cols = cols[order]
+            if len(cols) < len(elems) or np.any(cols[1:] == cols[:-1]):
                 raise DimensionMismatch(
                     f"basis expansions in degree {n} do not have distinct leading words, "
                     f"so their independence over F_{self.p} is not certified"
                 )
-            self._lead_cache[n] = lead
+            lead = self._lead_cache[n] = (cols, [firsts[i][1] for i in order])
         return lead
 
     def _solver(self, n: int) -> tuple:
@@ -632,7 +639,7 @@ class FreeDgl:
         square block on them, and the whole L_n x T(n) expansion matrix."""
         solver = self._solver_cache.get(n)
         if solver is None:
-            lead = self._leading_columns(n)
+            lead, _ = self._leading_columns(n)
             elems = self.basis_by_degree[n]
             batches = self._batches((row, 1, be) for row, be in enumerate(elems))
             mat = self._matrix(n, len(elems), ((rows, t.cols, t.coeffs) for rows, t in batches))
@@ -751,7 +758,8 @@ class FreeDgl:
         The boundary matrix is M = C E, with C the basis coordinates of the
         boundaries and E the degree-n expansion matrix, whose block E[:, S] on the
         leading columns is invertible (_leading_columns).  So rank M = rank C =
-        rank M[:, S], and only the L_{n+1} x L_n matrix M[:, S] is built.
+        rank M[:, S], and only the L_{n+1} x L_n matrix M[:, S] is built, gathered
+        from the degree-(n + 1) expansions at the preimages of the leading words.
         """
         if self.d_image is None:
             raise InvalidArgument("algebra has no differential configured")
@@ -760,12 +768,59 @@ class FreeDgl:
         elems = self.basis_by_degree.get(n + 1, [])
         if not elems or n < 1:
             return 0
-        lead = self._leading_columns(n)
+        lead, words = self._leading_columns(n)
         if not lead.size:
             return 0
-        batches = self._batches((row, 1, be) for row, be in enumerate(elems))
-        terms = (self._differential_terms(*b, n + 1, self.d_image) for b in batches)
-        return FpMatrix(self._matrix(n, len(elems), terms, lead), self.p).rank()
+        pre, target, sign = self._preimages(n, words)
+        expansions = [self.expansion(be) for be in elems]
+        cols = np.concatenate([e.cols for e in expansions])
+        coeffs = np.concatenate([e.coeffs for e in expansions])
+        ends = np.cumsum([len(e.cols) for e in expansions])  # term k belongs to row searchsorted(ends, k, "right")
+        mat = np.zeros((len(elems), len(lead)), dtype=np.int64)
+        at = np.searchsorted(pre, cols)
+        k = np.flatnonzero(pre[at] == cols)
+        at = at[k]
+        while k.size:  # a column that U holds twice is matched once per copy
+            np.add.at(mat, (np.searchsorted(ends, k, "right"), target[at]), sign[at] * coeffs[k])
+            at += 1
+            more = pre[at] == cols[k]
+            k, at = k[more], at[more]
+        return FpMatrix(np.mod(mat, self.p, out=mat), self.p).rank()
+
+    def _preimages(self, n: int, words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, targets, signs) for the leading words w_s of degree n, given in the
+        order of their columns.
+
+        U holds, sorted, the column of every degree-(n + 1) word u = w_s[:i] c w_s[i+1:]
+        with d(c) = w_s[i], whose differential has the term (-1)^{deg w_s[:i]} w_s; each
+        entry keeps its target s and that sign.  One word u can reach two leading words,
+        so U can hold a column twice.  U ends in T(n + 1), above every column, so a
+        search never runs off its end.
+        """
+        image = self.d_image
+        groups: dict[int, list[int]] = {}
+        for s, word in enumerate(words):
+            groups.setdefault(len(word), []).append(s)
+        cols, targets, signs = ([np.empty(0, dtype=np.int64)] for _ in range(3))
+        for group in groups.values():
+            group = np.array(group)
+            w = np.stack([words[s] for s in group])
+            degs = self._degrees[w]
+            before = np.cumsum(degs, axis=1) - degs
+            for c in np.flatnonzero(image >= 0):
+                rows, pos = np.nonzero(w == image[c])
+                u = w[rows]
+                u[np.arange(len(rows)), pos] = c
+                cols.append(self._index(u, n + 1))
+                targets.append(group[rows])
+                signs.append(1 - 2 * (before[rows, pos] % 2))
+        cols = np.concatenate(cols)
+        order = np.argsort(cols, kind="stable")
+        return (
+            np.append(cols[order], self._offsets[n + 1, -1]),
+            np.concatenate(targets)[order],
+            np.concatenate(signs)[order],
+        )
 
 
 def _dot_mod(u: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:

@@ -3,8 +3,11 @@ from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsion_bounds import GeneratorSet, babenko_ranks, bounds, cli
+from torsion_bounds.bounds import MAX_EPSILON
 from torsion_bounds.charpoly import MAX_POLY_DEGREE
 from torsion_bounds.cli import MAX_DGL_DEGREE, MAX_LIE_RANK_DEGREE, main
 from torsion_bounds.dgl_fp import MAX_PRIME
@@ -201,6 +204,40 @@ def test_bad_rational_option_exit_code(args):
     result = run(*args)
     assert result.exit_code == 1
     assert result.stderr.startswith("error: ") and "must be rational" in result.stderr
+
+
+_EPS_COMMANDS = [
+    ("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "100"),
+    ("bound", "--ktheory", "--degrees", "2:1,4:1", "--conn", "1", "--dim", "4", "--p", "3", "--upto", "100"),
+]
+
+
+@pytest.mark.parametrize("eps", ["1e400", "99999999999999999999/7"])
+@pytest.mark.parametrize("args", _EPS_COMMANDS, ids=["report", "bound"])
+def test_eps_above_ceiling_exit_code(args, eps):
+    # the weak bound's binary exponent would fall too far to render
+    result = run(*args, "--eps", eps)
+    assert result.exit_code == 1
+    assert result.stderr == f"error: epsilon must be <= {MAX_EPSILON}\n"
+    assert f"at most {MAX_EPSILON}" in " ".join(run(args[0], "--help").stdout.split())
+
+
+_EPS_STRINGS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-(10**60), 10**60), st.integers(-(10**60), 10**60)),
+    st.builds("{}e{}".format, st.integers(-(10**6), 10**6), st.integers(-2000, 2000)),
+    st.builds("{}.{}e{}".format, st.integers(0, 99), st.integers(0, 10**20), st.integers(-400, 400)),
+    st.integers(-(10**80), 10**80).map(str),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(eps=_EPS_STRINGS)
+def test_any_eps_string_exits_cleanly(eps):
+    # run() lets any exception through, so a traceback fails the test
+    result = run("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "12", "--eps", eps)
+    assert result.exit_code in (0, 1)
+    if result.exit_code:
+        assert result.stderr.startswith("error: ")
 
 
 def test_bezout_oversized_cap_exit_code():

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -511,6 +512,57 @@ def test_leading_column_rank_equals_full_reference_rank(case):
         assert (0 if mat is None else _reference_row_reduce(mat.copy(), p)[2]) == full_rank
 
 
+@pytest.mark.parametrize(
+    "letters, d_letters, p, up_to",
+    [
+        (WeightedAlphabet.moore(1).letters, MOORE_D, 3, 12),
+        # a and b both map to c, so each c in a leading word has two preimages
+        ((("a", 2), ("b", 2), ("c", 1)), {"a": "c", "b": "c", "c": None}, 5, 10),
+    ],
+    ids=["moore1-p3", "two-letters-one-target"],
+)
+def test_gathered_boundary_matrices_match_dict_reference(letters, d_letters, p, up_to):
+    alg = FreeDgl(WeightedAlphabet(letters), p, up_to, d_letters)
+    degs = alg.alphabet.degree_list
+    names = [name for name, _ in letters]
+    d_map = {names.index(a): None if b is None else names.index(b) for a, b in d_letters.items()}
+    preimages = Counter(j for j in d_map.values() if j is not None)  # letter -> how many letters map to it
+    cache = {}
+    expansions = {
+        be: _reference_expansion(be, degs, p, cache) for n in range(1, up_to + 1) for be in alg.basis_by_degree[n]
+    }
+    repeated = False
+    for n, mat, ref in _boundary_matrices(alg, degs, d_map, p, expansions):
+        lead = _reference_leading_columns(_reference_matrix(degs, n, [expansions[be] for be in alg.basis_by_degree[n]]))
+        if lead:
+            assert np.array_equal(mat, ref[:, lead])
+            words = alg._leading_columns(n)[1]
+            pre, target, sign = alg._preimages(n, words)
+            # one entry per position of a leading word and letter mapping to it, then the sentinel
+            assert len(pre) - 1 == len(target) == len(sign) == sum(preimages[c] for w in words for c in w.tolist())
+            assert pre[-1] == alg._offsets[n + 1, -1]
+            # some degree-(n + 1) word reaches two leading words
+            repeated |= bool(np.any(pre[1:] == pre[:-1]))
+    assert repeated
+
+
+def test_boundary_rank_peak_memory_per_expansion_term():
+    # M[:, S] is gathered from the degree-17 expansions, so the working arrays hold a
+    # few numbers per expansion term; differentiating every term took about 440 bytes
+    alg = moore_algebra(1, 3, 17)
+    terms = sum(len(alg.expansion(be).coeffs) for be in alg.basis_by_degree[17])
+    for be in alg.basis_by_degree[16]:
+        alg.expansion(be)
+    matrix = 8 * len(alg.basis_by_degree[17]) * len(alg.basis_by_degree[16])
+    tracemalloc.start()
+    try:
+        assert alg.boundary_rank(16) > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * terms + matrix
+
+
 def test_shared_leading_column_raises_dimension_mismatch():
     for force in (FreeDgl.boundary_rank, FreeDgl._solver):
         alg = moore_algebra(1, 3, 8)
@@ -586,7 +638,7 @@ def test_brackets_and_differentials_match_the_full_solve(case):
         )
     # zero on the leading columns, so in the span only if it is zero
     vec = np.ones(alg._offsets[up_to, -1], dtype=np.int64)
-    vec[alg._leading_columns(up_to)] = 0
+    vec[alg._leading_columns(up_to)[0]] = 0
     for solve in (alg._coords, ref._coords):
         if vec.any():
             with pytest.raises(InternalError):

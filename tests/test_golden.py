@@ -56,6 +56,7 @@ INVOCATIONS = [
     (("dgl", "--q", "2", "--p", "5", "--upto", "15", "--format", "json"), None),
     (("dgl", "--q", "1", "--p", "7", "--upto", "17"), None),
     (("dgl", "--q", "2", "--p", "3", "--upto", "20", "--format", "json"), None),
+    (("dgl", "--q", "1", "--p", "3", "--upto", "20"), None),
     (("report", "--space", "moore", "--q", "2", "--p", "3", "--r", "1", "--upto", "200"), None),
     (("report", "--space", "suspended-em", "--q", "3", "--p", "3", "--r", "2", "--upto", "120", "--format", "json"), None),
     (("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "600"), None),
