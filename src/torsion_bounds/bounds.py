@@ -30,6 +30,7 @@ weak_lower are still called once per row.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -61,7 +62,16 @@ __all__ = [
 ]
 
 
+# Python's own limit on the digits of an integer read from a string.  Fraction
+# builds 10^e exactly for a decimal exponent e, which takes seconds for large e.
+_MAX_DECIMAL_EXPONENT = 4300
+
+
 def _as_fraction(x, name: str) -> Fraction:
+    exponent = re.search(r"[eE][-+]?([\d_]+)", x) if isinstance(x, str) else None
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > 4 or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
+        raise InvalidArgument(f"{name} must have a decimal exponent of at most {_MAX_DECIMAL_EXPONENT} in magnitude")
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError):

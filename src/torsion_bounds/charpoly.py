@@ -63,6 +63,11 @@ _SEED_STEP_TOL = 2.0**-40
 # doubling of the bits (z^3 - z - 1 from scratch: 0.5 s at 8192, 20 s at 32768
 # on a 2-core Xeon host); a report up to M = 4000 asks for about 6.5k bits.
 MAX_PRECISION_BITS = 1 << 15
+# Largest precision times degree certified_phi accepts. Bisection time grows about
+# like degree^2 * bits^2.6 (6.8 s at degree 50 and 2048 bits, 2.3 s at 150 and 655 on
+# a 2-core Xeon host), so for a fixed product it falls as the degree grows, and this
+# bounds every run by the degree-3 case at MAX_PRECISION_BITS.
+MAX_BITS_TIMES_DEGREE = 3 * MAX_PRECISION_BITS
 # Largest generator degree, i.e. degree of the characteristic polynomial. Each
 # Aberth sweep costs O(k^2) mpmath operations: roots --degrees 1:1,k:1 takes
 # 3.0 s at k = 150, 5.8 s at 200 and 15 s at 300 on a 2-core Xeon host.
@@ -390,6 +395,11 @@ def certified_phi(poly: MonicIntPoly, precision_bits: int) -> tuple[Fraction, Fr
         raise InvalidArgument(f"precision_bits must be >= 64, got {precision_bits}")
     if precision_bits > MAX_PRECISION_BITS:
         raise InvalidArgument(f"precision_bits must be <= {MAX_PRECISION_BITS}, got {precision_bits}")
+    if precision_bits * poly.degree > MAX_BITS_TIMES_DEGREE:
+        raise InvalidArgument(
+            f"precision_bits must be <= {MAX_BITS_TIMES_DEGREE // poly.degree} for a degree-{poly.degree} "
+            f"polynomial, got {precision_bits}"
+        )
     if not poly.is_dominant_family():
         raise InvalidArgument(
             "certified_phi expects z^k - sum c_i z^i with c_i >= 0 and c_0 >= 1"

@@ -16,7 +16,9 @@ import mpmath
 
 from . import verify as verify_mod
 from .bounds import MAX_EPSILON, MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_row, ktheory_params, ktheory_rows
-from .charpoly import MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, root_profile
+from .charpoly import (
+    MAX_BITS_TIMES_DEGREE, MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, root_profile
+)
 from .dgl_fp import MAX_PRIME, WeightedAlphabet, subspace_dims
 from .errors import (
     CoverageViolation,
@@ -125,7 +127,11 @@ def lie_rank_cmd(degrees, upto, oracle_check, fmt, out):
 
 @main.command("roots")
 @click.option("--degrees", required=True, help=_DEGREES_HELP)
-@click.option("--precision-bits", type=int, default=None, help=f"certified bits for phi, 64 to {MAX_PRECISION_BITS}")
+@click.option(
+    "--precision-bits", type=int, default=None,
+    help=f"certified bits for phi, 64 to {MAX_PRECISION_BITS} and at most {MAX_BITS_TIMES_DEGREE} / degree of the"
+    " polynomial (K-theory ranges on degree >= 4 polynomials stop there too)",
+)
 @_format_option
 @_out_option
 @_handle_errors

@@ -17,9 +17,9 @@ expansions are independent over F_p.  A zero expansion or two equal
 leading words raise DimensionMismatch, as does a count mismatch.  Every
 boundary matrix is M = C E, C holding the basis coordinates of the
 boundaries, so rank M = rank M[:, S]: boundary ranks come from
-L_{n+1} x L_n matrices rather than L_{n+1} x T(n) ones.  Likewise a
-tensor's basis coordinates are its entries on S times E[:, S]^-1, checked
-against its whole row.
+L_{n+1} x L_n matrices rather than L_{n+1} x T(n) ones.  A tensor's basis
+coordinates come by leading-word reduction (FreeDgl._coords), which is
+also an exact test of membership in the span.
 
 Tensors are arrays (FreeDgl.expansion returns a Tensor): one row of letters
 per word and an int64 coefficient vector.  The rows share one length,
@@ -29,10 +29,10 @@ words of degree n are ordered by first letter and then recursively by the
 rest, so the column of w_1..w_k is the sum over i of off[rem_i, w_i], where
 rem_i is n minus the degree of w_1..w_{i-1} and off[m, c] = sum over
 letters c' < c with d_{c'} <= m of T(m - d_{c'}), T(m) being the number of
-words of degree m (tensor_dims).  On that index the bracket merges repeated words by sorting
-their columns, differential() reads each image word's column off prefix
-and suffix sums of off over the original word (one batch per degree and
-word length), and one builder fills every word matrix with np.add.at.
+words of degree m (tensor_dims).  On that index differential() reads each
+image word's column off prefix and suffix sums of off over the original
+word (one expansion at a time), and _combine merges repeated words for
+the bracket, the differential and the reduction by sorting their columns.
 
 boundary_rank differentiates nothing.  The entry M[b, s] of the boundary
 matrix on the leading word w_s is the sum, over the positions i of w_s and
@@ -47,11 +47,10 @@ This module is deliberately a brute-force oracle: ranks of cycles,
 boundaries and homology come from dense Gaussian elimination over F_p,
 never from the formulas it is used to check.  The elimination is one
 in-place int64 RREF whose pivot step updates every other row in numpy row
-blocks of bounded size; the transform of rref_with_transform is read off
-the reduced [M | I].  Entries stay in [0, p) and products below (p - 1)^2, so p is
-capped at MAX_PRIME, the largest prime with (p - 1)^2 < 2^63; basis
-coordinates reduce each product mod p before summing, so they are exact
-up to MAX_PRIME too.
+blocks of bounded size.  Entries stay in [0, p) and products below
+(p - 1)^2, so p is capped at MAX_PRIME, the largest prime with
+(p - 1)^2 < 2^63; the reduction's products are of two numbers in [0, p)
+too, so basis coordinates are exact up to MAX_PRIME.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ __all__ = [
     "subspace_dims",
 ]
 
-DEFAULT_DEGREE_CAP = 14
 # Largest prime p with (p - 1)^2 < 2^63: every product in the int64 elimination stays exact.
 MAX_PRIME = 3_037_000_493
 
@@ -405,7 +403,7 @@ class FreeDgl:
         self,
         alphabet: WeightedAlphabet,
         p: int,
-        up_to: int = DEFAULT_DEGREE_CAP,
+        up_to: int,
         d_letters: dict[str, str | None] | None = None,
     ):
         _check_prime_ceiling(p)
@@ -421,8 +419,7 @@ class FreeDgl:
         self._degrees = np.array(alphabet.degree_list, dtype=np.int64)
         self._offsets = self._word_offsets()
         self._expansion_cache: dict[tuple[int, ...], Tensor] = {}
-        self._lead_cache: dict[int, tuple] = {}  # degree -> (sorted leading columns S, their words' letters)
-        self._solver_cache: dict[int, tuple] = {}  # degree -> (S, E[:, S]^-1, E) of its basis expansions
+        self._lead_cache: dict[int, tuple] = {}  # degree -> (sorted S, the leading words' letters, basis elements)
         self._pair_cache: dict[tuple[BasisElement, BasisElement], dict] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -536,18 +533,14 @@ class FreeDgl:
         la, lb = a.letters.shape[1], b.letters.shape[1]
         prod = np.multiply.outer(a.coeffs, b.coeffs) % p
         swapped = prod.T if da % 2 and db % 2 else -prod.T
-        cols = np.concatenate([
-            np.add.outer(self._index(a.letters, n), b.cols).ravel(),
-            np.add.outer(self._index(b.letters, n), a.cols).ravel(),
-        ])
-        order = np.argsort(cols, kind="stable")
-        cols = cols[order]
-        first = np.ones(len(cols), dtype=bool)
-        np.not_equal(cols[1:], cols[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        coeffs = np.add.reduceat(np.concatenate([prod.ravel(), swapped.ravel()])[order], starts) % p
-        nonzero = coeffs != 0
-        kept, coeffs, cols = order[starts[nonzero]], coeffs[nonzero], cols[starts[nonzero]]
+        kept, cols, coeffs = _combine(
+            np.concatenate([
+                np.add.outer(self._index(a.letters, n), b.cols).ravel(),
+                np.add.outer(self._index(b.letters, n), a.cols).ravel(),
+            ]),
+            np.concatenate([prod.ravel(), swapped.ravel()]),
+            p,
+        )
         letters = np.empty((len(kept), la + lb), dtype=a.letters.dtype)
         ab = kept < ka * kb
         i, j = np.divmod(kept[ab], kb)
@@ -557,26 +550,9 @@ class FreeDgl:
         letters[ba, :lb], letters[ba, lb:] = b.letters[i], a.letters[j]
         return Tensor(letters, coeffs, cols)
 
-    def _batches(self, items):
-        """(rows, tensor) for c * expansion(be) over (row, c, be) items with c in
-        [0, p), one batch per word length: the words of all items in one Tensor,
-        rows naming the item of each word."""
-        groups: dict[int, list] = {}
-        for row, c, be in items:
-            e = self.expansion(be)
-            groups.setdefault(e.letters.shape[1], []).append((row, c, e))
-        p = self.p
-        for group in groups.values():
-            sizes = [len(e.coeffs) for _, _, e in group]
-            yield np.repeat([row for row, _, _ in group], sizes), Tensor(
-                np.concatenate([e.letters for _, _, e in group]),
-                np.concatenate([e.coeffs * c % p for _, c, e in group]),
-                np.concatenate([e.cols for _, _, e in group]),
-            )
-
-    def _differential_terms(self, rows: np.ndarray, t: Tensor, n: int, image: np.ndarray):
-        """(rows, columns, values) of d on words of degree n: one term per letter
-        with an image, signed by the parity of the degree before it.
+    def _differential_terms(self, t: Tensor, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, values) of d on words of degree n: one term per letter with an
+        image, signed by the parity of the degree before it.
 
         The image word has degree n - 1.  Each letter before the changed one has
         one degree less after it, so its share is read one row of off lower; each
@@ -592,26 +568,17 @@ class FreeDgl:
         lower = off[share - width]
         before = np.cumsum(lower, axis=1) - lower
         after = t.cols[:, None] - np.cumsum(off[share], axis=1)
-        targets = image[letters]
+        targets = self.d_image[letters]
         hit = np.flatnonzero(targets >= 0)
         k = hit // letters.shape[1]
         rem = rem.ravel()[hit]
         cols = before.ravel()[hit] + after.ravel()[hit] + off[width * (rem - 1) + targets.ravel()[hit]]
-        vals = np.where((n - rem) % 2, -t.coeffs[k], t.coeffs[k])
-        return rows[k], cols, vals
+        return cols, np.where((n - rem) % 2, -t.coeffs[k], t.coeffs[k])
 
-    def _matrix(self, n: int, rows: int, terms) -> np.ndarray:
-        """rows x T(n) int64 matrix over F_p from (rows, columns, values) term arrays;
-        terms in one cell add up."""
-        mat = np.zeros((rows, self._offsets[n, -1]), dtype=np.int64)
-        for row, col, val in terms:
-            np.add.at(mat, (row, col), val)
-        return np.mod(mat, self.p, out=mat)
-
-    def _leading_columns(self, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    def _leading_columns(self, n: int) -> tuple[np.ndarray, list[np.ndarray], list[BasisElement]]:
         """The sorted columns S of the leading (least) words of the degree-n basis
-        expansions, certified pairwise distinct, and those words' letters in the
-        same order.
+        expansions, certified pairwise distinct, with those words' letters and their
+        basis elements in the same order.
 
         An expansion's words are sorted by column, so its first is its least.  With
         the rows of the expansion matrix E taken in the order of their leading
@@ -622,8 +589,9 @@ class FreeDgl:
         lead = self._lead_cache.get(n)
         if lead is None:
             elems = self.basis_by_degree[n]
-            firsts = [(e.cols[0], e.letters[0]) for e in map(self.expansion, elems) if len(e.cols)]
-            cols = np.array([c for c, _ in firsts], dtype=np.int64)
+            expansions = zip(elems, map(self.expansion, elems))
+            firsts = [(e.cols[0], e.letters[0], be) for be, e in expansions if len(e.cols)]
+            cols = np.array([c for c, _, _ in firsts], dtype=np.int64)
             order = np.argsort(cols)
             cols = cols[order]
             if len(cols) < len(elems) or np.any(cols[1:] == cols[:-1]):
@@ -631,35 +599,28 @@ class FreeDgl:
                     f"basis expansions in degree {n} do not have distinct leading words, "
                     f"so their independence over F_{self.p} is not certified"
                 )
-            lead = self._lead_cache[n] = (cols, [firsts[i][1] for i in order])
+            lead = self._lead_cache[n] = (cols, [firsts[i][1] for i in order], [firsts[i][2] for i in order])
         return lead
 
-    def _solver(self, n: int) -> tuple:
-        """(S, E[:, S]^-1, E) for degree n: the leading columns, the inverse of the
-        square block on them, and the whole L_n x T(n) expansion matrix."""
-        solver = self._solver_cache.get(n)
-        if solver is None:
-            lead, _ = self._leading_columns(n)
-            elems = self.basis_by_degree[n]
-            batches = self._batches((row, 1, be) for row, be in enumerate(elems))
-            mat = self._matrix(n, len(elems), ((rows, t.cols, t.coeffs) for rows, t in batches))
-            _, inverse, _ = FpMatrix(mat[:, lead], self.p).rref_with_transform()
-            solver = self._solver_cache[n] = (lead, inverse, mat)
-        return solver
-
-    def _coords(self, vec: np.ndarray, n: int) -> dict[BasisElement, int]:
-        """Basis coordinates of a degree-n tensor given as its row over the words:
-        the tensor is x E for its coordinates x, so x = vec[S] E[:, S]^-1, and
-        x E must give back the whole row."""
-        lead, inverse, mat = self._solver(n)
-        u = vec[lead]
-        nz = np.flatnonzero(u)
-        x = _dot_mod(u[nz], inverse[nz], self.p)
-        nz = np.flatnonzero(x)
-        if np.any((_dot_mod(x[nz], mat[nz], self.p) - vec) % self.p):
-            raise InternalError("tensor is not in the span of the Lie basis")
-        elems = self.basis_by_degree[n]
-        return {elems[i]: int(x[i]) for i in nz}
+    def _coords(self, cols: np.ndarray, coeffs: np.ndarray, n: int) -> dict[BasisElement, int]:
+        """Basis coordinates of a degree-n tensor (sorted distinct columns, coefficients
+        in [1, p)) by leading-word reduction.  A nonzero element of the span has a
+        leading word as its least word, where its coefficient is the coordinate times
+        the expansion's first (2 for a square); each step subtracts that multiple of
+        the expansion, and a least word that leads no expansion is outside the span."""
+        lead, _, elems = self._leading_columns(n)
+        p = self.p
+        out: dict[BasisElement, int] = {}
+        while cols.size:
+            s = np.searchsorted(lead, cols[0])
+            if s == len(lead) or lead[s] != cols[0]:
+                raise InternalError("tensor is not in the span of the Lie basis")
+            e = self.expansion(elems[s])
+            c = out[elems[s]] = int(coeffs[0]) * pow(int(e.coeffs[0]), -1, p) % p
+            _, cols, coeffs = _combine(  # the least words cancel, so they are left out
+                np.concatenate([cols[1:], e.cols[1:]]), np.concatenate([coeffs[1:], (p - c) * e.coeffs[1:] % p]), p
+            )
+        return out
 
     # -- Lie operations ------------------------------------------------------
 
@@ -682,29 +643,27 @@ class FreeDgl:
         cached = self._pair_cache.get((ba, bb))
         if cached is not None:
             return cached
-        n = ba.degree + bb.degree
         t = self._tensor_bracket(self.expansion(ba), ba.degree, self.expansion(bb), bb.degree)
-        vec = self._matrix(n, 1, [(0, t.cols, t.coeffs)])[0]
-        result = self._coords(vec, n)
+        result = self._coords(t.cols, t.coeffs, ba.degree + bb.degree)
         self._pair_cache[(ba, bb)] = result
         return result
 
-    def differential(self, e: LieElement, d_letters: dict[str, str | None] | None = None) -> LieElement:
+    def differential(self, e: LieElement) -> LieElement:
         """Apply the degree -1 derivation determined by the letter images."""
-        if d_letters is None:
-            image = self.d_image
-            if image is None:
-                raise InvalidArgument("algebra has no differential configured")
-        else:
-            image = self._resolve_differential(d_letters)
+        if self.d_image is None:
+            raise InvalidArgument("algebra has no differential configured")
         n = e.degree - 1
-        batches = self._batches((0, c, be) for be, c in e.coeffs.items())
-        vec = self._matrix(max(n, 0), 1, (self._differential_terms(*b, e.degree, image) for b in batches))[0]
+        cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for be, c in e.coeffs.items():
+            col, val = self._differential_terms(self.expansion(be), e.degree)
+            cols.append(col)
+            vals.append(val * c % self.p)
+        _, cols, coeffs = _combine(np.concatenate(cols), np.concatenate(vals), self.p)
         if n < 1:
-            if vec.any():
+            if cols.size:
                 raise InternalError("differential image escaped below degree 1")
             return self.zero(max(n, 0))
-        return LieElement(self, n, self._coords(vec, n))
+        return LieElement(self, n, self._coords(cols, coeffs, n))
 
     def tau(self, u: LieElement, k: int) -> LieElement:
         """ad^{p^k - 1}(u)(du); degree p^k |u| - 1."""
@@ -768,7 +727,7 @@ class FreeDgl:
         elems = self.basis_by_degree.get(n + 1, [])
         if not elems or n < 1:
             return 0
-        lead, words = self._leading_columns(n)
+        lead, words, _ = self._leading_columns(n)
         if not lead.size:
             return 0
         pre, target, sign = self._preimages(n, words)
@@ -823,10 +782,18 @@ class FreeDgl:
         )
 
 
-def _dot_mod(u: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
-    """u @ m over F_p for entries in [0, p), exact in int64: each product is
-    reduced mod p before the sum, so the sum stays below len(u) * p."""
-    return (u[:, None] * m % p).sum(axis=0) % p
+def _combine(cols: np.ndarray, coeffs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge the terms of a tensor that share a column: (first, cols, coeffs) with
+    the surviving columns sorted, their coefficients summed mod p and all nonzero,
+    and first the index of each survivor's first term in the input."""
+    order = np.argsort(cols, kind="stable")
+    cols = cols[order]
+    first = np.ones(len(cols), dtype=bool)
+    np.not_equal(cols[1:], cols[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    coeffs = np.add.reduceat(coeffs[order], starts) % p
+    nonzero = coeffs != 0
+    return order[starts[nonzero]], cols[starts[nonzero]], coeffs[nonzero]
 
 
 def subspace_dims(

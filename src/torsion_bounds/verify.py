@@ -223,7 +223,7 @@ def check_basis_certification(qs=(2, 3), ps=(3, 5), up_to: int = 14) -> list[str
     """Super-Lyndon counts match the rank formula and are independent over F_p.
 
     Construction raises DimensionMismatch itself on failure; the extra
-    solver call forces the independence certification in every degree.
+    leading-column call forces the independence certification in every degree.
     """
     fails = []
     for q in qs:
@@ -231,14 +231,13 @@ def check_basis_certification(qs=(2, 3), ps=(3, 5), up_to: int = 14) -> list[str
             try:
                 alg = FreeDgl(WeightedAlphabet.moore(q), p, up_to, {"x": "y", "y": None})
                 for n in range(1, up_to + 1):
-                    if alg.basis_by_degree[n]:
-                        alg._solver(n)
+                    alg._leading_columns(n)
             except TorsionBoundsError as exc:
                 fails.append(f"q={q}, p={p}: {exc}")
     try:
         alg = FreeDgl(WeightedAlphabet((("x", 1), ("y", 1))), 3, 10)
         for n in range(1, 11):
-            alg._solver(n)
+            alg._leading_columns(n)
     except TorsionBoundsError as exc:
         fails.append(f"two odd letters: {exc}")
     return fails

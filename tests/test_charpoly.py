@@ -18,7 +18,7 @@ from torsion_bounds import (
     root_profile,
 )
 from torsion_bounds import charpoly
-from torsion_bounds.charpoly import MAX_PRECISION_BITS, RootProfile, certified_phi
+from torsion_bounds.charpoly import MAX_BITS_TIMES_DEGREE, MAX_PRECISION_BITS, RootProfile, certified_phi
 from torsion_bounds.verify import (
     generator_family,
     check_newton_growth,
@@ -155,6 +155,28 @@ def test_newton_sums_match_root_cloud():
 def test_certified_phi_rejects_oversized_precision():
     with pytest.raises(InvalidArgument):
         certified_phi(char_poly(GeneratorSet.of((2, 1), (3, 1))), MAX_PRECISION_BITS + 1)
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args):
+    raise _Reached
+
+
+@pytest.mark.parametrize("k, bits", [(150, 655), (101, 973), (4, 24576), (3, MAX_PRECISION_BITS)])
+def test_certified_phi_bits_times_degree_ceiling(monkeypatch, k, bits):
+    # bits * k = 3 * MAX_PRECISION_BITS at most: the largest accepted bits reach the
+    # bisection, one bit more is refused before it
+    assert bits * k <= MAX_BITS_TIMES_DEGREE == 3 * MAX_PRECISION_BITS < (bits + 1) * k
+    monkeypatch.setattr(charpoly, "_certified_enclosure", _reached)
+    poly = char_poly(GeneratorSet.of((1, 1), (k, 1)) if k > 3 else GeneratorSet.of((2, 1), (3, 1)))
+    assert poly.degree == k
+    with pytest.raises(_Reached):
+        certified_phi(poly, bits)
+    with pytest.raises(InvalidArgument, match="precision_bits must be <="):
+        certified_phi(poly, bits + 1)
 
 
 # -- refinement state: warm answers equal cold ones ----------------------------

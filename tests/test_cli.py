@@ -1,4 +1,5 @@
 import json
+import time
 from decimal import Decimal
 
 import pytest
@@ -312,6 +313,36 @@ def test_roots_oversized_precision_exit_code():
     result = run("roots", "--degrees", "2:1,3:1", "--precision-bits", "1000000000")
     assert result.exit_code == 1
     assert result.stderr.startswith("error: precision_bits must be <=")
+
+
+def _timed(*args):
+    start = time.perf_counter()
+    result = run(*args)
+    return result, time.perf_counter() - start
+
+
+def test_roots_precision_times_degree_exit_code():
+    # each ceiling alone accepts 2048 bits at degree 101; bisection would take about 30 s
+    result, seconds = _timed("roots", "--degrees", "1:1,101:1", "--precision-bits", "2048")
+    assert result.exit_code == 1 and seconds < 1
+    assert result.stderr == "error: precision_bits must be <= 973 for a degree-101 polynomial, got 2048\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "100", "--eps", "1e10000000"),
+        ("bound", "--ktheory", "--degrees", "2:1,4:1", "--conn", "1", "--dim", "4", "--p", "3", "--upto", "100",
+         "--eps", "1e-10000000"),
+        ("bezout", "--alpha", "3", "--beta", "4", "--a", "1e10000000", "--n", "1", "--cap", "100"),
+    ],
+    ids=["report-eps", "bound-eps", "bezout-a"],
+)
+def test_huge_decimal_exponent_exit_code(args):
+    # Fraction would build 10^e exactly: seconds for e = 10^7
+    result, seconds = _timed(*args)
+    assert result.exit_code == 1 and seconds < 1
+    assert result.stderr.startswith("error: ") and "decimal exponent of at most 4300" in result.stderr
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -29,6 +29,7 @@ from torsion_bounds.verify import (
     check_differential_squares_to_zero,
     check_graded_jacobi,
     check_rank_nullity,
+    run_suite,
 )
 
 MOORE_D = {"x": "y", "y": None}
@@ -112,7 +113,7 @@ def test_differential_squares_to_zero():
 
 
 def test_differential_squares_to_zero_at_max_prime():
-    # coordinates sum rank-many products below (p - 1)^2, so each is reduced mod p first
+    # every product of the bracket, the differential and the reduction stays below (p - 1)^2
     assert check_differential_squares_to_zero(qs=(1,), ps=(MAX_PRIME,), up_to=12) == []
 
 
@@ -449,12 +450,11 @@ def test_word_index_and_matrices_match_dict_reference(case):
         elems = alg.basis_by_degree[n]
         ref = _reference_matrix(degs, n, [expansions[be] for be in elems])
         lead[n] = _reference_leading_columns(ref)
-        if elems:
-            got_lead, inverse, mat = alg._solver(n)
-            assert got_lead.tolist() == lead[n]
-            assert np.array_equal(mat, ref)
-            square = inverse.astype(object).dot(ref[:, lead[n]].astype(object)) % p
-            assert np.array_equal(square.astype(np.int64), np.eye(len(elems), dtype=np.int64))
+        got_lead, words, in_order = alg._leading_columns(n)
+        assert got_lead.tolist() == lead[n] and sorted(in_order, key=elems.index) == elems
+        # each basis element's reference row leads at its place in S, with its word
+        assert [int(np.flatnonzero(ref[elems.index(be)])[0]) for be in in_order] == lead[n]
+        assert [w.tolist() for w in words] == [alg.expansion(be).letters[0].tolist() for be in in_order]
 
     for n, mat, ref in _boundary_matrices(alg, degs, d_map, p, expansions):
         if lead[n]:
@@ -564,7 +564,10 @@ def test_boundary_rank_peak_memory_per_expansion_term():
 
 
 def test_shared_leading_column_raises_dimension_mismatch():
-    for force in (FreeDgl.boundary_rank, FreeDgl._solver):
+    def differentiate(alg, n):  # the coordinates of a degree-n differential
+        return alg.differential(alg.from_basis(alg.basis_by_degree[n + 1][0]))
+
+    for force in (FreeDgl.boundary_rank, FreeDgl._leading_columns, differentiate):
         alg = moore_algebra(1, 3, 8)
         first, second = alg.basis_by_degree[5][:2]
         real = alg.expansion
@@ -594,8 +597,8 @@ def test_boundary_rank_eliminates_only_the_leading_columns():
 
 
 class _FullSolveDgl(FreeDgl):
-    """FreeDgl with the basis solve it had before the leading-word columns, kept as a
-    reference: R = E M is the RREF of the whole L_n x T(n) expansion matrix M, read
+    """FreeDgl with the basis solve it had before the leading-word reduction, kept as
+    a reference: R = E M is the RREF of the whole L_n x T(n) expansion matrix M, read
     off the reduced [M | I]; a tensor in the span is u R for u its entries at the
     pivots, and its coordinates are u E (in exact integers here)."""
 
@@ -603,11 +606,15 @@ class _FullSolveDgl(FreeDgl):
         super().__init__(*args, **kwargs)
         self._full_solves = {}
 
-    def _coords(self, vec, n):
+    def _coords(self, cols, coeffs, n):
+        vec = np.zeros(self._offsets[n, -1], dtype=np.int64)
+        vec[cols] = coeffs
         if n not in self._full_solves:
             elems = self.basis_by_degree[n]
-            batches = self._batches((row, 1, be) for row, be in enumerate(elems))
-            mat = self._matrix(n, len(elems), ((rows, t.cols, t.coeffs) for rows, t in batches))
+            mat = np.zeros((len(elems), len(vec)), dtype=np.int64)
+            for row, be in enumerate(elems):
+                e = self.expansion(be)
+                mat[row, e.cols] = e.coeffs
             rref, transform, pivots = FpMatrix(mat, self.p).rref_with_transform()
             assert len(pivots) == len(elems)
             self._full_solves[n] = rref.astype(object), transform.astype(object), pivots
@@ -637,14 +644,14 @@ def test_brackets_and_differentials_match_the_full_solve(case):
             ref.bracket(ref.from_basis(a), ref.from_basis(b)).coeffs
         )
     # zero on the leading columns, so in the span only if it is zero
-    vec = np.ones(alg._offsets[up_to, -1], dtype=np.int64)
-    vec[alg._leading_columns(up_to)[0]] = 0
+    cols = np.setdiff1d(np.arange(alg._offsets[up_to, -1]), alg._leading_columns(up_to)[0])
+    coeffs = np.ones(len(cols), dtype=np.int64)
     for solve in (alg._coords, ref._coords):
-        if vec.any():
+        if cols.size:
             with pytest.raises(InternalError):
-                solve(vec, up_to)
+                solve(cols, coeffs, up_to)
         else:
-            assert solve(vec, up_to) == {}
+            assert solve(cols, coeffs, up_to) == {}
 
 
 @pytest.mark.parametrize("q, p", [(1, 3), (1, 5), (1, 7), (3, 3), (3, 5)])
@@ -655,3 +662,33 @@ def test_tau_and_sigma_match_the_full_solve(q, p):
     assert alg.tau(x, 1).coeffs == ref.tau(ref_x, 1).coeffs
     sigma = alg.sigma(x, 1)
     assert sigma.coeffs == ref.sigma(ref_x, 1).coeffs and not sigma.is_zero()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=dgl_cases(), seed=st.integers(0, 2**32 - 1))
+def test_coords_recover_random_coordinates(case, seed):
+    # the tensor sum x_i E_i, merged in Python integers, must give back exactly x
+    degs, _, case_p, up_to = case
+    alpha = WeightedAlphabet(tuple((f"l{i}", d) for i, d in enumerate(degs)))
+    rng = np.random.default_rng(seed)
+    for p in sorted({case_p, MAX_PRIME}):
+        alg = FreeDgl(alpha, p, up_to)
+        for n in range(1, up_to + 1):
+            elems = alg.basis_by_degree[n]
+            x = {be: int(rng.integers(1, p)) for be in elems if rng.random() < 0.6}
+            tensor = {}
+            for be, c in x.items():
+                e = alg.expansion(be)
+                for col, k in zip(e.cols.tolist(), e.coeffs.tolist()):
+                    tensor[col] = (tensor.get(col, 0) + c * k) % p
+            cols = np.array(sorted(col for col, k in tensor.items() if k), dtype=np.int64)
+            coeffs = np.array([tensor[col] for col in cols.tolist()], dtype=np.int64)
+            assert alg._coords(cols, coeffs, n) == x
+
+
+def test_dgl_verify_checks_never_reach_rref_with_transform():
+    def refuse(self):
+        raise AssertionError("rref_with_transform called")
+
+    with patch.object(FpMatrix, "rref_with_transform", refuse):
+        assert [(label, fails) for _, label, fails in run_suite("dgl") if fails] == []
