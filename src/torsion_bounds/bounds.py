@@ -29,6 +29,7 @@ weak_lower are still called once per row.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from dataclasses import dataclass, field
@@ -76,6 +77,12 @@ def _as_fraction(x, name: str) -> Fraction:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError):
         raise InvalidArgument(f"{name} must be rational, got {x!r}") from None
+
+
+def _fraction_str(x: Fraction) -> str:
+    """str(x), without the 4300-digit ceiling of str(int)."""
+    text = format(decimal.Decimal(x.numerator), "f")
+    return text if x.denominator == 1 else f"{text}/{format(decimal.Decimal(x.denominator), 'f')}"
 
 
 def _mpf_of(x) -> mpf:
@@ -573,7 +580,7 @@ def weak_lower(params: KTheoryParams, m: int, epsilon) -> mpf:
         raise InvalidArgument(f"M={m} is not a multiple of g'={params.g_prime}")
     eps = _as_fraction(epsilon, "epsilon")
     if eps <= 0:
-        raise InvalidArgument(f"epsilon must be > 0, got {epsilon}")
+        raise InvalidArgument(f"epsilon must be > 0, got {_fraction_str(eps)}")
     if eps > MAX_EPSILON:
         raise InvalidArgument(f"epsilon must be <= {MAX_EPSILON}")  # its digits may run to any length
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))

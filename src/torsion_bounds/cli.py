@@ -40,9 +40,9 @@ REPORT_FIELDS = ["degree", "bound", "exact_rank", "theorem", "vacuous", "precisi
 
 # Largest lie-rank --upto; babenko_ranks takes about 0.2 s there.
 MAX_LIE_RANK_DEGREE = 10_000
-# Largest dgl --upto. q = 1 grows fastest: at 20 the run takes 1.1-1.2 s and 82 MB peak
+# Largest dgl --upto. q = 1 grows fastest: at 20 the run takes 0.9-1.0 s and 68 MB peak
 # RSS (2-core Xeon). The matrix it ranks last is only 1164 x 750; the expansion cache,
-# about 19 MiB at degree 21, is what grows fastest.
+# about 10 MiB at degree 21, is what grows fastest.
 MAX_DGL_DEGREE = 20
 
 _DEGREES_HELP = f"generator degrees, e.g. 2:1,3:1, each at most {MAX_POLY_DEGREE}"

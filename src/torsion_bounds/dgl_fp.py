@@ -21,27 +21,28 @@ L_{n+1} x L_n matrices rather than L_{n+1} x T(n) ones.  A tensor's basis
 coordinates come by leading-word reduction (FreeDgl._coords), which is
 also an exact test of membership in the span.
 
-Tensors are arrays (FreeDgl.expansion returns a Tensor): one row of letters
-per word and an int64 coefficient vector.  The rows share one length,
-since a basis element's expansion permutes one multiset of letters.  A
-word's column among the words of degree n is computed, not looked up.  The
-words of degree n are ordered by first letter and then recursively by the
-rest, so the column of w_1..w_k is the sum over i of off[rem_i, w_i], where
-rem_i is n minus the degree of w_1..w_{i-1} and off[m, c] = sum over
-letters c' < c with d_{c'} <= m of T(m - d_{c'}), T(m) being the number of
-words of degree m (tensor_dims).  On that index differential() reads each
-image word's column off prefix and suffix sums of off over the original
-word (one expansion at a time), and _combine merges repeated words for
-the bracket, the differential and the reduction by sorting their columns.
+Tensors are arrays (FreeDgl.expansion returns a Tensor): an int64 key per
+word and an int64 coefficient vector.  A word's key is its letters read as
+base-B digits, B = max(alphabet size, 2), left-aligned to W digits, W being
+the most letters a word of degree <= up_to can have.  Within one degree
+the keys are distinct (two words with equal keys differ by trailing zero
+digits, hence in degree) and sort like the words in lexicographic order,
+so a key serves as the word's column.  The key of a concatenation ab is
+key(a) + key(b) // B^len(a), and d changes one digit.  Letters are read
+off a key only as far as the word is long, which _differential_terms and
+_preimages know from the basis element: the words of one expansion share
+one length, since they permute one multiset of letters.  _combine merges
+repeated words for the bracket, the differential and the reduction by
+sorting their keys.
 
 boundary_rank differentiates nothing.  The entry M[b, s] of the boundary
 matrix on the leading word w_s is the sum, over the positions i of w_s and
 the letters c with d c = w_s[i], of (-1)^{deg w_s[:i]} times the
 coefficient of u = w_s[:i] c w_s[i+1:] in the degree-(n + 1) expansion E_b.
-So the columns of these preimages u are computed once per degree, from the
-leading words' letters cached with their columns, and sorted; one
-searchsorted of every expansion column against them finds the terms that
-count, and np.add.at adds those terms into the L_{n+1} x L_n matrix.
+So the keys of these preimages u are computed once per degree, from the
+leading words' keys, and sorted; one searchsorted of every expansion key
+against them finds the terms that count, and np.add.at adds those terms
+into the L_{n+1} x L_n matrix.
 
 This module is deliberately a brute-force oracle: ranks of cycles,
 boundaries and homology come from dense Gaussian elimination over F_p,
@@ -68,7 +69,7 @@ from .errors import (
     InternalError,
     InvalidArgument,
 )
-from .lie_rank import babenko_ranks, tensor_dims
+from .lie_rank import babenko_ranks
 
 __all__ = [
     "BasisElement",
@@ -241,13 +242,11 @@ def super_lyndon_basis(alphabet: WeightedAlphabet, up_to: int) -> dict[int, list
 
 
 class Tensor(NamedTuple):
-    """Homogeneous tensor of the tensor algebra: one word per row of letters, all
-    of one length, with coefficients in [1, p) and each word's column among the
-    words of its degree (see FreeDgl._index)."""
+    """Homogeneous tensor of the tensor algebra: each word's key (its column, see
+    the module docstring) with a coefficient in [1, p)."""
 
-    letters: np.ndarray
-    coeffs: np.ndarray
     cols: np.ndarray
+    coeffs: np.ndarray
 
 
 class FpMatrix:
@@ -411,15 +410,23 @@ class FreeDgl:
             raise InvalidArgument(f"p must be an odd prime, got {p}")
         if up_to < 1:
             raise InvalidArgument(f"up_to must be >= 1, got {up_to}")
+        self._base = max(alphabet.size, 2)
+        width = up_to // min(alphabet.degree_list)  # the most letters a word can have
+        if width >= 63 or self._base**width > np.iinfo(np.int64).max:  # B >= 2, so 63 digits never fit
+            raise InvalidArgument(
+                f"words of up to {width} letters over {alphabet.size} letters have "
+                f"{self._base}^{width} keys, more than int64 holds; lower up_to"
+            )
+        # the place value of each letter position: keys are left-aligned to width digits
+        self._place = self._base ** np.arange(width - 1, -1, -1, dtype=np.int64)
         self.alphabet = alphabet
         self.p = p
         self.up_to = up_to
         self.basis_by_degree = super_lyndon_basis(alphabet, up_to)
         self.d_image = self._resolve_differential(d_letters)
         self._degrees = np.array(alphabet.degree_list, dtype=np.int64)
-        self._offsets = self._word_offsets()
         self._expansion_cache: dict[tuple[int, ...], Tensor] = {}
-        self._lead_cache: dict[int, tuple] = {}  # degree -> (sorted S, the leading words' letters, basis elements)
+        self._lead_cache: dict[int, tuple] = {}  # degree -> (sorted S, basis elements in S order)
         self._pair_cache: dict[tuple[BasisElement, BasisElement], dict] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -442,24 +449,6 @@ class FreeDgl:
             image[i] = j
         return image
 
-    def _word_offsets(self) -> np.ndarray:
-        """off[m, c]: how many words of degree m start with a letter before c.
-
-        Column s (the alphabet size) is the number T(m) of all words of degree m,
-        which must agree with tensor_dims.
-        """
-        s = self.alphabet.size
-        off = np.zeros((self.up_to + 1, s + 1), dtype=np.int64)
-        off[0, s] = 1  # the empty word
-        for m in range(1, self.up_to + 1):
-            for c, d in enumerate(self.alphabet.degree_list):
-                off[m, c + 1] = off[m, c] + (off[m - d, s] if d <= m else 0)
-        expected = tensor_dims(self.alphabet.generator_set(), self.up_to)
-        for m in range(1, self.up_to + 1):
-            if off[m, s] != expected[m]:
-                raise InternalError(f"word count in degree {m} disagrees with tensor dims")
-        return off
-
     def dims(self) -> list[int]:
         """dim L_n for n = 1..up_to."""
         return [len(self.basis_by_degree[n]) for n in range(1, self.up_to + 1)]
@@ -477,121 +466,83 @@ class FreeDgl:
 
     # -- tensor algebra ------------------------------------------------------
 
-    def _index(self, letters: np.ndarray, n: int) -> np.ndarray:
-        """Column of each word (a row of letters) among the words of degree n.
-
-        The words of degree n are ordered by first letter, then recursively by the
-        rest, so a word's column is the sum over its positions i of off[n - pre_i, w_i],
-        pre_i being the degree of the letters before i.  For a proper prefix of a
-        degree-n word the same sum is that prefix's share of the column.
-        """
-        degs = self._degrees[letters]
-        rem = n - (np.cumsum(degs, axis=1) - degs)
-        return self._offsets[rem, letters].sum(axis=1)
-
     def _expand_lyndon(self, word: tuple[int, ...]) -> Tensor:
         cached = self._expansion_cache.get(word)
         if cached is not None:
             return cached
         if len(word) == 1:
-            letters = np.array([word], dtype=np.min_scalar_type(self.alphabet.size - 1))
-            cols = self._index(letters, self.alphabet.word_degree(word))
-            result = Tensor(letters, np.ones(1, dtype=np.int64), cols)
+            result = Tensor(word[0] * self._place[:1], np.ones(1, dtype=np.int64))
         else:
             u, v = _standard_factorization(word)
-            result = self._tensor_bracket(
-                self._expand_lyndon(u),
-                self.alphabet.word_degree(u),
-                self._expand_lyndon(v),
-                self.alphabet.word_degree(v),
-            )
+            result = self._tensor_bracket(self._expand_lyndon(u), u, self._expand_lyndon(v), v)
         self._expansion_cache[word] = result
         return result
 
     def expansion(self, be: BasisElement) -> Tensor:
-        """Tensor-algebra expansion of a basis element, its words sorted by column."""
+        """Tensor-algebra expansion of a basis element, its words sorted by key."""
         if be.is_square:
             cached = self._expansion_cache.get(be.word)
             if cached is None:
-                half = be.lyndon_word
-                e = self._expand_lyndon(half)
-                d = self.alphabet.word_degree(half)
-                cached = self._expansion_cache[be.word] = self._tensor_bracket(e, d, e, d)
+                e = self._expand_lyndon(be.lyndon_word)
+                cached = self._expansion_cache[be.word] = self._tensor_bracket(e, be.lyndon_word, e, be.lyndon_word)
             return cached
         return self._expand_lyndon(be.word)
 
-    def _tensor_bracket(self, a: Tensor, da: int, b: Tensor, db: int) -> Tensor:
-        """ab - (-1)^{da db} ba, repeated words merged mod p and zeros dropped.
+    def _tensor_bracket(self, a: Tensor, u: tuple[int, ...], b: Tensor, v: tuple[int, ...]) -> Tensor:
+        """ab - (-1)^{|u||v|} ba for tensors a, b whose words have the degree and the
+        length of the words u, v; repeated words merged mod p and zeros dropped.
 
-        A concatenation's column is its left factor's share plus its right
-        factor's column, so the columns of all ka * kb products come from one
-        outer sum; letters are built only for the words that survive.
+        The key of a concatenation is its left factor's key plus its right factor's
+        key shifted right by the left factor's length, so the keys of all products
+        come from one outer sum.
         """
         p = self.p
-        n = da + db
-        ka, kb = len(a.coeffs), len(b.coeffs)
-        la, lb = a.letters.shape[1], b.letters.shape[1]
+        da, db = self.alphabet.word_degree(u), self.alphabet.word_degree(v)
         prod = np.multiply.outer(a.coeffs, b.coeffs) % p
         swapped = prod.T if da % 2 and db % 2 else -prod.T
-        kept, cols, coeffs = _combine(
+        return Tensor(*_combine(
             np.concatenate([
-                np.add.outer(self._index(a.letters, n), b.cols).ravel(),
-                np.add.outer(self._index(b.letters, n), a.cols).ravel(),
+                np.add.outer(a.cols, b.cols // self._base ** len(u)).ravel(),
+                np.add.outer(b.cols, a.cols // self._base ** len(v)).ravel(),
             ]),
             np.concatenate([prod.ravel(), swapped.ravel()]),
             p,
-        )
-        letters = np.empty((len(kept), la + lb), dtype=a.letters.dtype)
-        ab = kept < ka * kb
-        i, j = np.divmod(kept[ab], kb)
-        letters[ab, :la], letters[ab, la:] = a.letters[i], b.letters[j]
-        ba = ~ab
-        i, j = np.divmod(kept[ba] - ka * kb, ka)
-        letters[ba, :lb], letters[ba, lb:] = b.letters[i], a.letters[j]
-        return Tensor(letters, coeffs, cols)
+        ))
 
-    def _differential_terms(self, t: Tensor, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(columns, values) of d on words of degree n: one term per letter with an
-        image, signed by the parity of the degree before it.
+    def _letters(self, keys: np.ndarray, length: int) -> np.ndarray:
+        """The first length letters of each key's word, one row per key: length must
+        be the words' length, or trailing padding would read as letter 0."""
+        return keys[:, None] // self._place[:length] % self._base
 
-        The image word has degree n - 1.  Each letter before the changed one has
-        one degree less after it, so its share is read one row of off lower; each
-        letter after it keeps its share, and those shares are the word's own
-        column minus the running sum of its shares.
-        """
-        letters = t.letters.astype(np.intp)  # index arrays of another dtype are converted on every use
-        width = self._offsets.shape[1]
-        off = self._offsets.ravel()
+    def _differential_terms(self, be: BasisElement) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, values) of d on the expansion of be: one term per letter with an
+        image, signed by the parity of the degree before it."""
+        t = self.expansion(be)
+        letters = self._letters(t.cols, len(be.word))
         degs = self._degrees[letters]
-        rem = n + degs - np.cumsum(degs, axis=1)  # the degree from each position to the end
-        share = width * rem + letters  # off[rem_i, w_i], flattened
-        lower = off[share - width]
-        before = np.cumsum(lower, axis=1) - lower
-        after = t.cols[:, None] - np.cumsum(off[share], axis=1)
         targets = self.d_image[letters]
-        hit = np.flatnonzero(targets >= 0)
-        k = hit // letters.shape[1]
-        rem = rem.ravel()[hit]
-        cols = before.ravel()[hit] + after.ravel()[hit] + off[width * (rem - 1) + targets.ravel()[hit]]
-        return cols, np.where((n - rem) % 2, -t.coeffs[k], t.coeffs[k])
+        k, i = np.nonzero(targets >= 0)
+        cols = t.cols[k] - (letters[k, i] - targets[k, i]) * self._place[i]
+        before = (np.cumsum(degs, axis=1) - degs)[k, i]
+        return cols, np.where(before % 2, -t.coeffs[k], t.coeffs[k])
 
-    def _leading_columns(self, n: int) -> tuple[np.ndarray, list[np.ndarray], list[BasisElement]]:
-        """The sorted columns S of the leading (least) words of the degree-n basis
-        expansions, certified pairwise distinct, with those words' letters and their
-        basis elements in the same order.
+    def _leading_columns(self, n: int) -> tuple[np.ndarray, list[BasisElement]]:
+        """The sorted keys S of the leading (least) words of the degree-n basis
+        expansions, certified pairwise distinct, with their basis elements in the
+        same order.
 
-        An expansion's words are sorted by column, so its first is its least.  With
+        An expansion's words are sorted by key, so its first is its least.  With
         the rows of the expansion matrix E taken in the order of their leading
-        columns, E[:, S] is then triangular with a nonzero diagonal: the expansions
+        keys, E[:, S] is then triangular with a nonzero diagonal: the expansions
         are independent, and a tensor in their span is fixed by its entries on S.
-        A zero expansion or two equal leading columns raise DimensionMismatch.
+        A zero expansion or two equal leading keys raise DimensionMismatch.
         """
         lead = self._lead_cache.get(n)
         if lead is None:
             elems = self.basis_by_degree[n]
             expansions = zip(elems, map(self.expansion, elems))
-            firsts = [(e.cols[0], e.letters[0], be) for be, e in expansions if len(e.cols)]
-            cols = np.array([c for c, _, _ in firsts], dtype=np.int64)
+            firsts = [(e.cols[0], be) for be, e in expansions if len(e.cols)]
+            cols = np.array([c for c, _ in firsts], dtype=np.int64)
             order = np.argsort(cols)
             cols = cols[order]
             if len(cols) < len(elems) or np.any(cols[1:] == cols[:-1]):
@@ -599,16 +550,16 @@ class FreeDgl:
                     f"basis expansions in degree {n} do not have distinct leading words, "
                     f"so their independence over F_{self.p} is not certified"
                 )
-            lead = self._lead_cache[n] = (cols, [firsts[i][1] for i in order], [firsts[i][2] for i in order])
+            lead = self._lead_cache[n] = (cols, [firsts[i][1] for i in order])
         return lead
 
     def _coords(self, cols: np.ndarray, coeffs: np.ndarray, n: int) -> dict[BasisElement, int]:
-        """Basis coordinates of a degree-n tensor (sorted distinct columns, coefficients
+        """Basis coordinates of a degree-n tensor (sorted distinct keys, coefficients
         in [1, p)) by leading-word reduction.  A nonzero element of the span has a
         leading word as its least word, where its coefficient is the coordinate times
         the expansion's first (2 for a square); each step subtracts that multiple of
         the expansion, and a least word that leads no expansion is outside the span."""
-        lead, _, elems = self._leading_columns(n)
+        lead, elems = self._leading_columns(n)
         p = self.p
         out: dict[BasisElement, int] = {}
         while cols.size:
@@ -617,7 +568,7 @@ class FreeDgl:
                 raise InternalError("tensor is not in the span of the Lie basis")
             e = self.expansion(elems[s])
             c = out[elems[s]] = int(coeffs[0]) * pow(int(e.coeffs[0]), -1, p) % p
-            _, cols, coeffs = _combine(  # the least words cancel, so they are left out
+            cols, coeffs = _combine(  # the least words cancel, so they are left out
                 np.concatenate([cols[1:], e.cols[1:]]), np.concatenate([coeffs[1:], (p - c) * e.coeffs[1:] % p]), p
             )
         return out
@@ -643,7 +594,7 @@ class FreeDgl:
         cached = self._pair_cache.get((ba, bb))
         if cached is not None:
             return cached
-        t = self._tensor_bracket(self.expansion(ba), ba.degree, self.expansion(bb), bb.degree)
+        t = self._tensor_bracket(self.expansion(ba), ba.word, self.expansion(bb), bb.word)
         result = self._coords(t.cols, t.coeffs, ba.degree + bb.degree)
         self._pair_cache[(ba, bb)] = result
         return result
@@ -655,10 +606,10 @@ class FreeDgl:
         n = e.degree - 1
         cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         for be, c in e.coeffs.items():
-            col, val = self._differential_terms(self.expansion(be), e.degree)
+            col, val = self._differential_terms(be)
             cols.append(col)
             vals.append(val * c % self.p)
-        _, cols, coeffs = _combine(np.concatenate(cols), np.concatenate(vals), self.p)
+        cols, coeffs = _combine(np.concatenate(cols), np.concatenate(vals), self.p)
         if n < 1:
             if cols.size:
                 raise InternalError("differential image escaped below degree 1")
@@ -727,10 +678,10 @@ class FreeDgl:
         elems = self.basis_by_degree.get(n + 1, [])
         if not elems or n < 1:
             return 0
-        lead, words, _ = self._leading_columns(n)
+        lead = self._leading_columns(n)[0]
         if not lead.size:
             return 0
-        pre, target, sign = self._preimages(n, words)
+        pre, target, sign = self._preimages(n)
         expansions = [self.expansion(be) for be in elems]
         cols = np.concatenate([e.cols for e in expansions])
         coeffs = np.concatenate([e.coeffs for e in expansions])
@@ -739,61 +690,59 @@ class FreeDgl:
         at = np.searchsorted(pre, cols)
         k = np.flatnonzero(pre[at] == cols)
         at = at[k]
-        while k.size:  # a column that U holds twice is matched once per copy
+        while k.size:  # a key that U holds twice is matched once per copy
             np.add.at(mat, (np.searchsorted(ends, k, "right"), target[at]), sign[at] * coeffs[k])
             at += 1
             more = pre[at] == cols[k]
             k, at = k[more], at[more]
         return FpMatrix(np.mod(mat, self.p, out=mat), self.p).rank()
 
-    def _preimages(self, n: int, words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U, targets, signs) for the leading words w_s of degree n, given in the
-        order of their columns.
+    def _preimages(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, targets, signs) for the leading words w_s of degree n, s in the order of
+        their keys.
 
-        U holds, sorted, the column of every degree-(n + 1) word u = w_s[:i] c w_s[i+1:]
+        U holds, sorted, the key of every degree-(n + 1) word u = w_s[:i] c w_s[i+1:]
         with d(c) = w_s[i], whose differential has the term (-1)^{deg w_s[:i]} w_s; each
         entry keeps its target s and that sign.  One word u can reach two leading words,
-        so U can hold a column twice.  U ends in T(n + 1), above every column, so a
-        search never runs off its end.
+        so U can hold a key twice.  U ends in B^W, above every key, so a search never
+        runs off its end.
         """
+        lead, elems = self._leading_columns(n)
         image = self.d_image
         groups: dict[int, list[int]] = {}
-        for s, word in enumerate(words):
-            groups.setdefault(len(word), []).append(s)
+        for s, be in enumerate(elems):
+            groups.setdefault(len(be.word), []).append(s)
         cols, targets, signs = ([np.empty(0, dtype=np.int64)] for _ in range(3))
-        for group in groups.values():
+        for length, group in groups.items():
             group = np.array(group)
-            w = np.stack([words[s] for s in group])
+            w = self._letters(lead[group], length)
             degs = self._degrees[w]
             before = np.cumsum(degs, axis=1) - degs
             for c in np.flatnonzero(image >= 0):
                 rows, pos = np.nonzero(w == image[c])
-                u = w[rows]
-                u[np.arange(len(rows)), pos] = c
-                cols.append(self._index(u, n + 1))
+                cols.append(lead[group[rows]] + (c - image[c]) * self._place[pos])
                 targets.append(group[rows])
                 signs.append(1 - 2 * (before[rows, pos] % 2))
         cols = np.concatenate(cols)
         order = np.argsort(cols, kind="stable")
         return (
-            np.append(cols[order], self._offsets[n + 1, -1]),
+            np.append(cols[order], self._base ** len(self._place)),
             np.concatenate(targets)[order],
             np.concatenate(signs)[order],
         )
 
 
-def _combine(cols: np.ndarray, coeffs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge the terms of a tensor that share a column: (first, cols, coeffs) with
-    the surviving columns sorted, their coefficients summed mod p and all nonzero,
-    and first the index of each survivor's first term in the input."""
-    order = np.argsort(cols, kind="stable")
+def _combine(cols: np.ndarray, coeffs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the terms of a tensor that share a key: (cols, coeffs) with the
+    surviving keys sorted, their coefficients summed mod p and all nonzero."""
+    order = np.argsort(cols)
     cols = cols[order]
     first = np.ones(len(cols), dtype=bool)
     np.not_equal(cols[1:], cols[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     coeffs = np.add.reduceat(coeffs[order], starts) % p
     nonzero = coeffs != 0
-    return order[starts[nonzero]], cols[starts[nonzero]], coeffs[nonzero]
+    return cols[starts[nonzero]], coeffs[nonzero]
 
 
 def subspace_dims(

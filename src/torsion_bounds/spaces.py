@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import BoundReport, homology_row, ktheory_params, ktheory_rows
+from .bounds import BoundReport, _as_fraction, _fraction_str, homology_row, ktheory_params, ktheory_rows
 from .charpoly import GeneratorSet
 from .combinat import is_odd_prime
 from .errors import InvalidArgument, ParameterMismatch
@@ -171,4 +171,5 @@ def report(space: SpaceSpec, params: dict[str, int], degree_range, eps="1/2") ->
         raise InvalidArgument(
             f"K-theory degrees must be multiples of g'={kt.g_prime}, got {off_grid[0]}"
         )
-    return ktheory_rows(kt, degrees, eps, note=f"eps={eps}")
+    eps = _as_fraction(eps, "eps")
+    return ktheory_rows(kt, degrees, eps, note=f"eps={_fraction_str(eps)}")

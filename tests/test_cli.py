@@ -223,6 +223,22 @@ def test_eps_above_ceiling_exit_code(args, eps):
     assert f"at most {MAX_EPSILON}" in " ".join(run(args[0], "--help").stdout.split())
 
 
+@pytest.mark.parametrize(
+    "eps, text",
+    [("1e-4300", "1/1" + "0" * 4300), ("0." + "0" * 4299 + "1", "1/1" + "0" * 4300), ("1/3", "1/3"), ("0.5", "1/2"), ("2", "2")],
+    ids=["exponent", "digits", "third", "half", "integer"],
+)
+def test_report_renders_eps_of_any_length(eps, text):
+    # str(Fraction) refuses a denominator of more than 4300 digits; the note renders it whole
+    report, bound = (run(*args, "--eps", eps) for args in _EPS_COMMANDS)
+    assert report.exit_code == bound.exit_code == 0, report.stderr
+    assert report.stdout_bytes == bound.stdout_bytes
+    rows = json.loads(run(*_EPS_COMMANDS[0], "--eps", eps, "--format", "json").stdout)
+    assert {row["note"] for row in rows if row["theorem"] == "ktheory_weak"} == {f"eps={text}"}
+    negative = run(*_EPS_COMMANDS[1], "--eps", "-" + eps)
+    assert negative.exit_code == 1 and negative.stderr == f"error: epsilon must be > 0, got -{text}\n"
+
+
 _EPS_STRINGS = st.one_of(
     st.builds("{}/{}".format, st.integers(-(10**60), 10**60), st.integers(-(10**60), 10**60)),
     st.builds("{}e{}".format, st.integers(-(10**6), 10**6), st.integers(-2000, 2000)),

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from collections import Counter
 from unittest.mock import patch
@@ -331,11 +332,29 @@ def test_algebra_validation():
         alg.differential(alg.letter("x"))  # no differential configured
 
 
-# -- the word index and the array tensors against the dict-of-tuples build they replaced
+def test_key_space_ceiling_is_checked_before_the_basis():
+    # 3^39 < 2^63 <= 3^40: three degree-1 letters fit in int64 keys up to degree 39 only
+    def refuse(*args):
+        raise AssertionError("super_lyndon_basis called")
+
+    three = WeightedAlphabet((("a", 1), ("b", 1), ("c", 1)))
+    with patch.object(dgl_fp, "super_lyndon_basis", refuse):
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgument, match="int64"):
+            FreeDgl(three, 3, 40)
+        assert time.perf_counter() - start < 0.1
+    with patch.object(dgl_fp, "super_lyndon_basis", lambda alphabet, up_to: {}):
+        FreeDgl(three, 3, 39)
+    # the largest algebra the dgl command builds: --q 1 --upto 20, one degree beyond
+    alg = moore_algebra(1, 3, 21)
+    assert alg.dims() == babenko_ranks(WeightedAlphabet.moore(1).generator_set(), 21)
+
+
+# -- the word keys and the array tensors against the dict-of-tuples build they replaced
 
 
 def _reference_words_of_degree(degs, n):
-    """Every word of degree n in the recursive order that defines the word columns."""
+    """Every word of degree n in the recursive (lexicographic) order of the dense columns."""
     words = []
 
     def rec(prefix, remaining):
@@ -395,6 +414,25 @@ def _reference_differential(tensor, degs, d_map, p):
     return {w: c % p for w, c in out.items() if c % p}
 
 
+def _key_space(degs, up_to):
+    """(B, W): keys are W base-B digits, B = max(letters, 2), W = up_to // least degree."""
+    return max(len(degs), 2), up_to // min(degs)
+
+
+def _reference_keys(degs, up_to, words):
+    """Each word's key, computed in Python integers: its letters as base-B digits, left-aligned."""
+    base, width = _key_space(degs, up_to)
+    return np.array([sum(c * base ** (width - 1 - i) for i, c in enumerate(w)) for w in words], dtype=np.int64)
+
+
+def _dense(degs, up_to, n, keys):
+    """The dense column of each degree-n key: its place among the reference words' keys."""
+    ref = _reference_keys(degs, up_to, _reference_words_of_degree(degs, n))
+    at = np.searchsorted(ref, keys)
+    assert np.all(at < len(ref)) and np.array_equal(ref[at], keys)
+    return at
+
+
 def _reference_matrix(degs, n, tensors):
     index = {w: i for i, w in enumerate(_reference_words_of_degree(degs, n))}
     mat = np.zeros((len(tensors), len(index)), dtype=np.int64)
@@ -429,12 +467,13 @@ def test_word_index_and_matrices_match_dict_reference(case):
     alpha = WeightedAlphabet(tuple(zip(names, degs)))
     alg = FreeDgl(alpha, p, up_to, {names[i]: None if j is None else names[j] for i, j in d_map.items()})
 
+    # in each degree the keys rise with the dense columns and stay below the sentinel B^W,
+    # so every leading word, every gathered M[:, S] and every rank is the dense index's
+    base, width = _key_space(degs, up_to)
     for n in range(1, up_to + 1):
-        words = _reference_words_of_degree(degs, n)
-        for length in {len(w) for w in words}:
-            rows = [i for i, w in enumerate(words) if len(w) == length]
-            letters = np.array([words[i] for i in rows], dtype=np.int64)
-            assert alg._index(letters, n).tolist() == rows
+        keys = _reference_keys(degs, up_to, _reference_words_of_degree(degs, n)).tolist()
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(0 <= k < base**width <= np.iinfo(np.int64).max for k in keys)
 
     cache = {}
     expansions = {}
@@ -442,19 +481,22 @@ def test_word_index_and_matrices_match_dict_reference(case):
         for be in alg.basis_by_degree[n]:
             expansions[be] = _reference_expansion(be, degs, p, cache)
             e = alg.expansion(be)
-            assert {tuple(w): c for w, c in zip(e.letters.tolist(), e.coeffs.tolist())} == expansions[be]
-            assert np.array_equal(e.cols, alg._index(e.letters, n))
+            words = list(expansions[be])
+            assert dict(zip(_reference_keys(degs, up_to, words).tolist(), expansions[be].values())) == dict(
+                zip(e.cols.tolist(), e.coeffs.tolist())
+            )
+            assert np.all(e.cols[1:] > e.cols[:-1])
 
     lead = {}
     for n in range(1, up_to + 1):
         elems = alg.basis_by_degree[n]
         ref = _reference_matrix(degs, n, [expansions[be] for be in elems])
         lead[n] = _reference_leading_columns(ref)
-        got_lead, words, in_order = alg._leading_columns(n)
-        assert got_lead.tolist() == lead[n] and sorted(in_order, key=elems.index) == elems
-        # each basis element's reference row leads at its place in S, with its word
+        got_lead, in_order = alg._leading_columns(n)
+        assert _dense(degs, up_to, n, got_lead).tolist() == lead[n] and sorted(in_order, key=elems.index) == elems
+        # each basis element's reference row leads at its place in S, with its first key
         assert [int(np.flatnonzero(ref[elems.index(be)])[0]) for be in in_order] == lead[n]
-        assert [w.tolist() for w in words] == [alg.expansion(be).letters[0].tolist() for be in in_order]
+        assert got_lead.tolist() == [int(alg.expansion(be).cols[0]) for be in in_order]
 
     for n, mat, ref in _boundary_matrices(alg, degs, d_map, p, expansions):
         if lead[n]:
@@ -518,8 +560,10 @@ def test_leading_column_rank_equals_full_reference_rank(case):
         (WeightedAlphabet.moore(1).letters, MOORE_D, 3, 12),
         # a and b both map to c, so each c in a leading word has two preimages
         ((("a", 2), ("b", 2), ("c", 1)), {"a": "c", "b": "c", "c": None}, 5, 10),
+        # the same with the target first: letter 0 is what the padding digits of a key read as
+        ((("c", 1), ("a", 2), ("b", 2)), {"a": "c", "b": "c", "c": None}, 5, 10),
     ],
-    ids=["moore1-p3", "two-letters-one-target"],
+    ids=["moore1-p3", "two-letters-one-target", "target-is-letter-0"],
 )
 def test_gathered_boundary_matrices_match_dict_reference(letters, d_letters, p, up_to):
     alg = FreeDgl(WeightedAlphabet(letters), p, up_to, d_letters)
@@ -536,11 +580,13 @@ def test_gathered_boundary_matrices_match_dict_reference(letters, d_letters, p, 
         lead = _reference_leading_columns(_reference_matrix(degs, n, [expansions[be] for be in alg.basis_by_degree[n]]))
         if lead:
             assert np.array_equal(mat, ref[:, lead])
-            words = alg._leading_columns(n)[1]
-            pre, target, sign = alg._preimages(n, words)
+            words = [_reference_words_of_degree(degs, n)[c] for c in lead]
+            pre, target, sign = alg._preimages(n)
             # one entry per position of a leading word and letter mapping to it, then the sentinel
-            assert len(pre) - 1 == len(target) == len(sign) == sum(preimages[c] for w in words for c in w.tolist())
-            assert pre[-1] == alg._offsets[n + 1, -1]
+            assert len(pre) - 1 == len(target) == len(sign) == sum(preimages[c] for w in words for c in w)
+            base, width = _key_space(degs, up_to)
+            assert pre[-1] == base**width
+            _dense(degs, up_to, n + 1, pre[:-1])  # every preimage key is a word of degree n + 1
             # some degree-(n + 1) word reaches two leading words
             repeated |= bool(np.any(pre[1:] == pre[:-1]))
     assert repeated
@@ -598,23 +644,25 @@ def test_boundary_rank_eliminates_only_the_leading_columns():
 
 class _FullSolveDgl(FreeDgl):
     """FreeDgl with the basis solve it had before the leading-word reduction, kept as
-    a reference: R = E M is the RREF of the whole L_n x T(n) expansion matrix M, read
-    off the reduced [M | I]; a tensor in the span is u R for u its entries at the
-    pivots, and its coordinates are u E (in exact integers here)."""
+    a reference: R = E M is the RREF of the whole L_n x T(n) expansion matrix M on the
+    dense columns of the reference words, read off the reduced [M | I]; a tensor in
+    the span is u R for u its entries at the pivots, and its coordinates are u E (in
+    exact integers here)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._full_solves = {}
 
     def _coords(self, cols, coeffs, n):
-        vec = np.zeros(self._offsets[n, -1], dtype=np.int64)
-        vec[cols] = coeffs
+        degs = self.alphabet.degree_list
+        vec = np.zeros(len(_reference_words_of_degree(degs, n)), dtype=np.int64)
+        vec[_dense(degs, self.up_to, n, cols)] = coeffs
         if n not in self._full_solves:
             elems = self.basis_by_degree[n]
             mat = np.zeros((len(elems), len(vec)), dtype=np.int64)
             for row, be in enumerate(elems):
                 e = self.expansion(be)
-                mat[row, e.cols] = e.coeffs
+                mat[row, _dense(degs, self.up_to, n, e.cols)] = e.coeffs
             rref, transform, pivots = FpMatrix(mat, self.p).rref_with_transform()
             assert len(pivots) == len(elems)
             self._full_solves[n] = rref.astype(object), transform.astype(object), pivots
@@ -644,7 +692,8 @@ def test_brackets_and_differentials_match_the_full_solve(case):
             ref.bracket(ref.from_basis(a), ref.from_basis(b)).coeffs
         )
     # zero on the leading columns, so in the span only if it is zero
-    cols = np.setdiff1d(np.arange(alg._offsets[up_to, -1]), alg._leading_columns(up_to)[0])
+    keys = _reference_keys(degs, up_to, _reference_words_of_degree(degs, up_to))
+    cols = np.setdiff1d(keys, alg._leading_columns(up_to)[0])
     coeffs = np.ones(len(cols), dtype=np.int64)
     for solve in (alg._coords, ref._coords):
         if cols.size:
