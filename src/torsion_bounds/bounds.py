@@ -64,19 +64,22 @@ __all__ = [
 
 
 # Python's own limit on the digits of an integer read from a string.  Fraction
-# builds 10^e exactly for a decimal exponent e, which takes seconds for large e.
+# reads each run of digits through int(str) and builds 10^e exactly for a
+# decimal exponent e, which takes seconds for large e.
 _MAX_DECIMAL_EXPONENT = 4300
 
 
 def _as_fraction(x, name: str) -> Fraction:
-    exponent = re.search(r"[eE][-+]?([\d_]+)", x) if isinstance(x, str) else None
-    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-    if len(digits) > 4 or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
+    text = x.replace("_", "") if isinstance(x, str) else ""
+    exponent = re.search(r"[eE][-+]?(\d+)", text)
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if longest > _MAX_DECIMAL_EXPONENT or (exponent and int(exponent[1]) > _MAX_DECIMAL_EXPONENT):
         raise InvalidArgument(f"{name} must have a decimal exponent of at most {_MAX_DECIMAL_EXPONENT} in magnitude")
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise InvalidArgument(f"{name} must be rational, got {x!r}") from None
+        shown = repr(x) if len(repr(x)) <= 40 else repr(x)[:37] + "..."
+        raise InvalidArgument(f"{name} must be rational, got {shown}") from None
 
 
 def _fraction_str(x: Fraction) -> str:

@@ -10,19 +10,20 @@ enclosure equals the one a bisection from scratch would return.  The full
 complex root cloud is only needed for |psi| and is produced by
 Aberth-Ehrlich simultaneous iteration with a residual acceptance gate,
 once per polynomial and working precision; phi itself never depends on
-that path.  The one sweep loop runs twice: on Python complex from a circle
-start until the relative step is 2^-40, then in mpmath at the working
-precision from where that run ended, usually for two sweeps.  The double
-run keeps each root at the index the circle start gives it.  When it
-overflows, divides by zero, leaves a non-finite root or does not converge,
-the mpmath run starts from the circle instead, exactly as without a seed.
-Acceptance (step tolerance, residual gate, orbit checks) is the same on
-both paths.
+that path.  The sweeps run on Python complex from a circle start until the
+relative step is 2^-40, then on Gaussian integers scaled by 2^F (F above
+the working precision by 16 guard bits and the range of the root moduli)
+from where that run ended, usually for two sweeps.  The double run keeps
+each root at the index the circle start gives it.  When it overflows,
+divides by zero, leaves a non-finite root or does not converge, the
+fixed-point run starts from the circle instead.  Acceptance (step
+tolerance, residual gate, orbit checks) is the same on both paths.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import os
 import threading
@@ -59,6 +60,7 @@ _ABERTH_BITS = 160
 _ABERTH_MAX_ITER = 500
 # the double-precision seed run stops at a relative step of 2^-40
 _SEED_STEP_TOL = 2.0**-40
+_GUARD_BITS = 16  # fixed-point bits beyond the working precision and the range of root moduli
 # Largest precision certified_phi accepts. Bisection time grows about 6x per
 # doubling of the bits (z^3 - z - 1 from scratch: 0.5 s at 8192, 20 s at 32768
 # on a 2-core Xeon host); a report up to M = 4000 asks for about 6.5k bits.
@@ -69,8 +71,8 @@ MAX_PRECISION_BITS = 1 << 15
 # bounds every run by the degree-3 case at MAX_PRECISION_BITS.
 MAX_BITS_TIMES_DEGREE = 3 * MAX_PRECISION_BITS
 # Largest generator degree, i.e. degree of the characteristic polynomial. Each
-# Aberth sweep costs O(k^2) mpmath operations: roots --degrees 1:1,k:1 takes
-# 3.0 s at k = 150, 5.8 s at 200 and 15 s at 300 on a 2-core Xeon host.
+# Aberth sweep costs O(k^2) big-integer operations: roots --degrees 1:1,k:1 takes
+# 0.7 s at k = 150, 1.2 s at 200 and 1.7 s at 300 on a 2-core Xeon host.
 MAX_POLY_DEGREE = 150
 
 
@@ -285,62 +287,52 @@ def _exact_root_enclosure(poly: MonicIntPoly, num: int, shift: int, bits: int) -
 
 
 @lru_cache(maxsize=None)
-def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[tuple, tuple]:
-    """All complex roots by Aberth-Ehrlich iteration; returns (roots, residuals).
+def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[tuple, tuple, tuple]:
+    """All complex roots by Aberth-Ehrlich iteration; returns (roots, residuals, root_errors).
 
-    The sweeps run first in double precision from the circle start, then at
-    `bits` from where that run ended; when the double run fails they start
-    at `bits` from the circle.  Memoized: a polynomial's cloud is computed
+    The sweeps run first in double precision from the circle start, then in
+    fixed point from where that run ended, or from the circle when it fails.
+    Residuals |P| and errors |P| / |P'| come from the fixed Horner at the
+    roots rounded to `bits`.  Memoized: a polynomial's cloud is computed
     once per working precision.
     """
-    k = poly.degree
-    with mp.workprec(bits):
-        if k == 1:
-            z = mpmath.mpc(-poly.coeffs[0])
-            return (z,), (abs(poly(z)),)
-        radius = max(mpf(abs(poly.coeffs[0])) ** (mpf(1) / k), mpf("0.5"))
+    # root moduli lie in [1/H, H] for the coefficient bound H, so 2 log2 H more bits keep each precise
+    k, shift = poly.degree, bits + _GUARD_BITS + 2 * poly.coeff_bound().bit_length()
+    if k == 1:
+        xs, ys = [-poly.coeffs[0] << shift], [0]
+    else:
+        radius = max(math.exp(math.log(abs(poly.coeffs[0])) / k), 0.5)
         # slightly irrational angular offset so symmetric configurations cannot lock
-        z = [radius * mpmath.expjpi(mpf(2 * j + 1) / k + mpf(1) / (3 * k + 1)) for j in range(k)]
-        seed = _double_seed(poly, [complex(zi) for zi in z])
-        if seed is not None:
-            z = [mpmath.mpc(zi.real, zi.imag) for zi in seed]
-        step_tol = mpf(2) ** (-(bits - 8))
-        _aberth_sweeps(poly, z, step_tol, step_tol + mpf("1e-3"), _mp_sum)
-        residuals = [abs(poly(zi)) for zi in z]
-        gate = [RESIDUAL_TOL * (1 + abs(zi)) ** k for zi in z]
+        z = [cmath.rect(radius, math.pi * ((2 * j + 1) / k + 1 / (3 * k + 1))) for j in range(k)]
+        seed = z[:]
+        with contextlib.suppress(OverflowError, ZeroDivisionError):
+            if _aberth_sweeps(poly, seed) and all(map(cmath.isfinite, seed)):
+                z = seed
+        xs, ys = [int(mpmath.ldexp(zi.real, shift)) for zi in z], [int(mpmath.ldexp(zi.imag, shift)) for zi in z]
+        _fixed_sweeps(poly, xs, ys, bits, shift)
+    roots, residuals, errors = [], [], []
+    with mp.workprec(bits):
+        for x, y in zip(xs, ys):
+            x, y = int(mpf(x)), int(mpf(y))  # rounded to `bits`, still an integer
+            px, py, dx, dy = _fixed_horner(poly.coeffs, x, y, shift)
+            residual = math.isqrt(px * px + py * py)
+            residuals.append(mpmath.ldexp(residual, -shift))
+            errors.append(mpf(residual) / math.isqrt(dx * dx + dy * dy) if dx or dy else mpf("inf"))
+            roots.append(mpmath.mpc(mpmath.ldexp(x, -shift), mpmath.ldexp(y, -shift)))
+        gate = [RESIDUAL_TOL * (1 + abs(z)) ** k for z in roots]
         bad = [i for i in range(k) if residuals[i] > gate[i]]
         if bad:
             raise NumericFailure(
                 f"root iteration left residuals above gate at indices {bad}; "
                 f"max residual {mpmath.nstr(max(residuals), 8)}"
             )
-        return tuple(z), tuple(residuals)
+    return tuple(roots), tuple(residuals), tuple(errors)
 
 
-def _mp_sum(terms):
-    return mpmath.fsum(terms, absolute=False)
-
-
-def _double_seed(poly: MonicIntPoly, z: list[complex]) -> list[complex] | None:
-    """The Aberth sweeps on Python complex from z to a relative step of 2^-40;
-    None when they overflow, divide by zero, leave a non-finite root or do
-    not converge."""
-    try:
-        converged = _aberth_sweeps(poly, z, _SEED_STEP_TOL, _SEED_STEP_TOL + 1e-3, sum)
-    except (OverflowError, ZeroDivisionError):
-        return None
-    if not converged or not all(cmath.isfinite(zi) for zi in z):
-        return None
-    return z
-
-
-def _aberth_sweeps(poly: MonicIntPoly, z: list, step_tol, nudge, total) -> bool:
-    """Aberth-Ehrlich sweeps on z in place, in the number type of z.
-
-    True once a sweep's largest step relative to 1 + |z_i| is <= step_tol;
-    False after _ABERTH_MAX_ITER sweeps.  A root where P' vanishes moves by
-    `nudge`; `total` sums the 1/(z_i - z_j) terms.
-    """
+def _aberth_sweeps(poly: MonicIntPoly, z: list[complex]) -> bool:
+    """Aberth-Ehrlich sweeps on Python complex z in place: True once a sweep's
+    largest step relative to 1 + |z_i| is <= 2^-40, False after
+    _ABERTH_MAX_ITER sweeps.  A root where P' vanishes moves by 2^-40 + 1e-3."""
     k = len(z)
     for _ in range(_ABERTH_MAX_ITER):
         max_step = 0
@@ -350,18 +342,65 @@ def _aberth_sweeps(poly: MonicIntPoly, z: list, step_tol, nudge, total) -> bool:
                 continue
             dv = poly.derivative_at(z[i])
             if dv == 0:
-                z[i] += nudge
+                z[i] += _SEED_STEP_TOL + 1e-3
                 max_step = 1
                 continue
             w = pv / dv
-            s = total(1 / (z[i] - z[j]) for j in range(k) if j != i)
+            s = sum(1 / (z[i] - z[j]) for j in range(k) if j != i)
             denom = 1 - w * s
             delta = w if denom == 0 else w / denom
             z[i] -= delta
             max_step = max(max_step, abs(delta) / (1 + abs(z[i])))
-        if max_step <= step_tol:
+        if max_step <= _SEED_STEP_TOL:
             return True
     return False
+
+
+def _fixed_horner(coeffs: tuple[int, ...], x: int, y: int, shift: int) -> tuple[int, int, int, int]:
+    """Re P, Im P, Re P', Im P' at (x + iy) / 2^shift, all scaled by 2^shift (products rounded down)."""
+    px, py, dx, dy = 1 << shift, 0, 0, 0
+    for a in reversed(coeffs[:-1]):
+        dx, dy = ((dx * x - dy * y) >> shift) + px, ((dx * y + dy * x) >> shift) + py
+        px, py = ((px * x - py * y) >> shift) + (a << shift), (px * y + py * x) >> shift
+    return px, py, dx, dy
+
+
+def _fixed_sweeps(poly: MonicIntPoly, xs: list[int], ys: list[int], bits: int, shift: int) -> int | None:
+    """Aberth-Ehrlich sweeps in place on the roots (xs + i ys) / 2^shift.
+
+    Returns the sweep count once every step of a sweep has |delta| <=
+    2^-(bits-8) (1 + |z_i|), None after _ABERTH_MAX_ITER sweeps.  A root where
+    P' vanishes moves by 2^-(bits-8) + 1e-3; a z_j equal to z_i adds nothing
+    to the sum of 1/(z_i - z_j).
+    """
+    one = 1 << shift
+    for sweep in range(1, _ABERTH_MAX_ITER + 1):
+        converged = True
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            px, py, dx, dy = _fixed_horner(poly.coeffs, x, y, shift)
+            if px == py == 0:
+                continue
+            if dx == dy == 0:
+                xs[i] += (one >> (bits - 8)) + one // 1000
+                converged = False
+                continue
+            slope = dx * dx + dy * dy  # w = P / P'
+            wx, wy = ((px * dx + py * dy) << shift) // slope, ((py * dx - px * dy) << shift) // slope
+            sx = sy = 0
+            for xj, yj in zip(xs, ys):
+                ex, ey = x - xj, y - yj
+                if dist := ex * ex + ey * ey:
+                    sx, sy = sx + (ex << 2 * shift) // dist, sy - (ey << 2 * shift) // dist
+            # delta = w / (1 - w s), or w where 1 - w s vanishes
+            nx, ny = one - ((wx * sx - wy * sy) >> shift), -((wx * sy + wy * sx) >> shift)
+            if den := nx * nx + ny * ny:
+                wx, wy = ((wx * nx + wy * ny) << shift) // den, ((wy * nx - wx * ny) << shift) // den
+            xs[i], ys[i] = x, y = x - wx, y - wy
+            if (wx * wx + wy * wy) << (2 * bits - 16) > (one + math.isqrt(x * x + y * y)) ** 2:
+                converged = False
+        if converged:
+            return sweep
+    return None
 
 
 @dataclass(frozen=True)
@@ -424,7 +463,7 @@ def root_profile(poly: MonicIntPoly, g: int, precision_bits: int) -> RootProfile
     phi_lo, phi_hi, phi = certified_phi(poly, precision_bits)
 
     aberth_bits = max(_ABERTH_BITS, min(precision_bits, 320))
-    roots, residuals = _aberth_roots(poly, aberth_bits)
+    roots, residuals, errors = _aberth_roots(poly, aberth_bits)
     with mp.workprec(aberth_bits):
         phi_w = (mpf(phi_lo.numerator) / phi_lo.denominator + mpf(phi_hi.numerator) / phi_hi.denominator) / 2
         moduli = [abs(z) for z in roots]
@@ -442,10 +481,6 @@ def root_profile(poly: MonicIntPoly, g: int, precision_bits: int) -> RootProfile
                     f"a {g}-th root of unity"
                 )
         psi_abs = max((moduli[i] for i in rest), default=None)
-        errors = []
-        for i, z in enumerate(roots):
-            dv = abs(poly.derivative_at(z))
-            errors.append(residuals[i] / dv if dv > 0 else mpf("inf"))
     return RootProfile(
         phi=phi,
         phi_lo=phi_lo,
@@ -454,7 +489,7 @@ def root_profile(poly: MonicIntPoly, g: int, precision_bits: int) -> RootProfile
         g=g,
         roots=roots,
         residuals=residuals,
-        root_errors=tuple(errors),
+        root_errors=errors,
         precision_bits=precision_bits,
     )
 

@@ -361,6 +361,36 @@ def test_huge_decimal_exponent_exit_code(args):
     assert result.stderr.startswith("error: ") and "decimal exponent of at most 4300" in result.stderr
 
 
+_LONG_DECIMAL = "0." + "0" * 100_000 + "1"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "100", "--eps", _LONG_DECIMAL),
+        ("bound", "--ktheory", "--degrees", "2:1,4:1", "--conn", "1", "--dim", "4", "--p", "3", "--upto", "100",
+         "--eps", _LONG_DECIMAL),
+        ("bezout", "--alpha", "3", "--beta", "4", "--a", _LONG_DECIMAL, "--n", "1", "--cap", "100"),
+        ("bezout", "--alpha", "3", "--beta", "4", "--a", "1/2", "--b", "1" * 5000, "--n", "1", "--cap", "100"),
+    ],
+    ids=["report-eps", "bound-eps", "bezout-a", "bezout-b"],
+)
+def test_decimal_over_4300_digits_exit_code(args):
+    # int(str) refuses more than 4300 digits; such an input meets the decimal ceiling
+    result = run(*args)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1 and len(result.stderr) < 120
+    assert "decimal exponent of at most 4300" in result.stderr
+
+
+@pytest.mark.parametrize("text", ["x" * 100_000, "1/" + "x" * 100_000], ids=["letters", "fraction"])
+def test_bad_rational_echoes_at_most_40_characters(text):
+    result = run("bezout", "--alpha", "3", "--beta", "4", "--a", text, "--n", "1", "--cap", "100")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: --a must be rational, got ")
+    assert result.stderr.count("\n") == 1 and len(result.stderr) < 90
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_lie_rank_renders_ranks_over_4300_digits(fmt):
     # str(int) refuses more than 4300 digits; the last rank here has 4397
