@@ -1,30 +1,38 @@
 """Evaluation of every explicit lower bound with certified constants.
 
-All real arithmetic runs under an explicit mpmath working precision that
-auto-scales with the largest exponent in play (charpoly.profile_bits; the
-TORSION_BOUNDS_PRECISION floor is read in charpoly.precision_for_exponent
-only), so identical inputs give bit-identical outputs.  Rational constants
-(a, b, B, theta, thresholds) are kept as exact Fractions in the parameter
-objects and only converted to floating point inside a formula; each row
-sizes its own root profile.
+All real arithmetic of the public functions runs under an explicit mpmath
+working precision P that auto-scales with the largest exponent in play
+(charpoly.profile_bits; the TORSION_BOUNDS_PRECISION floor is read in
+charpoly.precision_for_exponent only), so identical inputs give
+bit-identical outputs.  Rational constants (a, b, B, theta, thresholds) are
+kept as exact Fractions in the parameter objects and only converted to
+floating point inside a formula; each row sizes its own root profile.
 
 homology_row and ktheory_rows build the report rows of the two routes;
-the CLI's bound and report commands both go through them.  Negative
-bound values are reported as-is: they are valid but vacuous.
+the CLI's bound and report commands both go through them.  A row prints
+its bound to 24 significant digits, and its precision_bits column is P,
+the precision whose 24 digits are printed.  When P >= 2L, the row is first
+evaluated at L = 112 + bitlen(W) bits, W bounding the exponents times the
+logarithms of their bases, from the profile's phi and |psi| rounded to L
+bits (_row_value).  A rigorous bound e on its distance to the P-bit value
+decides the row (Ziv's rounding test): when v - e and v + e print alike,
+without 0 or the printed decimal between them, the row keeps v, whose
+digits and sign are those of the P-bit value; otherwise it takes the P-bit
+value from f_q, ktheory_lower or weak_lower.  Negative bound values are
+reported as-is: they are valid but vacuous.
 
-Two values of the K-theory rows are computed once and reused:
+Three values of the K-theory path are computed once and reused:
 
 - log phi, once per (phi, precision).  A non-dyadic power phi ** t makes
   mpmath take log phi at prec + 10 bits and return exp(t log phi) with the
   product exact; _phi_pow takes the same steps with the logarithm cached,
   and leaves the exact integer and square-root powers to mpmath.
-- the ktheory_lower value, once per (params, n(M), bits).  M enters the
-  formula only through n(M) and the row's precision, and a profile is
-  fixed by its precision.
+- the ktheory_lower value, once per (params, n(M), bits), and the strong
+  row's value likewise.  M enters the formula only through n(M) and the
+  row's precision, and a profile is fixed by its precision.
 
-Both reuse a value that the same operations at the same precision would
-compute again, so every result stays bit-identical.  ktheory_lower and
-weak_lower are still called once per row.
+Each reuses a value that the same operations at the same precision would
+compute again, so every result stays bit-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from mpmath import mp, mpf
@@ -42,6 +50,7 @@ from mpmath import mp, mpf
 from .charpoly import GeneratorSet, char_poly, profile_bits, profile_for_exponent, root_profile
 from .combinat import is_odd_prime
 from .errors import CoverageViolation, InvalidArgument
+from .render import prints_alike
 
 __all__ = [
     "BezoutCoverage",
@@ -170,20 +179,38 @@ def f_q(q: int, n: int, p: int = 3) -> mpf:
     The value does not depend on p; the argument is kept for interface
     symmetry with boundary_lower and is validated only.
     """
+    params = _fq_params(q, n, p)
+    with mp.workprec(params.precision_bits):
+        return _fq_terms(n, params.phi, params.psi_abs, params.c, params.kappa)[0]
+
+
+def _fq_params(q: int, n: int, p: int) -> HomologyBoundParams:
     if n < 2:
         raise InvalidArgument(f"f_q requires N >= 2, got {n}")
-    params = homology_params(q, p, n)
-    with mp.workprec(params.precision_bits):
-        phi, psi = params.phi, params.psi_abs
-        main = (1 - (mpf(n) / (n - 1)) / phi) * phi**n / n
-        return main - params.c * n * phi ** (mpf(n) / 2) - params.kappa * psi**n
+    return homology_params(q, p, n)
+
+
+def _fq_terms(n: int, phi: mpf, psi: mpf, c: mpf, kappa: mpf) -> tuple[mpf, mpf]:
+    """f_q(N) and the sum of its terms' magnitudes, at the working precision."""
+    ratio = (mpf(n) / (n - 1)) / phi
+    power = phi**n
+    middle = c * n * phi ** (mpf(n) / 2)
+    tail = kappa * psi**n
+    return (1 - ratio) * power / n - middle - tail, (1 + ratio) * power / n + middle + tail
 
 
 def homology_row(q: int, p: int, n: int, note: str = "") -> BoundReport:
-    """The homology_boundary row at degree N: f_q(N) at its working precision."""
-    value = f_q(q, n, p)
-    bits = homology_params(q, p, n).precision_bits
-    return BoundReport(n, value, "homology_boundary", bool(value <= 0), bits, note=note)
+    """The homology_boundary row at degree N: the digits of f_q(N) at its working precision."""
+    params = _fq_params(q, n, p)
+    phi, psi = params.phi, params.psi_abs
+    value = _row_value(
+        params.precision_bits,
+        _weight((phi, n), (phi, n / 2), (psi, n)),
+        partial(_fq_terms, n),
+        (phi, psi, params.c, params.kappa),
+        lambda: f_q(q, n, p),
+    )
+    return BoundReport(n, value, "homology_boundary", bool(value <= 0), params.precision_bits, note=note)
 
 
 def boundary_lower(q: int, n: int, p: int = 3) -> mpf:
@@ -517,10 +544,19 @@ def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
             - q_l (3 + 2 |psi|^{(n+8(p-1)^2)g}),  n = n(M);
     below the threshold where n(M) < 0 the report carries bound 0 and a tag.
     """
+    return _strong_row(params, m, _strong_value)
+
+
+def _check_degree(params: KTheoryParams, m: int) -> None:
     if m < 1:
         raise InvalidArgument(f"M must be >= 1, got {m}")
     if m % params.g_prime:
         raise InvalidArgument(f"M={m} is not a multiple of g'={params.g_prime}")
+
+
+def _strong_row(params: KTheoryParams, m: int, value_of) -> BoundReport:
+    """The ktheory_guaranteed row at M, its bound from value_of(params, n, bits, phi, psi_abs)."""
+    _check_degree(params, m)
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
     bits = profile.precision_bits
     n = params.n_of(m)
@@ -533,7 +569,7 @@ def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
             precision_bits=bits,
             note="below-threshold",
         )
-    value = _strong_value(params, n, bits, profile.phi, profile.psi_abs)
+    value = value_of(params, n, bits, profile.phi, profile.psi_abs)
     return BoundReport(
         degree=m,
         bound=value,
@@ -548,12 +584,32 @@ def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
 def _strong_value(params: KTheoryParams, n: int, bits: int, phi: mpf, psi_abs: mpf | None) -> mpf:
     # phi and psi_abs are those of the profile at bits, so the key is (params, n, bits)
     with mp.workprec(bits):
-        big_e = n + 8 * (params.p - 1) ** 2
-        value = phi ** (n * params.g) / big_e
-        value -= params.g * phi ** (mpf(big_e * params.g) / 2)
-        if psi_abs is not None:
-            value -= params.gen.q_max * (3 + 2 * psi_abs ** (big_e * params.g))
-        return value
+        return _strong_terms(params, n, phi, psi_abs)[0]
+
+
+@lru_cache(maxsize=None)
+def _strong_digits(params: KTheoryParams, n: int, bits: int, phi: mpf, psi_abs: mpf | None) -> mpf:
+    """A value with the digits and sign of _strong_value, keyed the same way."""
+    big_eg = (n + 8 * (params.p - 1) ** 2) * params.g
+    return _row_value(
+        bits,
+        _weight((phi, n * params.g), (phi, big_eg / 2), (psi_abs, big_eg)),
+        partial(_strong_terms, params, n),
+        (phi, psi_abs),
+        lambda: _strong_value(params, n, bits, phi, psi_abs),
+    )
+
+
+def _strong_terms(params: KTheoryParams, n: int, phi: mpf, psi_abs: mpf | None) -> tuple[mpf, mpf]:
+    """The strong bound at n and the sum of its terms' magnitudes, at the working precision."""
+    big_e = n + 8 * (params.p - 1) ** 2
+    main = phi ** (n * params.g) / big_e
+    half = params.g * phi ** (mpf(big_e * params.g) / 2)
+    value, size = main - half, main + half
+    if psi_abs is not None:
+        tail = params.gen.q_max * (3 + 2 * psi_abs ** (big_e * params.g))
+        value, size = value - tail, size + tail
+    return value, size
 
 
 def ktheory_main_term(params: KTheoryParams, m: int) -> mpf:
@@ -577,19 +633,37 @@ MAX_EPSILON = 64
 
 def weak_lower(params: KTheoryParams, m: int, epsilon) -> mpf:
     """(1 / M^{1+eps}) phi^{ratio M}."""
-    if m < 1:
-        raise InvalidArgument(f"M must be >= 1, got {m}")
-    if m % params.g_prime:
-        raise InvalidArgument(f"M={m} is not a multiple of g'={params.g_prime}")
+    profile, eps = _weak_inputs(params, m, epsilon)
+    with mp.workprec(profile.precision_bits):
+        return _weak_terms(params, m, eps, profile.phi)[0]
+
+
+def _weak_inputs(params: KTheoryParams, m: int, epsilon):
+    _check_degree(params, m)
     eps = _as_fraction(epsilon, "epsilon")
     if eps <= 0:
         raise InvalidArgument(f"epsilon must be > 0, got {_fraction_str(eps)}")
     if eps > MAX_EPSILON:
         raise InvalidArgument(f"epsilon must be <= {MAX_EPSILON}")  # its digits may run to any length
-    profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
-    with mp.workprec(profile.precision_bits):
-        exponent = _mpf_of(params.ratio * m)
-        return _phi_pow(profile.phi, exponent) / mpf(m) ** (1 + _mpf_of(eps))
+    return profile_for_exponent(params.gen, _exponent_budget(params, m)), eps
+
+
+def _weak_terms(params: KTheoryParams, m: int, eps: Fraction, phi: mpf) -> tuple[mpf, mpf]:
+    """The weak bound at M, which is its own magnitude, at the working precision."""
+    value = _phi_pow(phi, _mpf_of(params.ratio * m)) / mpf(m) ** (1 + _mpf_of(eps))
+    return value, value
+
+
+def _weak_row(params: KTheoryParams, m: int, epsilon, note: str) -> BoundReport:
+    profile, eps = _weak_inputs(params, m, epsilon)
+    value = _row_value(
+        profile.precision_bits,
+        _weight((profile.phi, params.ratio * m), (m, 1 + eps)),
+        partial(_weak_terms, params, m, eps),
+        (profile.phi,),
+        lambda: weak_lower(params, m, eps),
+    )
+    return BoundReport(m, value, "ktheory_weak", bool(value <= 0), profile.precision_bits, note=note)
 
 
 def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[BoundReport]:
@@ -603,8 +677,49 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
         profile_for_exponent(params.gen, _exponent_budget(params, max(degrees)))
     rows = []
     for m in degrees:
-        strong = ktheory_lower(params, m)
-        weak = weak_lower(params, m, eps)
-        weak_row = BoundReport(m, weak, "ktheory_weak", bool(weak <= 0), strong.precision_bits, note=note)
-        rows += [strong, weak_row]
+        rows += [_strong_row(params, m, _strong_digits), _weak_row(params, m, eps, note)]
     return rows
+
+
+# -- the rows' digits -----------------------------------------------------------------
+
+# A row at precision P is first evaluated at L = _ROW_BITS + bitlen(W) bits, W its
+# weight, and only when P >= 2 L; the error bound is raised by 2^_ROW_SAFETY_BITS.
+_ROW_BITS = 112
+_ROW_SAFETY_BITS = 8
+
+
+def _weight(*powers) -> int:
+    """An integer W >= the sum of |y| (1 + |ln x|) over the powers x^y of a formula
+    (x None stands for a term the formula leaves out); 2^(mag x - 3) <= |x| <= 2^mag x."""
+    return sum(math.ceil(abs(y)) * (4 + abs(int(mp.mag(x)))) for x, y in powers if x is not None)
+
+
+def _row_value(bits: int, weight: int, terms, inputs: tuple, reference) -> mpf:
+    """The bound a row prints: terms(*inputs) at L bits when its digits and sign
+    provably equal those of reference(), the value at `bits`; else reference()."""
+    low = _ROW_BITS + weight.bit_length()
+    if bits >= 2 * low:
+        value, err = _low_precision(low, bits, weight, terms, inputs)
+        lo, hi = mp.fsub(value, err, exact=True), mp.fadd(value, err, exact=True)
+        if not lo <= 0 <= hi and prints_alike(lo, hi):
+            return value
+    return reference()
+
+
+def _low_precision(low: int, bits: int, weight: int, terms, inputs: tuple) -> tuple[mpf, mpf]:
+    """(v, e): v = terms(*inputs) with the inputs rounded to `low` bits and every
+    operation run at `low` bits, and e >= |v - r| for the r that terms(*inputs)
+    returns at `bits` bits.
+
+    terms returns its value and S, the sum of the magnitudes of its terms.  Each
+    term is a rational constant or input times powers x^y: rounding x and y to
+    w bits moves x^y by |y| (1 + |ln x|) 2^-w relatively, and each of the at
+    most 16 operations on a term (mpmath's powers, logarithms and exponentials
+    are good to one ulp) by 2^(1-w).  So |v - r| <= S (2W + 32) (2^-L + 2^-P),
+    and 2^_ROW_SAFETY_BITS times that also covers the rounding of S and of e.
+    """
+    with mp.workprec(low):
+        value, size = terms(*(None if x is None else +x for x in inputs))
+        err = size * (2 * weight + 32) * (mpf(2) ** -low + mpf(2) ** -bits) * 2**_ROW_SAFETY_BITS
+    return value, err

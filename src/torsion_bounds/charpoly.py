@@ -5,7 +5,9 @@ The dominant root phi is certified by sign-change bisection in exact
 dyadic arithmetic, so the stored enclosure [phi_lo, phi_hi] really does
 satisfy P(phi_lo) < 0 < P(phi_hi).  Each polynomial keeps one bisection
 state that is refined in place along the one bisection path, so a sweep
-at rising precision never restarts from the initial bracket; every
+at rising precision never restarts from the initial bracket.  A deeper
+request jumps to its cell by integer Newton, accepted by the two exact
+sign evaluations, and takes single steps only when Newton misses; every
 enclosure equals the one a bisection from scratch would return.  The full
 complex root cloud is only needed for |psi| and is produced by
 Aberth-Ehrlich simultaneous iteration with a residual acceptance gate,
@@ -61,14 +63,20 @@ _ABERTH_MAX_ITER = 500
 # the double-precision seed run stops at a relative step of 2^-40
 _SEED_STEP_TOL = 2.0**-40
 _GUARD_BITS = 16  # fixed-point bits beyond the working precision and the range of root moduli
-# Largest precision certified_phi accepts. Bisection time grows about 6x per
-# doubling of the bits (z^3 - z - 1 from scratch: 0.5 s at 8192, 20 s at 32768
-# on a 2-core Xeon host); a report up to M = 4000 asks for about 6.5k bits.
+# Newton on the bisection path starts once the bracket has this many bits below
+# bitlen(H), and carries this many bits beyond the cell it aims for
+_NEWTON_GUARD_BITS = 32
+_NEWTON_MAX_ITER = 64
+# Largest precision certified_phi accepts. The Newton jump takes 15 ms for
+# z^3 - z - 1 at 32768 bits, but the single-step fallback grows about 6x per
+# doubling of the bits (0.5 s at 8192, 20 s at 32768 on a 2-core Xeon host),
+# and this bounds it; a report up to M = 4000 asks for about 6.5k bits.
 MAX_PRECISION_BITS = 1 << 15
-# Largest precision times degree certified_phi accepts. Bisection time grows about
-# like degree^2 * bits^2.6 (6.8 s at degree 50 and 2048 bits, 2.3 s at 150 and 655 on
-# a 2-core Xeon host), so for a fixed product it falls as the degree grows, and this
-# bounds every run by the degree-3 case at MAX_PRECISION_BITS.
+# Largest precision times degree certified_phi accepts. Single-step bisection time
+# grows about like degree^2 * bits^2.6 (6.8 s at degree 50 and 2048 bits, 2.3 s at
+# 150 and 655 on a 2-core Xeon host; Newton takes 33 ms at the latter), so for a
+# fixed product it falls as the degree grows, and this bounds every fallback by the
+# degree-3 case at MAX_PRECISION_BITS.
 MAX_BITS_TIMES_DEGREE = 3 * MAX_PRECISION_BITS
 # Largest generator degree, i.e. degree of the characteristic polynomial. Each
 # Aberth sweep costs O(k^2) big-integer operations: roots --degrees 1:1,k:1 takes
@@ -207,7 +215,11 @@ def precision_for_exponent(n_max: int, phi_upper: float) -> int:
     The TORSION_BOUNDS_PRECISION environment variable raises the floor;
     this is the one place in the package that reads it.
     """
-    bits = math.ceil(max(n_max, 1) * math.log2(max(phi_upper, 1.0) + 1e-9)) + 64
+    try:
+        log_upper = math.log2(max(phi_upper, 1.0) + 1e-9)
+    except OverflowError:  # an integer bound past the float range, where the 1e-9 is lost anyway
+        log_upper = math.log2(phi_upper)
+    bits = math.ceil(max(n_max, 1) * log_upper) + 64
     floor = int(os.environ.get("TORSION_BOUNDS_PRECISION", "0") or 0)
     return max(bits, 64, floor)
 
@@ -216,11 +228,17 @@ class _Bisection:
     """The one bisection path of a polynomial from [0, H], refined in place.
 
     Bisection from a fixed bracket is deterministic: after s steps the
-    bracket is [j H, (j + 1) H] / 2^s for one integer j.  Only (H, j, s) at
-    the deepest step reached is kept.  A request for more steps continues
-    from there; a request for fewer reads its bracket off as j >> (s - s').
-    Either way the answer is the bracket a bisection from scratch returns.
-    P(0) = a_0 <= -1 for this family, so [0, H] brackets phi once P(H) > 0.
+    bracket is [j H, (j + 1) H] / 2^s for one integer j, and since phi is
+    the only root in [0, H], j = floor(phi 2^s / H) unless a midpoint hits
+    phi exactly.  Only (H, j, s) at the deepest step reached is kept.  A
+    request for fewer steps reads its bracket off as j >> (s - s').  A
+    request for more takes single steps down to bitlen(H) + 32 steps, then
+    jumps to the requested cell: integer Newton from the midpoint of the
+    deepest bracket estimates j, and two exact sign evaluations accept it.
+    When Newton gives up or lands off the cell, single steps continue from
+    the deepest bracket.  Either way the answer is the bracket a bisection
+    from scratch returns.  P(0) = a_0 <= -1 for this family, so [0, H]
+    brackets phi once P(H) > 0.
     """
 
     def __init__(self, poly: MonicIntPoly):
@@ -243,27 +261,64 @@ class _Bisection:
         # each step halves the width H / 2^s; run until it is <= 2^-bits
         steps = bits + self.h.bit_length()
         with self._lock:
-            while self.steps < steps and self.exact is None:
-                self._step()
+            self._single_steps(min(steps, self.h.bit_length() + _NEWTON_GUARD_BITS))
+            if self.exact is None and self.steps < steps:
+                j = self._newton(steps)
+                if j is not None and self._brackets(j, steps):
+                    self.j, self.steps = j, steps
+            self._single_steps(steps)
             # A rational phi is an integer m (P is monic), met if at all at step
-            # v2(H) - v2(m) < H.bit_length() <= steps: a bisection from scratch
-            # for any request meets it too.
+            # v2(H) - v2(m) < H.bit_length() <= steps, by the single steps above:
+            # a bisection from scratch for any request meets it too.
             if self.exact is not None:
                 return _exact_root_enclosure(self.poly, *self.exact, bits)
             j = self.j >> (self.steps - steps)
-        lo_num, hi_num = j * self.h, (j + 1) * self.h
-        if not (self.poly.eval_scaled(lo_num, steps) < 0 < self.poly.eval_scaled(hi_num, steps)):
+        if not self._brackets(j, steps):
             raise NumericFailure("bisection bracket lost its sign change")
-        return lo_num, hi_num, steps
+        return j * self.h, (j + 1) * self.h, steps
 
-    def _step(self) -> None:
-        mid, shift = (2 * self.j + 1) * self.h, self.steps + 1
-        s = self.poly.eval_scaled(mid, shift)
-        if s == 0:
-            self.exact = (mid, shift)
-            return
-        self.j = 2 * self.j + (s < 0)
-        self.steps = shift
+    def _brackets(self, j: int, steps: int) -> bool:
+        """P < 0 < P at the two ends of cell j after `steps` steps."""
+        return self.poly.eval_scaled(j * self.h, steps) < 0 < self.poly.eval_scaled((j + 1) * self.h, steps)
+
+    def _single_steps(self, steps: int) -> None:
+        while self.steps < steps and self.exact is None:
+            mid, shift = (2 * self.j + 1) * self.h, self.steps + 1
+            s = self.poly.eval_scaled(mid, shift)
+            if s == 0:
+                self.exact = (mid, shift)
+                return
+            self.j = 2 * self.j + (s < 0)
+            self.steps = shift
+
+    def _newton(self, steps: int) -> int | None:
+        """Newton's estimate of floor(phi 2^steps / H), or None when it gives up.
+
+        x = X / 2^F starts at the midpoint of the deepest bracket, where it
+        has A = s + 1 - bitlen(H) correct bits; each iteration takes F = 2A
+        + 32 and counts on 2A - 16 correct bits after it.  At the last F,
+        steps + 32 + degree * bitlen(H) (the Horner rounding grows with the
+        coefficients), iterations go on until a step is below
+        2^-(steps + 16).  Each iterate is clamped to the deepest bracket.
+        Newton gives up when P'(x) <= 0 or after _NEWTON_MAX_ITER iterations.
+        """
+        guard, h = _NEWTON_GUARD_BITS, self.h
+        last = steps + guard + self.poly.degree * h.bit_length()
+        shift = self.steps + 1
+        x, lo, hi = (2 * self.j + 1) * h, 2 * self.j * h, (2 * self.j + 2) * h
+        accurate = shift - h.bit_length()
+        for _ in range(_NEWTON_MAX_ITER):
+            up = max(min(2 * accurate + guard, last) - shift, 0)
+            x, lo, hi, shift = x << up, lo << up, hi << up, shift + up
+            p, _, d, _ = _fixed_horner(self.poly.coeffs, x, 0, shift)
+            if d <= 0:
+                return None
+            dx = (p << shift) // d
+            x = min(max(x - dx, lo), hi)
+            if shift == last and abs(dx) >> (last - steps - guard // 2) == 0:
+                return (x << steps) // (h << shift)
+            accurate = 2 * accurate - guard // 2
+        return None
 
 
 # the one bisection state of each polynomial
@@ -301,7 +356,13 @@ def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[tuple, tuple, tuple]:
     if k == 1:
         xs, ys = [-poly.coeffs[0] << shift], [0]
     else:
-        radius = max(math.exp(math.log(abs(poly.coeffs[0])) / k), 0.5)
+        try:
+            radius = max(math.exp(math.log(abs(poly.coeffs[0])) / k), 0.5)
+        except OverflowError:
+            raise InvalidArgument(
+                f"|a_0|^(1/{k}) of the characteristic polynomial is past the double range, "
+                "where the root iteration starts"
+            ) from None
         # slightly irrational angular offset so symmetric configurations cannot lock
         z = [cmath.rect(radius, math.pi * ((2 * j + 1) / k + 1 / (3 * k + 1))) for j in range(k)]
         seed = z[:]

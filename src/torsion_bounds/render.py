@@ -12,12 +12,14 @@ import decimal
 import io
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from mpmath import mpf
 
-from .bounds import BoundReport
+if TYPE_CHECKING:
+    from .bounds import BoundReport
 
-__all__ = ["decimal_str", "report_rows", "to_csv", "to_json"]
+__all__ = ["decimal_str", "prints_alike", "report_rows", "to_csv", "to_json"]
 
 SIGNIFICANT_DIGITS = 24
 
@@ -32,21 +34,7 @@ def decimal_str(x, sig: int = SIGNIFICANT_DIGITS) -> str:
     """
     if isinstance(x, int):
         return format(decimal.Decimal(x), "f")
-    if isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-    elif isinstance(x, mpf) or hasattr(x, "_mpf_"):
-        sign, man, exp, _ = x._mpf_
-        man, exp = int(man), int(exp)  # the gmpy2 backend hands back mpz
-        if man == 0 and exp == 0:
-            return "0"
-        num = -man if sign else man
-        den = 1
-        if exp >= 0:
-            num <<= exp
-        else:
-            den = 1 << -exp
-    else:
-        raise TypeError(f"decimal_str cannot render {type(x).__name__}")
+    num, den = _ratio(x)
     if num == 0:
         return "0"
     with decimal.localcontext() as ctx:
@@ -54,6 +42,31 @@ def decimal_str(x, sig: int = SIGNIFICANT_DIGITS) -> str:
         value = decimal.Decimal(num) / decimal.Decimal(den)
     out = format(value, "f")
     return out
+
+
+def _ratio(x) -> tuple[int, int]:
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, mpf) or hasattr(x, "_mpf_"):
+        sign, man, exp, _ = x._mpf_
+        man, exp = int(man), int(exp)  # the gmpy2 backend hands back mpz
+        num = -man if sign else man
+        return (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
+    raise TypeError(f"decimal_str cannot render {type(x).__name__}")
+
+
+def prints_alike(lo: mpf, hi: mpf) -> bool:
+    """True when decimal_str gives every real in [lo, hi] the same string.
+
+    Decimal division rounds correctly, so rounding to SIGNIFICANT_DIGITS is
+    monotone and two ends that print alike round every real between them to
+    the same decimal D.  The one exception is D itself, whose exact quotient
+    prints without trailing zeros, so an interval holding D is refused.
+    """
+    text = decimal_str(lo)
+    return text == decimal_str(hi) and not (
+        Fraction(*_ratio(lo)) <= Fraction(decimal.Decimal(text)) <= Fraction(*_ratio(hi))
+    )
 
 
 def report_rows(reports: list[BoundReport]) -> list[dict]:

@@ -247,3 +247,78 @@ def test_warm_root_profile_equals_cold(gen, requests):
         cold = root_profile(poly, gen.g, bits)
         for field in fields(RootProfile):
             assert getattr(profile, field.name) == getattr(cold, field.name), field.name
+
+
+# -- the Newton jump along the bisection path ----------------------------------
+
+
+@st.composite
+def _dominant_polys(draw):
+    """z^k - sum c_i z^i with c_0 >= 1 and each other c_i zero, small or up to 10^30."""
+    k = draw(st.integers(1, 40))
+    big = st.integers(1, 10**30)
+    small = st.integers(0, 9)
+    rest = [draw(st.one_of(small, big)) for _ in range(k - 1)]
+    c0 = draw(st.one_of(st.integers(1, 9), big))
+    return MonicIntPoly(tuple([-c0] + [-c for c in rest] + [1]))
+
+
+def _requests(k):
+    # bits times degree at most 16384, so the reference bisection stays within a second
+    cap = max(64, min(4096, 16384 // k))
+    return st.lists(st.integers(64, cap), min_size=1, max_size=3)
+
+
+def _assert_requests_match_cold_bisection(poly, requests):
+    state = charpoly._Bisection(poly)
+    for bits in requests:
+        assert state.enclosure(bits) == _reference_enclosure(poly, bits), (poly.coeffs, bits)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_newton_bracket_equals_cold_bisection(data):
+    poly = data.draw(_dominant_polys())
+    _assert_requests_match_cold_bisection(poly, data.draw(_requests(poly.degree)))
+
+
+@pytest.mark.parametrize(
+    "poly, requests",
+    [
+        (MonicIntPoly((-2, -1, 1)), [4096, 64, 2000]),  # z^2 - z - 2: phi = 2 lies inside every cell
+        (MonicIntPoly((-2, -3, 0, 1)), [64, 4096]),  # z^3 - 3z - 2: phi = 2 is met at step 1
+        (char_poly(GeneratorSet.parse("2:1,4:1")), [3264, 64, 4096]),
+        (char_poly(GeneratorSet.parse("1:3,2:1,7:2")), [2000, 500]),
+        (MonicIntPoly((-(10**30),) * 3 + (1,)), [4096, 128]),  # phi within 10^-60 of H
+    ],
+    ids=["z2-z-2", "z3-3z-2", "2:1,4:1", "1:3,2:1,7:2", "phi-at-H"],
+)
+def test_newton_bracket_on_integer_roots_and_falling_requests(poly, requests):
+    _assert_requests_match_cold_bisection(poly, requests)
+
+
+@pytest.mark.parametrize("miss", [-1, 1, None], ids=["below", "above", "gave-up"])
+def test_newton_off_the_cell_falls_back_to_single_steps(monkeypatch, miss):
+    poly = char_poly(GeneratorSet.parse("2:1,3:1"))
+    newton = charpoly._Bisection._newton
+    monkeypatch.setattr(
+        charpoly._Bisection, "_newton", lambda self, steps: None if miss is None else newton(self, steps) + miss
+    )
+    state = charpoly._Bisection(poly)
+    for bits in (600, 64, 1200):
+        assert state.enclosure(bits) == _reference_enclosure(poly, bits)
+
+
+def test_newton_jumps_without_single_steps(monkeypatch):
+    poly = char_poly(GeneratorSet.parse("2:1,4:1"))
+    calls = []
+    evaluate = MonicIntPoly.eval_scaled
+    monkeypatch.setattr(
+        MonicIntPoly, "eval_scaled", lambda self, num, shift: calls.append(shift) or evaluate(self, num, shift)
+    )
+    state = charpoly._Bisection(poly)
+    lo, hi, shift = state.enclosure(3200)
+    assert shift == state.steps == 3200 + state.h.bit_length()
+    # the seed steps down to bitlen(H) + 32, then two sign checks of Newton's cell and two of the answer
+    assert len(calls) <= state.h.bit_length() + 32 + 1 + 4
+    assert _reference_enclosure(poly, 3200) == (lo, hi, shift)

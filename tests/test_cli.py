@@ -419,3 +419,32 @@ def test_dgl_prime_above_ceiling_exit_code():
     assert result.exit_code == 1
     assert result.stderr.startswith(f"error: p must be <= {MAX_PRIME}")
     assert str(MAX_PRIME) in run("dgl", "--help").stdout
+
+
+# a multiplicity past the float range (about 1.8e308)
+_HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "args, exit_code, stderr",
+    [
+        # z^2 - 10^400 z - 1: phi = 10^400 computes, at the bits the integer bound asks for
+        (("roots", "--degrees", f"1:{_HUGE},2:1", "--format", "json"), 0, ""),
+        # z^3 - 10^400 z - 1 reaches the root classification and is refused there like
+        # 2:1000000,3:1: its roots +-10^200 have moduli 10^-400 apart, inside the 1e-8
+        # orbit tolerance (ORBIT_TIE_TOL), so they count as one orbit of two
+        (("roots", "--degrees", f"2:{_HUGE},3:1"), 2, "verification failure: expected 1 max-modulus roots, found 2"),
+        (("bound", "--ktheory", "--degrees", f"2:{_HUGE},3:1", "--conn", "1", "--dim", "5", "--p", "3", "--upto", "20"),
+         1, "error: precision_bits must be <= 32768"),
+        # z^2 - z - 10^700: the root iteration's double-precision start cannot hold 10^350
+        (("roots", "--degrees", f"1:1,2:{10**700}"), 1, "error: |a_0|^(1/2) of the characteristic polynomial"),
+    ],
+    ids=["roots-computes", "roots-orbit", "bound-ktheory", "roots-past-doubles"],
+)
+def test_multiplicity_past_the_float_range_ends_without_a_traceback(args, exit_code, stderr):
+    result = run(*args)
+    assert result.exit_code == exit_code
+    assert result.stderr.startswith(stderr) and "Traceback" not in result.stderr
+    if exit_code == 0:
+        out = json.loads(result.stdout)
+        assert out["phi"] == "1" + "0" * 400 and out["precision_bits"] == 1329 + 64  # ceil(log2 10^400) + 64
