@@ -8,18 +8,21 @@ bit-identical outputs.  Rational constants (a, b, B, theta, thresholds) are
 kept as exact Fractions in the parameter objects and only converted to
 floating point inside a formula; each row sizes its own root profile.
 
-homology_row and ktheory_rows build the report rows of the two routes;
+homology_rows and ktheory_rows build the report rows of the two routes;
 the CLI's bound and report commands both go through them.  A row prints
 its bound to 24 significant digits, and its precision_bits column is P,
-the precision whose 24 digits are printed.  When P >= 2L, the row is first
-evaluated at L = 112 + bitlen(W) bits, W bounding the exponents times the
-logarithms of their bases, from the profile's phi and |psi| rounded to L
-bits (_row_value).  A rigorous bound e on its distance to the P-bit value
-decides the row (Ziv's rounding test): when v - e and v + e print alike,
-without 0 or the printed decimal between them, the row keeps v, whose
-digits and sign are those of the P-bit value; otherwise it takes the P-bit
-value from f_q, ktheory_lower or weak_lower.  Negative bound values are
-reported as-is: they are valid but vacuous.
+the precision whose 24 digits are printed.  Each table's rows are first
+evaluated in one integer pass (_Running) on mantissas of F = 112 +
+bitlen(W) + bitlen(rows) bits, W bounding the exponents of the deepest row
+times the logarithms of their bases: consecutive rows differ by one factor
+of phi, sqrt(phi) or |psi| to a power, so each power is a running product,
+restarted from the row's own profile whenever the profile changes or the
+degrees skip.  A rigorous bound e on the distance of the row's value v to
+the P-bit value decides the row (Ziv's rounding test): when v - e and
+v + e print alike, without 0 or the printed decimal between them, the row
+keeps v, whose digits and sign are those of the P-bit value; otherwise it
+takes the P-bit value from f_q, ktheory_lower or weak_lower.  Negative
+bound values are reported as-is: they are valid but vacuous.
 
 Three values of the K-theory path are computed once and reused:
 
@@ -27,9 +30,9 @@ Three values of the K-theory path are computed once and reused:
   mpmath take log phi at prec + 10 bits and return exp(t log phi) with the
   product exact; _phi_pow takes the same steps with the logarithm cached,
   and leaves the exact integer and square-root powers to mpmath.
-- the ktheory_lower value, once per (params, n(M), bits), and the strong
-  row's value likewise.  M enters the formula only through n(M) and the
-  row's precision, and a profile is fixed by its precision.
+- the ktheory_lower value, once per (params, n(M), bits), and within a
+  table the strong row's value likewise.  M enters the formula only through
+  n(M) and the row's precision, and a profile is fixed by its precision.
 
 Each reuses a value that the same operations at the same precision would
 compute again, so every result stays bit-identical.
@@ -42,10 +45,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .charpoly import GeneratorSet, char_poly, profile_bits, profile_for_exponent, root_profile
 from .combinat import is_odd_prime
@@ -62,7 +66,7 @@ __all__ = [
     "boundary_lower",
     "condition_star",
     "f_q",
-    "homology_row",
+    "homology_rows",
     "ktheory_lower",
     "ktheory_rows",
     "min_j",
@@ -181,7 +185,9 @@ def f_q(q: int, n: int, p: int = 3) -> mpf:
     """
     params = _fq_params(q, n, p)
     with mp.workprec(params.precision_bits):
-        return _fq_terms(n, params.phi, params.psi_abs, params.c, params.kappa)[0]
+        phi = params.phi
+        main = (1 - (mpf(n) / (n - 1)) / phi) * phi**n / n
+        return main - params.c * n * phi ** (mpf(n) / 2) - params.kappa * params.psi_abs**n
 
 
 def _fq_params(q: int, n: int, p: int) -> HomologyBoundParams:
@@ -190,27 +196,38 @@ def _fq_params(q: int, n: int, p: int) -> HomologyBoundParams:
     return homology_params(q, p, n)
 
 
-def _fq_terms(n: int, phi: mpf, psi: mpf, c: mpf, kappa: mpf) -> tuple[mpf, mpf]:
-    """f_q(N) and the sum of its terms' magnitudes, at the working precision."""
-    ratio = (mpf(n) / (n - 1)) / phi
-    power = phi**n
-    middle = c * n * phi ** (mpf(n) / 2)
-    tail = kappa * psi**n
-    return (1 - ratio) * power / n - middle - tail, (1 + ratio) * power / n + middle + tail
+def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
+    """The homology_boundary row at each degree N, in order: the digits of f_q(N)
+    at its working precision, with note(N) as its note when note is given.
 
-
-def homology_row(q: int, p: int, n: int, note: str = "") -> BoundReport:
-    """The homology_boundary row at degree N: the digits of f_q(N) at its working precision."""
-    params = _fq_params(q, n, p)
-    phi, psi = params.phi, params.psi_abs
-    value = _row_value(
-        params.precision_bits,
-        _weight((phi, n), (phi, n / 2), (psi, n)),
-        partial(_fq_terms, n),
-        (phi, psi, params.c, params.kappa),
-        lambda: f_q(q, n, p),
-    )
-    return BoundReport(n, value, "homology_boundary", bool(value <= 0), params.precision_bits, note=note)
+    The deepest row's parameters are built first, so a range past the
+    precision ceiling fails before any row is computed.
+    """
+    degrees = list(degrees)
+    if not degrees:
+        return []
+    if min(degrees) < 2:
+        raise InvalidArgument(f"homology-route degrees start at 2, got {min(degrees)}")
+    deepest = max(degrees)
+    top = homology_params(q, p, deepest)
+    running = _Running(_weight((top.phi, deepest), (top.phi, deepest / 2), (top.psi_abs, deepest)), len(degrees), 1)
+    rows, bucket = [], None
+    for n in degrees:
+        if -(-n // 64) != bucket:  # the precision depends on N only through ceil(N / 64)
+            bucket, params = -(-n // 64), homology_params(q, p, n)
+        bits, phi = params.precision_bits, params.phi
+        (big, half, tail, c, kappa, inverse), steps = running.powers(bits, n, lambda: (
+            (phi, 1, 0), (phi, Fraction(1, 2), 0), (params.psi_abs, 1, 0),
+            (params.c, 0, 1), (params.kappa, 0, 1), (phi, 0, -1),
+        ))
+        # phi^N/N - phi^(N-1)/(N-1) - c N phi^(N/2) - kappa |psi|^N
+        middle, less = _mul(c, half), _div(_mul(big, inverse), n - 1)
+        terms = (_div(big, n), _neg(less), (-n * middle[0], middle[1]), _neg(_mul(kappa, tail)))
+        value = running.decide(terms, steps, bits)
+        if value is None:
+            value = f_q(q, n, p)
+        rows.append(BoundReport(n, value, "homology_boundary", bool(value <= 0), bits, note=note(n) if note else ""))
+    return rows
 
 
 def boundary_lower(q: int, n: int, p: int = 3) -> mpf:
@@ -544,7 +561,11 @@ def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
             - q_l (3 + 2 |psi|^{(n+8(p-1)^2)g}),  n = n(M);
     below the threshold where n(M) < 0 the report carries bound 0 and a tag.
     """
-    return _strong_row(params, m, _strong_value)
+    _check_degree(params, m)
+    profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
+    bits, n = profile.precision_bits, params.n_of(m)
+    value = None if n is None else _strong_value(params, n, bits, profile.phi, profile.psi_abs)
+    return _strong_row(m, n, value, bits)
 
 
 def _check_degree(params: KTheoryParams, m: int) -> None:
@@ -554,62 +575,22 @@ def _check_degree(params: KTheoryParams, m: int) -> None:
         raise InvalidArgument(f"M={m} is not a multiple of g'={params.g_prime}")
 
 
-def _strong_row(params: KTheoryParams, m: int, value_of) -> BoundReport:
-    """The ktheory_guaranteed row at M, its bound from value_of(params, n, bits, phi, psi_abs)."""
-    _check_degree(params, m)
-    profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
-    bits = profile.precision_bits
-    n = params.n_of(m)
+def _strong_row(m: int, n: int | None, value: mpf | None, bits: int) -> BoundReport:
+    """The ktheory_guaranteed row at M with n = n(M), bound value unless n is None."""
     if n is None:
-        return BoundReport(
-            degree=m,
-            bound=mpf(0),
-            theorem="ktheory_guaranteed",
-            vacuous=True,
-            precision_bits=bits,
-            note="below-threshold",
-        )
-    value = value_of(params, n, bits, profile.phi, profile.psi_abs)
-    return BoundReport(
-        degree=m,
-        bound=value,
-        theorem="ktheory_guaranteed",
-        vacuous=bool(value <= 0),
-        precision_bits=bits,
-        note=f"n(M)={n}",
-    )
+        return BoundReport(m, mpf(0), "ktheory_guaranteed", True, bits, note="below-threshold")
+    return BoundReport(m, value, "ktheory_guaranteed", bool(value <= 0), bits, note=f"n(M)={n}")
 
 
 @lru_cache(maxsize=None)
 def _strong_value(params: KTheoryParams, n: int, bits: int, phi: mpf, psi_abs: mpf | None) -> mpf:
     # phi and psi_abs are those of the profile at bits, so the key is (params, n, bits)
     with mp.workprec(bits):
-        return _strong_terms(params, n, phi, psi_abs)[0]
-
-
-@lru_cache(maxsize=None)
-def _strong_digits(params: KTheoryParams, n: int, bits: int, phi: mpf, psi_abs: mpf | None) -> mpf:
-    """A value with the digits and sign of _strong_value, keyed the same way."""
-    big_eg = (n + 8 * (params.p - 1) ** 2) * params.g
-    return _row_value(
-        bits,
-        _weight((phi, n * params.g), (phi, big_eg / 2), (psi_abs, big_eg)),
-        partial(_strong_terms, params, n),
-        (phi, psi_abs),
-        lambda: _strong_value(params, n, bits, phi, psi_abs),
-    )
-
-
-def _strong_terms(params: KTheoryParams, n: int, phi: mpf, psi_abs: mpf | None) -> tuple[mpf, mpf]:
-    """The strong bound at n and the sum of its terms' magnitudes, at the working precision."""
-    big_e = n + 8 * (params.p - 1) ** 2
-    main = phi ** (n * params.g) / big_e
-    half = params.g * phi ** (mpf(big_e * params.g) / 2)
-    value, size = main - half, main + half
-    if psi_abs is not None:
-        tail = params.gen.q_max * (3 + 2 * psi_abs ** (big_e * params.g))
-        value, size = value - tail, size + tail
-    return value, size
+        big_e = n + 8 * (params.p - 1) ** 2
+        value = phi ** (n * params.g) / big_e - params.g * phi ** (mpf(big_e * params.g) / 2)
+        if psi_abs is not None:
+            value -= params.gen.q_max * (3 + 2 * psi_abs ** (big_e * params.g))
+        return value
 
 
 def ktheory_main_term(params: KTheoryParams, m: int) -> mpf:
@@ -633,37 +614,20 @@ MAX_EPSILON = 64
 
 def weak_lower(params: KTheoryParams, m: int, epsilon) -> mpf:
     """(1 / M^{1+eps}) phi^{ratio M}."""
-    profile, eps = _weak_inputs(params, m, epsilon)
-    with mp.workprec(profile.precision_bits):
-        return _weak_terms(params, m, eps, profile.phi)[0]
-
-
-def _weak_inputs(params: KTheoryParams, m: int, epsilon):
     _check_degree(params, m)
+    eps = _epsilon(epsilon)
+    profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
+    with mp.workprec(profile.precision_bits):
+        return _phi_pow(profile.phi, _mpf_of(params.ratio * m)) / mpf(m) ** (1 + _mpf_of(eps))
+
+
+def _epsilon(epsilon) -> Fraction:
     eps = _as_fraction(epsilon, "epsilon")
     if eps <= 0:
         raise InvalidArgument(f"epsilon must be > 0, got {_fraction_str(eps)}")
     if eps > MAX_EPSILON:
         raise InvalidArgument(f"epsilon must be <= {MAX_EPSILON}")  # its digits may run to any length
-    return profile_for_exponent(params.gen, _exponent_budget(params, m)), eps
-
-
-def _weak_terms(params: KTheoryParams, m: int, eps: Fraction, phi: mpf) -> tuple[mpf, mpf]:
-    """The weak bound at M, which is its own magnitude, at the working precision."""
-    value = _phi_pow(phi, _mpf_of(params.ratio * m)) / mpf(m) ** (1 + _mpf_of(eps))
-    return value, value
-
-
-def _weak_row(params: KTheoryParams, m: int, epsilon, note: str) -> BoundReport:
-    profile, eps = _weak_inputs(params, m, epsilon)
-    value = _row_value(
-        profile.precision_bits,
-        _weight((profile.phi, params.ratio * m), (m, 1 + eps)),
-        partial(_weak_terms, params, m, eps),
-        (profile.phi,),
-        lambda: weak_lower(params, m, eps),
-    )
-    return BoundReport(m, value, "ktheory_weak", bool(value <= 0), profile.precision_bits, note=note)
+    return eps
 
 
 def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[BoundReport]:
@@ -673,18 +637,52 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
     precision ceiling fails before any row is computed.
     """
     degrees = list(degrees)
-    if degrees:
-        profile_for_exponent(params.gen, _exponent_budget(params, max(degrees)))
+    if not degrees:
+        return []
+    top = profile_for_exponent(params.gen, _exponent_budget(params, max(degrees)))
+    _check_degree(params, degrees[0])
+    eps = _epsilon(eps)
+    g, tail_e = params.g, 8 * (params.p - 1) ** 2
+    m_top = max(degrees)
+    n_top = params.n_of(m_top) or 0
+    weight = _weight(
+        (top.phi, n_top * g), (top.phi, (n_top + tail_e) * g / 2), (top.psi_abs, (n_top + tail_e) * g),
+        (top.phi, params.ratio * m_top), (m_top, 1 + eps),
+    )
+    strong, weak = _Running(weight, len(degrees), 1), _Running(weight, len(degrees), params.g_prime)
+    strong_values = {}  # M enters the strong bound only through n(M) and the profile
     rows = []
     for m in degrees:
-        rows += [_strong_row(params, m, _strong_digits), _weak_row(params, m, eps, note)]
+        _check_degree(params, m)
+        profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
+        bits, phi, psi, n = profile.precision_bits, profile.phi, profile.psi_abs, params.n_of(m)
+        if n is not None and (n, bits) not in strong_values:
+            powers, steps = strong.powers(
+                bits, n, lambda: ((phi, g, 0), (phi, Fraction(g, 2), Fraction(tail_e * g, 2)), (psi, g, tail_e * g))
+            )
+            # phi^(ng)/E - g phi^(Eg/2) - 3 q_l - 2 q_l |psi|^(Eg), E = n + 8(p-1)^2
+            terms = [_div(powers[0], n + tail_e), (-g * powers[1][0], powers[1][1])]
+            if psi is not None:
+                terms += [(-3 * params.gen.q_max, 0), (-2 * params.gen.q_max * powers[2][0], powers[2][1])]
+            value = strong.decide(terms, steps, bits)
+            strong_values[n, bits] = _strong_value(params, n, bits, phi, psi) if value is None else value
+        (power,), steps = weak.powers(bits, m, lambda: ((phi, params.ratio, 0),))
+        with mp.workprec(weak.bits):
+            denominator = mpf(m) ** (1 + _mpf_of(eps))
+        value = weak.decide([weak.divide(power, denominator)], steps, bits)
+        if value is None:
+            value = weak_lower(params, m, eps)
+        rows += [
+            _strong_row(m, n, strong_values.get((n, bits)), bits),
+            BoundReport(m, value, "ktheory_weak", bool(value <= 0), bits, note=note),
+        ]
     return rows
 
 
 # -- the rows' digits -----------------------------------------------------------------
 
-# A row at precision P is first evaluated at L = _ROW_BITS + bitlen(W) bits, W its
-# weight, and only when P >= 2 L; the error bound is raised by 2^_ROW_SAFETY_BITS.
+# A table's rows run on mantissas of F = _ROW_BITS + bitlen(W) + bitlen(rows) bits, W
+# the weight of its deepest row; the error bound is raised by 2^_ROW_SAFETY_BITS.
 _ROW_BITS = 112
 _ROW_SAFETY_BITS = 8
 
@@ -695,31 +693,102 @@ def _weight(*powers) -> int:
     return sum(math.ceil(abs(y)) * (4 + abs(int(mp.mag(x)))) for x, y in powers if x is not None)
 
 
-def _row_value(bits: int, weight: int, terms, inputs: tuple, reference) -> mpf:
-    """The bound a row prints: terms(*inputs) at L bits when its digits and sign
-    provably equal those of reference(), the value at `bits`; else reference()."""
-    low = _ROW_BITS + weight.bit_length()
-    if bits >= 2 * low:
-        value, err = _low_precision(low, bits, weight, terms, inputs)
-        lo, hi = mp.fsub(value, err, exact=True), mp.fadd(value, err, exact=True)
-        if not lo <= 0 <= hi and prints_alike(lo, hi):
-            return value
-    return reference()
+def _mantissa(x: mpf, bits: int) -> tuple[int, int]:
+    """x > 0 rounded down to a mantissa of `bits` bits: (m, k) with m 2^k <= x < (m + 1) 2^k."""
+    _, man, exp, bc = x._mpf_
+    shift = int(bc) - bits
+    return (int(man) >> shift, exp + shift) if shift >= 0 else (int(man) << -shift, exp + shift)
 
 
-def _low_precision(low: int, bits: int, weight: int, terms, inputs: tuple) -> tuple[mpf, mpf]:
-    """(v, e): v = terms(*inputs) with the inputs rounded to `low` bits and every
-    operation run at `low` bits, and e >= |v - r| for the r that terms(*inputs)
-    returns at `bits` bits.
+def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a b rounded down to the bit length of a's mantissa."""
+    m = a[0] * b[0]
+    shift = m.bit_length() - a[0].bit_length()
+    return m >> shift, a[1] + b[1] + shift
 
-    terms returns its value and S, the sum of the magnitudes of its terms.  Each
-    term is a rational constant or input times powers x^y: rounding x and y to
-    w bits moves x^y by |y| (1 + |ln x|) 2^-w relatively, and each of the at
-    most 16 operations on a term (mpmath's powers, logarithms and exponentials
-    are good to one ulp) by 2^(1-w).  So |v - r| <= S (2W + 32) (2^-L + 2^-P),
-    and 2^_ROW_SAFETY_BITS times that also covers the rounding of S and of e.
+
+def _div(a: tuple[int, int], n: int) -> tuple[int, int]:
+    """a / n rounded down, with a mantissa at least as long as a's."""
+    shift = n.bit_length()
+    return (a[0] << shift) // n, a[1] - shift
+
+
+def _neg(a: tuple[int, int]) -> tuple[int, int]:
+    return -a[0], a[1]
+
+
+class _Running:
+    """One integer pass over a table's rows, from the rows' own profiles.
+
+    powers() gives x^(a N + b) for each base x of the row's profile, stepping
+    from the previous row by one floor-rounded multiply by x^(a step) when the
+    row's profile is the previous row's and N is the previous N + step, and
+    restarting from mpmath powers at F bits otherwise.  Every mantissa has at
+    least F bits, so each rounding moves its value by less than 2^(1-F)
+    relatively.
+
+    enclose() sums the row's signed terms into v and bounds |v - r| by e, r the
+    value that the row's formula returns at its precision P from the same
+    profile, and decide() keeps v when v - e and v + e print alike.  Each term
+    is a product of constants and powers x^y.  Rounding the exponents to F bits
+    moves it by at most the sum of |y| |ln x| 2^(1-F) <= W 2^(1-F) relatively,
+    and its other roundings number at most 8 + 2 j: the mpmath restart powers
+    and constants, 2 per step over the j steps since the restart, and the
+    term's own products and quotients.  So v is within S (W + 8 + 2 j) 2^(3-F)
+    of the exact formula, S the sum of the terms' magnitudes, and r within
+    S (2W + 32) 2^(8-P) of it, mpmath's powers, logs and exps being good to one
+    ulp.  e = S (2W + 32 + 4 j) 2^(9 - min(F, P)), plus one unit of the sum per
+    term for its alignment, covers both.
     """
-    with mp.workprec(low):
-        value, size = terms(*(None if x is None else +x for x in inputs))
-        err = size * (2 * weight + 32) * (mpf(2) ** -low + mpf(2) ** -bits) * 2**_ROW_SAFETY_BITS
-    return value, err
+
+    def __init__(self, weight: int, rows: int, step: int):
+        self.bits = _ROW_BITS + weight.bit_length() + rows.bit_length()
+        self.weight, self.step, self.at = weight, step, None
+
+    def powers(self, key, n: int, bases) -> tuple[list, int]:
+        """[x^(a n + b) for (x, a, b) in bases()], x None giving None, and the steps since the restart."""
+        if self.at == (key, n - self.step):
+            self.steps += 1
+            self.values = [v if s is None else _mul(v, s) for v, s in zip(self.values, self.factors)]
+        else:
+            self.steps = 0
+            with mp.workprec(self.bits):
+                bases = [(x, Fraction(a), Fraction(b)) for x, a, b in bases()]
+                self.values = [None if x is None else self.round(x ** _mpf_of(a * n + b)) for x, a, b in bases]
+                self.factors = [
+                    None if x is None or not a else self.round(x ** _mpf_of(a * self.step)) for x, a, _ in bases
+                ]
+        self.at = (key, n)
+        return self.values, self.steps
+
+    def round(self, x: mpf) -> tuple[int, int]:
+        return _mantissa(x, self.bits)
+
+    def divide(self, a: tuple[int, int], x: mpf) -> tuple[int, int]:
+        """a / x rounded down, x rounded down to F bits."""
+        m, k = self.round(x)
+        return (a[0] << self.bits) // m, a[1] - k - self.bits
+
+    def enclose(self, terms, steps: int, bits: int) -> tuple[int, int, int]:
+        """(V, E, k): v = V 2^k is the sum of the signed terms (m, k'), each worth
+        m 2^k', and e = E 2^k bounds |v - r|."""
+        base = max(k + m.bit_length() for m, k in terms) - self.bits - 16
+        value = size = 0
+        for m, k in terms:
+            t = m << (k - base) if k >= base else m >> (base - k)
+            value += t
+            size += abs(t) + 1
+        err = (size * (2 * self.weight + 32 + 4 * steps) << _ROW_SAFETY_BITS) >> (min(self.bits, bits) - 1)
+        return value, err + len(terms) + 1, base
+
+    def decide(self, terms, steps: int, bits: int) -> mpf | None:
+        """v when every real within e of it prints v's digits and has its sign; else None."""
+        value, err, base = self.enclose(terms, steps, bits)
+        lo, hi = value - err, value + err
+        if (lo > 0 or hi < 0) and prints_alike(_exact(lo, base), _exact(hi, base)):
+            return _exact(value, base)
+        return None
+
+
+def _exact(m: int, k: int) -> mpf:
+    return mp.make_mpf(from_man_exp(m, k))

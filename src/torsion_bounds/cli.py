@@ -15,7 +15,7 @@ import click
 import mpmath
 
 from . import verify as verify_mod
-from .bounds import MAX_EPSILON, MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_row, ktheory_params, ktheory_rows
+from .bounds import MAX_EPSILON, MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_rows, ktheory_params, ktheory_rows
 from .charpoly import (
     MAX_BITS_TIMES_DEGREE, MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, root_profile
 )
@@ -192,7 +192,7 @@ def bound_cmd(route, q, p, degrees, conn, dim, eps, from_, upto, fmt, out):
     if route == "homology":
         if q is None:
             raise InvalidArgument("--homology requires --q")
-        reports = [homology_row(q, p, n) for n in _degree_range(from_, upto, 2)]
+        reports = homology_rows(q, p, _degree_range(from_, upto, 2))
     else:
         if degrees is None or conn is None or dim is None:
             raise InvalidArgument("--ktheory requires --degrees, --conn and --dim")

@@ -64,9 +64,11 @@ def prints_alike(lo: mpf, hi: mpf) -> bool:
     prints without trailing zeros, so an interval holding D is refused.
     """
     text = decimal_str(lo)
-    return text == decimal_str(hi) and not (
-        Fraction(*_ratio(lo)) <= Fraction(decimal.Decimal(text)) <= Fraction(*_ratio(hi))
-    )
+    if text != decimal_str(hi):
+        return False
+    (lo_num, lo_den), (hi_num, hi_den) = _ratio(lo), _ratio(hi)
+    num, den = decimal.Decimal(text).as_integer_ratio()  # every denominator is positive
+    return not (lo_num * den <= num * lo_den and num * hi_den <= hi_num * den)
 
 
 def report_rows(reports: list[BoundReport]) -> list[dict]:

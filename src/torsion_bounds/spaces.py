@@ -1,7 +1,7 @@
 """Catalog of example spaces and guaranteed torsion lower-bound tables.
 
 A SpaceSpec is a parameterized family; report() instantiates it and builds
-its rows with bounds.homology_row / bounds.ktheory_rows, one BoundReport
+its rows with bounds.homology_rows / bounds.ktheory_rows, one BoundReport
 per (degree, bound kind).  Homology-route rows carry f_q(N) as the
 lower bound for the torsion of the homotopy group one degree up (pi_{N+1});
 K-theory-route rows carry both the guaranteed bound and the weak
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import BoundReport, _as_fraction, _fraction_str, homology_row, ktheory_params, ktheory_rows
+from .bounds import BoundReport, _as_fraction, _fraction_str, homology_rows, ktheory_params, ktheory_rows
 from .charpoly import GeneratorSet
 from .combinat import is_odd_prime
 from .errors import InvalidArgument, ParameterMismatch
@@ -161,10 +161,7 @@ def report(space: SpaceSpec, params: dict[str, int], degree_range, eps="1/2") ->
     degrees = sorted(set(int(d) for d in degree_range))
     p = params["p"]
     if space.route == "homology":
-        if degrees and degrees[0] < 2:
-            raise InvalidArgument(f"homology-route degrees start at 2, got {degrees[0]}")
-        q = params["q"]
-        return [homology_row(q, p, n, note=f"bounds rank of pi_{{{n + 1}}} torsion") for n in degrees]
+        return homology_rows(params["q"], p, degrees, note=lambda n: f"bounds rank of pi_{{{n + 1}}} torsion")
     kt = ktheory_params(p, space.gen, space.conn, space.dim(params))
     off_grid = [m for m in degrees if m % kt.g_prime]
     if off_grid:

@@ -299,6 +299,37 @@ def test_ktheory_oversized_range_exit_code(monkeypatch, args):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ("bound", "--homology", "--q", "2", "--p", "3", "--upto", "100000"),
+        ("report", "--space", "moore", "--q", "2", "--p", "3", "--r", "1", "--upto", "100000"),
+    ],
+    ids=["bound", "report"],
+)
+def test_homology_oversized_range_exit_code(args):
+    # the deepest row's parameters are built before the first row
+    start = time.perf_counter()
+    result = run(*args)
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: precision_bits must be <= 32768, got ")
+
+
+@pytest.mark.parametrize(
+    "args, start",
+    [
+        (("bound", "--homology", "--q", "2", "--p", "3", "--from", "1", "--upto", "5"), 1),
+        (("report", "--space", "moore", "--q", "2", "--p", "3", "--r", "1", "--from", "0", "--upto", "4"), 0),
+    ],
+    ids=["bound", "report"],
+)
+def test_homology_degrees_start_at_two(args, start):
+    result = run(*args)
+    assert result.exit_code == 1
+    assert result.stderr == f"error: homology-route degrees start at 2, got {start}\n"
+
+
+@pytest.mark.parametrize(
     "args, ceiling",
     [
         (("roots", "--degrees", f"1:1,{MAX_POLY_DEGREE + 1}:1"), MAX_POLY_DEGREE),

@@ -4,7 +4,7 @@ once per (n(M), bits), and print the digits of the uncached formulas.
 The reference functions below are the uncached ktheory_lower, weak_lower and
 ktheory_main_term as they stood before either cache existed.  The public
 functions are compared with them by raw mpf tuple, not by value; the rows,
-whose values may come from a low-precision evaluation, by their printed form.
+whose values may come from the integer pass, by their printed form.
 """
 
 from fractions import Fraction
@@ -118,20 +118,23 @@ def test_phi_pow_matches_mpmath_bit_for_bit(spec, bits, t):
 
 
 @pytest.mark.parametrize("name, values", SPACES, ids=[name for name, _ in SPACES])
-def test_rows_match_uncached_reference(name, values):
+def test_rows_match_uncached_reference(monkeypatch, name, values):
     params = _space_params(name, values)
     degrees = list(range(params.g_prime, 1201, params.g_prime))
     bounds._strong_value.cache_clear()
-    bounds._strong_digits.cache_clear()
+    decided = []
+    decide = bounds._Running.decide
+    monkeypatch.setattr(bounds._Running, "decide", lambda self, *args: decided.append(self.step) or decide(self, *args))
 
     rows = bounds.ktheory_rows(params, degrees, EPS, note=f"eps={EPS}")
 
     # the rows print the reference's digits; their values may come from the
-    # low-precision evaluation, so they are compared as printed
+    # integer pass, so they are compared as printed
     want = _reference_rows(params, degrees, EPS, f"eps={EPS}")
     assert [_printed(r) for r in rows] == [_printed(r) for r in want]
     pairs = {(params.n_of(m), row.precision_bits) for m, row in zip(degrees, rows[::2]) if params.n_of(m) is not None}
-    assert bounds._strong_digits.cache_info().misses == len(pairs) < len(degrees)
+    # one strong evaluation per (n(M), bits) and one weak one per degree
+    assert len(decided) == len(pairs) + len(degrees) and len(pairs) < len(degrees)
     # the public functions keep the reference's exact values, the strong one computed once per pair
     assert [_fields(bounds.ktheory_lower(params, m)) for m in degrees] == [_fields(r) for r in want[::2]]
     assert [bounds.weak_lower(params, m, EPS)._mpf_ for m in degrees] == [r.bound._mpf_ for r in want[1::2]]

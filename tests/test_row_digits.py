@@ -1,22 +1,36 @@
 """Each bound row prints the digits of the public function at the row's precision.
 
-A row whose profile runs at P >= 2L bits is evaluated at L bits first
-(bounds._row_value) and keeps that value only when the rounding test shows
-that its 24 digits and its sign are those of the P-bit value.  These tests
-compare every row with decimal_str of ktheory_lower, weak_lower and f_q at
-the same P, check the error bound against the exact difference, and force
-the fallback.
+A table's rows are evaluated in one integer pass (bounds._Running): running
+powers on F-bit mantissas, restarted from the row's own profile, and a row
+keeps that value only when the rounding test shows that its 24 digits and
+its sign are those of the P-bit value.  These tests compare every row with
+decimal_str of ktheory_lower, weak_lower and f_q at the same P, check the
+error bound against the exact difference, and force the fallback.
 """
 
+import dataclasses
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from torsion_bounds import bounds
-from torsion_bounds.bounds import f_q, homology_row, ktheory_lower, ktheory_params, ktheory_rows, weak_lower
-from torsion_bounds.render import decimal_str
-from torsion_bounds.spaces import space_by_name
+from torsion_bounds.bounds import (
+    _exponent_budget,
+    f_q,
+    homology_params,
+    homology_rows,
+    ktheory_lower,
+    ktheory_params,
+    ktheory_rows,
+    weak_lower,
+)
+from torsion_bounds.charpoly import profile_for_exponent
+from torsion_bounds.render import _ratio, decimal_str, prints_alike
+from torsion_bounds.spaces import catalog, space_by_name
 
 EPSILONS = ("1/2", "1/3", "7", "64")
 # (environment floor, K-theory degrees, homology degrees): at 8192 bits every row
@@ -25,10 +39,16 @@ PRECISIONS = {
     "auto": (None, range(2, 3001, 6), range(2, 1501, 3)),
     "8192": ("8192", range(2, 1201, 46), range(2, 1201, 23)),
 }
+KTHEORY_SPACES = {
+    "grassmannian": {"n": 3, "k": 1, "p": 3},
+    "milnor-hypersurface": {"n": 3, "l": 5, "p": 3},
+    "unitary": {"n": 5, "p": 3},
+    "special-unitary": {"n": 3, "p": 3},
+}
 
 
-def _grassmannian():
-    space, values = space_by_name("grassmannian"), {"n": 3, "k": 1, "p": 3}
+def _ktheory(name="grassmannian", values=None):
+    space, values = space_by_name(name), values or KTHEORY_SPACES[name]
     return ktheory_params(values["p"], space.gen, space.conn, space.dim(values))
 
 
@@ -43,35 +63,45 @@ def _set_precision(monkeypatch, floor):
         monkeypatch.setenv("TORSION_BOUNDS_PRECISION", floor)
 
 
-def _record_fast_rows(monkeypatch) -> list:
-    """[(v, e, reference)] for every row that reaches the low-precision evaluation."""
-    seen, references = [], []
-    row_value, low_precision = bounds._row_value, bounds._low_precision
+def _dyadic(man: int, exp: int) -> mpf:
+    return mp.make_mpf(bounds.from_man_exp(man, exp))
 
-    def recording_row_value(bits, weight, terms, inputs, reference):
-        references.append(reference)
-        return row_value(bits, weight, terms, inputs, reference)
 
-    def recording_low_precision(*args):
-        value, err = low_precision(*args)
-        seen.append((value, err, references[-1]))
-        return value, err
+def _record_enclosures(monkeypatch) -> list:
+    """[(v, e)] for every row the integer pass encloses, in the order of the pass."""
+    seen = []
+    enclose = bounds._Running.enclose
 
-    monkeypatch.setattr(bounds, "_row_value", recording_row_value)
-    monkeypatch.setattr(bounds, "_low_precision", recording_low_precision)
+    def recording_enclose(self, terms, steps, bits):
+        value, err, base = enclose(self, terms, steps, bits)
+        seen.append((_dyadic(value, base), _dyadic(err, base)))
+        return value, err, base
+
+    monkeypatch.setattr(bounds._Running, "enclose", recording_enclose)
     return seen
 
 
-@pytest.mark.parametrize("precision", PRECISIONS, ids=list(PRECISIONS))
-@pytest.mark.parametrize("eps", EPSILONS)
-def test_ktheory_rows_print_the_reference_digits(monkeypatch, eps, precision):
-    floor, degrees, _ = PRECISIONS[precision]
-    _set_precision(monkeypatch, floor)
-    params = _grassmannian()
-    fast = _record_fast_rows(monkeypatch)
+def _ktheory_references(params, degrees, eps) -> list:
+    """The P-bit value behind each enclosure of ktheory_rows, in the order of the
+    pass: the strong bound at each new (n(M), precision), then the weak bound."""
+    references, pairs = [], set()
+    for m in degrees:
+        n = params.n_of(m)
+        bits = profile_for_exponent(params.gen, _exponent_budget(params, m)).precision_bits
+        if n is not None and (n, bits) not in pairs:
+            pairs.add((n, bits))
+            references.append(ktheory_lower(params, m).bound)
+        references.append(weak_lower(params, m, eps))
+    return references
 
-    rows = ktheory_rows(params, degrees, eps)
 
+def _assert_enclosed(enclosures, references):
+    assert len(enclosures) == len(references)
+    for (value, err), exact in zip(enclosures, references):
+        assert abs(mp.fsub(value, exact, exact=True)) <= err
+
+
+def _assert_ktheory_rows_print_references(params, degrees, eps, rows):
     for strong, weak, m in zip(rows[::2], rows[1::2], degrees):
         want = ktheory_lower(params, m)
         assert _printed(strong.bound, strong.vacuous, strong.precision_bits) == _printed(
@@ -81,8 +111,31 @@ def test_ktheory_rows_print_the_reference_digits(monkeypatch, eps, precision):
         assert _printed(weak.bound, weak.vacuous, weak.precision_bits) == _printed(
             exact, bool(exact <= 0), want.precision_bits
         ), m
+
+
+def _assert_homology_rows_print_references(q, degrees, rows):
+    assert [row.degree for row in rows] == list(degrees)
+    for row, n in zip(rows, degrees):
+        exact = f_q(q, n, 3)
+        assert _printed(row.bound, row.vacuous, row.precision_bits) == _printed(
+            exact, bool(exact <= 0), homology_params(q, 3, n).precision_bits
+        ), n
+
+
+@pytest.mark.parametrize("precision", PRECISIONS, ids=list(PRECISIONS))
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_ktheory_rows_print_the_reference_digits(monkeypatch, eps, precision):
+    floor, degrees, _ = PRECISIONS[precision]
+    _set_precision(monkeypatch, floor)
+    params = _ktheory()
+    calls = []
+    monkeypatch.setattr(bounds, "weak_lower", lambda *args: calls.append(args) or weak_lower(*args))
+
+    rows = ktheory_rows(params, degrees, eps)
+
+    _assert_ktheory_rows_print_references(params, degrees, eps, rows)
     assert any(row.vacuous for row in rows) and not all(row.vacuous for row in rows)
-    assert len(fast) >= len(degrees)  # the low-precision path ran for most rows
+    assert len(calls) <= 2  # the integer pass decides nearly every weak row
 
 
 @pytest.mark.parametrize("precision", PRECISIONS, ids=list(PRECISIONS))
@@ -90,39 +143,96 @@ def test_ktheory_rows_print_the_reference_digits(monkeypatch, eps, precision):
 def test_homology_rows_print_the_reference_digits(monkeypatch, q, precision):
     floor, _, degrees = PRECISIONS[precision]
     _set_precision(monkeypatch, floor)
-    fast = _record_fast_rows(monkeypatch)
+    calls = []
+    monkeypatch.setattr(bounds, "f_q", lambda *args: calls.append(args) or f_q(*args))
 
-    rows = [homology_row(q, 3, n) for n in degrees]
+    rows = homology_rows(q, 3, degrees)
 
-    for row, n in zip(rows, degrees):
-        exact = f_q(q, n, 3)
-        assert _printed(row.bound, row.vacuous, row.precision_bits) == _printed(
-            exact, bool(exact <= 0), bounds.homology_params(q, 3, n).precision_bits
-        ), n
+    _assert_homology_rows_print_references(q, degrees, rows)
     assert any(row.vacuous for row in rows) and not all(row.vacuous for row in rows)
-    assert len(fast) >= len(degrees) // 2
+    assert len(calls) <= len(degrees) // 50  # every row goes through the integer pass, few fall back
 
 
 @pytest.mark.parametrize("eps", EPSILONS)
 def test_error_bound_covers_the_reference_value(monkeypatch, eps):
-    fast = _record_fast_rows(monkeypatch)
-    ktheory_rows(_grassmannian(), range(2, 3001, 14), eps)
-    for n in range(2, 1501, 7):
-        homology_row(2, 3, n)
-    assert len(fast) > 300
-    for value, err, reference in fast:
-        exact = reference()
-        # the bound is rigorous, and far below the 2^-80 relative spacing of 24 digits
-        assert abs(mp.fsub(value, exact, exact=True)) <= err
-        assert err <= abs(exact) * mp.mpf(2) ** -90 or abs(exact) < err * 2**20
+    params, degrees = _ktheory(), range(2, 3001, 2)
+    enclosures = _record_enclosures(monkeypatch)
+    ktheory_rows(params, degrees, eps)
+    homology_rows(2, 3, range(2, 1501))
+    references = _ktheory_references(params, degrees, eps) + [f_q(2, n, 3) for n in range(2, 1501)]
+    assert len(references) > 3000
+
+    _assert_enclosed(enclosures, references)
+    for (value, err), exact in zip(enclosures, references):
+        # far below the 2^-80 relative spacing of 24 digits
+        assert err <= abs(exact) * mpf(2) ** -90 or abs(exact) < err * 2**20
+
+
+def _fractions():
+    return st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=60)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    q=st.integers(2, 12),
+    start=st.integers(2, 900),
+    gaps=st.lists(st.integers(1, 70), min_size=1, max_size=40),
+    name=st.sampled_from(sorted(KTHEORY_SPACES)),
+    eps=st.one_of(st.sampled_from(["1/2", "1/3", "7/3", "7", "64"]), _fractions()),
+)
+@example(q=2, start=2, gaps=[1] * 40, name="grassmannian", eps="1/2")
+@example(q=12, start=700, gaps=[1, 1, 2, 1, 64, 1, 1], name="unitary", eps="64")
+def test_every_enclosure_holds_and_every_row_prints_its_reference(q, start, gaps, name, eps):
+    degrees = [start]
+    for gap in gaps:
+        degrees.append(degrees[-1] + gap)
+    params = _ktheory(name)
+    ktheory_degrees = [params.g_prime * m for m in degrees if params.g_prime * m <= 3000]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        enclosures = _record_enclosures(monkeypatch)
+        homology = homology_rows(q, 3, degrees)
+        ktheory = ktheory_rows(params, ktheory_degrees, eps)
+    references = [f_q(q, n, 3) for n in degrees] + _ktheory_references(params, ktheory_degrees, eps)
+
+    _assert_enclosed(enclosures, references)
+    _assert_homology_rows_print_references(q, degrees, homology)
+    _assert_ktheory_rows_print_references(params, ktheory_degrees, eps, ktheory)
+
+
+def _shifted(profile_of):
+    """profile_of with phi moved by 2^-60 per 64-bit bucket of precision, so
+    that each bucket's digits differ from the last one's in the 18th place."""
+
+    def shifted(*args):
+        profile = profile_of(*args)
+        with mp.workprec(profile.precision_bits + 32):
+            return dataclasses.replace(profile, phi=profile.phi * (1 + mpf(2) ** -60 * (profile.precision_bits // 64)))
+
+    return shifted
+
+
+def test_every_row_takes_its_inputs_from_its_own_profile(monkeypatch):
+    params = _ktheory()
+    bounds._strong_value.cache_clear()
+    bounds._homology_params.cache_clear()
+    monkeypatch.setattr(bounds, "profile_for_exponent", _shifted(profile_for_exponent))
+    monkeypatch.setattr(bounds, "root_profile", _shifted(bounds.root_profile))
+    try:
+        degrees = range(2, 1501, 2)
+        rows = ktheory_rows(params, degrees, "1/2")
+        _assert_ktheory_rows_print_references(params, degrees, "1/2", rows)
+        homology = homology_rows(2, 3, range(2, 1001))
+        _assert_homology_rows_print_references(2, range(2, 1001), homology)
+    finally:
+        bounds._strong_value.cache_clear()
+        bounds._homology_params.cache_clear()
 
 
 def test_forced_straddle_takes_the_fallback(monkeypatch):
     # an error bound of 2^200 times the real one straddles every rounding boundary
     monkeypatch.setattr(bounds, "_ROW_SAFETY_BITS", 200)
-    params = _grassmannian()
+    params = _ktheory()
     degrees = range(2, 1201, 2)
-    bounds._strong_digits.cache_clear()
 
     rows = ktheory_rows(params, degrees, "1/2")
 
@@ -130,16 +240,61 @@ def test_forced_straddle_takes_the_fallback(monkeypatch):
     weak = [weak_lower(params, m, Fraction(1, 2)) for m in degrees]
     assert [row.bound._mpf_ for row in rows[::2]] == [row.bound._mpf_ for row in strong]
     assert [row.bound._mpf_ for row in rows[1::2]] == [value._mpf_ for value in weak]
-    homology = [homology_row(2, 3, n) for n in range(2, 400)]
+    homology = homology_rows(2, 3, range(2, 400))
     assert [row.bound._mpf_ for row in homology] == [f_q(2, n, 3)._mpf_ for n in range(2, 400)]
-    bounds._strong_digits.cache_clear()
 
 
 def test_value_near_a_short_decimal_takes_the_fallback():
     # n(M) = 102: the strong bound is 15474936163125650796.99999999999998..., within
     # 2e-14 of an integer, which prints as ...797.0000 and lies inside [v - e, v + e]
-    params = _grassmannian()
+    params = _ktheory()
     m = next(m for m in range(2, 3001, 2) if params.n_of(m) == 102)
     row = ktheory_rows(params, [m], "1/2")[0]
     assert row.bound._mpf_ == ktheory_lower(params, m).bound._mpf_
     assert decimal_str(row.bound) == "15474936163125650797.0000"
+
+
+def test_catalog_covers_every_ktheory_space():
+    assert sorted(KTHEORY_SPACES) == sorted(space.name for space in catalog() if space.route == "ktheory")
+
+
+def _prints_alike_by_fractions(lo, hi) -> bool:
+    text = decimal_str(lo)
+    return text == decimal_str(hi) and not (Fraction(*_ratio(lo)) <= Fraction(Decimal(text)) <= Fraction(*_ratio(hi)))
+
+
+def _near_a_short_decimal():
+    """(D - a 2^-s, D + b 2^-s) for D = d 2^-k, whose decimal is short; a = 0 or b = 0 puts D on an end."""
+    return st.builds(
+        lambda d, k, a, b, s: (_dyadic((d << s - k) - a, -s), _dyadic((d << s - k) + b, -s)),
+        st.integers(-(10**30), 10**30),
+        st.integers(0, 12),
+        st.integers(0, 2**20),
+        st.integers(0, 2**20),
+        st.integers(12, 160),
+    )
+
+
+def _anywhere():
+    """(m 2^k, (m + w) 2^k) for m of up to 131 bits and a width w of up to 30."""
+    return st.builds(
+        lambda m, k, w: (_dyadic(m, k), _dyadic(m + w, k)),
+        st.builds(
+            lambda sign, top, low: sign * (1 << top) + low,
+            st.sampled_from([-1, 1]),
+            st.integers(0, 130),
+            st.integers(0, 2**60),
+        ),
+        st.integers(-200, 60),
+        st.integers(0, 2**30),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(interval=st.one_of(_near_a_short_decimal(), _anywhere()))
+@example(interval=(_dyadic(1, -2), _dyadic(1, -2)))  # [0.25, 0.25] holds D = 0.25
+@example(interval=(_dyadic(1, -2), _dyadic(2**80 + 1, -82)))  # D = 0.25 is the left end
+@example(interval=(_dyadic(2**80 - 1, -82), _dyadic(1, -2)))  # D = 0.25 is the right end
+def test_prints_alike_agrees_with_the_fraction_form(interval):
+    lo, hi = interval
+    assert prints_alike(lo, hi) == _prints_alike_by_fractions(lo, hi)
