@@ -466,6 +466,9 @@ class KTheoryParams:
     big_b: Fraction
     theta: Fraction
     theta_safe: Fraction
+    # derived from the fields above, so left out of equality and the hash
+    ratio: Fraction = field(compare=False)  # (conn + 1) / (dim + 1), the exponent compression factor
+    offset: Fraction = field(compare=False)  # 2(p-1)(b+1) + B, the degree n(M) gives up
 
     @classmethod
     def create(cls, p: int, gen: GeneratorSet, conn: int, dim: int) -> "KTheoryParams":
@@ -496,17 +499,15 @@ class KTheoryParams:
             big_b=big_b,
             theta=theta,
             theta_safe=theta_safe,
+            ratio=compression,
+            offset=2 * (p - 1) * (b + 1) + big_b,
         )
 
-    @property
-    def ratio(self) -> Fraction:
-        """(conn + 1) / (dim + 1), the exponent compression factor."""
-        return Fraction(self.conn + 1, self.dim + 1)
-
     def n_of(self, m: int) -> int | None:
-        """Largest n >= 0 with M >= g (1/ratio) n + 2(p-1)(b+1) + B, else None."""
-        num = m - 2 * (self.p - 1) * (self.b + 1) - self.big_b
-        n = math.floor(num * self.ratio / self.g)
+        """Largest n >= 0 with M >= g (1/ratio) n + offset, else None:
+        floor((M - offset) ratio / g) in one integer division."""
+        num, den = self.offset.numerator, self.offset.denominator
+        n = (m * den - num) * (self.conn + 1) // (den * self.g * (self.dim + 1))
         return n if n >= 0 else None
 
 
@@ -601,7 +602,7 @@ def ktheory_main_term(params: KTheoryParams, m: int) -> mpf:
         denom = _mpf_of(params.ratio) * m / params.g + _mpf_of(params.theta_safe)
         if denom <= 0:
             return mpf(0)
-        tau_exponent = -params.g - params.ratio * (2 * (params.p - 1) * (params.b + 1) + params.big_b)
+        tau_exponent = -params.g - params.ratio * params.offset
         phi = profile.phi
         return _phi_pow(phi, _mpf_of(tau_exponent)) / denom * _phi_pow(phi, _mpf_of(params.ratio * m))
 

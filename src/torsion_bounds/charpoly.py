@@ -176,6 +176,16 @@ class MonicIntPoly:
             acc = acc * num + (self.coeffs[j] << (shift * (k - j)))
         return acc
 
+    def sign_at(self, x: Fraction) -> int:
+        """Exact sign of P(x) at a rational x = a/b with b > 0, from the
+        homogeneous integer Horner b^k P(a/b) = sum_i a_i a^i b^(k-i)."""
+        num, den = x.numerator, x.denominator
+        acc, den_pow = self.coeffs[-1], 1
+        for a in reversed(self.coeffs[:-1]):
+            den_pow *= den
+            acc = acc * num + a * den_pow
+        return (acc > 0) - (acc < 0)
+
     def is_dominant_family(self) -> bool:
         """True for z^k - sum c_i z^i with all c_i >= 0, c_0 >= 1."""
         return self.coeffs[0] <= -1 and all(a <= 0 for a in self.coeffs[:-1])

@@ -4,12 +4,19 @@ Each check_* function returns a list of failure strings (empty = pass) so
 both the CLI `verify` command and the test suite can share one
 implementation.  The scales and tolerances default to the certified ones;
 tests pin them explicitly.
+
+A check spends its time on the function under test, which it calls at
+every sample point, and not on the side it compares against: polynomial
+signs at rational points are exact integer evaluations, and a reference
+curve c b^N is a running product of b at P + 32 bits (_running_powers),
+P the working precision of the comparison.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -23,6 +30,18 @@ from .dgl_fp import FreeDgl, WeightedAlphabet, subspace_dims
 from .errors import TorsionBoundsError
 from .lie_rank import babenko_ranks, pbw_ranks
 from .spaces import report, space_by_name
+
+
+def _running_powers(base: mpf, n_max: int):
+    """base^1, ..., base^n_max as a running product, each product taken as
+    the caller iterates, at the working precision in force then.
+
+    Each of the n products rounds once, so base^n is within a relative
+    n 2^-prec of the exact power: at P + 32 bits and n < 2^12 that is under
+    2^-(P+20), closer than the P-bit base ** n a comparison made to P bits
+    would otherwise take.
+    """
+    return itertools.accumulate(itertools.repeat(base, n_max), operator.mul)
 
 
 def generator_family(max_sum_m: int = 3, max_q: int = 5) -> list[GeneratorSet]:
@@ -85,25 +104,31 @@ def check_binom_div_p(ps=(3, 5), k_max: int = 3) -> list[str]:
 
 
 def check_root_sign_structure(max_sum_m: int = 4, max_q: int = 8) -> list[str]:
-    """Certified enclosure signs, positivity beyond phi, single sign change."""
+    """Certified enclosure signs, positivity beyond phi, single sign change.
+
+    Every sign and the final comparison are exact integer arithmetic
+    (MonicIntPoly.sign_at at the rational sample points).
+    """
     fails = []
     for gen in generator_family(max_sum_m, max_q):
         poly = char_poly(gen)
         lo, hi, _ = certified_phi(poly, 96)
-        if not (poly(lo) < 0 < poly(hi)):
+        if not (poly.sign_at(lo) < 0 < poly.sign_at(hi)):
             fails.append(f"{gen.spec_string()}: enclosure signs wrong")
             continue
         for step in range(1, 6):
             x = hi + Fraction(step, 3)
-            if poly(x) <= 0:
+            if poly.sign_at(x) <= 0:
                 fails.append(f"{gen.spec_string()}: P({x}) <= 0 beyond phi")
         # sample grid on (0, phi): the polynomial must stay negative
         for step in range(1, 8):
             x = lo * Fraction(step, 8)
-            if x > 0 and poly(x) >= 0:
+            if x > 0 and poly.sign_at(x) >= 0:
                 fails.append(f"{gen.spec_string()}: P({x}) >= 0 below phi")
-        # phi >= (sum m_i)^(1/q_l): equivalent to sum m_i <= phi^{q_l}
-        if gen.sum_m > (hi ** gen.q_max) * (1 + Fraction(1, 10**12)):
+        # phi >= (sum m_i)^(1/q_l): equivalent to sum m_i <= phi^{q_l}; the test
+        # sum m_i > hi^{q_l} (1 + 10^-12), times den(hi)^{q_l} 10^12
+        k, scale = gen.q_max, 10**12
+        if gen.sum_m * hi.denominator**k * scale > hi.numerator**k * (scale + 1):
             fails.append(f"{gen.spec_string()}: phi below (sum m)^(1/q_l)")
     return fails
 
@@ -141,18 +166,22 @@ def check_phi_window(q_max: int = 100, margin: float = 1e-9) -> list[str]:
 
 
 def check_newton_growth(n_max: int = 60, rel_slack: float = 1e-6, family=None) -> list[str]:
-    """|S_N| <= (k-g)|psi|^N off the g-grid; |g phi^N - S_N| <= (k-g)|psi|^N on it."""
+    """|S_N| <= (k-g)|psi|^N off the g-grid; |g phi^N - S_N| <= (k-g)|psi|^N on it.
+
+    phi^N and |psi|^N are running products at the profile's precision + 32 bits.
+    """
     fails = []
     for gen in family if family is not None else generator_family():
         poly = char_poly(gen)
         sums = newton_sums(poly, n_max)
         profile = profile_for_exponent(gen, n_max)
         g, k = gen.g, poly.degree
-        with mp.workprec(profile.precision_bits):
-            phi, psi = profile.phi, profile.psi_or_zero()
-            for n in range(1, n_max + 1):
-                rhs = (k - g) * psi**n
-                lhs = abs(mpf(sums[n - 1]) - (g * phi**n if n % g == 0 else 0))
+        with mp.workprec(profile.precision_bits + 32):
+            phi_powers = _running_powers(profile.phi, n_max)
+            psi_powers = _running_powers(profile.psi_or_zero(), n_max)
+            for n, phi_n, psi_n in zip(range(1, n_max + 1), phi_powers, psi_powers):
+                rhs = (k - g) * psi_n
+                lhs = abs(mpf(sums[n - 1]) - (g * phi_n if n % g == 0 else 0))
                 if lhs > rhs + rel_slack * (1 + abs(sums[n - 1])):
                     fails.append(f"{gen.spec_string()}: Newton growth fails at N={n}")
     return fails
@@ -348,30 +377,33 @@ def check_fq_chain(qs=(2, 3, 4), eps: float = 0.1, n_hi: int = 400) -> list[str]
     """Scan the threshold N0 and check the asymptotic chain up to n_hi.
 
     f_q(N) >= (1-eps)(1-1/phi) phi^N / N > (1-eps)(1-2^{-1/(q+1)}) 2^{N/(q+1)} / N
-    for all N0 <= N <= n_hi, with N0 <= n_hi existing.
+    for all N0 <= N <= n_hi, with N0 <= n_hi existing.  f_q is called once
+    per N; phi^N and 2^{N/(q+1)} are running products at P + 32 bits, P the
+    precision of homology_params at n_hi.
     """
     fails = []
     for q in qs:
         params = bnd.homology_params(q, 3, n_hi)
-        with mp.workprec(params.precision_bits):
-            phi = params.phi
-            n0 = None
-            for n in range(2, n_hi + 1):
-                target = (1 - eps) * (1 - 1 / phi) * phi**n / n
-                ok = bnd.f_q(q, n) >= target
-                if not ok:
-                    n0 = None
-                elif n0 is None:
+        with mp.workprec(params.precision_bits + 32):
+            phi, root2 = params.phi, mpf(2) ** (mpf(1) / (q + 1))
+            mid_factor, low_factor = (1 - eps) * (1 - 1 / phi), (1 - eps) * (1 - 1 / root2)
+            # n0 starts the run of N with f_q(N) >= mid that reaches n_hi, and
+            # broken is the first N of that run with mid <= low
+            n0 = broken = None
+            powers = zip(range(1, n_hi + 1), _running_powers(phi, n_hi), _running_powers(root2, n_hi))
+            for n, phi_n, root2_n in itertools.islice(powers, 1, None):  # from N = 2
+                mid = mid_factor * phi_n / n
+                if not bnd.f_q(q, n) >= mid:
+                    n0 = broken = None
+                    continue
+                if n0 is None:
                     n0 = n
-            if n0 is None:
-                fails.append(f"q={q}: no threshold N0 <= {n_hi}")
-                continue
-            for n in range(n0, n_hi + 1):
-                mid = (1 - eps) * (1 - 1 / phi) * phi**n / n
-                low = (1 - eps) * (1 - mpf(2) ** (-mpf(1) / (q + 1))) * mpf(2) ** (mpf(n) / (q + 1)) / n
-                if not (bnd.f_q(q, n) >= mid > low):
-                    fails.append(f"q={q}: chain fails at N={n}")
-                    break
+                if broken is None and not mid > low_factor * root2_n / n:
+                    broken = n
+        if n0 is None:
+            fails.append(f"q={q}: no threshold N0 <= {n_hi}")
+        elif broken is not None:
+            fails.append(f"q={q}: chain fails at N={broken}")
     return fails
 
 
@@ -501,31 +533,31 @@ def check_catalog_positivity(window: int = 200) -> list[str]:
 
 
 def check_closed_form_specializations(m_max: int = 500, tol: float = 1e-9) -> list[str]:
-    """weak_lower reproduces the known closed forms; base-root facts."""
+    """weak_lower reproduces the known closed forms; base-root facts.
+
+    weak_lower is called at every m; the closed form's golden4^{m/d} is a
+    running product of golden4^{1/d} at 256 + 32 bits.
+    """
     fails = []
-    with mp.workprec(256):
+    with mp.workprec(256 + 32):
         golden4 = (3 + mp.sqrt(5)) / 2
-        # Grassmannian: (1/(2m)^{1+eps}) ((3+sqrt 5)/2)^{m/(2k(n-k)+1)}
-        for n, k in ((3, 1), (4, 2), (6, 2)):
-            space = space_by_name("grassmannian")
-            dim = space.dim({"n": n, "k": k, "p": 3})
-            kt = bnd.ktheory_params(3, space.gen, space.conn, dim)
-            for m in range(1, m_max + 1):
+        # Grassmannian: (1/(2m)^{1+eps}) ((3+sqrt 5)/2)^{m/d}, d = 2k(n-k)+1;
+        # Milnor hypersurface: d = 2(n+l)-1
+        cases = [
+            (f"grassmannian n={n}, k={k}", "grassmannian", {"n": n, "k": k, "p": 3}, 2 * k * (n - k) + 1)
+            for n, k in ((3, 1), (4, 2), (6, 2))
+        ] + [
+            (f"milnor n={n}, l={l}", "milnor-hypersurface", {"n": n, "l": l, "p": 3}, 2 * (n + l) - 1)
+            for n, l in ((2, 3), (3, 4))
+        ]
+        for label, name, params, d in cases:
+            space = space_by_name(name)
+            kt = bnd.ktheory_params(3, space.gen, space.conn, space.dim(params))
+            for m, power in enumerate(_running_powers(golden4 ** (mpf(1) / d), m_max), 1):
                 got = bnd.weak_lower(kt, 2 * m, Fraction(1, 2))
-                want = golden4 ** (mpf(m) / (2 * k * (n - k) + 1)) / mpf(2 * m) ** mpf("1.5")
+                want = power / (2 * m * mp.sqrt(2 * m))
                 if abs(got - want) > tol * want:
-                    fails.append(f"grassmannian n={n}, k={k}: mismatch at m={m}")
-                    break
-        # Milnor hypersurface: exponent m/(2(n+l)-1)
-        for n, l in ((2, 3), (3, 4)):
-            space = space_by_name("milnor-hypersurface")
-            dim = space.dim({"n": n, "l": l, "p": 3})
-            kt = bnd.ktheory_params(3, space.gen, space.conn, dim)
-            for m in range(1, m_max + 1):
-                got = bnd.weak_lower(kt, 2 * m, Fraction(1, 2))
-                want = golden4 ** (mpf(m) / (2 * (n + l) - 1)) / mpf(2 * m) ** mpf("1.5")
-                if abs(got - want) > tol * want:
-                    fails.append(f"milnor n={n}, l={l}: mismatch at m={m}")
+                    fails.append(f"{label}: mismatch at m={m}")
                     break
         # unitary groups: base root of z^5 - z^2 - 1
         profile = profile_for_exponent(GeneratorSet.of((3, 1), (5, 1)), 64)

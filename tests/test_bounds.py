@@ -1,9 +1,13 @@
+import dataclasses
 import math
 import random
+import types
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from torsion_bounds import (
@@ -21,6 +25,7 @@ from torsion_bounds import (
     sigma_upper,
     weak_lower,
 )
+from torsion_bounds import bounds, verify
 from torsion_bounds.bounds import MAX_VALUE_CAP, KTheoryParams, ktheory_main_term, ktheory_params
 from torsion_bounds.charpoly import profile_for_exponent
 from torsion_bounds.verify import (
@@ -30,6 +35,7 @@ from torsion_bounds.verify import (
     check_fq_chain,
     check_ktheory_positivity,
     fq_positive_threshold,
+    generator_family,
 )
 
 # scanned regression constants (frozen)
@@ -67,6 +73,24 @@ def test_f_q_first_positive_regression():
 
 def test_f_q_asymptotic_chain():
     assert check_fq_chain((2, 3, 4), 0.1, 400) == []
+
+
+def test_f_q_chain_catches_a_halved_f_q(monkeypatch):
+    f = bounds.f_q
+    assert check_fq_chain((2,), 0.1, 200) == []
+    monkeypatch.setattr(bounds, "f_q", lambda q, n, p=3: f(q, n, p) / 2)
+    assert check_fq_chain((2,), 0.1, 200) == ["q=2: no threshold N0 <= 200"]
+
+
+def test_f_q_chain_catches_a_phi_below_the_two_power(monkeypatch):
+    # with phi = 1.2 < 2^{1/3} the middle curve falls below the lowest one at
+    # every N, so the chain breaks at the threshold itself
+    params = dataclasses.replace(bounds.homology_params(2, 3, 200), phi=mpf("1.2"))
+    with mp.workprec(params.precision_bits + 32):
+        below = [n for n in range(2, 201) if not f_q(2, n) >= mpf("0.9") * (1 - 1 / params.phi) * params.phi**n / n]
+    stub = types.SimpleNamespace(homology_params=lambda q, p, n_max: params, f_q=bounds.f_q)
+    monkeypatch.setattr(verify, "bnd", stub)
+    assert check_fq_chain((2,), 0.1, 200) == [f"q=2: chain fails at N={max(below) + 1}"]
 
 
 def test_f_q_requires_n_at_least_two():
@@ -248,6 +272,25 @@ def test_ktheory_n_of_monotone_step():
         n1, n2 = kt.n_of(m), kt.n_of(m + step)
         if n1 is not None:
             assert n2 >= n1 + 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    p=st.sampled_from([3, 5, 7, 11, 13]),
+    gen=st.sampled_from(generator_family(3, 6)),
+    conn=st.integers(0, 12),
+    extra=st.integers(1, 20),
+    data=st.data(),
+)
+def test_ktheory_n_of_matches_fraction_formula(p, gen, conn, extra, data):
+    kt = KTheoryParams.create(p, gen, conn, conn + extra)
+    ratio = Fraction(conn + 1, conn + 1 + extra)
+    assert kt.ratio == ratio
+    threshold = 2 * (p - 1) * (kt.b + 1) + kt.big_b
+    # values of M around the threshold, below it included, and far beyond it
+    m = data.draw(st.one_of(st.integers(-50, 50).map(lambda d: math.floor(threshold) + d), st.integers(1, 10**9)))
+    n = math.floor((m - threshold) * ratio / kt.g)
+    assert kt.n_of(m) == (n if n >= 0 else None)
 
 
 def test_ktheory_bound_dominates_display_main_term():

@@ -17,7 +17,7 @@ from torsion_bounds import (
     precision_for_exponent,
     root_profile,
 )
-from torsion_bounds import charpoly
+from torsion_bounds import charpoly, verify
 from torsion_bounds.charpoly import MAX_BITS_TIMES_DEGREE, MAX_PRECISION_BITS, RootProfile, certified_phi
 from torsion_bounds.verify import (
     generator_family,
@@ -133,6 +133,37 @@ def test_sign_structure_family():
     assert check_root_sign_structure(4, 8) == []
 
 
+def test_root_sign_structure_catches_a_swapped_enclosure(monkeypatch):
+    certify = verify.certified_phi
+
+    def swapped(poly, bits):
+        lo, hi, phi = certify(poly, bits)
+        return hi, lo, phi
+
+    monkeypatch.setattr(verify, "certified_phi", swapped)
+    family = generator_family(2, 3)
+    assert check_root_sign_structure(2, 3) == [f"{gen.spec_string()}: enclosure signs wrong" for gen in family]
+
+
+_RATIONALS = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**60)),
+    st.integers(-(10**7), 10**7).map(Fraction),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(coeffs=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=12), x=_RATIONALS)
+@example(coeffs=[-6, 1], x=Fraction(2))  # z^2 + z - 6 = (z - 2)(z + 3): a zero
+@example(coeffs=[-6, 1], x=Fraction(-3))
+@example(coeffs=[0, 0, 0], x=Fraction(0))
+@example(coeffs=[1, 0], x=Fraction(-(10**50), 3**90))
+def test_sign_at_matches_fraction_horner(coeffs, x):
+    poly = MonicIntPoly((*coeffs, 1))
+    value = poly(x)  # Horner in Fraction arithmetic
+    assert poly.sign_at(x) == (value > 0) - (value < 0)
+
+
 def test_phi_lower_bound_attained_single_degree():
     # one degree, m generators: phi = m^{1/q} exactly, so the bound is tight
     lo, hi, phi = certified_phi(char_poly(GeneratorSet.of((3, 2))), 96)
@@ -146,6 +177,22 @@ def test_profile_structure_across_family():
 
 def test_newton_growth_inequalities():
     assert check_newton_growth(60, 1e-6) == []
+
+
+def test_newton_growth_catches_a_doubled_power_sum(monkeypatch):
+    sums_of = verify.newton_sums
+
+    def doubled_at_24(poly, n_max):
+        sums = list(sums_of(poly, n_max))
+        sums[23] *= 2
+        return sums
+
+    family = generator_family(2, 3)  # every g divides 24, so S_24 != 0
+    assert check_newton_growth(30, 1e-6, family=family) == []
+    monkeypatch.setattr(verify, "newton_sums", doubled_at_24)
+    assert check_newton_growth(30, 1e-6, family=family) == [
+        f"{gen.spec_string()}: Newton growth fails at N=24" for gen in family
+    ]
 
 
 def test_newton_sums_match_root_cloud():

@@ -12,6 +12,7 @@ from torsion_bounds import (
     report,
     space_by_name,
 )
+from torsion_bounds import bounds
 from torsion_bounds.render import decimal_str
 from torsion_bounds.verify import (
     CATALOG_M1,
@@ -116,6 +117,19 @@ def test_weak_rows_match_known_closed_form():
 
 def test_closed_form_specializations_full():
     assert check_closed_form_specializations(500, 1e-9) == []
+
+
+def test_closed_form_specializations_catch_a_scaled_weak_lower(monkeypatch):
+    weak_lower = bounds.weak_lower
+    assert check_closed_form_specializations(3, 1e-9) == []
+    monkeypatch.setattr(bounds, "weak_lower", lambda *args: weak_lower(*args) * (1 + mpf("1e-8")))
+    assert check_closed_form_specializations(3, 1e-9) == [
+        "grassmannian n=3, k=1: mismatch at m=1",
+        "grassmannian n=4, k=2: mismatch at m=1",
+        "grassmannian n=6, k=2: mismatch at m=1",
+        "milnor n=2, l=3: mismatch at m=1",
+        "milnor n=3, l=4: mismatch at m=1",
+    ]
 
 
 def test_report_bounds_below_brute_force_boundaries():
