@@ -30,7 +30,7 @@ Three values of the K-theory path are computed once and reused:
   mpmath take log phi at prec + 10 bits and return exp(t log phi) with the
   product exact; _phi_pow takes the same steps with the logarithm cached,
   and leaves the exact integer and square-root powers to mpmath.
-- the ktheory_lower value, once per (params, n(M), bits), and within a
+- the ktheory_lower value, once per (p, g, q_l, n(M), bits), and within a
   table the strong row's value likewise.  M enters the formula only through
   n(M) and the row's precision, and a profile is fixed by its precision.
 
@@ -565,7 +565,7 @@ def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
     _check_degree(params, m)
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
     bits, n = profile.precision_bits, params.n_of(m)
-    value = None if n is None else _strong_value(params, n, bits, profile.phi, profile.psi_abs)
+    value = None if n is None else _strong_value(params.p, params.g, params.gen.q_max, n, bits, profile.phi, profile.psi_abs)
     return _strong_row(m, n, value, bits)
 
 
@@ -584,13 +584,13 @@ def _strong_row(m: int, n: int | None, value: mpf | None, bits: int) -> BoundRep
 
 
 @lru_cache(maxsize=None)
-def _strong_value(params: KTheoryParams, n: int, bits: int, phi: mpf, psi_abs: mpf | None) -> mpf:
-    # phi and psi_abs are those of the profile at bits, so the key is (params, n, bits)
+def _strong_value(p: int, g: int, q_max: int, n: int, bits: int, phi: mpf, psi_abs: mpf | None) -> mpf:
+    # keyed on the ints it reads: hashing a KTheoryParams rehashes its Fractions on every call
     with mp.workprec(bits):
-        big_e = n + 8 * (params.p - 1) ** 2
-        value = phi ** (n * params.g) / big_e - params.g * phi ** (mpf(big_e * params.g) / 2)
+        big_e = n + 8 * (p - 1) ** 2
+        value = phi ** (n * g) / big_e - g * phi ** (mpf(big_e * g) / 2)
         if psi_abs is not None:
-            value -= params.gen.q_max * (3 + 2 * psi_abs ** (big_e * params.g))
+            value -= q_max * (3 + 2 * psi_abs ** (big_e * g))
         return value
 
 
@@ -666,7 +666,7 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
             if psi is not None:
                 terms += [(-3 * params.gen.q_max, 0), (-2 * params.gen.q_max * powers[2][0], powers[2][1])]
             value = strong.decide(terms, steps, bits)
-            strong_values[n, bits] = _strong_value(params, n, bits, phi, psi) if value is None else value
+            strong_values[n, bits] = _strong_value(params.p, params.g, params.gen.q_max, n, bits, phi, psi) if value is None else value
         (power,), steps = weak.powers(bits, m, lambda: ((phi, params.ratio, 0),))
         with mp.workprec(weak.bits):
             denominator = mpf(m) ** (1 + _mpf_of(eps))

@@ -1,25 +1,26 @@
 """Characteristic polynomials of generator sets, exact Newton power sums,
 and certified root profiles (phi, |psi|, g).
 
-The dominant root phi is certified by sign-change bisection in exact
-dyadic arithmetic, so the stored enclosure [phi_lo, phi_hi] really does
-satisfy P(phi_lo) < 0 < P(phi_hi).  Each polynomial keeps one bisection
-state that is refined in place along the one bisection path, so a sweep
-at rising precision never restarts from the initial bracket.  A deeper
-request jumps to its cell by integer Newton, accepted by the two exact
-sign evaluations, and takes single steps only when Newton misses; every
-enclosure equals the one a bisection from scratch would return.  The full
-complex root cloud is only needed for |psi| and is produced by
-Aberth-Ehrlich simultaneous iteration with a residual acceptance gate,
-once per polynomial and working precision; phi itself never depends on
-that path.  The sweeps run on Python complex from a circle start until the
-relative step is 2^-40, then on Gaussian integers scaled by 2^F (F above
-the working precision by 16 guard bits and the range of the root moduli)
-from where that run ended, usually for two sweeps.  The double run keeps
-each root at the index the circle start gives it.  When it overflows,
-divides by zero, leaves a non-finite root or does not converge, the
-fixed-point run starts from the circle instead.  Acceptance (step
-tolerance, residual gate, orbit checks) is the same on both paths.
+phi is enclosed by sign-change bisection in exact dyadic arithmetic, so
+P(phi_lo) < 0 < P(phi_hi) really holds.  Each polynomial keeps one bisection
+state, refined in place along the one bisection path; a deeper request jumps
+to its cell by integer Newton, accepted by two exact sign evaluations, and
+takes single steps only when Newton misses, so every enclosure equals the
+one a bisection from scratch would return.
+
+|psi| comes from the complex root cloud, once per polynomial and working
+precision.  Aberth-Ehrlich sweeps run on Python complex from a circle start
+to a relative step of 2^-40, then on Gaussian integers scaled by 2^F (F the
+precision plus 16 guard bits plus the range of the root moduli) from there,
+or from the circle when that run fails.  After each fixed-point sweep the
+cloud rounded to the precision meets the Weierstrass disc certificate, in
+integers: every connected union of m discs D(z_i, k |P(z_i)| / prod_{j != i}
+|z_i - z_j|) holds exactly m roots.  The first cloud whose discs are
+disjoint, each of radius <= 2^-(bits-8) |z_i|, is accepted: after one sweep
+for 489 of the 494 polynomials of the verify family, after two for 5.  The
+orbit is then exact: P(z) = R(z^g), so phi times the g-th roots of unity
+are g roots of modulus phi, the largest there is, and once every other disc
+lies in |z| < phi_lo, the g discs with the largest centres hold them.
 """
 
 from __future__ import annotations
@@ -52,14 +53,11 @@ __all__ = [
     "root_profile",
 ]
 
-# relative tolerance deciding "this root's modulus equals phi"
-ORBIT_TIE_TOL = 1e-8
-# acceptance on the roots-of-unity pattern of the max-modulus orbit
-ORBIT_PATTERN_TOL = 1e-6
-# residual gate: |P(eta)| <= RESIDUAL_TOL * (1 + |eta|)^degree
-RESIDUAL_TOL = 1e-9
 _ABERTH_BITS = 160
 _ABERTH_MAX_ITER = 500
+# a cloud from the double run certifies within 2 fixed sweeps; one still uncertified
+# before this sweep is first checked for a repeated root
+_REPEATED_ROOT_SWEEPS = 8
 # the double-precision seed run stops at a relative step of 2^-40
 _SEED_STEP_TOL = 2.0**-40
 _GUARD_BITS = 16  # fixed-point bits beyond the working precision and the range of root moduli
@@ -351,15 +349,39 @@ def _exact_root_enclosure(poly: MonicIntPoly, num: int, shift: int, bits: int) -
     return lo, hi, shift
 
 
+@dataclass(frozen=True)
+class RootCloud:
+    """All roots (xs[i] + i ys[i]) / 2^shift of a polynomial, each rounded to
+    `bits` and certified by a Weierstrass disc of radius radii[i] / 2^shift
+    that holds exactly one root."""
+
+    poly: MonicIntPoly
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+    radii: tuple[int, ...]
+    shift: int
+    bits: int
+
+    @property
+    def roots(self) -> tuple:
+        with mp.workprec(self.bits):
+            return tuple(mpmath.mpc(*(mpmath.ldexp(v, -self.shift) for v in z)) for z in zip(self.xs, self.ys))
+
+    @property
+    def residuals(self) -> tuple:
+        """|P| at each root, from the fixed Horner."""
+        horner = (_fixed_horner(self.poly.coeffs, x, y, self.shift) for x, y in zip(self.xs, self.ys))
+        with mp.workprec(self.bits):
+            return tuple(mpmath.ldexp(math.isqrt(px * px + py * py), -self.shift) for px, py, _, _ in horner)
+
+
 @lru_cache(maxsize=None)
-def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[tuple, tuple, tuple]:
-    """All complex roots by Aberth-Ehrlich iteration; returns (roots, residuals, root_errors).
+def _aberth_roots(poly: MonicIntPoly, bits: int) -> RootCloud:
+    """All complex roots by Aberth-Ehrlich iteration, certified by _disc_radii.
 
     The sweeps run first in double precision from the circle start, then in
     fixed point from where that run ended, or from the circle when it fails.
-    Residuals |P| and errors |P| / |P'| come from the fixed Horner at the
-    roots rounded to `bits`.  Memoized: a polynomial's cloud is computed
-    once per working precision.
+    Memoized: a polynomial's cloud is computed once per working precision.
     """
     # root moduli lie in [1/H, H] for the coefficient bound H, so 2 log2 H more bits keep each precise
     k, shift = poly.degree, bits + _GUARD_BITS + 2 * poly.coeff_bound().bit_length()
@@ -379,25 +401,25 @@ def _aberth_roots(poly: MonicIntPoly, bits: int) -> tuple[tuple, tuple, tuple]:
         with contextlib.suppress(OverflowError, ZeroDivisionError):
             if _aberth_sweeps(poly, seed) and all(map(cmath.isfinite, seed)):
                 z = seed
-        xs, ys = [int(mpmath.ldexp(zi.real, shift)) for zi in z], [int(mpmath.ldexp(zi.imag, shift)) for zi in z]
-        _fixed_sweeps(poly, xs, ys, bits, shift)
-    roots, residuals, errors = [], [], []
-    with mp.workprec(bits):
-        for x, y in zip(xs, ys):
-            x, y = int(mpf(x)), int(mpf(y))  # rounded to `bits`, still an integer
-            px, py, dx, dy = _fixed_horner(poly.coeffs, x, y, shift)
-            residual = math.isqrt(px * px + py * py)
-            residuals.append(mpmath.ldexp(residual, -shift))
-            errors.append(mpf(residual) / math.isqrt(dx * dx + dy * dy) if dx or dy else mpf("inf"))
-            roots.append(mpmath.mpc(mpmath.ldexp(x, -shift), mpmath.ldexp(y, -shift)))
-        gate = [RESIDUAL_TOL * (1 + abs(z)) ** k for z in roots]
-        bad = [i for i in range(k) if residuals[i] > gate[i]]
-        if bad:
-            raise NumericFailure(
-                f"root iteration left residuals above gate at indices {bad}; "
-                f"max residual {mpmath.nstr(max(residuals), 8)}"
-            )
-    return tuple(roots), tuple(residuals), tuple(errors)
+        xs, ys = [_to_fixed(zi.real, shift) for zi in z], [_to_fixed(zi.imag, shift) for zi in z]
+    _, radii = _fixed_sweeps(poly, xs, ys, bits, shift)
+    return RootCloud(poly, tuple(xs), tuple(ys), tuple(radii), shift, bits)
+
+
+def _to_fixed(v: float, shift: int) -> int:
+    """v * 2^shift truncated toward zero."""
+    num, den = v.as_integer_ratio()
+    return (num << shift) // den if num >= 0 else -((-num << shift) // den)
+
+
+def _round_bits(x: int, bits: int) -> int:
+    """x rounded to `bits` significant bits, to nearest with ties to even, as mpmath rounds."""
+    drop = abs(x).bit_length() - bits
+    if drop <= 0:
+        return x
+    q, r = divmod(abs(x), 1 << drop)
+    q += (r << 1 | q & 1) > 1 << drop
+    return q << drop if x > 0 else -(q << drop)
 
 
 def _aberth_sweeps(poly: MonicIntPoly, z: list[complex]) -> bool:
@@ -436,24 +458,64 @@ def _fixed_horner(coeffs: tuple[int, ...], x: int, y: int, shift: int) -> tuple[
     return px, py, dx, dy
 
 
-def _fixed_sweeps(poly: MonicIntPoly, xs: list[int], ys: list[int], bits: int, shift: int) -> int | None:
-    """Aberth-Ehrlich sweeps in place on the roots (xs + i ys) / 2^shift.
+def _residual_bound(coeffs: tuple[int, ...], x: int, y: int, shift: int) -> int:
+    """An integer >= |P(z)| 2^shift at z = (x + iy) / 2^shift: the fixed Horner
+    value plus its running error (Higham 2002, section 5.1).  Each step floors
+    the two parts of p z, an error under sqrt 2 units of 2^-shift, and scales
+    the error so far by |z| <= (isqrt(x^2 + y^2) + 1) / 2^shift."""
+    modulus = math.isqrt(x * x + y * y) + 1
+    px, py, err = 1 << shift, 0, 0
+    for a in reversed(coeffs[:-1]):
+        px, py = ((px * x - py * y) >> shift) + (a << shift), (px * y + py * x) >> shift
+        err = ((err * modulus) >> shift) + 3
+    return math.isqrt(px * px + py * py) + 1 + err
 
-    Returns the sweep count once every step of a sweep has |delta| <=
-    2^-(bits-8) (1 + |z_i|), None after _ABERTH_MAX_ITER sweeps.  A root where
-    P' vanishes moves by 2^-(bits-8) + 1e-3; a z_j equal to z_i adds nothing
-    to the sum of 1/(z_i - z_j).
-    """
+
+def _disc_radii(coeffs: tuple[int, ...], xs: list[int], ys: list[int], bits: int, shift: int) -> list[int] | None:
+    """Radii in units of 2^-shift, rounded up, of the Weierstrass discs D(z_i,
+    k |P(z_i)| / prod_{j != i} |z_i - z_j|) of z_i = (xs[i] + i ys[i]) /
+    2^shift; None unless each radius is <= 2^-(bits-8) |z_i| and no two
+    discs meet.  Every connected union of m such discs holds exactly m roots
+    of the monic P of degree k (Braess & Hadeler 1973; Carstensen 1991)."""
+    k, radii, nearest = len(xs), [], []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        dists = [(x - xj) ** 2 + (y - yj) ** 2 for j, (xj, yj) in enumerate(zip(xs, ys)) if j != i]
+        if not (near := min(dists, default=math.inf)):
+            return None
+        # m 2^e <= prod_j |z_i - z_j|^2 2^(2 shift (k-1)), floored to 128 bits after each factor
+        m, e = 1, 0
+        for dist in dists:
+            drop = max((m := m * dist).bit_length() - 128, 0)
+            m, e = m >> drop, e + drop
+        bound = -k * _residual_bound(coeffs, x, y, shift) << shift * (k - 1)
+        radius = -(bound // (math.isqrt(m << (e & 1)) << e // 2))
+        if radius << (bits - 8) > math.isqrt(x * x + y * y):
+            return None
+        radii.append(radius)
+        nearest.append(near)
+    # r_i + r_j <= r_i + max r < |z_i - z_j| for every pair
+    largest = max(radii)
+    return None if any((r + largest) ** 2 >= near for r, near in zip(radii, nearest)) else radii
+
+
+def _fixed_sweeps(poly: MonicIntPoly, xs: list[int], ys: list[int], bits: int, shift: int) -> tuple[int, list[int]]:
+    """Aberth-Ehrlich sweeps in place on the roots (xs + i ys) / 2^shift until
+    _disc_radii certifies the cloud rounded to `bits`, tried after each sweep;
+    then xs, ys take the rounded cloud and (sweeps, radii) is returned.  A
+    repeated root, which no disjoint discs certify, raises InvalidArgument
+    before sweep _REPEATED_ROOT_SWEEPS; any other failure NumericFailure
+    after _ABERTH_MAX_ITER.  A root where P' vanishes moves by 2^-(bits-8) +
+    1e-3; a z_j equal to z_i adds nothing to the sum of 1/(z_i - z_j)."""
     one = 1 << shift
     for sweep in range(1, _ABERTH_MAX_ITER + 1):
-        converged = True
+        if sweep == _REPEATED_ROOT_SWEEPS and _has_repeated_root(poly):
+            raise InvalidArgument("the characteristic polynomial has a repeated root, which no disc certificate isolates")
         for i, (x, y) in enumerate(zip(xs, ys)):
             px, py, dx, dy = _fixed_horner(poly.coeffs, x, y, shift)
             if px == py == 0:
                 continue
             if dx == dy == 0:
                 xs[i] += (one >> (bits - 8)) + one // 1000
-                converged = False
                 continue
             slope = dx * dx + dy * dy  # w = P / P'
             wx, wy = ((px * dx + py * dy) << shift) // slope, ((py * dx - px * dy) << shift) // slope
@@ -466,26 +528,38 @@ def _fixed_sweeps(poly: MonicIntPoly, xs: list[int], ys: list[int], bits: int, s
             nx, ny = one - ((wx * sx - wy * sy) >> shift), -((wx * sy + wy * sx) >> shift)
             if den := nx * nx + ny * ny:
                 wx, wy = ((wx * nx + wy * ny) << shift) // den, ((wy * nx - wx * ny) << shift) // den
-            xs[i], ys[i] = x, y = x - wx, y - wy
-            if (wx * wx + wy * wy) << (2 * bits - 16) > (one + math.isqrt(x * x + y * y)) ** 2:
-                converged = False
-        if converged:
-            return sweep
-    return None
+            xs[i], ys[i] = x - wx, y - wy
+        rounded_xs, rounded_ys = [_round_bits(x, bits) for x in xs], [_round_bits(y, bits) for y in ys]
+        if (radii := _disc_radii(poly.coeffs, rounded_xs, rounded_ys, bits, shift)) is not None:
+            xs[:], ys[:] = rounded_xs, rounded_ys
+            return sweep, radii
+    raise NumericFailure(f"no disc certificate for the root iteration after {_ABERTH_MAX_ITER} sweeps")
+
+
+def _has_repeated_root(poly: MonicIntPoly) -> bool:
+    """True when gcd(P, P') has positive degree, by Euclid's algorithm over Q."""
+    a = [Fraction(c) for c in poly.coeffs]
+    b = [Fraction(i * c) for i, c in enumerate(poly.coeffs)][1:]
+    while len(b) > 1:
+        while len(a) >= len(b):
+            factor, offset = a[-1] / b[-1], len(a) - len(b)
+            a = [c - factor * b[i - offset] if i >= offset else c for i, c in enumerate(a[:-1])]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return not b
 
 
 @dataclass(frozen=True)
 class RootProfile:
-    """Certified phi enclosure plus the residual-checked complex root cloud."""
+    """Certified phi enclosure, |psi| and the certified complex root cloud."""
 
     phi: mpf
     phi_lo: Fraction
     phi_hi: Fraction
     psi_abs: mpf | None
     g: int
-    roots: tuple
-    residuals: tuple
-    root_errors: tuple
+    cloud: RootCloud
     precision_bits: int
 
     @property
@@ -524,43 +598,45 @@ def certified_phi(poly: MonicIntPoly, precision_bits: int) -> tuple[Fraction, Fr
 
 
 def root_profile(poly: MonicIntPoly, g: int, precision_bits: int) -> RootProfile:
-    """Certify phi to precision_bits and classify the root moduli.
+    """Certify phi to precision_bits and split the cloud into the orbit and the rest.
 
-    Raises RootStructureViolation when the max-modulus orbit does not
-    consist of exactly g roots forming phi times the g-th roots of unity.
+    Each disc of the cloud holds one root, and phi times the g-th roots of
+    unity are the roots of modulus phi (module docstring); so when every disc
+    but the g with the largest centres lies in |z| < phi_lo, |psi| is within
+    a radius of the largest remaining centre's modulus, taken at the Aberth
+    precision.  Raises RootStructureViolation when the exponents of P have a
+    gcd other than g, InvalidArgument when the discs do not separate the orbit.
     """
     if g < 1:
         raise InvalidArgument(f"g must be >= 1, got {g}")
     phi_lo, phi_hi, phi = certified_phi(poly, precision_bits)
-
+    exponent_gcd = math.gcd(*(i for i, a in enumerate(poly.coeffs) if a))
+    if exponent_gcd != g:
+        raise RootStructureViolation(
+            f"expected {g} max-modulus roots, but the exponents of the polynomial have gcd {exponent_gcd}"
+        )
     aberth_bits = max(_ABERTH_BITS, min(precision_bits, 320))
-    roots, residuals, errors = _aberth_roots(poly, aberth_bits)
-    with mp.workprec(aberth_bits):
-        phi_w = (mpf(phi_lo.numerator) / phi_lo.denominator + mpf(phi_hi.numerator) / phi_hi.denominator) / 2
-        moduli = [abs(z) for z in roots]
-        orbit = [i for i, m in enumerate(moduli) if m >= phi_w * (1 - ORBIT_TIE_TOL)]
-        rest = [i for i in range(len(roots)) if i not in orbit]
-        if len(orbit) != g:
-            raise RootStructureViolation(
-                f"expected {g} max-modulus roots, found {len(orbit)} "
-                f"(moduli {[mpmath.nstr(m, 10) for m in moduli]})"
-            )
-        for i in orbit:
-            if abs((roots[i] / phi_w) ** g - 1) > ORBIT_PATTERN_TOL:
-                raise RootStructureViolation(
-                    f"max-modulus root {mpmath.nstr(roots[i], 10)} is not phi times "
-                    f"a {g}-th root of unity"
-                )
-        psi_abs = max((moduli[i] for i in rest), default=None)
+    cloud = _aberth_roots(poly, aberth_bits)
+    moduli = [x * x + y * y for x, y in zip(cloud.xs, cloud.ys)]
+    rest = sorted(range(poly.degree), key=moduli.__getitem__, reverse=True)[g:]
+    # (|z_i| + r_i) 2^shift rounded up, for the largest disc outside the orbit
+    outer = max((math.isqrt(moduli[i]) + 1 + cloud.radii[i] for i in rest), default=0)
+    if outer * phi_lo.denominator >= phi_lo.numerator << cloud.shift:
+        raise InvalidArgument(
+            f"the {g} roots of largest modulus are not separated from the others at {aberth_bits} bits"
+        )
+    psi_abs = None
+    if rest:
+        with mp.workprec(aberth_bits):
+            x, y = (mpmath.ldexp(v[rest[0]], -cloud.shift) for v in (cloud.xs, cloud.ys))
+            psi_abs = abs(mpmath.mpc(x, y))
     return RootProfile(
         phi=phi,
         phi_lo=phi_lo,
         phi_hi=phi_hi,
         psi_abs=psi_abs,
         g=g,
-        roots=roots,
-        residuals=residuals,
-        root_errors=errors,
+        cloud=cloud,
         precision_bits=precision_bits,
     )
 

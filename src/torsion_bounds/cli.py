@@ -159,7 +159,7 @@ def roots_cmd(degrees, precision_bits, fmt, out):
                     "im": decimal_str(z.imag),
                     "residual": mpmath.nstr(res, 6),
                 }
-                for z, res in zip(profile.roots, profile.residuals)
+                for z, res in zip(profile.cloud.roots, profile.cloud.residuals)
             ]
         _emit(to_json(summary), out)
 

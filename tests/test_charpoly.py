@@ -78,7 +78,7 @@ def test_root_profile_plastic():
         assert abs(profile.psi_abs - mpf("0.868837")) < mpf("1e-5")
         # |psi|^2 = 1/phi since the root product is 1
         assert abs(profile.psi_abs**2 - 1 / profile.phi) < mpf("1e-12")
-    assert profile.g == 1 and len(profile.roots) == 3
+    assert profile.g == 1 and len(profile.cloud.roots) == 3
 
 
 def test_root_profile_quartic_closed_form():
@@ -91,7 +91,7 @@ def test_root_profile_all_roots_on_circle():
     profile = root_profile(char_poly(GeneratorSet.of((2, 1))), 2, 64)
     assert profile.phi == 1
     assert profile.psi_abs is None
-    assert sorted(complex(z).real for z in profile.roots) == [-1.0, 1.0]
+    assert sorted(complex(z).real for z in profile.cloud.roots) == [-1.0, 1.0]
 
 
 def test_certified_enclosure_signs_are_exact():
