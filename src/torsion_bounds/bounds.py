@@ -18,13 +18,16 @@ times the logarithms of their bases: consecutive rows differ by one factor
 of phi, sqrt(phi) or |psi| to a power, so each power is a running product,
 restarted from the row's own profile whenever the profile changes or the
 degrees skip.  A rigorous bound e on the distance of the row's value v to
-the P-bit value decides the row (Ziv's rounding test): when v - e and
-v + e print alike, without 0 or the printed decimal between them, the row
-keeps v, whose digits and sign are those of the P-bit value; otherwise it
-takes the P-bit value from f_q, ktheory_lower or weak_lower.  Negative
-bound values are reported as-is: they are valid but vacuous.
+the P-bit value decides the row (Ziv's rounding test): render.common_text
+rounds the integer enclosure [v - e, v + e] to a decimal string once and
+returns it when every real of the enclosure prints it, so without 0 or the
+printed decimal inside.  The row then keeps v and that string, whose digits
+and sign are those of the P-bit value; otherwise it takes the P-bit value
+from f_q, _strong_value or weak_lower and formats it once.  Each table row
+carries its string to the printer, and is vacuous when that string is 0 or
+negative: negative bound values are reported as-is, valid but vacuous.
 
-Three values of the K-theory path are computed once and reused:
+These values of the K-theory path are computed once and reused:
 
 - log phi, once per (phi, precision).  A non-dyadic power phi ** t makes
   mpmath take log phi at prec + 10 bits and return exp(t log phi) with the
@@ -33,6 +36,8 @@ Three values of the K-theory path are computed once and reused:
 - the ktheory_lower value, once per (p, g, q_l, n(M), bits), and within a
   table the strong row's value likewise.  M enters the formula only through
   n(M) and the row's precision, and a profile is fixed by its precision.
+- within a table, 1 + eps, and the root profile once per precision bucket:
+  rows whose exponent budgets round to the same bits share one profile.
 
 Each reuses a value that the same operations at the same precision would
 compute again, so every result stays bit-identical.
@@ -51,10 +56,10 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
-from .charpoly import GeneratorSet, char_poly, profile_bits, profile_for_exponent, root_profile
+from .charpoly import GeneratorSet, _bucketed_bits, char_poly, profile_bits, profile_for_exponent, root_profile
 from .combinat import is_odd_prime
 from .errors import CoverageViolation, InvalidArgument
-from .render import prints_alike
+from .render import common_text, decimal_str
 
 __all__ = [
     "BezoutCoverage",
@@ -183,17 +188,13 @@ def f_q(q: int, n: int, p: int = 3) -> mpf:
     The value does not depend on p; the argument is kept for interface
     symmetry with boundary_lower and is validated only.
     """
-    params = _fq_params(q, n, p)
+    if n < 2:
+        raise InvalidArgument(f"f_q requires N >= 2, got {n}")
+    params = homology_params(q, p, n)
     with mp.workprec(params.precision_bits):
         phi = params.phi
         main = (1 - (mpf(n) / (n - 1)) / phi) * phi**n / n
         return main - params.c * n * phi ** (mpf(n) / 2) - params.kappa * params.psi_abs**n
-
-
-def _fq_params(q: int, n: int, p: int) -> HomologyBoundParams:
-    if n < 2:
-        raise InvalidArgument(f"f_q requires N >= 2, got {n}")
-    return homology_params(q, p, n)
 
 
 def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
@@ -223,10 +224,8 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
         # phi^N/N - phi^(N-1)/(N-1) - c N phi^(N/2) - kappa |psi|^N
         middle, less = _mul(c, half), _div(_mul(big, inverse), n - 1)
         terms = (_div(big, n), _neg(less), (-n * middle[0], middle[1]), _neg(_mul(kappa, tail)))
-        value = running.decide(terms, steps, bits)
-        if value is None:
-            value = f_q(q, n, p)
-        rows.append(BoundReport(n, value, "homology_boundary", bool(value <= 0), bits, note=note(n) if note else ""))
+        printed = running.decide(terms, steps, bits) or _printed(f_q(q, n, p))
+        rows.append(_table_row(n, printed, "homology_boundary", bits, note(n) if note else ""))
     return rows
 
 
@@ -522,7 +521,8 @@ def ktheory_params(p: int, gen: GeneratorSet, conn: int, dim: int) -> KTheoryPar
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One guaranteed lower bound at one degree, with provenance."""
+    """One guaranteed lower bound at one degree, with provenance; text, the bound
+    as printed, is set on table rows (homology_rows, ktheory_rows) only."""
 
     degree: int
     bound: mpf
@@ -531,6 +531,18 @@ class BoundReport:
     precision_bits: int
     exact_rank: int | None = None
     note: str = ""
+    text: str | None = None
+
+
+def _printed(value: mpf) -> tuple[mpf, str]:
+    return value, decimal_str(value)
+
+
+def _table_row(degree: int, printed: tuple[mpf, str], theorem: str, bits: int, note: str) -> BoundReport:
+    """A printed row, vacuous when its text is 0 or negative: decimal_str keeps
+    the value's sign, and the integer pass prints only a certified one."""
+    value, text = printed
+    return BoundReport(degree, value, theorem, text == "0" or text[0] == "-", bits, note=note, text=text)
 
 
 @lru_cache(maxsize=None)
@@ -565,8 +577,10 @@ def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
     _check_degree(params, m)
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
     bits, n = profile.precision_bits, params.n_of(m)
-    value = None if n is None else _strong_value(params.p, params.g, params.gen.q_max, n, bits, profile.phi, profile.psi_abs)
-    return _strong_row(m, n, value, bits)
+    if n is None:
+        return BoundReport(m, mpf(0), "ktheory_guaranteed", True, bits, note="below-threshold")
+    value = _strong_value(params.p, params.g, params.gen.q_max, n, bits, profile.phi, profile.psi_abs)
+    return BoundReport(m, value, "ktheory_guaranteed", bool(value <= 0), bits, note=f"n(M)={n}")
 
 
 def _check_degree(params: KTheoryParams, m: int) -> None:
@@ -574,13 +588,6 @@ def _check_degree(params: KTheoryParams, m: int) -> None:
         raise InvalidArgument(f"M must be >= 1, got {m}")
     if m % params.g_prime:
         raise InvalidArgument(f"M={m} is not a multiple of g'={params.g_prime}")
-
-
-def _strong_row(m: int, n: int | None, value: mpf | None, bits: int) -> BoundReport:
-    """The ktheory_guaranteed row at M with n = n(M), bound value unless n is None."""
-    if n is None:
-        return BoundReport(m, mpf(0), "ktheory_guaranteed", True, bits, note="below-threshold")
-    return BoundReport(m, value, "ktheory_guaranteed", bool(value <= 0), bits, note=f"n(M)={n}")
 
 
 @lru_cache(maxsize=None)
@@ -652,10 +659,14 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
     )
     strong, weak = _Running(weight, len(degrees), 1), _Running(weight, len(degrees), params.g_prime)
     strong_values = {}  # M enters the strong bound only through n(M) and the profile
-    rows = []
+    poly, profile, rows = char_poly(params.gen), top, []
+    with mp.workprec(weak.bits):
+        one_eps = 1 + _mpf_of(eps)
     for m in degrees:
         _check_degree(params, m)
-        profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
+        budget = _exponent_budget(params, m)
+        if _bucketed_bits(poly, budget) != profile.precision_bits:
+            profile = profile_for_exponent(params.gen, budget)
         bits, phi, psi, n = profile.precision_bits, profile.phi, profile.psi_abs, params.n_of(m)
         if n is not None and (n, bits) not in strong_values:
             powers, steps = strong.powers(
@@ -665,17 +676,18 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
             terms = [_div(powers[0], n + tail_e), (-g * powers[1][0], powers[1][1])]
             if psi is not None:
                 terms += [(-3 * params.gen.q_max, 0), (-2 * params.gen.q_max * powers[2][0], powers[2][1])]
-            value = strong.decide(terms, steps, bits)
-            strong_values[n, bits] = _strong_value(params.p, params.g, params.gen.q_max, n, bits, phi, psi) if value is None else value
+            strong_values[n, bits] = strong.decide(terms, steps, bits) or _printed(
+                _strong_value(params.p, params.g, params.gen.q_max, n, bits, phi, psi)
+            )
         (power,), steps = weak.powers(bits, m, lambda: ((phi, params.ratio, 0),))
         with mp.workprec(weak.bits):
-            denominator = mpf(m) ** (1 + _mpf_of(eps))
-        value = weak.decide([weak.divide(power, denominator)], steps, bits)
-        if value is None:
-            value = weak_lower(params, m, eps)
+            denominator = mpf(m) ** one_eps
+        weak_printed = weak.decide([weak.divide(power, denominator)], steps, bits) or _printed(weak_lower(params, m, eps))
         rows += [
-            _strong_row(m, n, strong_values.get((n, bits)), bits),
-            BoundReport(m, value, "ktheory_weak", bool(value <= 0), bits, note=note),
+            # below the threshold (n None) the bound is 0
+            _table_row(m, strong_values.get((n, bits), (mpf(0), "0")), "ktheory_guaranteed", bits,
+                       "below-threshold" if n is None else f"n(M)={n}"),
+            _table_row(m, weak_printed, "ktheory_weak", bits, note),
         ]
     return rows
 
@@ -730,7 +742,9 @@ class _Running:
 
     enclose() sums the row's signed terms into v and bounds |v - r| by e, r the
     value that the row's formula returns at its precision P from the same
-    profile, and decide() keeps v when v - e and v + e print alike.  Each term
+    profile, and decide() keeps v with its text when render.common_text finds
+    one string that every real of [v - e, v + e] prints: one rounding per
+    row, from the integers, with no mpf for either end.  Each term
     is a product of constants and powers x^y.  Rounding the exponents to F bits
     moves it by at most the sum of |y| |ln x| 2^(1-F) <= W 2^(1-F) relatively,
     and its other roundings number at most 8 + 2 j: the mpmath restart powers
@@ -782,14 +796,8 @@ class _Running:
         err = (size * (2 * self.weight + 32 + 4 * steps) << _ROW_SAFETY_BITS) >> (min(self.bits, bits) - 1)
         return value, err + len(terms) + 1, base
 
-    def decide(self, terms, steps: int, bits: int) -> mpf | None:
-        """v when every real within e of it prints v's digits and has its sign; else None."""
+    def decide(self, terms, steps: int, bits: int) -> tuple[mpf, str] | None:
+        """(v, its text) when every real within e of v prints that text; else None."""
         value, err, base = self.enclose(terms, steps, bits)
-        lo, hi = value - err, value + err
-        if (lo > 0 or hi < 0) and prints_alike(_exact(lo, base), _exact(hi, base)):
-            return _exact(value, base)
-        return None
-
-
-def _exact(m: int, k: int) -> mpf:
-    return mp.make_mpf(from_man_exp(m, k))
+        text = common_text(value - err, value + err, base)
+        return None if text is None else (mp.make_mpf(from_man_exp(value, base)), text)

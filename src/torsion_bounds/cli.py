@@ -2,13 +2,12 @@
 
 Subcommands: lie-rank, roots, bound, bezout, dgl, report, verify.
 Output is deterministic (fixed precision, fixed ordering, no timestamps);
-exit codes: 0 success, 1 invalid input, 2 verification failure,
-3 numeric failure.
+exit codes: 0 success, 1 invalid input (click's usage errors included),
+2 verification failure, 3 numeric failure.
 """
 
 from __future__ import annotations
 
-import functools
 import sys
 
 import click
@@ -27,7 +26,6 @@ from .errors import (
     InvalidArgument,
     NumericFailure,
     OracleInconsistency,
-    ParameterMismatch,
     RootStructureViolation,
     TorsionBoundsError,
 )
@@ -52,31 +50,20 @@ _EXIT_VERIFICATION = 2
 _EXIT_NUMERIC = 3
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (InvalidArgument, ParameterMismatch) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(_EXIT_INVALID)
-        except NumericFailure as exc:
-            click.echo(f"numeric failure: {exc}", err=True)
-            sys.exit(_EXIT_NUMERIC)
-        except (
-            CoverageViolation,
-            DimensionMismatch,
-            InternalError,
-            OracleInconsistency,
-            RootStructureViolation,
-        ) as exc:
-            click.echo(f"verification failure: {exc}", err=True)
-            sys.exit(_EXIT_VERIFICATION)
-        except TorsionBoundsError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(_EXIT_INVALID)
-
-    return wrapper
+def _exit_on_failure(fn, *args, **kwargs):
+    """fn(*args, **kwargs); a failure prints one line on stderr and exits with its code."""
+    try:
+        return fn(*args, **kwargs)
+    except NumericFailure as exc:
+        message, code = f"numeric failure: {exc}", _EXIT_NUMERIC
+    except (CoverageViolation, DimensionMismatch, InternalError, OracleInconsistency, RootStructureViolation) as exc:
+        message, code = f"verification failure: {exc}", _EXIT_VERIFICATION
+    except click.UsageError as exc:  # click's own: a missing or unknown option, a value of the wrong type
+        message, code = f"error: {' '.join(exc.format_message().splitlines())}", _EXIT_INVALID
+    except TorsionBoundsError as exc:
+        message, code = f"error: {exc}", _EXIT_INVALID
+    click.echo(message, err=True)
+    sys.exit(code)
 
 
 def _emit(text: str, out: str | None):
@@ -93,7 +80,18 @@ _format_option = click.option(
 _out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
 
 
-@click.group()
+class _Main(click.Group):
+    """Runs the parsing of the group's arguments and the subcommand, its own
+    parsing included, under _exit_on_failure."""
+
+    def make_context(self, *args, **kwargs):
+        return _exit_on_failure(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _exit_on_failure(super().invoke, ctx)
+
+
+@click.group(cls=_Main, no_args_is_help=False)
 def main():
     """Exact free-Lie-algebra ranks and guaranteed homotopy torsion bounds."""
 
@@ -104,7 +102,6 @@ def main():
 @click.option("--oracle-check", is_flag=True, help="cross-check against the series oracle")
 @_format_option
 @_out_option
-@_handle_errors
 def lie_rank_cmd(degrees, upto, oracle_check, fmt, out):
     """Exact rank(L_N) for N = 1..UPTO."""
     gen = GeneratorSet.parse(degrees)
@@ -134,7 +131,6 @@ def lie_rank_cmd(degrees, upto, oracle_check, fmt, out):
 )
 @_format_option
 @_out_option
-@_handle_errors
 def roots_cmd(degrees, precision_bits, fmt, out):
     """Certified root profile (phi, |psi|, g) of the characteristic polynomial."""
     gen = GeneratorSet.parse(degrees)
@@ -179,7 +175,6 @@ def roots_cmd(degrees, precision_bits, fmt, out):
 @click.option("--upto", type=int, required=True)
 @_format_option
 @_out_option
-@_handle_errors
 def bound_cmd(route, q, p, degrees, conn, dim, eps, from_, upto, fmt, out):
     """Guaranteed lower bounds: boundary-rank route or K-theory route.
 
@@ -209,7 +204,7 @@ def _degree_range(from_, upto, first, step=1) -> range:
 
 def _emit_reports(reports, fmt, out):
     rows = report_rows(reports)
-    _emit(to_csv(rows, REPORT_FIELDS) if fmt == "csv" else to_json(rows), out)
+    _emit(to_csv(rows, REPORT_FIELDS) if fmt == "csv" else to_json(list(rows)), out)
 
 
 @main.command("bezout")
@@ -222,7 +217,6 @@ def _emit_reports(reports, fmt, out):
 @click.option("--witnesses", is_flag=True, help="include the witness map (json only)")
 @_format_option
 @_out_option
-@_handle_errors
 def bezout_cmd(alpha, beta, a_, b_, ns, cap, witnesses, fmt, out):
     """Brute-force-verified covering certificate for the sets S_n."""
     cert = bezout_cover(alpha, beta, _as_fraction(a_, "--a"), _as_fraction(b_, "--b"), list(ns), cap)
@@ -261,7 +255,6 @@ def bezout_cmd(alpha, beta, a_, b_, ns, cap, witnesses, fmt, out):
 @click.option("--upto", type=int, default=12, show_default=True, help=f"last degree, at most {MAX_DGL_DEGREE}")
 @_format_option
 @_out_option
-@_handle_errors
 def dgl_cmd(q, p, upto, fmt, out):
     """Brute-force dims of L_n, cycles, boundaries, homology over F_p."""
     if upto < 1:
@@ -303,7 +296,6 @@ def dgl_cmd(q, p, upto, fmt, out):
 @click.option("--upto", type=int, required=True)
 @_format_option
 @_out_option
-@_handle_errors
 def report_cmd(space_name, q, p, r, n, k, l, eps, from_, upto, fmt, out):
     """Guaranteed lower-bound table for a catalog space."""
     space = space_by_name(space_name)
@@ -324,7 +316,6 @@ def report_cmd(space_name, q, p, r, n, k, l, eps, from_, upto, fmt, out):
     show_default=True,
     type=click.Choice(["all", *verify_mod.SUITES]),
 )
-@_handle_errors
 def verify_cmd(suite):
     """Run the invariant suites and print a summary table."""
     failures = 0

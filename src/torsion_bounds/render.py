@@ -11,6 +11,7 @@ import csv
 import decimal
 import io
 import json
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -19,7 +20,7 @@ from mpmath import mpf
 if TYPE_CHECKING:
     from .bounds import BoundReport
 
-__all__ = ["decimal_str", "prints_alike", "report_rows", "to_csv", "to_json"]
+__all__ = ["common_text", "decimal_str", "report_rows", "to_csv", "to_json"]
 
 SIGNIFICANT_DIGITS = 24
 
@@ -40,8 +41,7 @@ def decimal_str(x, sig: int = SIGNIFICANT_DIGITS) -> str:
     with decimal.localcontext() as ctx:
         ctx.prec = sig
         value = decimal.Decimal(num) / decimal.Decimal(den)
-    out = format(value, "f")
-    return out
+    return format(value, "f")
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -49,35 +49,44 @@ def _ratio(x) -> tuple[int, int]:
         return x.numerator, x.denominator
     if isinstance(x, mpf) or hasattr(x, "_mpf_"):
         sign, man, exp, _ = x._mpf_
-        man, exp = int(man), int(exp)  # the gmpy2 backend hands back mpz
-        num = -man if sign else man
+        num = int(-man if sign else man)
         return (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
     raise TypeError(f"decimal_str cannot render {type(x).__name__}")
 
 
-def prints_alike(lo: mpf, hi: mpf) -> bool:
-    """True when decimal_str gives every real in [lo, hi] the same string.
+def common_text(lo: int, hi: int, k: int) -> str | None:
+    """The string decimal_str gives every real in [lo 2^k, hi 2^k], or None.
 
-    Decimal division rounds correctly, so rounding to SIGNIFICANT_DIGITS is
-    monotone and two ends that print alike round every real between them to
-    the same decimal D.  The one exception is D itself, whose exact quotient
-    prints without trailing zeros, so an interval holding D is refused.
+    One correctly rounded Decimal division gives D = decimal_str(lo 2^k).
+    Rounding to SIGNIFICANT_DIGITS is monotone, so every real of the interval
+    rounds to D when hi 2^k < D, or when D < lo 2^k and hi 2^k < D + ulp(D)/2.
+    D itself is refused: its exact quotient prints without trailing zeros.
+    The compares are integer cross-multiplications; an interval holding 0 is
+    refused and a negative one mirrored.
     """
-    text = decimal_str(lo)
-    if text != decimal_str(hi):
-        return False
-    (lo_num, lo_den), (hi_num, hi_den) = _ratio(lo), _ratio(hi)
-    num, den = decimal.Decimal(text).as_integer_ratio()  # every denominator is positive
-    return not (lo_num * den <= num * lo_den and num * hi_den <= hi_num * den)
+    if hi < 0:
+        text = common_text(-hi, -lo, k)
+        return None if text is None else "-" + text
+    if lo <= 0:
+        return None
+    with decimal.localcontext() as ctx:
+        ctx.prec = SIGNIFICANT_DIGITS
+        rounded = decimal.Decimal(lo << k if k >= 0 else lo) / decimal.Decimal(1 if k >= 0 else 1 << -k)
+        e = rounded.as_tuple().exponent
+        c = int(rounded.scaleb(-e))
+    # x 2^k < c 10^e exactly when x left < c right, both sides scaled to integers
+    left, right = (1 << max(k, 0)) * 10 ** max(-e, 0), (1 << max(-k, 0)) * 10 ** max(e, 0)
+    if hi * left < c * right or (c * right < lo * left and 2 * hi * left < (2 * c + 1) * right):
+        return format(rounded, "f")
+    return None
 
 
-def report_rows(reports: list[BoundReport]) -> list[dict]:
-    """Rows matching the wire schema for bound reports."""
-    rows = []
+def report_rows(reports: Iterable[BoundReport]) -> Iterator[dict]:
+    """Rows matching the wire schema for bound reports, one at a time."""
     for r in reports:
         row = {
             "degree": r.degree,
-            "bound": decimal_str(r.bound),
+            "bound": r.text,
             "exact_rank": None if r.exact_rank is None else str(r.exact_rank),
             "theorem": r.theorem,
             "vacuous": r.vacuous,
@@ -85,17 +94,15 @@ def report_rows(reports: list[BoundReport]) -> list[dict]:
         }
         if r.note:
             row["note"] = r.note
-        rows.append(row)
-    return rows
+        yield row
 
 
-def to_csv(rows: list[dict], fieldnames: list[str]) -> str:
+def to_csv(rows: Iterable[dict], fieldnames: list[str]) -> str:
     """RFC 4180 CSV (CRLF line endings, minimal quoting)."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, extrasaction="ignore")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(row.get(k)) for k in fieldnames})
+    writer = csv.writer(buf)
+    writer.writerow(fieldnames)
+    writer.writerows([_csv_cell(row.get(k)) for k in fieldnames] for row in rows)
     return buf.getvalue()
 
 

@@ -10,6 +10,7 @@ K-theory-route rows carry both the guaranteed bound and the weak
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bounds import BoundReport, _as_fraction, _fraction_str, homology_rows, ktheory_params, ktheory_rows
@@ -38,8 +39,6 @@ class SpaceSpec:
         return _DIMS[self.name](values)
 
     def g_prime(self, p: int) -> int:
-        import math
-
         if self.route != "ktheory":
             raise ParameterMismatch(f"{self.name} has no K-theory step g'")
         return math.gcd(self.gen.g, 2 * (p - 1))

@@ -413,14 +413,6 @@ def check_fq_chain(qs=(2, 3, 4), eps: float = 0.1, n_hi: int = 400) -> list[str]
     return fails
 
 
-def fq_positive_threshold(q: int, n_hi: int = 400) -> int | None:
-    """Smallest N with f_q(N) > 0 (scan), None if not reached by n_hi."""
-    for n in range(2, n_hi + 1):
-        if bnd.f_q(q, n) > 0:
-            return n
-    return None
-
-
 def check_phi_dominates_two_power(q_max: int = 50, ns=(5, 20, 80, 200, 400)) -> list[str]:
     """(1 - 1/phi) phi^N > (1 - 2^{-1/(q+1)}) 2^{N/(q+1)} at sampled N.
 

@@ -1,15 +1,19 @@
 """Fuzzed argv for every subcommand: exit 0, or exit 1 with one `error:` line.
 
-Each draw is an argv that click parses (every required option present, every
-int option an int), with values from small ranges that reach past each
+The first test draws argv that click parses (every required option present,
+every int option an int), with values from small ranges that reach past each
 documented limit on both sides: zero, negative and oversized degrees,
 composite and even primes, malformed degree specs and rationals, a repeated
 root, unknown spaces, missing and foreign space parameters. Sizes stay small
 so a draw runs in milliseconds; `verify` draws its two fastest suites. The
-runner lets any exception through, so a traceback fails the test, as does
-exit 2 (a verification failure) or 3 (a numeric one).
+second test breaks such an argv the way click refuses: an unknown option, a
+required option left out, or an int option given a non-integer; that is
+invalid input too, so it must exit 1 with one line. The runner lets any
+exception through, so a traceback fails the test, as does exit 2 (a
+verification failure) or 3 (a numeric one).
 """
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -84,6 +88,40 @@ SUBCOMMANDS = [
 ]
 
 
+# the options click itself requires, and those it parses as integers
+REQUIRED = {
+    "lie-rank": ("--degrees", "--upto"), "roots": ("--degrees",), "bound": ("--p", "--upto"),
+    "bezout": ("--alpha", "--beta", "--a", "--n", "--cap"), "dgl": ("--q", "--p"), "report": ("--space", "--p", "--upto"),
+}
+INTEGER = {"--upto", "--from", "--p", "--q", "--r", "--n", "--k", "--l", "--conn", "--dim", "--alpha", "--beta", "--cap",
+           "--precision-bits"}
+
+
+def _without(argv, flag):
+    """argv with every occurrence of flag and its value left out."""
+    drop = {i for i, arg in enumerate(argv) if arg == flag} | {i + 1 for i, arg in enumerate(argv) if arg == flag}
+    return [arg for i, arg in enumerate(argv) if i not in drop]
+
+
+@st.composite
+def _malformed(draw):
+    argv = draw(st.one_of(SUBCOMMANDS))
+    ints = [i + 1 for i, arg in enumerate(argv) if arg in INTEGER]
+    how = draw(st.sampled_from(["unknown", "missing", "not-int"] if argv[0] in REQUIRED else ["unknown"]))
+    if how == "missing":
+        return _without(argv, draw(st.sampled_from(REQUIRED[argv[0]])))
+    if how == "not-int" and ints:
+        argv[draw(st.sampled_from(ints))] = draw(st.sampled_from(["abc", "1.5", "", "1e3", "3/1"]))
+        return argv
+    unknown = draw(st.sampled_from(["--bogus", "--upt", "-x"]))
+    return draw(st.sampled_from([[unknown, *argv], [*argv, unknown], [*argv, unknown, "1"]]))
+
+
+def _assert_one_error_line(argv, result):
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, result.stderr)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=st.one_of(SUBCOMMANDS))
 def test_any_parsed_argv_exits_cleanly(argv):
@@ -91,5 +129,31 @@ def test_any_parsed_argv_exits_cleanly(argv):
     assert result.exit_code in (0, 1), (argv, result.exit_code, result.stderr)
     assert "Traceback" not in result.stderr
     if result.exit_code:
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, result.stderr)
+        _assert_one_error_line(argv, result)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_malformed())
+def test_any_malformed_argv_exits_with_one_error_line(argv):
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == 1 and result.stdout == "", (argv, result.exit_code, result.stderr)
+    _assert_one_error_line(argv, result)
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots"],
+    ["bound", "--homology", "--q", "2", "--p", "3", "--upto", "abc"],
+    ["report", "--space", "moore", "--q", "2", "--p", "3", "--r", "1", "--upto", "4", "--format", "xml"],
+    ["nope"],
+    [],
+], ids=["missing-option", "non-integer", "bad-choice", "unknown-command", "no-command"])
+def test_usage_errors_exit_1_with_one_error_line(argv):
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == 1 and result.stdout == ""
+    _assert_one_error_line(argv, result)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["roots", "--help"], ["report", "--help"]])
+def test_help_still_exits_0(argv):
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == 0 and result.stdout.startswith("Usage:") and result.stderr == ""

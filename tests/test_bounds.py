@@ -34,7 +34,6 @@ from torsion_bounds.verify import (
     check_condition_star_minimality,
     check_fq_chain,
     check_ktheory_positivity,
-    fq_positive_threshold,
     generator_family,
 )
 
@@ -65,9 +64,14 @@ def test_f_q_spot_value():
     assert mpf("-6.3e3") < f_q(2, 20, 3) < mpf("-6.1e3")
 
 
+def _fq_positive_threshold(q: int, n_hi: int = 400) -> int | None:
+    """Smallest N with f_q(N) > 0 (scan), None if not reached by n_hi."""
+    return next((n for n in range(2, n_hi + 1) if f_q(q, n) > 0), None)
+
+
 def test_f_q_first_positive_regression():
     for q, n0 in FIRST_POSITIVE_N.items():
-        assert fq_positive_threshold(q) == n0
+        assert _fq_positive_threshold(q) == n0
         assert f_q(q, n0) > 0 > f_q(q, n0 - 1)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import time
 from decimal import Decimal
@@ -170,6 +172,28 @@ def test_bound_and_report_emit_identical_csv(bound_args, report_args):
     assert bound.exit_code == report.exit_code == 0
     assert bound.stdout_bytes.count(b"\r\n") > 10
     assert bound.stdout_bytes == report.stdout_bytes
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "3000"),
+        ("bound", "--homology", "--q", "2", "--p", "3", "--upto", "1500"),
+    ],
+    ids=["grassmannian", "moore"],
+)
+def test_csv_and_json_print_the_same_bounds_with_their_signs(args):
+    as_csv, as_json = run(*args), run(*args, "--format", "json")
+    assert as_csv.exit_code == as_json.exit_code == 0
+    csv_rows = list(csv.DictReader(io.StringIO(as_csv.stdout_bytes.decode(), newline="")))
+    json_rows = json.loads(as_json.stdout)
+    assert len(csv_rows) == len(json_rows) > 1000
+    assert [r["bound"] for r in csv_rows] == [r["bound"] for r in json_rows]
+    assert [r["vacuous"] for r in csv_rows] == [("true" if r["vacuous"] else "false") for r in json_rows]
+    for row in json_rows:
+        assert row["vacuous"] == (row["bound"] == "0" or row["bound"].startswith("-")), row
+        assert row["vacuous"] == (Decimal(row["bound"]) <= 0), row
+    assert {r["vacuous"] for r in json_rows} == {True, False}
 
 
 def test_verify_suite_combinat():

@@ -2,10 +2,11 @@
 
 A table's rows are evaluated in one integer pass (bounds._Running): running
 powers on F-bit mantissas, restarted from the row's own profile, and a row
-keeps that value only when the rounding test shows that its 24 digits and
-its sign are those of the P-bit value.  These tests compare every row with
-decimal_str of ktheory_lower, weak_lower and f_q at the same P, check the
-error bound against the exact difference, and force the fallback.
+keeps that value and its text only when render.common_text shows that every
+real of its enclosure, the P-bit value included, prints that text.  These
+tests compare every row's text with decimal_str of ktheory_lower, weak_lower
+and f_q at the same P, check the error bound against the exact difference,
+force the fallback, and check common_text against a rational-arithmetic form.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ from torsion_bounds.bounds import (
     weak_lower,
 )
 from torsion_bounds.charpoly import profile_for_exponent
-from torsion_bounds.render import _ratio, decimal_str, prints_alike
+from torsion_bounds.render import _ratio, common_text, decimal_str
 from torsion_bounds.spaces import catalog, space_by_name
 
 EPSILONS = ("1/2", "1/3", "7", "64")
@@ -54,6 +55,12 @@ def _ktheory(name="grassmannian", values=None):
 
 def _printed(bound, vacuous, bits):
     return decimal_str(bound), vacuous, bits
+
+
+def _printed_row(row):
+    """The row as printed; its value prints its text, its vacuous flag follows the text's sign."""
+    assert decimal_str(row.bound) == row.text and row.vacuous == (Decimal(row.text) <= 0), row
+    return row.text, row.vacuous, row.precision_bits
 
 
 def _set_precision(monkeypatch, floor):
@@ -104,20 +111,16 @@ def _assert_enclosed(enclosures, references):
 def _assert_ktheory_rows_print_references(params, degrees, eps, rows):
     for strong, weak, m in zip(rows[::2], rows[1::2], degrees):
         want = ktheory_lower(params, m)
-        assert _printed(strong.bound, strong.vacuous, strong.precision_bits) == _printed(
-            want.bound, want.vacuous, want.precision_bits
-        ), m
+        assert _printed_row(strong) == _printed(want.bound, want.vacuous, want.precision_bits), m
         exact = weak_lower(params, m, eps)
-        assert _printed(weak.bound, weak.vacuous, weak.precision_bits) == _printed(
-            exact, bool(exact <= 0), want.precision_bits
-        ), m
+        assert _printed_row(weak) == _printed(exact, bool(exact <= 0), want.precision_bits), m
 
 
 def _assert_homology_rows_print_references(q, degrees, rows):
     assert [row.degree for row in rows] == list(degrees)
     for row, n in zip(rows, degrees):
         exact = f_q(q, n, 3)
-        assert _printed(row.bound, row.vacuous, row.precision_bits) == _printed(
+        assert _printed_row(row) == _printed(
             exact, bool(exact <= 0), homology_params(q, 3, n).precision_bits
         ), n
 
@@ -251,7 +254,7 @@ def test_value_near_a_short_decimal_takes_the_fallback():
     m = next(m for m in range(2, 3001, 2) if params.n_of(m) == 102)
     row = ktheory_rows(params, [m], "1/2")[0]
     assert row.bound._mpf_ == ktheory_lower(params, m).bound._mpf_
-    assert decimal_str(row.bound) == "15474936163125650797.0000"
+    assert decimal_str(row.bound) == row.text == "15474936163125650797.0000"
 
 
 def test_catalog_covers_every_ktheory_space():
@@ -264,9 +267,10 @@ def _prints_alike_by_fractions(lo, hi) -> bool:
 
 
 def _near_a_short_decimal():
-    """(D - a 2^-s, D + b 2^-s) for D = d 2^-k, whose decimal is short; a = 0 or b = 0 puts D on an end."""
+    """(D - a 2^-s, D + b 2^-s) as (lo, hi, -s) for D = d 2^-k, whose decimal is short;
+    a = 0 or b = 0 puts D on an end."""
     return st.builds(
-        lambda d, k, a, b, s: (_dyadic((d << s - k) - a, -s), _dyadic((d << s - k) + b, -s)),
+        lambda d, k, a, b, s: ((d << s - k) - a, (d << s - k) + b, -s),
         st.integers(-(10**30), 10**30),
         st.integers(0, 12),
         st.integers(0, 2**20),
@@ -276,9 +280,9 @@ def _near_a_short_decimal():
 
 
 def _anywhere():
-    """(m 2^k, (m + w) 2^k) for m of up to 131 bits and a width w of up to 30."""
+    """(m, m + w, k) for m of up to 131 bits and a width w of up to 30 bits."""
     return st.builds(
-        lambda m, k, w: (_dyadic(m, k), _dyadic(m + w, k)),
+        lambda m, k, w: (m, m + w, k),
         st.builds(
             lambda sign, top, low: sign * (1 << top) + low,
             st.sampled_from([-1, 1]),
@@ -290,11 +294,29 @@ def _anywhere():
     )
 
 
+def _on_the_halfway_point(lo, hi) -> bool:
+    """True when |hi| is exactly D + ulp(D)/2 (-D - ulp(D)/2 mirrored), D = decimal_str(lo):
+    a tie that rounds to D or away from it by the last digit's parity."""
+    text = decimal_str(lo).lstrip("-")
+    half = Fraction(Decimal(1).scaleb(Decimal(text).as_tuple().exponent)) / 2
+    return abs(Fraction(*_ratio(hi))) == Fraction(Decimal(text)) + half
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(interval=st.one_of(_near_a_short_decimal(), _anywhere()))
-@example(interval=(_dyadic(1, -2), _dyadic(1, -2)))  # [0.25, 0.25] holds D = 0.25
-@example(interval=(_dyadic(1, -2), _dyadic(2**80 + 1, -82)))  # D = 0.25 is the left end
-@example(interval=(_dyadic(2**80 - 1, -82), _dyadic(1, -2)))  # D = 0.25 is the right end
+@example(interval=(1, 1, -2))  # [0.25, 0.25] holds D = 0.25
+@example(interval=(1 << 80, 2**80 + 1, -82))  # D = 0.25 is the left end
+@example(interval=(2**80 - 1, 2**80, -82))  # D = 0.25 is the right end
+@example(interval=(-(2**80), -(2**80 - 1), -82))  # D = -0.25 is the left end
+@example(interval=(2**79 + 1, 2**81, -82))  # D = 0.125 < lo, hi = 0.5 far above
+@example(interval=(2 * 10**23 + 1, 2 * 10**23 + 5, -1))  # D = 10^23 < lo, hi = D + 2.5 = D + ulp/2 + 2
 def test_prints_alike_agrees_with_the_fraction_form(interval):
-    lo, hi = interval
-    assert prints_alike(lo, hi) == _prints_alike_by_fractions(lo, hi)
+    lo, hi, k = interval
+    ends = _dyadic(lo, k), _dyadic(hi, k)
+    text = common_text(lo, hi, k)
+    if text is not None:
+        # never accepts what the fraction form refuses, and prints what decimal_str prints at both ends
+        assert _prints_alike_by_fractions(*ends)
+        assert text == decimal_str(ends[0]) == decimal_str(ends[1])
+    else:
+        assert not _prints_alike_by_fractions(*ends) or _on_the_halfway_point(*ends)
