@@ -8,7 +8,6 @@ from .bounds import (
     KTheoryParams,
     bbar_lower,
     bezout_cover,
-    boundary_lower,
     condition_star,
     f_q,
     ktheory_lower,

@@ -4,9 +4,13 @@ All real arithmetic of the public functions runs under an explicit mpmath
 working precision P that auto-scales with the largest exponent in play
 (charpoly.profile_bits; the TORSION_BOUNDS_PRECISION floor is read in
 charpoly.precision_for_exponent only), so identical inputs give
-bit-identical outputs.  Rational constants (a, b, B, theta, thresholds) are
-kept as exact Fractions in the parameter objects and only converted to
-floating point inside a formula; each row sizes its own root profile.
+bit-identical outputs.  Rational constants (a, b, B, theta_safe, thresholds)
+are kept as exact Fractions in the parameter objects and only converted to
+floating point inside a formula; each row sizes its own root profile, and
+every profile comes from the one cache of charpoly (profile_at,
+profile_for_exponent).  The homology-route constants c, kappa and c2 come
+from the roots of z^{q+1} - z - 1 alone, so they are built once per (q,
+precision) for every p; p enters only sigma_upper.
 
 homology_rows and ktheory_rows build the report rows of the two routes;
 the CLI's bound and report commands both go through them.  A row prints
@@ -56,7 +60,7 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
-from .charpoly import GeneratorSet, _bucketed_bits, char_poly, profile_bits, profile_for_exponent, root_profile
+from .charpoly import GeneratorSet, profile_at, profile_bits, profile_for_exponent
 from .combinat import is_odd_prime
 from .errors import CoverageViolation, InvalidArgument
 from .render import common_text, decimal_str
@@ -68,7 +72,6 @@ __all__ = [
     "KTheoryParams",
     "bbar_lower",
     "bezout_cover",
-    "boundary_lower",
     "condition_star",
     "f_q",
     "homology_rows",
@@ -118,79 +121,55 @@ def _mpf_of(x) -> mpf:
 
 @dataclass(frozen=True)
 class HomologyBoundParams:
-    """Constants attached to the dominant root of z^{q+1} - z - 1.
-
-    c = 2(q+2)(1+phi), kappa = (q+1)(1 + 1/|psi|),
-    c1 = 2(q+2) phi^{2/p}, c2 = (q+2)(1 + phi^{-1/2}).
-    """
+    """Constants attached to the dominant root of z^{q+1} - z - 1, which do not
+    involve p: c = 2(q+2)(1+phi), kappa = (q+1)(1 + 1/|psi|),
+    c2 = (q+2)(1 + phi^{-1/2})."""
 
     q: int
-    p: int
     phi: mpf
     psi_abs: mpf
     c: mpf
     kappa: mpf
-    c1: mpf
     c2: mpf
     precision_bits: int
 
-    @classmethod
-    def create(cls, q: int, p: int, bits: int) -> "HomologyBoundParams":
-        gen = _homology_gen(q, p)
-        profile = root_profile(char_poly(gen), gen.g, bits)
-        with mp.workprec(bits):
-            phi = profile.phi
-            psi = profile.psi_or_zero()
-            if psi == 0:
-                raise InvalidArgument(
-                    f"z^{q + 1} - z - 1 has no subdominant root; q={q} unsupported"
-                )
-            lo = mpf(2) ** (mpf(1) / (q + 1))
-            hi = 1 + mpf(1) / q
-            if not lo < phi < hi:
-                raise InvalidArgument(f"phi window violated for q={q}")
-            return cls(
-                q=q,
-                p=p,
-                phi=phi,
-                psi_abs=psi,
-                c=2 * (q + 2) * (1 + phi),
-                kappa=(q + 1) * (1 + 1 / psi),
-                c1=2 * (q + 2) * phi ** (mpf(2) / p),
-                c2=(q + 2) * (1 + 1 / mp.sqrt(phi)),
-                precision_bits=bits,
-            )
 
-
-def _homology_gen(q: int, p: int) -> GeneratorSet:
+def _homology_gen(q: int) -> GeneratorSet:
     if q < 2:
         raise InvalidArgument(f"q must be >= 2, got {q}")
-    if not is_odd_prime(p):
-        raise InvalidArgument(f"p must be an odd prime, got {p}")
     return GeneratorSet.of((q, 1), (q + 1, 1))
 
 
+def _check_homology(q: int, p: int) -> None:
+    """Refuse a bad q, then a bad p, before any profile is built."""
+    _homology_gen(q)
+    if not is_odd_prime(p):
+        raise InvalidArgument(f"p must be an odd prime, got {p}")
+
+
 @lru_cache(maxsize=None)
-def _homology_params(q: int, p: int, bits: int) -> HomologyBoundParams:
-    return HomologyBoundParams.create(q, p, bits)
+def _homology_params(q: int, bits: int) -> HomologyBoundParams:
+    # z^{q+1} - z - 1 has q + 1 >= 3 simple roots and g = 1, so |psi| is always there
+    profile = profile_at(_homology_gen(q), bits)
+    with mp.workprec(bits):
+        phi, psi = profile.phi, profile.psi_abs
+        if not mpf(2) ** (mpf(1) / (q + 1)) < phi < 1 + mpf(1) / q:
+            raise InvalidArgument(f"phi window violated for q={q}")
+        return HomologyBoundParams(q, phi, psi, c=2 * (q + 2) * (1 + phi), kappa=(q + 1) * (1 + 1 / psi),
+                                   c2=(q + 2) * (1 + 1 / mp.sqrt(phi)), precision_bits=bits)
 
 
-def homology_params(q: int, p: int, n_max: int) -> HomologyBoundParams:
+def homology_params(q: int, n_max: int) -> HomologyBoundParams:
     # Homology rows size their precision for N rounded up to a multiple of 64
     # (an output-visible quirk kept until the golden digests are re-recorded).
-    bits = profile_bits(_homology_gen(q, p), 64 * max(math.ceil(n_max / 64), 1))
-    return _homology_params(q, p, bits)
+    return _homology_params(q, profile_bits(_homology_gen(q), 64 * max(math.ceil(n_max / 64), 1)))
 
 
-def f_q(q: int, n: int, p: int = 3) -> mpf:
-    """(1 - (N/(N-1))/phi) phi^N / N - c N phi^{N/2} - kappa |psi|^N.
-
-    The value does not depend on p; the argument is kept for interface
-    symmetry with boundary_lower and is validated only.
-    """
+def f_q(q: int, n: int) -> mpf:
+    """(1 - (N/(N-1))/phi) phi^N / N - c N phi^{N/2} - kappa |psi|^N."""
     if n < 2:
         raise InvalidArgument(f"f_q requires N >= 2, got {n}")
-    params = homology_params(q, p, n)
+    params = homology_params(q, n)
     with mp.workprec(params.precision_bits):
         phi = params.phi
         main = (1 - (mpf(n) / (n - 1)) / phi) * phi**n / n
@@ -210,12 +189,13 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
     if min(degrees) < 2:
         raise InvalidArgument(f"homology-route degrees start at 2, got {min(degrees)}")
     deepest = max(degrees)
-    top = homology_params(q, p, deepest)
+    _check_homology(q, p)
+    top = homology_params(q, deepest)
     running = _Running(_weight((top.phi, deepest), (top.phi, deepest / 2), (top.psi_abs, deepest)), len(degrees), 1)
     rows, bucket = [], None
     for n in degrees:
         if -(-n // 64) != bucket:  # the precision depends on N only through ceil(N / 64)
-            bucket, params = -(-n // 64), homology_params(q, p, n)
+            bucket, params = -(-n // 64), homology_params(q, n)
         bits, phi = params.precision_bits, params.phi
         (big, half, tail, c, kappa, inverse), steps = running.powers(bits, n, lambda: (
             (phi, 1, 0), (phi, Fraction(1, 2), 0), (params.psi_abs, 1, 0),
@@ -224,21 +204,16 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
         # phi^N/N - phi^(N-1)/(N-1) - c N phi^(N/2) - kappa |psi|^N
         middle, less = _mul(c, half), _div(_mul(big, inverse), n - 1)
         terms = (_div(big, n), _neg(less), (-n * middle[0], middle[1]), _neg(_mul(kappa, tail)))
-        printed = running.decide(terms, steps, bits) or _printed(f_q(q, n, p))
+        printed = running.decide(terms, steps, bits) or _printed(f_q(q, n))
         rows.append(_table_row(n, printed, "homology_boundary", bits, note(n) if note else ""))
     return rows
-
-
-def boundary_lower(q: int, n: int, p: int = 3) -> mpf:
-    """Guaranteed lower bound for the boundary rank; identical to f_q."""
-    return f_q(q, n, p)
 
 
 def bbar_lower(q: int, n: int) -> mpf:
     """(1 - (N/(N-1))/phi) phi^N / N - kappa |psi|^N - c2 phi^{N/2}."""
     if n < 2:
         raise InvalidArgument(f"bbar_lower requires N >= 2, got {n}")
-    params = homology_params(q, 3, n)  # the formula does not involve p
+    params = homology_params(q, n)
     with mp.workprec(params.precision_bits):
         phi, psi = params.phi, params.psi_abs
         main = (1 - (mpf(n) / (n - 1)) / phi) * phi**n / n
@@ -246,14 +221,16 @@ def bbar_lower(q: int, n: int) -> mpf:
 
 
 def sigma_upper(q: int, p: int, n: int) -> mpf:
-    """c1 * N * phi^{N/p}, the crude upper bound for the sigma subspace."""
+    """c1 N phi^{N/p}, c1 = 2(q+2) phi^{2/p}: the crude upper bound for the sigma subspace."""
     if n < 0:
         raise InvalidArgument(f"sigma_upper requires N >= 0, got {n}")
     if n == 0:
         return mpf(0)
-    params = homology_params(q, p, n)
+    _check_homology(q, p)
+    params = homology_params(q, n)
     with mp.workprec(params.precision_bits):
-        return params.c1 * n * params.phi ** (mpf(n) / p)
+        phi = params.phi
+        return 2 * (q + 2) * phi ** (mpf(2) / p) * n * phi ** (mpf(n) / p)
 
 
 def rank_window(gen: GeneratorSet, n: int) -> tuple[mpf, mpf]:
@@ -449,9 +426,8 @@ def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> Bezout
 class KTheoryParams:
     """Constants for the dimension-shifted K-theory bounds.
 
-    theta follows the stated constant list; theta_safe is the tightened
-    variant implied by the floor arithmetic of n(M) and is the one that
-    provably sits under the main term (used for the display comparison).
+    theta_safe, the constant of the display form, is the one implied by the
+    floor arithmetic of n(M), which provably sits under the main term.
     """
 
     p: int
@@ -463,7 +439,6 @@ class KTheoryParams:
     a: Fraction
     b: Fraction
     big_b: Fraction
-    theta: Fraction
     theta_safe: Fraction
     # derived from the fields above, so left out of equality and the hash
     ratio: Fraction = field(compare=False)  # (conn + 1) / (dim + 1), the exponent compression factor
@@ -484,7 +459,6 @@ class KTheoryParams:
         a = Fraction(g, 2 * (p - 1)) * (dim_ratio - 1)
         b = Fraction(1, 2 * (p - 1)) * (dim_ratio * (conn + 2) + 1)
         big_b = 4 * (p - 1) ** 2 * (g + a * (1 + 2 * (p - 1))) + 2 * (p - 1)
-        theta = 8 * (p - 1) ** 2 - compression * 2 * (p - 1) * (b + 1 + big_b) / g
         theta_safe = 8 * (p - 1) ** 2 - compression * (2 * (p - 1) * (b + 1) + big_b) / g
         return cls(
             p=p,
@@ -496,7 +470,6 @@ class KTheoryParams:
             a=a,
             b=b,
             big_b=big_b,
-            theta=theta,
             theta_safe=theta_safe,
             ratio=compression,
             offset=2 * (p - 1) * (b + 1) + big_b,
@@ -529,7 +502,6 @@ class BoundReport:
     theorem: str
     vacuous: bool
     precision_bits: int
-    exact_rank: int | None = None
     note: str = ""
     text: str | None = None
 
@@ -659,13 +631,13 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
     )
     strong, weak = _Running(weight, len(degrees), 1), _Running(weight, len(degrees), params.g_prime)
     strong_values = {}  # M enters the strong bound only through n(M) and the profile
-    poly, profile, rows = char_poly(params.gen), top, []
+    profile, rows = top, []
     with mp.workprec(weak.bits):
         one_eps = 1 + _mpf_of(eps)
     for m in degrees:
         _check_degree(params, m)
         budget = _exponent_budget(params, m)
-        if _bucketed_bits(poly, budget) != profile.precision_bits:
+        if profile_bits(params.gen, budget) != profile.precision_bits:
             profile = profile_for_exponent(params.gen, budget)
         bits, phi, psi, n = profile.precision_bits, profile.phi, profile.psi_abs, params.n_of(m)
         if n is not None and (n, bits) not in strong_values:

@@ -48,6 +48,7 @@ __all__ = [
     "char_poly",
     "newton_sums",
     "precision_for_exponent",
+    "profile_at",
     "profile_bits",
     "profile_for_exponent",
     "root_profile",
@@ -646,17 +647,19 @@ def _cached_profile(coeffs: tuple[int, ...], g: int, bits: int) -> RootProfile:
     return root_profile(MonicIntPoly(coeffs), g, bits)
 
 
+def profile_at(gen: GeneratorSet, bits: int) -> RootProfile:
+    """Root profile of char_poly(gen) at `bits`, from the one profile cache
+    that every caller in the package shares."""
+    return _cached_profile(char_poly(gen).coeffs, gen.g, bits)
+
+
 def profile_bits(gen: GeneratorSet, n_max: int) -> int:
     """Precision for phi^n_max over char_poly(gen), bucketed to 64-bit steps
-    so sweeps share cached profiles."""
-    return _bucketed_bits(char_poly(gen), n_max)
-
-
-def _bucketed_bits(poly: MonicIntPoly, n_max: int) -> int:
-    return 64 * math.ceil(precision_for_exponent(n_max, poly.coeff_bound()) / 64)
+    so sweeps share cached profiles.  The coefficients of char_poly(gen) are
+    the -m_i, each at its own power, so its coefficient bound is 1 + max m_i."""
+    return 64 * math.ceil(precision_for_exponent(n_max, 1 + max(m for _, m in gen.degrees)) / 64)
 
 
 def profile_for_exponent(gen: GeneratorSet, n_max: int) -> RootProfile:
     """Root profile of char_poly(gen) at profile_bits(gen, n_max)."""
-    poly = char_poly(gen)
-    return _cached_profile(poly.coeffs, gen.g, _bucketed_bits(poly, n_max))
+    return profile_at(gen, profile_bits(gen, n_max))

@@ -8,6 +8,7 @@ exit codes: 0 success, 1 invalid input (click's usage errors included),
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -16,7 +17,7 @@ import mpmath
 from . import verify as verify_mod
 from .bounds import MAX_EPSILON, MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_rows, ktheory_params, ktheory_rows
 from .charpoly import (
-    MAX_BITS_TIMES_DEGREE, MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, root_profile
+    MAX_BITS_TIMES_DEGREE, MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, profile_at
 )
 from .dgl_fp import MAX_PRIME, WeightedAlphabet, subspace_dims
 from .errors import (
@@ -36,8 +37,12 @@ from .spaces import space_by_name
 
 REPORT_FIELDS = ["degree", "bound", "exact_rank", "theorem", "vacuous", "precision_bits"]
 
-# Largest lie-rank --upto; babenko_ranks takes about 0.2 s there.
+# Largest lie-rank --upto; 2:1,3:1 and 1:1,2:1 run there in 0.9 and 1.2 s. Since rank(L_N) < H^N,
+# H the coefficient bound, lie-rank prints at most U(U+1)/2 log10 H digits up to U, U log10 H in
+# the last rank, which takes time quadratic in them to render. 1:10^9 --upto 1880 (1.6e7 digits,
+# 16920 last) takes 4.7 s and 94 MB peak RSS; 1:10^1000 --upto 178 (1.6e7, 178000 last) 40 s.
 MAX_LIE_RANK_DEGREE = 10_000
+MAX_LIE_RANK_DIGITS, MAX_LIE_RANK_ROW_DIGITS = 16_000_000, 20_000
 # Largest dgl --upto. q = 1 grows fastest: at 20 the run takes 0.9-1.0 s and 68 MB peak
 # RSS (2-core Xeon). The matrix it ranks last is only 1164 x 750; the expansion cache,
 # about 10 MiB at degree 21, is what grows fastest.
@@ -68,8 +73,11 @@ def _exit_on_failure(fn, *args, **kwargs):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidArgument(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -109,6 +117,12 @@ def lie_rank_cmd(degrees, upto, oracle_check, fmt, out):
         raise InvalidArgument(f"--upto must be >= 1, got {upto}")
     if upto > MAX_LIE_RANK_DEGREE:
         raise InvalidArgument(f"--upto must be <= {MAX_LIE_RANK_DEGREE}, got {upto}")
+    last = upto * math.log10(char_poly(gen).coeff_bound())  # digits of H^upto
+    if last * (upto + 1) / 2 > MAX_LIE_RANK_DIGITS or last > MAX_LIE_RANK_ROW_DIGITS:
+        raise InvalidArgument(
+            f"the ranks up to {upto} may print {math.ceil(last * (upto + 1) / 2)} digits, {math.ceil(last)} in the "
+            f"last; at most {MAX_LIE_RANK_DIGITS} in all and {MAX_LIE_RANK_ROW_DIGITS} in one rank"
+        )
     ranks = babenko_ranks(gen, upto)
     if oracle_check:
         from .lie_rank import pbw_ranks
@@ -136,7 +150,7 @@ def roots_cmd(degrees, precision_bits, fmt, out):
     gen = GeneratorSet.parse(degrees)
     poly = char_poly(gen)
     bits = precision_bits if precision_bits is not None else precision_for_exponent(1, poly.coeff_bound())
-    profile = root_profile(poly, gen.g, bits)
+    profile = profile_at(gen, bits)
     summary = {
         "degrees": gen.spec_string(),
         "phi": decimal_str(profile.phi),

@@ -87,7 +87,7 @@ def report_rows(reports: Iterable[BoundReport]) -> Iterator[dict]:
         row = {
             "degree": r.degree,
             "bound": r.text,
-            "exact_rank": None if r.exact_rank is None else str(r.exact_rank),
+            "exact_rank": None,
             "theorem": r.theorem,
             "vacuous": r.vacuous,
             "precision_bits": r.precision_bits,

@@ -29,6 +29,7 @@ from .combinat import bezout_min_y, binom_div_p, divisors, mobius
 from .dgl_fp import FreeDgl, WeightedAlphabet, subspace_dims
 from .errors import TorsionBoundsError
 from .lie_rank import babenko_ranks, pbw_ranks
+from .render import decimal_str
 from .spaces import report, space_by_name
 
 
@@ -365,12 +366,12 @@ def check_rank_nullity(q: int = 2, p: int = 3, up_to: int = 12) -> list[str]:
 
 
 def check_boundary_bound(qs=(2, 3), p: int = 3, up_to: int = 14) -> list[str]:
-    """Brute-force dim B_N >= boundary_lower(q, N); vacuous when negative."""
+    """Brute-force dim B_N >= f_q(q, N); vacuous when negative."""
     fails = []
     for q in qs:
         dims = subspace_dims(WeightedAlphabet.moore(q), {"x": "y", "y": None}, p, up_to)
         for n in range(2, up_to + 1):
-            lower = bnd.boundary_lower(q, n, p)
+            lower = bnd.f_q(q, n)
             if mpf(dims["boundaries"][n - 1]) < lower:
                 fails.append(f"q={q}: B_{n} = {dims['boundaries'][n - 1]} below bound")
     return fails
@@ -389,7 +390,7 @@ def check_fq_chain(qs=(2, 3, 4), eps: float = 0.1, n_hi: int = 400) -> list[str]
     """
     fails = []
     for q in qs:
-        params = bnd.homology_params(q, 3, n_hi)
+        params = bnd.homology_params(q, n_hi)
         with mp.workprec(params.precision_bits + 32):
             phi, root2 = params.phi, mpf(2) ** (mpf(1) / (q + 1))
             mid_factor, low_factor = (1 - eps) * (1 - 1 / phi), (1 - eps) * (1 - 1 / root2)
@@ -432,14 +433,17 @@ def check_phi_dominates_two_power(q_max: int = 50, ns=(5, 20, 80, 200, 400)) -> 
 
 
 def check_boundary_equals_fq(samples: int = 50, seed: int = 7) -> list[str]:
+    """The homology row of a random (q, N, p), from the integer pass, prints
+    decimal_str(f_q(q, N)) and is vacuous exactly when f_q(q, N) <= 0."""
     rng = random.Random(seed)
     fails = []
     for _ in range(samples):
         q = rng.randint(2, 10)
         n = rng.randint(2, 80)
         p = rng.choice([3, 5, 7])
-        if bnd.boundary_lower(q, n, p) != bnd.f_q(q, n, p):
-            fails.append(f"boundary_lower != f_q at q={q}, N={n}")
+        (row,), value = bnd.homology_rows(q, p, [n]), bnd.f_q(q, n)
+        if row.text != decimal_str(value) or row.vacuous != (value <= 0):
+            fails.append(f"q={q}, N={n}, p={p}: row prints {row.text}, f_q {decimal_str(value)}")
     return fails
 
 
@@ -610,7 +614,7 @@ SUITES = {
         ("boundary bound", check_boundary_bound, {}),
     ),
     "bounds": (
-        ("boundary_lower equals f_q", check_boundary_equals_fq, {}),
+        ("boundary rows print f_q", check_boundary_equals_fq, {}),
         ("f_q asymptotic chain", check_fq_chain, {}),
         ("phi dominates 2^{1/(q+1)}", check_phi_dominates_two_power, {}),
         ("condition-star minimality", check_condition_star_minimality, {}),

@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 from click.testing import CliRunner
 
 from torsion_bounds import GeneratorSet, WeightedAlphabet, subspace_dims
-from torsion_bounds.bounds import boundary_lower, f_q, homology_params
+from torsion_bounds.bounds import f_q, homology_params
 from torsion_bounds.cli import main
 from torsion_bounds.verify import (
     check_basis_certification,
@@ -84,7 +84,7 @@ def test_criterion_07_boundary_bound():
     for q in (2, 3):
         dims = subspace_dims(WeightedAlphabet.moore(q), MOORE_D, 3, 14)
         for n in range(2, 15):
-            bound = boundary_lower(q, n, 3)
+            bound = f_q(q, n)
             if not bound <= 0:
                 fails.append(f"q={q}, N={n}: bound unexpectedly non-vacuous at desk scale")
             if not mpf(dims["boundaries"][n - 1]) >= bound:
@@ -97,7 +97,7 @@ def test_criterion_08_fq_properties():
     thresholds = {}
     eps = 0.1
     for q in (2, 3, 4):
-        params = homology_params(q, 3, 400)
+        params = homology_params(q, 400)
         with mp.workprec(params.precision_bits):
             phi = params.phi
             n0 = None

@@ -4,8 +4,10 @@ The first test draws argv that click parses (every required option present,
 every int option an int), with values from small ranges that reach past each
 documented limit on both sides: zero, negative and oversized degrees,
 composite and even primes, malformed degree specs and rationals, a repeated
-root, unknown spaces, missing and foreign space parameters. Sizes stay small
-so a draw runs in milliseconds; `verify` draws its two fastest suites. The
+root, unknown spaces, missing and foreign space parameters, and an --out
+that names a new file, a file in a missing directory, or a directory. Each
+argv runs in an empty temporary directory. Sizes stay small so a draw runs
+in milliseconds; `verify` draws its two fastest suites. The
 second test breaks such an argv the way click refuses: an unknown option, a
 required option left out, or an int option given a non-integer; that is
 invalid input too, so it must exit 1 with one line. The runner lets any
@@ -55,6 +57,11 @@ def _mostly_given(flag, values):
     return _mostly(_opt(flag, values), [[]])
 
 
+# now and then an --out: a new file, one in a directory that does not exist, or a directory;
+# each argv runs in an empty temporary directory
+OUT = st.one_of(st.just([]), st.just([]), _opt("--out", st.sampled_from(["out.csv", "missing-dir/out.csv", "."])))
+
+
 def _argv(name, *parts):
     """[name] followed by each part's arguments; a part draws a list of strings."""
     return st.tuples(*parts).map(lambda drawn: [name] + [arg for part in drawn for arg in part])
@@ -65,24 +72,24 @@ def _report(space):
     keys = st.lists(st.sampled_from("qrnkl"), max_size=1).map(lambda extra: SPACES[space] + "".join(extra))
     params = keys.flatmap(lambda ks: _argv("--space", st.just([space]), *(_mostly_given(f"--{k}", SMALL) for k in ks)))
     return _argv("report", params, _opt("--p", PRIME), _maybe("--eps", RATIONAL), _maybe("--from", UPTO),
-                 _opt("--upto", UPTO), FORMAT)
+                 _opt("--upto", UPTO), FORMAT, OUT)
 
 
 SUBCOMMANDS = [
     _argv("lie-rank", _opt("--degrees", DEGREES), _opt("--upto", UPTO), st.sampled_from([[], ["--oracle-check"]]),
-          FORMAT),
+          FORMAT, OUT),
     _argv("roots", _opt("--degrees", DEGREES),
-          _maybe("--precision-bits", st.sampled_from([-1, 0, 63, 64, 100, 320, 12000, 40000])), FORMAT),
+          _maybe("--precision-bits", st.sampled_from([-1, 0, 63, 64, 100, 320, 12000, 40000])), FORMAT, OUT),
     _argv("bound", st.just(["--homology"]), _mostly_given("--q", SMALL), _opt("--p", PRIME), _maybe("--from", UPTO),
-          _opt("--upto", UPTO), FORMAT),
+          _opt("--upto", UPTO), FORMAT, OUT),
     _argv("bound", st.just(["--ktheory"]), _mostly_given("--degrees", DEGREES), _mostly_given("--conn", SMALL),
           _mostly_given("--dim", SMALL), _opt("--p", PRIME), _maybe("--eps", RATIONAL), _maybe("--from", UPTO),
-          _opt("--upto", UPTO), FORMAT),
+          _opt("--upto", UPTO), FORMAT, OUT),
     _argv("bezout", _opt("--alpha", SMALL), _opt("--beta", SMALL), _opt("--a", RATIONAL), _maybe("--b", RATIONAL),
           st.lists(st.integers(-1, 4), min_size=1, max_size=3).map(lambda ns: [a for n in ns for a in ("--n", str(n))]),
-          _opt("--cap", _mostly(st.integers(1, 200), [-5, 0, 10**9])), st.sampled_from([[], ["--witnesses"]]), FORMAT),
+          _opt("--cap", _mostly(st.integers(1, 200), [-5, 0, 10**9])), st.sampled_from([[], ["--witnesses"]]), FORMAT, OUT),
     _argv("dgl", _opt("--q", _mostly(st.integers(1, 3), [-2, 0])), _opt("--p", PRIME),
-          _opt("--upto", _mostly(st.integers(1, 9), [-2, 0, 21])), FORMAT),
+          _opt("--upto", _mostly(st.integers(1, 9), [-2, 0, 21])), FORMAT, OUT),
     st.sampled_from(sorted(SPACES)).flatmap(_report),
     _argv("verify", _opt("--suite", st.sampled_from(["combinat", "dgl"]))),
 ]
@@ -117,6 +124,12 @@ def _malformed(draw):
     return draw(st.sampled_from([[unknown, *argv], [*argv, unknown], [*argv, unknown, "1"]]))
 
 
+def _invoke(argv):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        return runner.invoke(main, argv, catch_exceptions=False)
+
+
 def _assert_one_error_line(argv, result):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), (argv, result.stderr)
@@ -125,7 +138,7 @@ def _assert_one_error_line(argv, result):
 @settings(derandomize=True, deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=st.one_of(SUBCOMMANDS))
 def test_any_parsed_argv_exits_cleanly(argv):
-    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    result = _invoke(argv)
     assert result.exit_code in (0, 1), (argv, result.exit_code, result.stderr)
     assert "Traceback" not in result.stderr
     if result.exit_code:
@@ -135,7 +148,7 @@ def test_any_parsed_argv_exits_cleanly(argv):
 @settings(derandomize=True, deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_malformed())
 def test_any_malformed_argv_exits_with_one_error_line(argv):
-    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    result = _invoke(argv)
     assert result.exit_code == 1 and result.stdout == "", (argv, result.exit_code, result.stderr)
     _assert_one_error_line(argv, result)
 
@@ -146,9 +159,12 @@ def test_any_malformed_argv_exits_with_one_error_line(argv):
     ["report", "--space", "moore", "--q", "2", "--p", "3", "--r", "1", "--upto", "4", "--format", "xml"],
     ["nope"],
     [],
-], ids=["missing-option", "non-integer", "bad-choice", "unknown-command", "no-command"])
+    ["bound", "--homology", "--q", "2", "--p", "3", "--upto", "10", "--out", "missing-dir/x.csv"],
+    ["lie-rank", "--degrees", "1:1000000000", "--upto", "2000"],
+], ids=["missing-option", "non-integer", "bad-choice", "unknown-command", "no-command", "unwritable-out",
+        "oversized-lie-rank"])
 def test_usage_errors_exit_1_with_one_error_line(argv):
-    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    result = _invoke(argv)
     assert result.exit_code == 1 and result.stdout == ""
     _assert_one_error_line(argv, result)
 

@@ -16,7 +16,6 @@ from torsion_bounds import (
     babenko_rank,
     bbar_lower,
     bezout_cover,
-    boundary_lower,
     condition_star,
     f_q,
     ktheory_lower,
@@ -25,9 +24,10 @@ from torsion_bounds import (
     sigma_upper,
     weak_lower,
 )
-from torsion_bounds import bounds, verify
+from torsion_bounds import bounds, charpoly, verify
 from torsion_bounds.bounds import MAX_VALUE_CAP, KTheoryParams, ktheory_main_term, ktheory_params
 from torsion_bounds.charpoly import profile_for_exponent
+from torsion_bounds.render import decimal_str
 from torsion_bounds.verify import (
     check_bezout_coverage,
     check_boundary_equals_fq,
@@ -61,7 +61,7 @@ def test_f_q_against_independent_root_finder(q, n):
 
 
 def test_f_q_spot_value():
-    assert mpf("-6.3e3") < f_q(2, 20, 3) < mpf("-6.1e3")
+    assert mpf("-6.3e3") < f_q(2, 20) < mpf("-6.1e3")
 
 
 def _fq_positive_threshold(q: int, n_hi: int = 400) -> int | None:
@@ -82,17 +82,17 @@ def test_f_q_asymptotic_chain():
 def test_f_q_chain_catches_a_halved_f_q(monkeypatch):
     f = bounds.f_q
     assert check_fq_chain((2,), 0.1, 200) == []
-    monkeypatch.setattr(bounds, "f_q", lambda q, n, p=3: f(q, n, p) / 2)
+    monkeypatch.setattr(bounds, "f_q", lambda q, n: f(q, n) / 2)
     assert check_fq_chain((2,), 0.1, 200) == ["q=2: no threshold N0 <= 200"]
 
 
 def test_f_q_chain_catches_a_phi_below_the_two_power(monkeypatch):
     # with phi = 1.2 < 2^{1/3} the middle curve falls below the lowest one at
     # every N, so the chain breaks at the threshold itself
-    params = dataclasses.replace(bounds.homology_params(2, 3, 200), phi=mpf("1.2"))
+    params = dataclasses.replace(bounds.homology_params(2, 200), phi=mpf("1.2"))
     with mp.workprec(params.precision_bits + 32):
         below = [n for n in range(2, 201) if not f_q(2, n) >= mpf("0.9") * (1 - 1 / params.phi) * params.phi**n / n]
-    stub = types.SimpleNamespace(homology_params=lambda q, p, n_max: params, f_q=bounds.f_q)
+    stub = types.SimpleNamespace(homology_params=lambda q, n_max: params, f_q=bounds.f_q)
     monkeypatch.setattr(verify, "bnd", stub)
     assert check_fq_chain((2,), 0.1, 200) == [f"q=2: chain fails at N={max(below) + 1}"]
 
@@ -104,9 +104,51 @@ def test_f_q_requires_n_at_least_two():
         f_q(1, 10)
 
 
-def test_boundary_lower_is_f_q():
+def test_boundary_rows_print_f_q():
     assert check_boundary_equals_fq(50, seed=7) == []
-    assert boundary_lower(3, 12, 3) == f_q(3, 12, 3)
+    assert check_boundary_equals_fq(50, seed=12345) == []
+
+
+def test_boundary_rows_check_catches_a_scaled_f_q(monkeypatch):
+    f = bounds.f_q
+    monkeypatch.setattr(bounds, "f_q", lambda q, n: 3 * f(q, n))
+    fails = check_boundary_equals_fq(50, seed=7)
+    assert len(fails) == 50 and fails[0].endswith(decimal_str(3 * f(*_first_draw(7))))
+
+
+def test_boundary_rows_check_catches_a_bumped_last_digit(monkeypatch):
+    decide = bounds._Running.decide
+
+    def bumped(self, *args):
+        got = decide(self, *args)
+        return got and (got[0], got[1][:-1] + str((int(got[1][-1]) + 1) % 10))
+
+    monkeypatch.setattr(bounds._Running, "decide", bumped)
+    assert len(check_boundary_equals_fq(50, seed=7)) == 50
+
+
+def _first_draw(seed):
+    rng = random.Random(seed)
+    return rng.randint(2, 10), rng.randint(2, 80)
+
+
+def test_homology_rows_share_the_params_of_every_p():
+    degrees = range(2, 700, 3)
+    at_3 = bounds.homology_rows(7, 3, degrees)
+    misses = bounds._homology_params.cache_info().misses, charpoly._cached_profile.cache_info().misses
+    at_5 = bounds.homology_rows(7, 5, degrees)
+    assert (bounds._homology_params.cache_info().misses, charpoly._cached_profile.cache_info().misses) == misses
+    assert [row.text for row in at_5] == [row.text for row in at_3]
+
+
+@pytest.mark.parametrize("q, p", [(1, 4), (2, 4), (200, 4), (2, 9)])
+def test_homology_rows_refuse_q_then_p(q, p):
+    with pytest.raises(InvalidArgument) as q_or_p:
+        bounds.homology_rows(q, p, [10])
+    assert str(q_or_p.value).startswith("q must be" if q == 1 else "generator degrees" if q == 200 else "p must be")
+    assert bounds.homology_rows(q, p, []) == []
+    with pytest.raises(InvalidArgument, match="degrees start at 2"):
+        bounds.homology_rows(q, p, [1, 10])
 
 
 def test_bbar_lower_against_independent_root_finder():
@@ -224,15 +266,23 @@ def _grassmannian_params():
     return ktheory_params(3, GRASSMANNIAN_GEN, 1, 4)  # n=3, k=1: dim 4
 
 
+def _stated_theta(kt):
+    """theta as the stated constant list gives it, 8(p-1)^2 - ratio 2(p-1)(b + 1 + B) / g.
+    The package uses theta_safe instead, 8(p-1)^2 - ratio (2(p-1)(b + 1) + B) / g, from
+    the offset 2(p-1)(b + 1) + B that the floor arithmetic of n(M) gives up: B is not
+    multiplied by 2(p-1) there, so theta_safe >= theta."""
+    return 8 * (kt.p - 1) ** 2 - kt.ratio * 2 * (kt.p - 1) * (kt.b + 1 + kt.big_b) / kt.g
+
+
 def test_ktheory_constants_exact():
     kt = _grassmannian_params()
     assert kt.g == 2 and kt.g_prime == 2
     assert kt.a == Fraction(3, 4)
     assert kt.b == Fraction(17, 8)
     assert kt.big_b == 96
-    assert kt.theta == Fraction(-473, 10)
+    assert _stated_theta(kt) == Fraction(-473, 10)
     assert kt.theta_safe == Fraction(103, 10)
-    assert kt.theta <= 8 * (3 - 1) ** 2
+    assert _stated_theta(kt) <= 8 * (3 - 1) ** 2
     assert kt.a >= 0
 
 
@@ -249,8 +299,8 @@ def test_ktheory_constants_match_stated_formulas():
         assert kt.a == Fraction(g, 2 * (p - 1)) * (ratio - 1)
         assert kt.b == Fraction(1, 2 * (p - 1)) * (ratio * (conn + 2) + 1)
         assert kt.big_b == 4 * (p - 1) ** 2 * (g + kt.a * (1 + 2 * (p - 1))) + 2 * (p - 1)
-        assert kt.theta == 8 * (p - 1) ** 2 - (1 / ratio) * 2 * (p - 1) * (kt.b + 1 + kt.big_b) / g
-        assert kt.theta <= 8 * (p - 1) ** 2
+        assert kt.theta_safe == 8 * (p - 1) ** 2 - (1 / ratio) * (2 * (p - 1) * (kt.b + 1) + kt.big_b) / g
+        assert _stated_theta(kt) <= kt.theta_safe <= 8 * (p - 1) ** 2
 
 
 def test_ktheory_below_threshold_tag():

@@ -306,6 +306,34 @@ def test_lie_rank_oversized_upto_exit_code(monkeypatch):
     assert result.stderr.startswith(f"error: --upto must be <= {MAX_LIE_RANK_DEGREE}")
 
 
+@pytest.mark.parametrize("degrees, upto", [
+    ("1:1000000000", "2000"),  # 1.8e7 digits in all: 5.7 s and 18 MB of output before the ceiling
+    ("1:" + "1" + "0" * 1000, "178"),  # 1.6e7 in all, 178000 in the last rank: 40 s before the ceiling
+    ("1:2,3:1", str(MAX_LIE_RANK_DEGREE)),  # 2.4e7 in all
+], ids=["all-digits", "last-rank-digits", "small-multiplicities"])
+def test_lie_rank_oversized_output_exit_code(monkeypatch, degrees, upto):
+    monkeypatch.setattr(cli, "babenko_ranks", _no_allocation)
+    result = run("lie-rank", "--degrees", degrees, "--upto", upto)
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr.startswith(f"error: the ranks up to {upto} may print ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("degrees, upto", [("2:1,3:1", MAX_LIE_RANK_DEGREE), ("1:1,2:1", MAX_LIE_RANK_DEGREE),
+                                           ("1:10", 4400), ("1:1000000000", 1880)])
+def test_lie_rank_ceilings_accept_the_largest_documented_runs(monkeypatch, degrees, upto):
+    monkeypatch.setattr(cli, "babenko_ranks", lambda gen, n_max: [1] * n_max)  # the ceilings alone
+    result = run("lie-rank", "--degrees", degrees, "--upto", str(upto))
+    assert result.exit_code == 0 and result.stdout.count("\n") == upto + 1
+
+
+@pytest.mark.parametrize("out", ["missing-dir/x.csv", "."], ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_1_with_one_error_line(tmp_path, out):
+    result = run("bound", "--homology", "--q", "2", "--p", "3", "--upto", "10", "--out", str(tmp_path / out))
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -371,7 +399,7 @@ def test_homology_degrees_start_at_two(args, start):
 )
 def test_oversized_generator_degree_exit_code(monkeypatch, args, ceiling):
     # the generator set refuses the degree before any root or rank work starts
-    for module, name in [(cli, "root_profile"), (cli, "babenko_ranks"), (bounds, "root_profile"),
+    for module, name in [(cli, "profile_at"), (cli, "babenko_ranks"), (bounds, "profile_at"),
                          (bounds, "profile_for_exponent")]:
         monkeypatch.setattr(module, name, _no_allocation)
     result = run(*args)

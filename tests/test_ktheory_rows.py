@@ -80,11 +80,11 @@ def _reference_rows(params, degrees, eps, note) -> list[BoundReport]:
 
 
 def _fields(row: BoundReport) -> tuple:
-    return (row.degree, row.bound._mpf_, row.theorem, row.vacuous, row.precision_bits, row.exact_rank, row.note)
+    return (row.degree, row.bound._mpf_, row.theorem, row.vacuous, row.precision_bits, row.note)
 
 
 def _printed(row: BoundReport, text: str) -> tuple:
-    return (row.degree, text, row.theorem, row.vacuous, row.precision_bits, row.exact_rank, row.note)
+    return (row.degree, text, row.theorem, row.vacuous, row.precision_bits, row.note)
 
 
 # -- the power helper ------------------------------------------------------------

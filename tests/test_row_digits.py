@@ -119,9 +119,9 @@ def _assert_ktheory_rows_print_references(params, degrees, eps, rows):
 def _assert_homology_rows_print_references(q, degrees, rows):
     assert [row.degree for row in rows] == list(degrees)
     for row, n in zip(rows, degrees):
-        exact = f_q(q, n, 3)
+        exact = f_q(q, n)
         assert _printed_row(row) == _printed(
-            exact, bool(exact <= 0), homology_params(q, 3, n).precision_bits
+            exact, bool(exact <= 0), homology_params(q, n).precision_bits
         ), n
 
 
@@ -162,7 +162,7 @@ def test_error_bound_covers_the_reference_value(monkeypatch, eps):
     enclosures = _record_enclosures(monkeypatch)
     ktheory_rows(params, degrees, eps)
     homology_rows(2, 3, range(2, 1501))
-    references = _ktheory_references(params, degrees, eps) + [f_q(2, n, 3) for n in range(2, 1501)]
+    references = _ktheory_references(params, degrees, eps) + [f_q(2, n) for n in range(2, 1501)]
     assert len(references) > 3000
 
     _assert_enclosed(enclosures, references)
@@ -195,7 +195,7 @@ def test_every_enclosure_holds_and_every_row_prints_its_reference(q, start, gaps
         enclosures = _record_enclosures(monkeypatch)
         homology = homology_rows(q, 3, degrees)
         ktheory = ktheory_rows(params, ktheory_degrees, eps)
-    references = [f_q(q, n, 3) for n in degrees] + _ktheory_references(params, ktheory_degrees, eps)
+    references = [f_q(q, n) for n in degrees] + _ktheory_references(params, ktheory_degrees, eps)
 
     _assert_enclosed(enclosures, references)
     _assert_homology_rows_print_references(q, degrees, homology)
@@ -219,7 +219,7 @@ def test_every_row_takes_its_inputs_from_its_own_profile(monkeypatch):
     bounds._strong_value.cache_clear()
     bounds._homology_params.cache_clear()
     monkeypatch.setattr(bounds, "profile_for_exponent", _shifted(profile_for_exponent))
-    monkeypatch.setattr(bounds, "root_profile", _shifted(bounds.root_profile))
+    monkeypatch.setattr(bounds, "profile_at", _shifted(bounds.profile_at))
     try:
         degrees = range(2, 1501, 2)
         rows = ktheory_rows(params, degrees, "1/2")
@@ -244,7 +244,7 @@ def test_forced_straddle_takes_the_fallback(monkeypatch):
     assert [row.bound._mpf_ for row in rows[::2]] == [row.bound._mpf_ for row in strong]
     assert [row.bound._mpf_ for row in rows[1::2]] == [value._mpf_ for value in weak]
     homology = homology_rows(2, 3, range(2, 400))
-    assert [row.bound._mpf_ for row in homology] == [f_q(2, n, 3)._mpf_ for n in range(2, 400)]
+    assert [row.bound._mpf_ for row in homology] == [f_q(2, n)._mpf_ for n in range(2, 400)]
 
 
 def test_value_near_a_short_decimal_takes_the_fallback():

@@ -63,7 +63,7 @@ def test_moore_report_is_f_q_column():
     for row in rows:
         assert row.theorem == "homology_boundary"
         # the row's value comes from the integer pass: it prints f_q's digits
-        assert decimal_str(row.bound) == decimal_str(f_q(2, row.degree, 3))
+        assert decimal_str(row.bound) == decimal_str(f_q(2, row.degree))
         assert row.vacuous == (row.bound <= 0)
 
 
