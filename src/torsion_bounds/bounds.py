@@ -49,7 +49,6 @@ compute again, so every result stays bit-identical.
 
 from __future__ import annotations
 
-import decimal
 import math
 import re
 from dataclasses import dataclass, field
@@ -105,8 +104,8 @@ def _as_fraction(x, name: str) -> Fraction:
 
 def _fraction_str(x: Fraction) -> str:
     """str(x), without the 4300-digit ceiling of str(int)."""
-    text = format(decimal.Decimal(x.numerator), "f")
-    return text if x.denominator == 1 else f"{text}/{format(decimal.Decimal(x.denominator), 'f')}"
+    text = decimal_str(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{decimal_str(x.denominator)}"
 
 
 def _mpf_of(x) -> mpf:

@@ -31,9 +31,10 @@ so a key serves as the word's column.  The key of a concatenation ab is
 key(a) + key(b) // B^len(a), and d changes one digit.  Letters are read
 off a key only as far as the word is long, which _differential_terms and
 _preimages know from the basis element: the words of one expansion share
-one length, since they permute one multiset of letters.  _combine merges
-repeated words for the bracket, the differential and the reduction by
-sorting their keys.
+one length, since they permute one multiset of letters.  The expansions
+of a degree, and bracket()'s basis pairs, are bracketed together, in flat
+numpy passes over chunks of pairs (FreeDgl._tensor_brackets); _combine
+merges repeated words there, in the differential and in the reduction.
 
 boundary_rank differentiates nothing.  The entry M[b, s] of the boundary
 matrix on the leading word w_s is the sum, over the positions i of w_s and
@@ -56,7 +57,9 @@ too, so basis coordinates are exact up to MAX_PRIME.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -111,7 +114,7 @@ class WeightedAlphabet:
     def size(self) -> int:
         return len(self.letters)
 
-    @property
+    @cached_property
     def degree_list(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.letters)
 
@@ -295,6 +298,8 @@ def _check_prime_ceiling(p: int):
 # Cells per row block of the pivot step's update: its two temporaries stay below
 # 2 MB whatever the size of the matrix.
 _BLOCK_CELLS = 1 << 17
+# Products per chunk of _tensor_brackets: its working arrays stay below about 300 kB.
+_BRACKET_TERMS = 1 << 11
 
 
 def _row_reduce(a: np.ndarray, p: int, ncols: int) -> list[int]:
@@ -425,7 +430,8 @@ class FreeDgl:
         self.basis_by_degree = super_lyndon_basis(alphabet, up_to)
         self.d_image = self._resolve_differential(d_letters)
         self._degrees = np.array(alphabet.degree_list, dtype=np.int64)
-        self._expansion_cache: dict[tuple[int, ...], Tensor] = {}
+        self._expansion_cache: dict[tuple[int, ...], Tensor] = {}  # by word (ww for a square)
+        self._expanded = 0  # every degree up to this one is in _expansion_cache
         self._lead_cache: dict[int, tuple] = {}  # degree -> (sorted S, basis elements in S order)
         self._pair_cache: dict[tuple[BasisElement, BasisElement], dict] = {}
 
@@ -466,48 +472,65 @@ class FreeDgl:
 
     # -- tensor algebra ------------------------------------------------------
 
-    def _expand_lyndon(self, word: tuple[int, ...]) -> Tensor:
-        cached = self._expansion_cache.get(word)
-        if cached is not None:
-            return cached
-        if len(word) == 1:
-            result = Tensor(word[0] * self._place[:1], np.ones(1, dtype=np.int64))
-        else:
-            u, v = _standard_factorization(word)
-            result = self._tensor_bracket(self._expand_lyndon(u), u, self._expand_lyndon(v), v)
-        self._expansion_cache[word] = result
-        return result
-
     def expansion(self, be: BasisElement) -> Tensor:
-        """Tensor-algebra expansion of a basis element, its words sorted by key."""
-        if be.is_square:
-            cached = self._expansion_cache.get(be.word)
-            if cached is None:
-                e = self._expand_lyndon(be.lyndon_word)
-                cached = self._expansion_cache[be.word] = self._tensor_bracket(e, be.lyndon_word, e, be.lyndon_word)
-            return cached
-        return self._expand_lyndon(be.word)
+        """Tensor-algebra expansion of a basis element, its words sorted by key.
 
-    def _tensor_bracket(self, a: Tensor, u: tuple[int, ...], b: Tensor, v: tuple[int, ...]) -> Tensor:
-        """ab - (-1)^{|u||v|} ba for tensors a, b whose words have the degree and the
-        length of the words u, v; repeated words merged mod p and zeros dropped.
-
-        The key of a concatenation is its left factor's key plus its right factor's
-        key shifted right by the left factor's length, so the keys of all products
-        come from one outer sum.
+        The first request in a degree expands it and each lower degree not yet expanded,
+        one _tensor_brackets call a degree: [b(u), b(v)] for uv Lyndon, [b(w), b(w)] for ww.
         """
-        p = self.p
-        da, db = self.alphabet.word_degree(u), self.alphabet.word_degree(v)
-        prod = np.multiply.outer(a.coeffs, b.coeffs) % p
-        swapped = prod.T if da % 2 and db % 2 else -prod.T
-        return Tensor(*_combine(
-            np.concatenate([
-                np.add.outer(a.cols, b.cols // self._base ** len(u)).ravel(),
-                np.add.outer(b.cols, a.cols // self._base ** len(v)).ravel(),
-            ]),
-            np.concatenate([prod.ravel(), swapped.ravel()]),
-            p,
-        ))
+        for n in range(self._expanded + 1, be.degree + 1):
+            pairs, words = [], []
+            for elem in self.basis_by_degree[n]:
+                if len(elem.word) == 1:
+                    self._expansion_cache[elem.word] = Tensor(elem.word[0] * self._place[:1], np.ones(1, np.int64))
+                    continue
+                u, v = (elem.lyndon_word,) * 2 if elem.is_square else _standard_factorization(elem.word)
+                pairs.append((self._expansion_cache[u], u, self._expansion_cache[v], v))
+                words.append(elem.word)
+            self._expansion_cache.update(zip(words, self._tensor_brackets(pairs)))
+            self._expanded = n
+        return self._expansion_cache[be.word]
+
+    def _tensor_brackets(self, pairs: list) -> Iterator[Tensor]:
+        """[a, b] = ab - (-1)^{|u||v|} ba for each (a, u, b, v) of pairs, in order: a and
+        b are tensors whose words have the degree and the length of the words u and v;
+        repeated words are merged mod p and zeros dropped.
+
+        The key of a concatenation is its left factor's key plus its right factor's key
+        shifted right by the left factor's length, so the keys of all products come from
+        one flat outer sum.  Pairs go in chunks of at most _BRACKET_TERMS products (or one
+        pair); the i-th pair's products are labelled i B^W + key, below 2^63, so one
+        _combine merges each pair's terms apart, sorted by pair, and the labels split back.
+        """
+        if not pairs:
+            return
+        span = self._base ** len(self._place)  # every key lies below B^W
+        cuts, terms = [0], 0
+        for i, (x, _, y, _) in enumerate(pairs):  # a chunk's labels stay below 2^63
+            if terms and (terms + len(x.cols) * len(y.cols) > _BRACKET_TERMS or (i - cuts[-1] + 1) * span > 2**63):
+                cuts.append(i)
+                terms = 0
+            terms += len(x.cols) * len(y.cols)
+        for lo, hi in zip(cuts, cuts[1:] + [len(pairs)]):
+            a, u, b, v = zip(*pairs[lo:hi])
+            na, nb = (np.array([len(t.cols) for t in x], dtype=np.int64) for x in (a, b))
+            pair = np.repeat(np.arange(hi - lo), na * nb)  # each product's pair, row-major within it
+            flat = np.arange(len(pair)) - (np.cumsum(na * nb) - na * nb)[pair]
+            ia = (np.cumsum(na) - na)[pair] + flat // nb[pair]
+            ib = (np.cumsum(nb) - nb)[pair] + flat % nb[pair]
+            ka, kb = np.concatenate([t.cols for t in a])[ia], np.concatenate([t.cols for t in b])[ib]
+            prod = np.concatenate([t.coeffs for t in a])[ia] * np.concatenate([t.coeffs for t in b])[ib] % self.p
+            shift_u, shift_v = (self._base ** np.array([len(w) for w in x], dtype=np.int64) for x in (u, v))
+            odd = np.array([self.alphabet.word_degree(x) * self.alphabet.word_degree(y) % 2 for x, y in zip(u, v)])
+            label = pair * span
+            cols, coeffs = _combine(
+                np.concatenate([label + ka + kb // shift_u[pair], label + kb + ka // shift_v[pair]]),
+                np.concatenate([prod, np.where(odd[pair], prod, -prod)]),
+                self.p,
+            )
+            ends = [0, *np.searchsorted(cols, np.arange(1, hi - lo) * span).tolist(), len(cols)]
+            cols %= span
+            yield from (Tensor(cols[s:e], coeffs[s:e]) for s, e in zip(ends, ends[1:]))
 
     def _letters(self, keys: np.ndarray, length: int) -> np.ndarray:
         """The first length letters of each key's word, one row per key: length must
@@ -583,21 +606,16 @@ class FreeDgl:
             raise DegreeLimitExceeded(
                 f"bracket lands in degree {n} > cap {self.up_to}"
             )
+        new = [(x, y) for x in a.coeffs for y in b.coeffs if (x, y) not in self._pair_cache]
+        brackets = self._tensor_brackets([(self.expansion(x), x.word, self.expansion(y), y.word) for x, y in new])
+        for key, t in zip(new, brackets):
+            self._pair_cache[key] = self._coords(t.cols, t.coeffs, n)
         out: dict[BasisElement, int] = {}
-        for ba, ca in a.coeffs.items():
-            for bb, cb in b.coeffs.items():
-                for be, c in self._basis_pair_bracket(ba, bb).items():
+        for x, ca in a.coeffs.items():
+            for y, cb in b.coeffs.items():
+                for be, c in self._pair_cache[(x, y)].items():
                     out[be] = out.get(be, 0) + ca * cb * c
         return LieElement(self, n, out)
-
-    def _basis_pair_bracket(self, ba: BasisElement, bb: BasisElement) -> dict:
-        cached = self._pair_cache.get((ba, bb))
-        if cached is not None:
-            return cached
-        t = self._tensor_bracket(self.expansion(ba), ba.word, self.expansion(bb), bb.word)
-        result = self._coords(t.cols, t.coeffs, ba.degree + bb.degree)
-        self._pair_cache[(ba, bb)] = result
-        return result
 
     def differential(self, e: LieElement) -> LieElement:
         """Apply the degree -1 derivation determined by the letter images."""

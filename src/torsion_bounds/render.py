@@ -23,18 +23,40 @@ if TYPE_CHECKING:
 __all__ = ["common_text", "decimal_str", "report_rows", "to_csv", "to_json"]
 
 SIGNIFICANT_DIGITS = 24
+# Ints of at most this many bits go to Decimal(int) whole; it is quadratic above.
+_SPLIT_BITS = 4096
 
 
 def decimal_str(x, sig: int = SIGNIFICANT_DIGITS) -> str:
     """Plain decimal string of x with sig significant digits.
 
     Accepts mpf, int, or Fraction.  An int is rendered with all of its
-    digits, however many (str(int) refuses more than 4300).  mpf values
-    are binary rationals, so the conversion itself is exact and only the
-    final rounding depends on sig.
+    digits, however many (str(int) refuses more than 4300), split at 2^k
+    into halves that are put back together in an unbounded context, where
+    libmpdec multiplies fast: near-linear, where Decimal(int) is quadratic.
+    mpf values are binary rationals, so the conversion itself is exact and
+    only the final rounding depends on sig.
     """
-    if isinstance(x, int):
+    if isinstance(x, int) and x.bit_length() <= _SPLIT_BITS:
         return format(decimal.Decimal(x), "f")
+    if isinstance(x, int):
+        powers: dict[int, decimal.Decimal] = {}  # k -> 2^k
+
+        def power(k: int) -> decimal.Decimal:
+            if k not in powers:
+                powers[k] = decimal.Decimal(1 << k) if k <= _SPLIT_BITS else power(k // 2) * power(k - k // 2)
+            return powers[k]
+
+        def convert(n: int, bits: int) -> decimal.Decimal:
+            if bits <= _SPLIT_BITS:
+                return decimal.Decimal(n)
+            high = n >> bits // 2
+            return convert(high, bits - bits // 2) * power(bits // 2) + convert(n - (high << bits // 2), bits // 2)
+
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.traps[decimal.Inexact] = decimal.MAX_PREC, decimal.MAX_EMAX, True
+            value = convert(abs(x), abs(x).bit_length())
+            return format(-value if x < 0 else value, "f")
     num, den = _ratio(x)
     if num == 0:
         return "0"

@@ -213,6 +213,14 @@ def test_decimal_str_plain_notation():
     assert "e" not in decimal_str(mpf("1e-30")).lower()
 
 
+@settings(deadline=None, max_examples=60)
+@given(x=st.one_of(st.integers(), st.integers(0, 40_000).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))))
+def test_decimal_str_of_an_int_is_all_its_digits(x):
+    # ints above _SPLIT_BITS bits are split at powers of two and put back together
+    assert decimal_str(x) == format(Decimal(x), "f")
+    assert decimal_str(1 << x.bit_length()) == format(Decimal(1 << x.bit_length()), "f")
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torsion_bounds import (
@@ -22,7 +22,7 @@ from torsion_bounds import (
 )
 from torsion_bounds import dgl_fp
 from torsion_bounds.combinat import binom_div_p
-from torsion_bounds.dgl_fp import MAX_PRIME, _standard_factorization, super_lyndon_basis
+from torsion_bounds.dgl_fp import MAX_PRIME, LieElement, _standard_factorization, super_lyndon_basis
 from torsion_bounds.lie_rank import tensor_dims
 from torsion_bounds.verify import (
     check_basis_certification,
@@ -459,13 +459,24 @@ def dgl_cases(draw):
     return degs, d_map, p, up_to
 
 
+def _case_algebra(degs, d_map, p, up_to):
+    names = [f"l{i}" for i in range(len(degs))]
+    alpha = WeightedAlphabet(tuple(zip(names, degs)))
+    return FreeDgl(alpha, p, up_to, {names[i]: None if j is None else names[j] for i, j in d_map.items()})
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(case=dgl_cases())
 def test_word_index_and_matrices_match_dict_reference(case):
+    # once with every bracket pair in a chunk of its own, once with the default chunks
+    for terms in (1, dgl_fp._BRACKET_TERMS):
+        with patch.object(dgl_fp, "_BRACKET_TERMS", terms):
+            _check_against_dict_reference(case)
+
+
+def _check_against_dict_reference(case):
     degs, d_map, p, up_to = case
-    names = [f"l{i}" for i in range(len(degs))]
-    alpha = WeightedAlphabet(tuple(zip(names, degs)))
-    alg = FreeDgl(alpha, p, up_to, {names[i]: None if j is None else names[j] for i, j in d_map.items()})
+    alg = _case_algebra(degs, d_map, p, up_to)
 
     # in each degree the keys rise with the dense columns and stay below the sentinel B^W,
     # so every leading word, every gathered M[:, S] and every rank is the dense index's
@@ -541,9 +552,7 @@ def _boundary_matrices(alg, degs, d_map, p, expansions):
 @given(case=dgl_cases())
 def test_leading_column_rank_equals_full_reference_rank(case):
     degs, d_map, p, up_to = case
-    names = [f"l{i}" for i in range(len(degs))]
-    alpha = WeightedAlphabet(tuple(zip(names, degs)))
-    alg = FreeDgl(alpha, p, up_to, {names[i]: None if j is None else names[j] for i, j in d_map.items()})
+    alg = _case_algebra(degs, d_map, p, up_to)
     cache = {}
     expansions = {
         be: _reference_expansion(be, degs, p, cache) for n in range(1, up_to + 1) for be in alg.basis_by_degree[n]
@@ -607,6 +616,65 @@ def test_boundary_rank_peak_memory_per_expansion_term():
     finally:
         tracemalloc.stop()
     assert peak < 128 * terms + matrix
+
+
+def test_expansions_in_a_key_space_near_int64_match_dict_reference():
+    # B^W = 2^62, so a chunk takes at most two pairs: the labels i 2^62 + key stay below 2^63
+    degs, p, up_to = (1, 20), 3, 62
+    alg = FreeDgl(WeightedAlphabet((("a", 1), ("b", 20))), p, up_to)
+    assert _key_space(degs, up_to) == (2, 62) and max(len(alg.basis_by_degree[n]) for n in range(1, up_to + 1)) > 2
+    cache = {}
+    for n in range(1, up_to + 1):
+        for be in alg.basis_by_degree[n]:
+            ref, e = _reference_expansion(be, degs, p, cache), alg.expansion(be)
+            keys = _reference_keys(degs, up_to, list(ref)).tolist()
+            assert dict(zip(keys, ref.values())) == dict(zip(e.cols.tolist(), e.coeffs.tolist()))
+
+
+def test_expansion_peak_memory_is_the_kept_terms_plus_one_chunk():
+    # a degree is expanded in chunks of _BRACKET_TERMS products, with about a hundred
+    # bytes of working arrays a product; the 11340 products of degree 17 fill six chunks
+    alg = moore_algebra(1, 3, 17)
+    alg.expansion(alg.basis_by_degree[16][0])
+    tracemalloc.start()
+    try:
+        alg.expansion(alg.basis_by_degree[17][0])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= 16 * sum(len(alg.expansion(be).cols) for be in alg.basis_by_degree[17])
+    assert peak < kept + 256 * dgl_fp._BRACKET_TERMS
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=dgl_cases(), data=st.data())
+def test_bracket_of_sums_matches_dict_reference(case, data):
+    # bracket() sends every pair of basis elements through one _tensor_brackets call
+    degs, d_map, p, up_to = case
+    alg = _case_algebra(degs, d_map, p, up_to)
+    degrees = [(n, m) for n in range(1, up_to) for m in range(1, up_to + 1 - n)]
+    degrees = [(n, m) for n, m in degrees if alg.basis_by_degree[n] and alg.basis_by_degree[m]]
+    assume(degrees)
+    n, m = data.draw(st.sampled_from(degrees))
+    coeffs = []
+    for elems in (alg.basis_by_degree[n], alg.basis_by_degree[m]):
+        terms = data.draw(st.lists(st.sampled_from(elems), min_size=min(2, len(elems)), unique=True))
+        coeffs.append({be: data.draw(st.integers(1, p - 1)) for be in terms})
+    cache = {}
+
+    def tensor(coeffs):  # the dict reference's expansion of a sum of basis elements
+        out = Counter()
+        for be, c in coeffs.items():
+            for w, e in _reference_expansion(be, degs, p, cache).items():
+                out[w] += c * e
+        return {w: c % p for w, c in out.items() if c % p}
+
+    want = _reference_bracket(tensor(coeffs[0]), n, tensor(coeffs[1]), m, p)
+    for terms in (1, dgl_fp._BRACKET_TERMS):
+        with patch.object(dgl_fp, "_BRACKET_TERMS", terms):
+            alg = _case_algebra(degs, d_map, p, up_to)
+            got = alg.bracket(LieElement(alg, n, coeffs[0]), LieElement(alg, m, coeffs[1]))
+        assert tensor(got.coeffs) == want
 
 
 def test_shared_leading_column_raises_dimension_mismatch():
