@@ -40,7 +40,7 @@ REPORT_FIELDS = ["degree", "bound", "exact_rank", "theorem", "vacuous", "precisi
 # Largest lie-rank --upto; 2:1,3:1 and 1:1,2:1 run there in 0.9 and 1.2 s. Since rank(L_N) < H^N,
 # H the coefficient bound, lie-rank prints at most U(U+1)/2 log10 H digits up to U, U log10 H in
 # the last rank, most of the run being rendering. 1:10^9 --upto 1880 (1.6e7 digits, 16920 last)
-# takes 3.2-3.6 s and 93 MB peak RSS; 1:10^1000 --upto 178 (1.6e7, 178000 last) about 6 s.
+# takes 2.9-3.6 s and 93-96 MB peak RSS; 1:10^1000 --upto 178 (1.6e7, 178000 last) about 6 s.
 MAX_LIE_RANK_DEGREE = 10_000
 MAX_LIE_RANK_DIGITS, MAX_LIE_RANK_ROW_DIGITS = 16_000_000, 20_000
 # Largest dgl --upto. q = 1 grows fastest: at 20 the run takes 0.6-0.8 s and 70 MB peak
