@@ -37,8 +37,6 @@ def decimal_str(x, sig: int = SIGNIFICANT_DIGITS) -> str:
     mpf values are binary rationals, so the conversion itself is exact and
     only the final rounding depends on sig.
     """
-    if isinstance(x, int) and x.bit_length() <= _SPLIT_BITS:
-        return format(decimal.Decimal(x), "f")
     if isinstance(x, int):
         powers: dict[int, decimal.Decimal] = {}  # k -> 2^k
 
