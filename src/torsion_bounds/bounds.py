@@ -33,10 +33,6 @@ negative: negative bound values are reported as-is, valid but vacuous.
 
 These values of the K-theory path are computed once and reused:
 
-- log phi, once per (phi, precision).  A non-dyadic power phi ** t makes
-  mpmath take log phi at prec + 10 bits and return exp(t log phi) with the
-  product exact; _phi_pow takes the same steps with the logarithm cached,
-  and leaves the exact integer and square-root powers to mpmath.
 - the ktheory_lower value, once per (p, g, q_l, n(M), bits), and within a
   table the strong row's value likewise.  M enters the formula only through
   n(M) and the row's precision, and a profile is fixed by its precision.
@@ -108,11 +104,9 @@ def _fraction_str(x: Fraction) -> str:
     return text if x.denominator == 1 else f"{text}/{decimal_str(x.denominator)}"
 
 
-def _mpf_of(x) -> mpf:
-    """Exact-input conversion at the ambient working precision."""
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
+def _mpf_of(x: Fraction) -> mpf:
+    """A Fraction converted at the ambient working precision."""
+    return mpf(x.numerator) / x.denominator
 
 
 # -- parameters for the two-generator (q, q+1) boundary bounds ----------------
@@ -124,7 +118,6 @@ class HomologyBoundParams:
     involve p: c = 2(q+2)(1+phi), kappa = (q+1)(1 + 1/|psi|),
     c2 = (q+2)(1 + phi^{-1/2})."""
 
-    q: int
     phi: mpf
     psi_abs: mpf
     c: mpf
@@ -154,7 +147,7 @@ def _homology_params(q: int, bits: int) -> HomologyBoundParams:
         phi, psi = profile.phi, profile.psi_abs
         if not mpf(2) ** (mpf(1) / (q + 1)) < phi < 1 + mpf(1) / q:
             raise InvalidArgument(f"phi window violated for q={q}")
-        return HomologyBoundParams(q, phi, psi, c=2 * (q + 2) * (1 + phi), kappa=(q + 1) * (1 + 1 / psi),
+        return HomologyBoundParams(phi, psi, c=2 * (q + 2) * (1 + phi), kappa=(q + 1) * (1 + 1 / psi),
                                    c2=(q + 2) * (1 + 1 / mp.sqrt(phi)), precision_bits=bits)
 
 
@@ -363,8 +356,6 @@ def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> Bezout
         raise InvalidArgument(f"value_cap must be >= 1, got {value_cap}")
     if value_cap > MAX_VALUE_CAP:
         raise InvalidArgument(f"value_cap must be <= {MAX_VALUE_CAP}, got {value_cap}")
-    if isinstance(n_range, int):
-        n_range = [n_range]
     g_prime = math.gcd(alpha, beta)
     bound_b = beta**2 * (alpha + a * (1 + beta)) + beta
     entries = []
@@ -516,24 +507,6 @@ def _table_row(degree: int, printed: tuple[mpf, str], theorem: str, bits: int, n
     return BoundReport(degree, value, theorem, text == "0" or text[0] == "-", bits, note=note, text=text)
 
 
-@lru_cache(maxsize=None)
-def _log_phi(phi: mpf, bits: int) -> mpf:
-    return mp.ln(phi, prec=bits + 10)
-
-
-def _phi_pow(phi: mpf, t: mpf) -> mpf:
-    """phi ** t at the working precision, bit for bit as mpmath computes it.
-
-    mpmath's mpf_pow takes an exact integer or square-root path when 2t is
-    an integer; otherwise it returns exp(t log phi) with log phi taken at
-    prec + 10 bits and the product exact.  That branch is repeated here with
-    log phi computed once per (phi, precision) instead of once per call.
-    """
-    if t._mpf_[2] >= -1:  # t = man 2^exp with man odd: 2t is an integer iff exp >= -1
-        return phi**t
-    return mp.exp(mp.fmul(t, _log_phi(phi, mp.prec), exact=True))
-
-
 def _exponent_budget(params: KTheoryParams, m: int) -> int:
     return m + 8 * (params.p - 1) ** 2 * params.g + 64
 
@@ -582,7 +555,7 @@ def ktheory_main_term(params: KTheoryParams, m: int) -> mpf:
             return mpf(0)
         tau_exponent = -params.g - params.ratio * params.offset
         phi = profile.phi
-        return _phi_pow(phi, _mpf_of(tau_exponent)) / denom * _phi_pow(phi, _mpf_of(params.ratio * m))
+        return phi ** _mpf_of(tau_exponent) / denom * phi ** _mpf_of(params.ratio * m)
 
 
 # Largest epsilon weak_lower accepts (the default is 1/2). The weak bound divides by
@@ -597,7 +570,7 @@ def weak_lower(params: KTheoryParams, m: int, epsilon) -> mpf:
     eps = _epsilon(epsilon)
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
     with mp.workprec(profile.precision_bits):
-        return _phi_pow(profile.phi, _mpf_of(params.ratio * m)) / mpf(m) ** (1 + _mpf_of(eps))
+        return profile.phi ** _mpf_of(params.ratio * m) / mpf(m) ** (1 + _mpf_of(eps))
 
 
 def _epsilon(epsilon) -> Fraction:

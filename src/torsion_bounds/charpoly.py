@@ -589,9 +589,6 @@ def certified_phi(poly: MonicIntPoly, precision_bits: int) -> tuple[Fraction, Fr
         raise InvalidArgument(
             "certified_phi expects z^k - sum c_i z^i with c_i >= 0 and c_0 >= 1"
         )
-    if poly(1) > 0:
-        # impossible for the family above (P(1) = 1 - sum c_i <= 0): phi >= 1 always
-        raise NumericFailure("P(1) > 0; the dominant root would be below 1")
     lo_num, hi_num, shift = _certified_enclosure(poly, precision_bits)
     with mp.workprec(precision_bits + 32):
         phi = (mpf(lo_num) + mpf(hi_num)) / mpf(2) ** (shift + 1)

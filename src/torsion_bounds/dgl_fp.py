@@ -359,14 +359,8 @@ class LieElement:
             out[be] = out.get(be, 0) + c
         return LieElement(self.algebra, self.degree, out)
 
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + (-1) * other
-
     def __rmul__(self, scalar: int) -> "LieElement":
         return LieElement(self.algebra, self.degree, {be: scalar * c for be, c in self.coeffs.items()})
-
-    def __neg__(self) -> "LieElement":
-        return (-1) * self
 
     def __eq__(self, other) -> bool:
         return (
@@ -375,9 +369,6 @@ class LieElement:
             and self.coeffs == other.coeffs
             and (self.degree == other.degree or not self.coeffs)
         )
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.degree, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         if not self.coeffs:
@@ -775,7 +766,7 @@ def subspace_dims(
     one degree beyond up_to.  Indices in the returned lists are n = 1..up_to.
     """
     alg = FreeDgl(alphabet, p, up_to + 1, d_letters)
-    dims = [len(alg.basis_by_degree[n]) for n in range(1, up_to + 1)]
+    dims = alg.dims()[:up_to]
     bnd = [alg.boundary_rank(n) for n in range(0, up_to + 1)]  # bnd[n] = B_n
     cycles = [dims[n - 1] - bnd[n - 1] for n in range(1, up_to + 1)]
     homology = [cycles[n - 1] - bnd[n] for n in range(1, up_to + 1)]

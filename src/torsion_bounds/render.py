@@ -12,7 +12,6 @@ import decimal
 import io
 import json
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from mpmath import mpf
@@ -27,15 +26,15 @@ SIGNIFICANT_DIGITS = 24
 _SPLIT_BITS = 4096
 
 
-def decimal_str(x, sig: int = SIGNIFICANT_DIGITS) -> str:
-    """Plain decimal string of x with sig significant digits.
+def decimal_str(x) -> str:
+    """Plain decimal string of x with SIGNIFICANT_DIGITS significant digits.
 
-    Accepts mpf, int, or Fraction.  An int is rendered with all of its
+    Accepts mpf or int.  An int is rendered with all of its
     digits, however many (str(int) refuses more than 4300), split at 2^k
     into halves that are put back together in an unbounded context, where
     libmpdec multiplies fast: near-linear, where Decimal(int) is quadratic.
     mpf values are binary rationals, so the conversion itself is exact and
-    only the final rounding depends on sig.
+    only the final rounding depends on SIGNIFICANT_DIGITS.
     """
     if isinstance(x, int):
         powers: dict[int, decimal.Decimal] = {}  # k -> 2^k
@@ -59,14 +58,12 @@ def decimal_str(x, sig: int = SIGNIFICANT_DIGITS) -> str:
     if num == 0:
         return "0"
     with decimal.localcontext() as ctx:
-        ctx.prec = sig
+        ctx.prec = SIGNIFICANT_DIGITS
         value = decimal.Decimal(num) / decimal.Decimal(den)
     return format(value, "f")
 
 
 def _ratio(x) -> tuple[int, int]:
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
     if isinstance(x, mpf) or hasattr(x, "_mpf_"):
         sign, man, exp, _ = x._mpf_
         num = int(-man if sign else man)

@@ -2,8 +2,8 @@
 
 Each check_* function returns a list of failure strings (empty = pass) so
 both the CLI `verify` command and the test suite can share one
-implementation.  The scales and tolerances default to the certified ones;
-tests pin them explicitly.
+implementation.  The scales default to the certified ones, which tests may
+shrink; the tolerances are the module constants below.
 
 A check spends its time on the function under test, which it calls at
 every sample point, and not on the side it compares against: polynomial
@@ -31,6 +31,10 @@ from .errors import TorsionBoundsError
 from .lie_rank import babenko_ranks, pbw_ranks
 from .render import decimal_str
 from .spaces import report, space_by_name
+
+REL_SLACK = 1e-6  # Newton growth and rank window: slack relative to 1 + |value|
+PHI_WINDOW_MARGIN = 1e-9  # phi's distance from either end of 2^{1/(q+1)} < phi < 1 + 1/q
+CLOSED_FORM_TOL = 1e-9  # a weak K-theory bound's relative distance from its closed form
 
 
 def _running_powers(base: mpf, n_max: int):
@@ -155,7 +159,7 @@ def check_profile_family(max_sum_m: int = 4, max_q: int = 8) -> list[str]:
     return fails
 
 
-def check_phi_window(q_max: int = 100, margin: float = 1e-9) -> list[str]:
+def check_phi_window(q_max: int = 100) -> list[str]:
     """2^{1/(q+1)} < phi < 1 + 1/q for the two-generator family."""
     fails = []
     for q in range(2, q_max + 1):
@@ -164,12 +168,12 @@ def check_phi_window(q_max: int = 100, margin: float = 1e-9) -> list[str]:
         with mp.workprec(96):
             lo = mpf(2) ** (mpf(1) / (q + 1))
             hi = 1 + mpf(1) / q
-            if not (lo + margin < phi < hi - margin):
+            if not (lo + PHI_WINDOW_MARGIN < phi < hi - PHI_WINDOW_MARGIN):
                 fails.append(f"q={q}: phi={mpmath.nstr(phi, 12)} outside window")
     return fails
 
 
-def check_newton_growth(n_max: int = 60, rel_slack: float = 1e-6, family=None) -> list[str]:
+def check_newton_growth(n_max: int = 60, family=None) -> list[str]:
     """|S_N| <= (k-g)|psi|^N off the g-grid; |g phi^N - S_N| <= (k-g)|psi|^N on it.
 
     phi^N and |psi|^N are running products at the profile's precision + 32 bits.
@@ -186,7 +190,7 @@ def check_newton_growth(n_max: int = 60, rel_slack: float = 1e-6, family=None) -
             for n, phi_n, psi_n in zip(range(1, n_max + 1), phi_powers, psi_powers):
                 rhs = (k - g) * psi_n
                 lhs = abs(mpf(sums[n - 1]) - (g * phi_n if n % g == 0 else 0))
-                if lhs > rhs + rel_slack * (1 + abs(sums[n - 1])):
+                if lhs > rhs + REL_SLACK * (1 + abs(sums[n - 1])):
                     fails.append(f"{gen.spec_string()}: Newton growth fails at N={n}")
     return fails
 
@@ -240,13 +244,13 @@ def check_g_divisibility(n_max: int = 40) -> list[str]:
     return fails
 
 
-def check_rank_window(n_max: int = 60, rel_slack: float = 1e-6, family=None) -> list[str]:
+def check_rank_window(n_max: int = 60, family=None) -> list[str]:
     fails = []
     for gen in family if family is not None else generator_family():
         ranks = babenko_ranks(gen, n_max)
         for n in range(gen.g, n_max + 1, gen.g):
             lo, hi = bnd.rank_window(gen, n)
-            slack = rel_slack * (1 + abs(hi))
+            slack = REL_SLACK * (1 + abs(hi))
             if not (lo - slack <= ranks[n - 1] <= hi + slack):
                 fails.append(f"{gen.spec_string()}: rank outside window at N={n}")
     return fails
@@ -534,11 +538,13 @@ def check_catalog_positivity(window: int = 200) -> list[str]:
     return fails
 
 
-def check_closed_form_specializations(m_max: int = 500, tol: float = 1e-9) -> list[str]:
-    """weak_lower reproduces the known closed forms; base-root facts.
+def check_closed_form_specializations(m_max: int = 500) -> list[str]:
+    """The weak K-theory bound reproduces the known closed forms; base-root facts.
 
-    weak_lower is called at every m; the closed form's golden4^{m/d} is a
-    running product of golden4^{1/d} at 256 + 32 bits.
+    Each case's weak rows at M = 2m, m = 1..m_max, come from one ktheory_rows
+    table, the rows the CLI prints, and every row is compared with the closed
+    form; weak_lower is compared too at m = 1, 10, 100 and m_max.  The closed
+    form's golden4^{m/d} is a running product of golden4^{1/d} at 256 + 32 bits.
     """
     fails = []
     with mp.workprec(256 + 32):
@@ -555,10 +561,14 @@ def check_closed_form_specializations(m_max: int = 500, tol: float = 1e-9) -> li
         for label, name, params, d in cases:
             space = space_by_name(name)
             kt = bnd.ktheory_params(3, space.gen, space.conn, space.dim(params))
-            for m, power in enumerate(_running_powers(golden4 ** (mpf(1) / d), m_max), 1):
-                got = bnd.weak_lower(kt, 2 * m, Fraction(1, 2))
+            weak_rows = bnd.ktheory_rows(kt, range(2, 2 * m_max + 1, 2), Fraction(1, 2))[1::2]
+            powers = _running_powers(golden4 ** (mpf(1) / d), m_max)
+            for m, power, row in zip(range(1, m_max + 1), powers, weak_rows):
                 want = power / (2 * m * mp.sqrt(2 * m))
-                if abs(got - want) > tol * want:
+                values = [row.bound]
+                if m in (1, 10, 100, m_max):
+                    values.append(bnd.weak_lower(kt, 2 * m, Fraction(1, 2)))
+                if any(abs(v - want) > CLOSED_FORM_TOL * want for v in values):
                     fails.append(f"{label}: mismatch at m={m}")
                     break
         # unitary groups: base root of z^5 - z^2 - 1

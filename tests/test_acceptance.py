@@ -68,14 +68,14 @@ def test_criterion_04_cycle_elements():
 
 
 def test_criterion_05_rank_window():
-    fails = check_rank_window(n_max=60, rel_slack=1e-6)
+    fails = check_rank_window(n_max=60)
     _report(5, "exact ranks inside the approximation window, N <= 60", fails)
 
 
 def test_criterion_06_newton_growth():
     family = generator_family(3, 5)
     assert GeneratorSet.of((2, 1), (4, 1)) in family  # the g = 2 case is covered
-    fails = check_newton_growth(n_max=60, rel_slack=1e-6, family=family)
+    fails = check_newton_growth(n_max=60, family=family)
     _report(6, "Newton power-sum growth inequalities, N <= 60 (incl. g = 2)", fails)
 
 
@@ -93,7 +93,7 @@ def test_criterion_07_boundary_bound():
 
 
 def test_criterion_08_fq_properties():
-    fails = check_phi_window(q_max=100, margin=1e-9)
+    fails = check_phi_window(q_max=100)
     thresholds = {}
     eps = 0.1
     for q in (2, 3, 4):
@@ -125,7 +125,7 @@ def test_criterion_09_bezout_coverage():
 
 
 def test_criterion_10_closed_forms():
-    fails = check_closed_form_specializations(m_max=500, tol=1e-9)
+    fails = check_closed_form_specializations(m_max=500)
     _report(10, "weak bounds reproduce the closed forms (m <= 500, 1e-9)", fails)
 
 

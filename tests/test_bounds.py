@@ -34,6 +34,7 @@ from torsion_bounds.verify import (
     check_condition_star_minimality,
     check_fq_chain,
     check_ktheory_positivity,
+    check_phi_dominates_two_power,
     generator_family,
 )
 
@@ -95,6 +96,28 @@ def test_f_q_chain_catches_a_phi_below_the_two_power(monkeypatch):
     stub = types.SimpleNamespace(homology_params=lambda q, n_max: params, f_q=bounds.f_q)
     monkeypatch.setattr(verify, "bnd", stub)
     assert check_fq_chain((2,), 0.1, 200) == [f"q=2: chain fails at N={max(below) + 1}"]
+
+
+def _two_power(degree: int, bits: int) -> mpf:
+    with mp.workprec(bits):
+        return mpf(2) ** (mpf(1) / degree)
+
+
+def test_phi_dominance_check_catches_phi_at_the_two_power(monkeypatch):
+    assert check_phi_dominates_two_power(12) == []
+    # phi = 2^{1/(q+1)} rounded to the 96 bits the check asks for: the two sides
+    # agree up to that rounding, so the check fails at every sampled N exactly
+    # for the q whose rounded phi lies below 2^{1/(q+1)}
+    monkeypatch.setattr(verify, "certified_phi", lambda poly, bits: (None, None, _two_power(poly.degree, bits)))
+    below = []
+    for q in range(2, 13):
+        man, exp = _two_power(q + 1, 96).man_exp
+        if (man * Fraction(2) ** exp) ** (q + 1) < 2:
+            below.append(q)
+    assert 0 < len(below) < 11  # rounding goes both ways over q = 2..12
+    assert check_phi_dominates_two_power(12) == [
+        f"q={q}, N={n}: phi term does not dominate" for q in below for n in (5, 20, 80, 200, 400)
+    ]
 
 
 def test_f_q_requires_n_at_least_two():

@@ -176,7 +176,7 @@ def test_profile_structure_across_family():
 
 
 def test_newton_growth_inequalities():
-    assert check_newton_growth(60, 1e-6) == []
+    assert check_newton_growth(60) == []
 
 
 def test_newton_growth_catches_a_doubled_power_sum(monkeypatch):
@@ -188,9 +188,9 @@ def test_newton_growth_catches_a_doubled_power_sum(monkeypatch):
         return sums
 
     family = generator_family(2, 3)  # every g divides 24, so S_24 != 0
-    assert check_newton_growth(30, 1e-6, family=family) == []
+    assert check_newton_growth(30, family=family) == []
     monkeypatch.setattr(verify, "newton_sums", doubled_at_24)
-    assert check_newton_growth(30, 1e-6, family=family) == [
+    assert check_newton_growth(30, family=family) == [
         f"{gen.spec_string()}: Newton growth fails at N=24" for gen in family
     ]
 

@@ -1,26 +1,24 @@
-"""The K-theory rows compute log phi once per precision and the strong bound
-once per (n(M), bits), and print the digits of the uncached formulas.
+"""The K-theory rows compute the strong bound once per (n(M), bits), and print
+the digits of the uncached formulas.
 
-The reference functions below are the uncached ktheory_lower, weak_lower and
-ktheory_main_term as they stood before either cache existed.  The public
-functions are compared with them by raw mpf tuple, not by value; the rows,
-whose values may come from the integer pass, by their printed form.
+The reference functions below are ktheory_lower, weak_lower and
+ktheory_main_term written out as plain mpmath formulas, with no cache and no
+integer pass.  The public functions are compared with them by raw mpf tuple,
+not by value; the rows, whose values may come from the integer pass, by their
+printed form.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from torsion_bounds import bounds
-from torsion_bounds.bounds import BoundReport, _exponent_budget, _mpf_of, _phi_pow, ktheory_params
-from torsion_bounds.charpoly import GeneratorSet, char_poly, profile_for_exponent, root_profile
+from torsion_bounds.bounds import BoundReport, _exponent_budget, _mpf_of, ktheory_params
+from torsion_bounds.charpoly import profile_for_exponent
 from torsion_bounds.render import decimal_str
 from torsion_bounds.spaces import space_by_name
 
-PHI_GENS = ("2:1,4:1", "2:1,3:1", "3:1,4:1")
 SPACES = (("grassmannian", {"n": 3, "k": 1, "p": 3}), ("milnor-hypersurface", {"n": 3, "l": 5, "p": 3}))
 EPS = "1/2"
 
@@ -85,33 +83,6 @@ def _fields(row: BoundReport) -> tuple:
 
 def _printed(row: BoundReport, text: str) -> tuple:
     return (row.degree, text, row.theorem, row.vacuous, row.precision_bits, row.note)
-
-
-# -- the power helper ------------------------------------------------------------
-
-
-def _exponents():
-    integers = st.integers(-6000, 6000).map(Fraction)
-    halves = st.integers(-6000, 6000).map(lambda k: Fraction(k, 2))
-    rationals = st.fractions(min_value=-6000, max_value=6000, max_denominator=400)
-    taus = st.sampled_from([_tau_exponent(_space_params(name, values)) for name, values in SPACES])
-    return st.one_of(integers, halves, rationals, taus)
-
-
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(
-    spec=st.sampled_from(PHI_GENS),
-    bits=st.integers(1, 128).map(lambda k: 64 * k),
-    t=_exponents(),
-)
-@example(spec="2:1,4:1", bits=8192, t=Fraction(-1373, 5))
-@example(spec="3:1,4:1", bits=4160, t=Fraction(2401, 3))
-def test_phi_pow_matches_mpmath_bit_for_bit(spec, bits, t):
-    gen = GeneratorSet.parse(spec)
-    phi = root_profile(char_poly(gen), gen.g, bits).phi
-    with mp.workprec(bits):
-        t = _mpf_of(t)
-        assert _phi_pow(phi, t)._mpf_ == (phi**t)._mpf_
 
 
 # -- the rows ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_g_divisibility():
 
 
 def test_rank_window_contains_exact_rank():
-    assert check_rank_window(60, 1e-6) == []
+    assert check_rank_window(60) == []
 
 
 # random generator sets: up to four distinct degrees in 1..8, multiplicities 1..4

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from mpmath import mp, mpf
 
@@ -116,20 +118,36 @@ def test_weak_rows_match_known_closed_form():
 
 
 def test_closed_form_specializations_full():
-    assert check_closed_form_specializations(500, 1e-9) == []
+    assert check_closed_form_specializations(500) == []
+
+
+FIRST_DEGREE_MISMATCHES = [
+    "grassmannian n=3, k=1: mismatch at m=1",
+    "grassmannian n=4, k=2: mismatch at m=1",
+    "grassmannian n=6, k=2: mismatch at m=1",
+    "milnor n=2, l=3: mismatch at m=1",
+    "milnor n=3, l=4: mismatch at m=1",
+]
 
 
 def test_closed_form_specializations_catch_a_scaled_weak_lower(monkeypatch):
     weak_lower = bounds.weak_lower
-    assert check_closed_form_specializations(3, 1e-9) == []
+    assert check_closed_form_specializations(3) == []
     monkeypatch.setattr(bounds, "weak_lower", lambda *args: weak_lower(*args) * (1 + mpf("1e-8")))
-    assert check_closed_form_specializations(3, 1e-9) == [
-        "grassmannian n=3, k=1: mismatch at m=1",
-        "grassmannian n=4, k=2: mismatch at m=1",
-        "grassmannian n=6, k=2: mismatch at m=1",
-        "milnor n=2, l=3: mismatch at m=1",
-        "milnor n=3, l=4: mismatch at m=1",
-    ]
+    assert check_closed_form_specializations(3) == FIRST_DEGREE_MISMATCHES
+
+
+def test_closed_form_specializations_catch_scaled_weak_rows(monkeypatch):
+    ktheory_rows = bounds.ktheory_rows
+
+    def scaled(*args):
+        return [
+            dataclasses.replace(row, bound=row.bound * (1 + mpf("1e-8"))) if row.theorem == "ktheory_weak" else row
+            for row in ktheory_rows(*args)
+        ]
+
+    monkeypatch.setattr(bounds, "ktheory_rows", scaled)
+    assert check_closed_form_specializations(3) == FIRST_DEGREE_MISMATCHES
 
 
 def test_report_bounds_below_brute_force_boundaries():
