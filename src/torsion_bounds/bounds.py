@@ -55,9 +55,9 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
-from .charpoly import GeneratorSet, profile_at, profile_bits, profile_for_exponent
+from .charpoly import GeneratorSet, certified_phi, char_poly, profile_at, profile_bits, profile_for_exponent
 from .combinat import is_odd_prime
-from .errors import CoverageViolation, InvalidArgument
+from .errors import CoverageViolation, InternalError, InvalidArgument
 from .render import common_text, decimal_str
 
 __all__ = [
@@ -139,14 +139,25 @@ def _check_homology(q: int, p: int) -> None:
         raise InvalidArgument(f"p must be an odd prime, got {p}")
 
 
+def phi_window(q: int, phi_lo: Fraction, phi_hi: Fraction) -> tuple[bool, bool]:
+    """(phi_lo^{q+1} > 2, phi_hi < 1 + 1/q): each end of 2^{1/(q+1)} < phi < 1 + 1/q, decided exactly."""
+    return phi_lo ** (q + 1) > 2, phi_hi < 1 + Fraction(1, q)
+
+
+@lru_cache(maxsize=None)
+def _window_holds(q: int) -> bool:
+    # phi lies more than 2^-17 inside the window for every q <= 149, so 64 bits decide it
+    return all(phi_window(q, *certified_phi(char_poly(_homology_gen(q)), 64)[:2]))
+
+
 @lru_cache(maxsize=None)
 def _homology_params(q: int, bits: int) -> HomologyBoundParams:
     # z^{q+1} - z - 1 has q + 1 >= 3 simple roots and g = 1, so |psi| is always there
     profile = profile_at(_homology_gen(q), bits)
+    if not _window_holds(q):  # a theorem: phi^{q+1} = phi + 1 > 2, (1 + 1/q)^{q+1} > e > 2 + 1/q
+        raise InternalError(f"phi window violated for q={q}")
     with mp.workprec(bits):
         phi, psi = profile.phi, profile.psi_abs
-        if not mpf(2) ** (mpf(1) / (q + 1)) < phi < 1 + mpf(1) / q:
-            raise InvalidArgument(f"phi window violated for q={q}")
         return HomologyBoundParams(phi, psi, c=2 * (q + 2) * (1 + phi), kappa=(q + 1) * (1 + 1 / psi),
                                    c2=(q + 2) * (1 + 1 / mp.sqrt(phi)), precision_bits=bits)
 
@@ -251,25 +262,23 @@ def rank_window(gen: GeneratorSet, n: int) -> tuple[mpf, mpf]:
 # -- Condition (*) and the covering certificate --------------------------------
 
 
-def _star_threshold(p: int, conn: int, dim: int, n: int) -> Fraction:
+def _star_line(p: int, conn: int, dim: int) -> tuple[Fraction, Fraction]:
+    """(a, b) of condition (*), j > a N + b, for g = 1; b's last +1 is the conservative reading."""
     ratio = Fraction(dim + 1, conn + 1)
-    return Fraction(1, 2 * (p - 1)) * ((ratio - 1) * n + ratio * (conn + 2) + 1)
+    return (ratio - 1) / (2 * (p - 1)), (ratio * (conn + 2) + 1) / (2 * (p - 1))
 
 
 def condition_star(p: int, conn: int, dim: int, n: int, j: int) -> bool:
-    """True iff j clears the linear threshold in N.
-
-    The threshold ends in the constant +1, the conservative reading
-    consistent with the covering constants.
-    """
+    """True iff j clears the linear threshold in N."""
     _validate_star(p, conn, dim, n)
-    return j > _star_threshold(p, conn, dim, n)
+    a, b = _star_line(p, conn, dim)
+    return j > a * n + b
 
 
 def min_j(p: int, conn: int, dim: int, n: int) -> int:
     """Least integer j >= 0 satisfying the condition."""
     _validate_star(p, conn, dim, n)
-    return max(0, math.floor(_star_threshold(p, conn, dim, n)) + 1)
+    return _min_j_over(*_star_line(p, conn, dim), n)
 
 
 def _validate_star(p: int, conn: int, dim: int, n: int):
@@ -444,10 +453,9 @@ class KTheoryParams:
             raise InvalidArgument(f"dim must be >= conn + 1, got dim={dim}, conn={conn}")
         g = gen.g
         g_prime = math.gcd(g, 2 * (p - 1))
-        dim_ratio = Fraction(dim + 1, conn + 1)
-        compression = 1 / dim_ratio  # (conn+1)/(dim+1)
-        a = Fraction(g, 2 * (p - 1)) * (dim_ratio - 1)
-        b = Fraction(1, 2 * (p - 1)) * (dim_ratio * (conn + 2) + 1)
+        compression = Fraction(conn + 1, dim + 1)
+        a, b = _star_line(p, conn, dim)
+        a *= g
         big_b = 4 * (p - 1) ** 2 * (g + a * (1 + 2 * (p - 1))) + 2 * (p - 1)
         theta_safe = 8 * (p - 1) ** 2 - compression * (2 * (p - 1) * (b + 1) + big_b) / g
         return cls(

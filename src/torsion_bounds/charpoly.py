@@ -221,16 +221,19 @@ def newton_sums(poly: MonicIntPoly, n_max: int) -> list[int]:
 def precision_for_exponent(n_max: int, phi_upper: float) -> int:
     """Bits so that phi^n_max still carries >= 64 correct bits.
 
-    The TORSION_BOUNDS_PRECISION environment variable raises the floor;
-    this is the one place in the package that reads it.
+    The TORSION_BOUNDS_PRECISION environment variable, a whole number of
+    bits, raises the floor; this is the one place in the package that reads it.
     """
     try:
         log_upper = math.log2(max(phi_upper, 1.0) + 1e-9)
     except OverflowError:  # an integer bound past the float range, where the 1e-9 is lost anyway
         log_upper = math.log2(phi_upper)
     bits = math.ceil(max(n_max, 1) * log_upper) + 64
-    floor = int(os.environ.get("TORSION_BOUNDS_PRECISION", "0") or 0)
-    return max(bits, 64, floor)
+    text = os.environ.get("TORSION_BOUNDS_PRECISION", "") or "0"
+    with contextlib.suppress(ValueError):
+        if (floor := int(text)) >= 0:
+            return max(bits, 64, floor)
+    raise InvalidArgument(f"TORSION_BOUNDS_PRECISION must be a whole number of bits, got {text!r}")
 
 
 class _Bisection:

@@ -162,10 +162,5 @@ def report(space: SpaceSpec, params: dict[str, int], degree_range, eps="1/2") ->
     if space.route == "homology":
         return homology_rows(params["q"], p, degrees, note=lambda n: f"bounds rank of pi_{{{n + 1}}} torsion")
     kt = ktheory_params(p, space.gen, space.conn, space.dim(params))
-    off_grid = [m for m in degrees if m % kt.g_prime]
-    if off_grid:
-        raise InvalidArgument(
-            f"K-theory degrees must be multiples of g'={kt.g_prime}, got {off_grid[0]}"
-        )
     eps = _as_fraction(eps, "eps")
     return ktheory_rows(kt, degrees, eps, note=f"eps={_fraction_str(eps)}")

@@ -1,9 +1,9 @@
 """Invariant suites: every cross-check the package certifies itself with.
 
-Each check_* function returns a list of failure strings (empty = pass) so
-both the CLI `verify` command and the test suite can share one
-implementation.  The scales default to the certified ones, which tests may
-shrink; the tolerances are the module constants below.
+Each check_* function returns a list of failure strings (empty = pass),
+shared by the CLI `verify` command and the test suite.  Scales default to
+the certified ones, which tests may shrink.  The only tolerances are
+REL_SLACK and CLOSED_FORM_TOL; a fact of phi alone is exact on [phi_lo, phi_hi].
 
 A check spends its time on the function under test, which it calls at
 every sample point, and not on the side it compares against: polynomial
@@ -33,7 +33,6 @@ from .render import decimal_str
 from .spaces import report, space_by_name
 
 REL_SLACK = 1e-6  # Newton growth and rank window: slack relative to 1 + |value|
-PHI_WINDOW_MARGIN = 1e-9  # phi's distance from either end of 2^{1/(q+1)} < phi < 1 + 1/q
 CLOSED_FORM_TOL = 1e-9  # a weak K-theory bound's relative distance from its closed form
 
 
@@ -130,10 +129,9 @@ def check_root_sign_structure(max_sum_m: int = 4, max_q: int = 8) -> list[str]:
             x = lo * Fraction(step, 8)
             if x > 0 and poly.sign_at(x) >= 0:
                 fails.append(f"{gen.spec_string()}: P({x}) >= 0 below phi")
-        # phi >= (sum m_i)^(1/q_l): equivalent to sum m_i <= phi^{q_l}; the test
-        # sum m_i > hi^{q_l} (1 + 10^-12), times den(hi)^{q_l} 10^12
-        k, scale = gen.q_max, 10**12
-        if gen.sum_m * hi.denominator**k * scale > hi.numerator**k * (scale + 1):
+        # phi >= (sum m_i)^(1/q_l), i.e. sum m_i <= phi^{q_l} < hi^{q_l}, times den(hi)^{q_l}
+        k = gen.q_max
+        if gen.sum_m * hi.denominator**k > hi.numerator**k:
             fails.append(f"{gen.spec_string()}: phi below (sum m)^(1/q_l)")
     return fails
 
@@ -159,18 +157,15 @@ def check_profile_family(max_sum_m: int = 4, max_q: int = 8) -> list[str]:
     return fails
 
 
+def _window_ends(q: int) -> tuple[bool, bool]:
+    """bounds.phi_window on the 96-bit enclosure of the dominant root of z^{q+1} - z - 1."""
+    lo, hi, _ = certified_phi(char_poly(GeneratorSet.of((q, 1), (q + 1, 1))), 96)
+    return bnd.phi_window(q, lo, hi)
+
+
 def check_phi_window(q_max: int = 100) -> list[str]:
-    """2^{1/(q+1)} < phi < 1 + 1/q for the two-generator family."""
-    fails = []
-    for q in range(2, q_max + 1):
-        gen = GeneratorSet.of((q, 1), (q + 1, 1))
-        _, _, phi = certified_phi(char_poly(gen), 96)
-        with mp.workprec(96):
-            lo = mpf(2) ** (mpf(1) / (q + 1))
-            hi = 1 + mpf(1) / q
-            if not (lo + PHI_WINDOW_MARGIN < phi < hi - PHI_WINDOW_MARGIN):
-                fails.append(f"q={q}: phi={mpmath.nstr(phi, 12)} outside window")
-    return fails
+    """2^{1/(q+1)} < phi < 1 + 1/q for the two-generator family, decided exactly."""
+    return [f"q={q}: phi outside the window" for q in range(2, q_max + 1) if not all(_window_ends(q))]
 
 
 def check_newton_growth(n_max: int = 60, family=None) -> list[str]:
@@ -389,51 +384,38 @@ def check_fq_chain(qs=(2, 3, 4), eps: float = 0.1, n_hi: int = 400) -> list[str]
 
     f_q(N) >= (1-eps)(1-1/phi) phi^N / N > (1-eps)(1-2^{-1/(q+1)}) 2^{N/(q+1)} / N
     for all N0 <= N <= n_hi, with N0 <= n_hi existing.  f_q is called once
-    per N; phi^N and 2^{N/(q+1)} are running products at P + 32 bits, P the
-    precision of homology_params at n_hi.
+    per N against phi^N, a running product at P + 32 bits, P the precision
+    of homology_params at n_hi.  The second link holds at every N exactly
+    when phi > 2^{1/(q+1)} (check_phi_dominates_two_power), decided once per q.
     """
     fails = []
     for q in qs:
         params = bnd.homology_params(q, n_hi)
         with mp.workprec(params.precision_bits + 32):
-            phi, root2 = params.phi, mpf(2) ** (mpf(1) / (q + 1))
-            mid_factor, low_factor = (1 - eps) * (1 - 1 / phi), (1 - eps) * (1 - 1 / root2)
-            # n0 starts the run of N with f_q(N) >= mid that reaches n_hi, and
-            # broken is the first N of that run with mid <= low
-            n0 = broken = None
-            powers = zip(range(1, n_hi + 1), _running_powers(phi, n_hi), _running_powers(root2, n_hi))
-            for n, phi_n, root2_n in itertools.islice(powers, 1, None):  # from N = 2
-                mid = mid_factor * phi_n / n
-                if not bnd.f_q(q, n) >= mid:
-                    n0 = broken = None
-                    continue
-                if n0 is None:
+            factor = (1 - eps) * (1 - 1 / params.phi)
+            n0 = None  # starts the run of N with f_q(N) >= the middle curve that reaches n_hi
+            powers = zip(range(1, n_hi + 1), _running_powers(params.phi, n_hi))
+            for n, phi_n in itertools.islice(powers, 1, None):  # from N = 2
+                if not bnd.f_q(q, n) >= factor * phi_n / n:
+                    n0 = None
+                elif n0 is None:
                     n0 = n
-                if broken is None and not mid > low_factor * root2_n / n:
-                    broken = n
         if n0 is None:
             fails.append(f"q={q}: no threshold N0 <= {n_hi}")
-        elif broken is not None:
-            fails.append(f"q={q}: chain fails at N={broken}")
+        elif not _window_ends(q)[0]:
+            fails.append(f"q={q}: chain fails at N={n0}")
     return fails
 
 
-def check_phi_dominates_two_power(q_max: int = 50, ns=(5, 20, 80, 200, 400)) -> list[str]:
-    """(1 - 1/phi) phi^N > (1 - 2^{-1/(q+1)}) 2^{N/(q+1)} at sampled N.
+def check_phi_dominates_two_power(q_max: int = 50) -> list[str]:
+    """(1 - 1/phi) phi^N > (1 - 2^{-1/(q+1)}) 2^{N/(q+1)} at every N >= 1.
 
-    The common factors (1 - eps)/N cancel; the inequality follows from
-    phi > 2^{1/(q+1)} but is checked numerically here.
+    The common factors (1 - eps)/N of the chain cancel.  The sides are h(phi)
+    and h(2^{1/(q+1)}) for h(x) = (1 - 1/x) x^N = (x - 1) x^{N-1}, and h'(x) =
+    x^{N-2} (N (x - 1) + 1) > 0 for x > 1, so the inequality holds at every N
+    exactly when phi > 2^{1/(q+1)}: one exact test per q, phi_lo^{q+1} > 2.
     """
-    fails = []
-    for q in range(2, q_max + 1):
-        _, _, phi = certified_phi(char_poly(GeneratorSet.of((q, 1), (q + 1, 1))), 96)
-        with mp.workprec(max(96, 2 * max(ns))):
-            for n in ns:
-                lhs = (1 - 1 / phi) * phi**n
-                rhs = (1 - mpf(2) ** (-mpf(1) / (q + 1))) * mpf(2) ** (mpf(n) / (q + 1))
-                if not lhs > rhs:
-                    fails.append(f"q={q}, N={n}: phi term does not dominate")
-    return fails
+    return [f"q={q}: phi term does not dominate" for q in range(2, q_max + 1) if not _window_ends(q)[0]]
 
 
 def check_boundary_equals_fq(samples: int = 50, seed: int = 7) -> list[str]:
@@ -571,15 +553,16 @@ def check_closed_form_specializations(m_max: int = 500) -> list[str]:
                 if any(abs(v - want) > CLOSED_FORM_TOL * want for v in values):
                     fails.append(f"{label}: mismatch at m={m}")
                     break
-        # unitary groups: base root of z^5 - z^2 - 1
-        profile = profile_for_exponent(GeneratorSet.of((3, 1), (5, 1)), 64)
-        if not profile.phi > mpf("1.19"):
-            fails.append("phi(z^5 - z^2 - 1) not above 1.19")
-        if not profile.phi**3 > mpf("1.70"):
-            fails.append("phi^3 not above 1.70")
-        quartic = profile_for_exponent(GeneratorSet.of((2, 1), (4, 1)), 64)
-        if abs(quartic.phi**4 - golden4) > mpf("1e-9"):
-            fails.append("phi^4 of z^4 - z^2 - 1 differs from (3 + sqrt 5)/2")
+    # unitary groups: base root of z^5 - z^2 - 1, and the quartic's phi^4, from the enclosures
+    lo = profile_for_exponent(GeneratorSet.of((3, 1), (5, 1)), 64).phi_lo
+    if not lo > Fraction(119, 100):
+        fails.append("phi(z^5 - z^2 - 1) not above 1.19")
+    if not lo**3 > Fraction(17, 10):
+        fails.append("phi^3 not above 1.70")
+    quartic = profile_for_exponent(GeneratorSet.of((2, 1), (4, 1)), 64)
+    low, high = (2 * x**4 - 3 for x in (quartic.phi_lo, quartic.phi_hi))
+    if not (0 <= low and low**2 <= 5 <= high**2):  # 0 <= 2 lo^4 - 3 <= sqrt 5 <= 2 hi^4 - 3
+        fails.append("phi^4 of z^4 - z^2 - 1 differs from (3 + sqrt 5)/2")
     return fails
 
 

@@ -1,7 +1,5 @@
-import dataclasses
 import math
 import random
-import types
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +10,7 @@ from mpmath import mp, mpf
 
 from torsion_bounds import (
     GeneratorSet,
+    InternalError,
     InvalidArgument,
     babenko_rank,
     bbar_lower,
@@ -87,37 +86,56 @@ def test_f_q_chain_catches_a_halved_f_q(monkeypatch):
     assert check_fq_chain((2,), 0.1, 200) == ["q=2: no threshold N0 <= 200"]
 
 
+def _two_power_floor(k: int, bits: int) -> Fraction:
+    """2^{1/k} rounded down to `bits` bits, by integer bisection: its k-th power is at most 2."""
+    lo, hi = 1 << bits, 2 << bits
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= 2 << (bits * k) else (lo, mid)
+    return Fraction(lo, 1 << bits)
+
+
+def _lower_end_at_the_two_power(ulps: int):
+    """A certified_phi whose lower end is 2^{1/(q+1)} rounded down to its bits, plus ulps units."""
+    certify = verify.certified_phi
+
+    def shifted(poly, bits):
+        _, hi, phi = certify(poly, bits)
+        return _two_power_floor(poly.degree, bits) + Fraction(ulps, 1 << bits), hi, phi
+
+    return shifted
+
+
 def test_f_q_chain_catches_a_phi_below_the_two_power(monkeypatch):
-    # with phi = 1.2 < 2^{1/3} the middle curve falls below the lowest one at
-    # every N, so the chain breaks at the threshold itself
-    params = dataclasses.replace(bounds.homology_params(2, 200), phi=mpf("1.2"))
-    with mp.workprec(params.precision_bits + 32):
-        below = [n for n in range(2, 201) if not f_q(2, n) >= mpf("0.9") * (1 - 1 / params.phi) * params.phi**n / n]
-    stub = types.SimpleNamespace(homology_params=lambda q, n_max: params, f_q=bounds.f_q)
-    monkeypatch.setattr(verify, "bnd", stub)
-    assert check_fq_chain((2,), 0.1, 200) == [f"q=2: chain fails at N={max(below) + 1}"]
-
-
-def _two_power(degree: int, bits: int) -> mpf:
-    with mp.workprec(bits):
-        return mpf(2) ** (mpf(1) / degree)
+    # phi_lo^{q+1} <= 2 leaves the second link undecided at every N, so the chain
+    # breaks at its threshold, 118 for q = 2 (test_acceptance scans the same run)
+    monkeypatch.setattr(verify, "certified_phi", _lower_end_at_the_two_power(0))
+    assert check_fq_chain((2,), 0.1, 200) == ["q=2: chain fails at N=118"]
+    monkeypatch.setattr(verify, "certified_phi", _lower_end_at_the_two_power(1))
+    assert check_fq_chain((2,), 0.1, 200) == []
 
 
 def test_phi_dominance_check_catches_phi_at_the_two_power(monkeypatch):
     assert check_phi_dominates_two_power(12) == []
-    # phi = 2^{1/(q+1)} rounded to the 96 bits the check asks for: the two sides
-    # agree up to that rounding, so the check fails at every sampled N exactly
-    # for the q whose rounded phi lies below 2^{1/(q+1)}
-    monkeypatch.setattr(verify, "certified_phi", lambda poly, bits: (None, None, _two_power(poly.degree, bits)))
-    below = []
-    for q in range(2, 13):
-        man, exp = _two_power(q + 1, 96).man_exp
-        if (man * Fraction(2) ** exp) ** (q + 1) < 2:
-            below.append(q)
-    assert 0 < len(below) < 11  # rounding goes both ways over q = 2..12
-    assert check_phi_dominates_two_power(12) == [
-        f"q={q}, N={n}: phi term does not dominate" for q in below for n in (5, 20, 80, 200, 400)
-    ]
+    # the check is exact: a lower end at 2^{1/(q+1)} rounded down fails every q,
+    # and one unit of its last bit above passes every q
+    monkeypatch.setattr(verify, "certified_phi", _lower_end_at_the_two_power(0))
+    assert check_phi_dominates_two_power(12) == [f"q={q}: phi term does not dominate" for q in range(2, 13)]
+    monkeypatch.setattr(verify, "certified_phi", _lower_end_at_the_two_power(1))
+    assert check_phi_dominates_two_power(12) == []
+
+
+def test_homology_params_raise_internal_error_when_the_window_is_refused(monkeypatch):
+    monkeypatch.setattr(bounds, "phi_window", lambda q, lo, hi: (True, False))
+    caches = (bounds._window_holds, bounds._homology_params)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        with pytest.raises(InternalError, match="phi window violated for q=3"):
+            bounds.homology_params(3, 100)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_f_q_requires_n_at_least_two():
@@ -240,6 +258,13 @@ def test_condition_star_degenerate_slope():
 
 def test_condition_star_minimality():
     assert check_condition_star_minimality(200, seed=13) == []
+
+
+def test_condition_star_minimality_catches_a_min_j_one_too_large(monkeypatch):
+    least = bounds.min_j
+    monkeypatch.setattr(bounds, "min_j", lambda *args: least(*args) + 1)
+    fails = check_condition_star_minimality(50)
+    assert len(fails) == 50 and all(fail.startswith("min_j not minimal at ") for fail in fails)
 
 
 def test_bezout_cover_worked_example():

@@ -128,6 +128,20 @@ def test_phi_window_small():
     assert check_phi_window(30) == []
 
 
+@pytest.mark.parametrize("ulps", [0, -1])
+def test_phi_window_catches_an_upper_end_at_one_plus_one_over_q(monkeypatch, ulps):
+    # the check is exact: an upper end at 1 + 1/q fails every q, one unit of the
+    # enclosure's last bit below it passes every q
+    certify = verify.certified_phi
+
+    def at_the_end(poly, bits):
+        lo, _, phi = certify(poly, bits)
+        return lo, 1 + Fraction(1, poly.degree - 1) + Fraction(ulps, 1 << bits), phi
+
+    monkeypatch.setattr(verify, "certified_phi", at_the_end)
+    assert check_phi_window(12) == ([f"q={q}: phi outside the window" for q in range(2, 13)] if ulps == 0 else [])
+
+
 def test_sign_structure_family():
     'one sign change, P < 0 below phi, P > 0 above, phi >= (sum m)^(1/q_l)'
     assert check_root_sign_structure(4, 8) == []

@@ -342,6 +342,29 @@ def test_unwritable_out_exits_1_with_one_error_line(tmp_path, out):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "-5"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bound", "--homology", "--q", "2", "--p", "3", "--upto", "5"),
+        ("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--upto", "10"),
+        ("roots", "--degrees", "2:1,3:1"),
+        ("verify", "--suite", "charpoly"),
+    ],
+    ids=["bound", "report", "roots", "verify"],
+)
+def test_malformed_precision_env_exit_code(args, value):
+    # anything but a whole number of bits, read wherever a precision is chosen
+    result = run(*args, env={"TORSION_BOUNDS_PRECISION": value})
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == f"error: TORSION_BOUNDS_PRECISION must be a whole number of bits, got {value!r}\n"
+
+
+def test_precision_env_keeps_surrounding_spaces():
+    result = run("bound", "--homology", "--q", "2", "--p", "3", "--upto", "5", env={"TORSION_BOUNDS_PRECISION": " 512 "})
+    assert result.exit_code == 0 and result.stdout.splitlines()[1].endswith(",512")
+
+
 @pytest.mark.parametrize(
     "args",
     [

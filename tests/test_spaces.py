@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
@@ -14,7 +15,7 @@ from torsion_bounds import (
     report,
     space_by_name,
 )
-from torsion_bounds import bounds
+from torsion_bounds import bounds, verify
 from torsion_bounds.render import decimal_str
 from torsion_bounds.verify import (
     CATALOG_M1,
@@ -148,6 +149,23 @@ def test_closed_form_specializations_catch_scaled_weak_rows(monkeypatch):
 
     monkeypatch.setattr(bounds, "ktheory_rows", scaled)
     assert check_closed_form_specializations(3) == FIRST_DEGREE_MISMATCHES
+
+
+@pytest.mark.parametrize("ulps", [-(2**32), 2**32])
+def test_closed_form_specializations_catch_a_shifted_quartic_enclosure(monkeypatch, ulps):
+    # [phi_lo, phi_hi] of z^4 - z^2 - 1 moved by 2^32 units of its last bit, far
+    # past its width, so its fourth powers no longer hold (3 + sqrt 5)/2
+    profile_of = verify.profile_for_exponent
+
+    def shifted(gen, n_max):
+        profile = profile_of(gen, n_max)
+        if gen != GeneratorSet.of((2, 1), (4, 1)):
+            return profile
+        step = Fraction(ulps, 1 << profile.precision_bits)
+        return dataclasses.replace(profile, phi_lo=profile.phi_lo + step, phi_hi=profile.phi_hi + step)
+
+    monkeypatch.setattr(verify, "profile_for_exponent", shifted)
+    assert check_closed_form_specializations(3) == ["phi^4 of z^4 - z^2 - 1 differs from (3 + sqrt 5)/2"]
 
 
 def test_report_bounds_below_brute_force_boundaries():
