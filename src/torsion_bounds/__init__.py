@@ -4,7 +4,6 @@ torsion in homotopy groups, with independent brute-force oracles."""
 from .bounds import (
     BezoutCoverage,
     BoundReport,
-    HomologyBoundParams,
     KTheoryParams,
     bbar_lower,
     bezout_cover,

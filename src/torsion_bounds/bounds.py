@@ -8,9 +8,9 @@ bit-identical outputs.  Rational constants (a, b, B, theta_safe, thresholds)
 are kept as exact Fractions in the parameter objects and only converted to
 floating point inside a formula; each row sizes its own root profile, and
 every profile comes from the one cache of charpoly (profile_at,
-profile_for_exponent).  The homology-route constants c, kappa and c2 come
-from the roots of z^{q+1} - z - 1 alone, so they are built once per (q,
-precision) for every p; p enters only sigma_upper.
+profile_for_exponent).  The homology route's c, kappa and c2 involve no p:
+each formula computes them from the RootProfile of z^{q+1} - z - 1 that the
+route reads phi and |psi| from (_c_kappa); p enters only sigma_upper.
 
 homology_rows and ktheory_rows build the report rows of the two routes;
 the CLI's bound and report commands both go through them.  A row prints
@@ -55,7 +55,7 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
-from .charpoly import GeneratorSet, certified_phi, char_poly, profile_at, profile_bits, profile_for_exponent
+from .charpoly import GeneratorSet, RootProfile, certified_phi, char_poly, profile_at, profile_bits, profile_for_exponent
 from .combinat import is_odd_prime
 from .errors import CoverageViolation, InternalError, InvalidArgument
 from .render import common_text, decimal_str
@@ -63,7 +63,6 @@ from .render import common_text, decimal_str
 __all__ = [
     "BezoutCoverage",
     "BoundReport",
-    "HomologyBoundParams",
     "KTheoryParams",
     "bbar_lower",
     "bezout_cover",
@@ -109,21 +108,7 @@ def _mpf_of(x: Fraction) -> mpf:
     return mpf(x.numerator) / x.denominator
 
 
-# -- parameters for the two-generator (q, q+1) boundary bounds ----------------
-
-
-@dataclass(frozen=True)
-class HomologyBoundParams:
-    """Constants attached to the dominant root of z^{q+1} - z - 1, which do not
-    involve p: c = 2(q+2)(1+phi), kappa = (q+1)(1 + 1/|psi|),
-    c2 = (q+2)(1 + phi^{-1/2})."""
-
-    phi: mpf
-    psi_abs: mpf
-    c: mpf
-    kappa: mpf
-    c2: mpf
-    precision_bits: int
+# -- the homology route: the two-generator (q, q+1) boundary bounds ----------
 
 
 def _homology_gen(q: int) -> GeneratorSet:
@@ -151,32 +136,34 @@ def _window_holds(q: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _homology_params(q: int, bits: int) -> HomologyBoundParams:
+def _homology_params(q: int, bits: int) -> RootProfile:
     # z^{q+1} - z - 1 has q + 1 >= 3 simple roots and g = 1, so |psi| is always there
     profile = profile_at(_homology_gen(q), bits)
     if not _window_holds(q):  # a theorem: phi^{q+1} = phi + 1 > 2, (1 + 1/q)^{q+1} > e > 2 + 1/q
         raise InternalError(f"phi window violated for q={q}")
-    with mp.workprec(bits):
-        phi, psi = profile.phi, profile.psi_abs
-        return HomologyBoundParams(phi, psi, c=2 * (q + 2) * (1 + phi), kappa=(q + 1) * (1 + 1 / psi),
-                                   c2=(q + 2) * (1 + 1 / mp.sqrt(phi)), precision_bits=bits)
+    return profile
 
 
-def homology_params(q: int, n_max: int) -> HomologyBoundParams:
-    # Homology rows size their precision for N rounded up to a multiple of 64
-    # (an output-visible quirk kept until the golden digests are re-recorded).
+def homology_params(q: int, n_max: int) -> RootProfile:
+    # The profile of z^{q+1} - z - 1 for degree n_max, at the precision for n_max rounded up to a
+    # multiple of 64 (an output-visible quirk kept until the golden digests are re-recorded).
     return _homology_params(q, profile_bits(_homology_gen(q), 64 * max(math.ceil(n_max / 64), 1)))
+
+
+def _c_kappa(q: int, profile: RootProfile) -> tuple[mpf, mpf]:
+    """c = 2(q+2)(1 + phi) and kappa = (q+1)(1 + 1/|psi|), at the ambient working precision."""
+    return 2 * (q + 2) * (1 + profile.phi), (q + 1) * (1 + 1 / profile.psi_abs)
 
 
 def f_q(q: int, n: int) -> mpf:
     """(1 - (N/(N-1))/phi) phi^N / N - c N phi^{N/2} - kappa |psi|^N."""
     if n < 2:
         raise InvalidArgument(f"f_q requires N >= 2, got {n}")
-    params = homology_params(q, n)
-    with mp.workprec(params.precision_bits):
-        phi = params.phi
+    profile = homology_params(q, n)
+    with mp.workprec(profile.precision_bits):
+        phi, (c, kappa) = profile.phi, _c_kappa(q, profile)
         main = (1 - (mpf(n) / (n - 1)) / phi) * phi**n / n
-        return main - params.c * n * phi ** (mpf(n) / 2) - params.kappa * params.psi_abs**n
+        return main - c * n * phi ** (mpf(n) / 2) - kappa * profile.psi_abs**n
 
 
 def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
@@ -198,11 +185,13 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
     rows, bucket = [], None
     for n in degrees:
         if -(-n // 64) != bucket:  # the precision depends on N only through ceil(N / 64)
-            bucket, params = -(-n // 64), homology_params(q, n)
-        bits, phi = params.precision_bits, params.phi
+            bucket, profile = -(-n // 64), homology_params(q, n)
+            with mp.workprec(profile.precision_bits):
+                constants = _c_kappa(q, profile)
+        bits, phi = profile.precision_bits, profile.phi
         (big, half, tail, c, kappa, inverse), steps = running.powers(bits, n, lambda: (
-            (phi, 1, 0), (phi, Fraction(1, 2), 0), (params.psi_abs, 1, 0),
-            (params.c, 0, 1), (params.kappa, 0, 1), (phi, 0, -1),
+            (phi, 1, 0), (phi, Fraction(1, 2), 0), (profile.psi_abs, 1, 0),
+            (constants[0], 0, 1), (constants[1], 0, 1), (phi, 0, -1),
         ))
         # phi^N/N - phi^(N-1)/(N-1) - c N phi^(N/2) - kappa |psi|^N
         middle, less = _mul(c, half), _div(_mul(big, inverse), n - 1)
@@ -213,14 +202,14 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
 
 
 def bbar_lower(q: int, n: int) -> mpf:
-    """(1 - (N/(N-1))/phi) phi^N / N - kappa |psi|^N - c2 phi^{N/2}."""
+    """(1 - (N/(N-1))/phi) phi^N / N - kappa |psi|^N - c2 phi^{N/2}, c2 = (q+2)(1 + phi^{-1/2})."""
     if n < 2:
         raise InvalidArgument(f"bbar_lower requires N >= 2, got {n}")
-    params = homology_params(q, n)
-    with mp.workprec(params.precision_bits):
-        phi, psi = params.phi, params.psi_abs
+    profile = homology_params(q, n)
+    with mp.workprec(profile.precision_bits):
+        phi, kappa = profile.phi, _c_kappa(q, profile)[1]
         main = (1 - (mpf(n) / (n - 1)) / phi) * phi**n / n
-        return main - params.kappa * psi**n - params.c2 * phi ** (mpf(n) / 2)
+        return main - kappa * profile.psi_abs**n - (q + 2) * (1 + 1 / mp.sqrt(phi)) * phi ** (mpf(n) / 2)
 
 
 def sigma_upper(q: int, p: int, n: int) -> mpf:
@@ -230,9 +219,9 @@ def sigma_upper(q: int, p: int, n: int) -> mpf:
     if n == 0:
         return mpf(0)
     _check_homology(q, p)
-    params = homology_params(q, n)
-    with mp.workprec(params.precision_bits):
-        phi = params.phi
+    profile = homology_params(q, n)
+    with mp.workprec(profile.precision_bits):
+        phi = profile.phi
         return 2 * (q + 2) * phi ** (mpf(2) / p) * n * phi ** (mpf(n) / p)
 
 
@@ -253,7 +242,7 @@ def rank_window(gen: GeneratorSet, n: int) -> tuple[mpf, mpf]:
         phi = profile.phi
         center = g * phi**n / n
         err = g * phi ** (mpf(n) / 2)
-        if profile.has_psi:
+        if profile.psi_abs is not None:
             psi = profile.psi_abs
             err += (mpf(ql) / n) * psi**n + ql * psi ** (mpf(n) / 2)
         return center - err, center + err

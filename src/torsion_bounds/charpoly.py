@@ -29,6 +29,7 @@ import cmath
 import contextlib
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,7 +222,7 @@ def newton_sums(poly: MonicIntPoly, n_max: int) -> list[int]:
 def precision_for_exponent(n_max: int, phi_upper: float) -> int:
     """Bits so that phi^n_max still carries >= 64 correct bits.
 
-    The TORSION_BOUNDS_PRECISION environment variable, a whole number of
+    TORSION_BOUNDS_PRECISION, a whole number of at most MAX_PRECISION_BITS
     bits, raises the floor; this is the one place in the package that reads it.
     """
     try:
@@ -231,9 +232,12 @@ def precision_for_exponent(n_max: int, phi_upper: float) -> int:
     bits = math.ceil(max(n_max, 1) * log_upper) + 64
     text = os.environ.get("TORSION_BOUNDS_PRECISION", "") or "0"
     with contextlib.suppress(ValueError):
-        if (floor := int(text)) >= 0:
+        if 0 <= (floor := int(text)) <= MAX_PRECISION_BITS:
             return max(bits, 64, floor)
-    raise InvalidArgument(f"TORSION_BOUNDS_PRECISION must be a whole number of bits, got {text!r}")
+    shown = repr(text) if len(repr(text)) <= 40 else repr(text)[:37] + "..."
+    if re.fullmatch(r"\s*\+?\d+(_\d+)*\s*", text):  # also a whole number too long for int(), over 4300 digits
+        raise InvalidArgument(f"TORSION_BOUNDS_PRECISION must be at most {MAX_PRECISION_BITS} bits, got {shown}")
+    raise InvalidArgument(f"TORSION_BOUNDS_PRECISION must be a whole number of bits, got {shown}")
 
 
 class _Bisection:
@@ -565,13 +569,6 @@ class RootProfile:
     g: int
     cloud: RootCloud
     precision_bits: int
-
-    @property
-    def has_psi(self) -> bool:
-        return self.psi_abs is not None
-
-    def psi_or_zero(self) -> mpf:
-        return self.psi_abs if self.psi_abs is not None else mpf(0)
 
 
 def certified_phi(poly: MonicIntPoly, precision_bits: int) -> tuple[Fraction, Fraction, mpf]:

@@ -19,7 +19,7 @@ from .bounds import MAX_EPSILON, MAX_VALUE_CAP, _as_fraction, bezout_cover, homo
 from .charpoly import (
     MAX_BITS_TIMES_DEGREE, MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, profile_at
 )
-from .dgl_fp import MAX_PRIME, WeightedAlphabet, subspace_dims
+from .dgl_fp import MAX_PRIME, MOORE_DIFFERENTIAL, WeightedAlphabet, subspace_dims
 from .errors import (
     CoverageViolation,
     DimensionMismatch,
@@ -275,7 +275,7 @@ def dgl_cmd(q, p, upto, fmt, out):
         raise InvalidArgument(f"--upto must be >= 1, got {upto}")
     if upto > MAX_DGL_DEGREE:
         raise InvalidArgument(f"--upto must be <= {MAX_DGL_DEGREE}, got {upto}")
-    dims = subspace_dims(WeightedAlphabet.moore(q), {"x": "y", "y": None}, p, upto)
+    dims = subspace_dims(WeightedAlphabet.moore(q), MOORE_DIFFERENTIAL, p, upto)
     rows = [
         {
             "degree": n,

@@ -135,6 +135,9 @@ class WeightedAlphabet:
         return sum(degs[i] for i in word)
 
 
+MOORE_DIFFERENTIAL = {"x": "y", "y": None}  # dx = y, dy = 0 on WeightedAlphabet.moore (the mod-p Moore space)
+
+
 @dataclass(frozen=True)
 class BasisElement:
     """A super-Lyndon word with its standard bracketing.

@@ -14,8 +14,6 @@ import json
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from mpmath import mpf
-
 if TYPE_CHECKING:
     from .bounds import BoundReport
 
@@ -64,7 +62,7 @@ def decimal_str(x) -> str:
 
 
 def _ratio(x) -> tuple[int, int]:
-    if isinstance(x, mpf) or hasattr(x, "_mpf_"):
+    if hasattr(x, "_mpf_"):
         sign, man, exp, _ = x._mpf_
         num = int(-man if sign else man)
         return (num << exp, 1) if exp >= 0 else (num, 1 << -exp)

@@ -26,7 +26,7 @@ from mpmath import mp, mpf
 from . import bounds as bnd
 from .charpoly import GeneratorSet, certified_phi, char_poly, newton_sums, profile_for_exponent
 from .combinat import bezout_min_y, binom_div_p, divisors, mobius
-from .dgl_fp import FreeDgl, WeightedAlphabet, subspace_dims
+from .dgl_fp import MOORE_DIFFERENTIAL, FreeDgl, WeightedAlphabet, subspace_dims
 from .errors import TorsionBoundsError
 from .lie_rank import babenko_ranks, pbw_ranks
 from .render import decimal_str
@@ -148,7 +148,7 @@ def check_profile_family(max_sum_m: int = 4, max_q: int = 8) -> list[str]:
         except TorsionBoundsError as exc:
             fails.append(f"{gen.spec_string()}: {exc}")
             continue
-        if profile.has_psi and not profile.psi_abs < profile.phi:
+        if profile.psi_abs is not None and not profile.psi_abs < profile.phi:
             fails.append(f"{gen.spec_string()}: |psi| not below phi")
         cloud, s1 = profile.cloud, newton_sums(char_poly(gen), 1)[0]
         miss = (sum(cloud.xs) - (s1 << cloud.shift)) ** 2 + sum(cloud.ys) ** 2
@@ -181,7 +181,7 @@ def check_newton_growth(n_max: int = 60, family=None) -> list[str]:
         g, k = gen.g, poly.degree
         with mp.workprec(profile.precision_bits + 32):
             phi_powers = _running_powers(profile.phi, n_max)
-            psi_powers = _running_powers(profile.psi_or_zero(), n_max)
+            psi_powers = _running_powers(mpf(0) if profile.psi_abs is None else profile.psi_abs, n_max)
             for n, phi_n, psi_n in zip(range(1, n_max + 1), phi_powers, psi_powers):
                 rhs = (k - g) * psi_n
                 lhs = abs(mpf(sums[n - 1]) - (g * phi_n if n % g == 0 else 0))
@@ -264,7 +264,7 @@ def check_basis_certification(qs=(2, 3), ps=(3, 5), up_to: int = 14) -> list[str
     for q in qs:
         for p in ps:
             try:
-                alg = FreeDgl(WeightedAlphabet.moore(q), p, up_to, {"x": "y", "y": None})
+                alg = FreeDgl(WeightedAlphabet.moore(q), p, up_to, MOORE_DIFFERENTIAL)
                 for n in range(1, up_to + 1):
                     alg._leading_columns(n)
             except TorsionBoundsError as exc:
@@ -282,7 +282,7 @@ def check_differential_squares_to_zero(qs=(2, 3), ps=(3, 5), up_to: int = 14) ->
     fails = []
     for q in qs:
         for p in ps:
-            alg = FreeDgl(WeightedAlphabet.moore(q), p, up_to, {"x": "y", "y": None})
+            alg = FreeDgl(WeightedAlphabet.moore(q), p, up_to, MOORE_DIFFERENTIAL)
             for n in range(2, up_to + 1):
                 for be in alg.basis_by_degree[n]:
                     dd = alg.differential(alg.differential(alg.from_basis(be)))
@@ -304,8 +304,8 @@ def check_graded_jacobi(samples: int = 200, seed: int = 20241) -> list[str]:
     fails = []
     rng = random.Random(seed)
     algebras = [
-        FreeDgl(WeightedAlphabet.moore(2), 3, 14, {"x": "y", "y": None}),
-        FreeDgl(WeightedAlphabet.moore(3), 5, 14, {"x": "y", "y": None}),
+        FreeDgl(WeightedAlphabet.moore(2), 3, 14, MOORE_DIFFERENTIAL),
+        FreeDgl(WeightedAlphabet.moore(3), 5, 14, MOORE_DIFFERENTIAL),
         FreeDgl(WeightedAlphabet((("x", 1), ("y", 1))), 3, 9),
     ]
     pools = []
@@ -336,7 +336,7 @@ def check_cycle_elements(q: int = 3, p: int = 3) -> list[str]:
     """d(tau_1(x)) = 0 and d(sigma_1(x)) = 0 for the acyclic pair (x, y)."""
     fails = []
     cap = p * (q + 1)  # tau lives in degree p(q+1) - 1
-    alg = FreeDgl(WeightedAlphabet.moore(q), p, cap, {"x": "y", "y": None})
+    alg = FreeDgl(WeightedAlphabet.moore(q), p, cap, MOORE_DIFFERENTIAL)
     x = alg.letter("x")
     t = alg.tau(x, 1)
     if t.degree != p * (q + 1) - 1:
@@ -352,7 +352,7 @@ def check_cycle_elements(q: int = 3, p: int = 3) -> list[str]:
 
 
 def check_rank_nullity(q: int = 2, p: int = 3, up_to: int = 12) -> list[str]:
-    dims = subspace_dims(WeightedAlphabet.moore(q), {"x": "y", "y": None}, p, up_to)
+    dims = subspace_dims(WeightedAlphabet.moore(q), MOORE_DIFFERENTIAL, p, up_to)
     fails = []
     for n in range(1, up_to + 1):
         i = n - 1
@@ -368,7 +368,7 @@ def check_boundary_bound(qs=(2, 3), p: int = 3, up_to: int = 14) -> list[str]:
     """Brute-force dim B_N >= f_q(q, N); vacuous when negative."""
     fails = []
     for q in qs:
-        dims = subspace_dims(WeightedAlphabet.moore(q), {"x": "y", "y": None}, p, up_to)
+        dims = subspace_dims(WeightedAlphabet.moore(q), MOORE_DIFFERENTIAL, p, up_to)
         for n in range(2, up_to + 1):
             lower = bnd.f_q(q, n)
             if mpf(dims["boundaries"][n - 1]) < lower:
@@ -390,11 +390,11 @@ def check_fq_chain(qs=(2, 3, 4), eps: float = 0.1, n_hi: int = 400) -> list[str]
     """
     fails = []
     for q in qs:
-        params = bnd.homology_params(q, n_hi)
-        with mp.workprec(params.precision_bits + 32):
-            factor = (1 - eps) * (1 - 1 / params.phi)
+        profile = bnd.homology_params(q, n_hi)
+        with mp.workprec(profile.precision_bits + 32):
+            factor = (1 - eps) * (1 - 1 / profile.phi)
             n0 = None  # starts the run of N with f_q(N) >= the middle curve that reaches n_hi
-            powers = zip(range(1, n_hi + 1), _running_powers(params.phi, n_hi))
+            powers = zip(range(1, n_hi + 1), _running_powers(profile.phi, n_hi))
             for n, phi_n in itertools.islice(powers, 1, None):  # from N = 2
                 if not bnd.f_q(q, n) >= factor * phi_n / n:
                     n0 = None
@@ -571,7 +571,7 @@ def check_report_vs_boundary_oracle(q: int = 2, p: int = 3, r: int = 1, up_to: i
     observable end of the chain rank(pi) >= rank(B) >= f_q."""
     fails = []
     rows = report(space_by_name("moore"), {"q": q, "p": p, "r": r}, range(2, up_to + 1))
-    dims = subspace_dims(WeightedAlphabet.moore(q), {"x": "y", "y": None}, p, up_to)
+    dims = subspace_dims(WeightedAlphabet.moore(q), MOORE_DIFFERENTIAL, p, up_to)
     for row in rows:
         b_n = dims["boundaries"][row.degree - 1]
         if row.bound > b_n:

@@ -159,6 +159,15 @@ def test_root_sign_structure_catches_a_swapped_enclosure(monkeypatch):
     assert check_root_sign_structure(2, 3) == [f"{gen.spec_string()}: enclosure signs wrong" for gen in family]
 
 
+def test_root_sign_structure_catches_phi_below_the_multiplicity_root(monkeypatch):
+    # every multiplicity dropped to 1 keeps gen.sum_m but shrinks phi: q_l = 1 sets phi = 1 < sum m,
+    # and only the exact test catches the three sets whose phi^{q_l} lies within a factor of 2 of sum m
+    assert check_root_sign_structure(3, 3) == []
+    monkeypatch.setattr(verify, "char_poly", lambda gen: char_poly(GeneratorSet.of(*((q, 1) for q, _ in gen.degrees))))
+    low = ["1:2", "1:3", "2:2", "2:3", "3:2", "3:3", "1:1,2:2", "1:2,2:1", "2:1,3:2", "2:2,3:1"]
+    assert check_root_sign_structure(3, 3) == [f"{spec}: phi below (sum m)^(1/q_l)" for spec in low]
+
+
 _RATIONALS = st.one_of(
     st.fractions(),
     st.builds(Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**60)),

@@ -365,6 +365,28 @@ def test_precision_env_keeps_surrounding_spaces():
     assert result.exit_code == 0 and result.stdout.splitlines()[1].endswith(",512")
 
 
+@pytest.mark.parametrize("value, bits", [("+512", 512), ("0512", 512), ("1_024", 1024), ("32768", 32768)])
+def test_precision_env_takes_every_whole_number_int_takes(value, bits):
+    result = run("bound", "--homology", "--q", "2", "--p", "3", "--upto", "5", env={"TORSION_BOUNDS_PRECISION": value})
+    assert result.exit_code == 0 and result.stdout.splitlines()[1].endswith(f",{bits}")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("x" * 5000, "must be a whole number of bits, got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx..."),
+        ("1" + "0" * 4400, "must be at most 32768 bits, got '100000000000000000000000000000000000..."),  # too long for int()
+        ("32769", "must be at most 32768 bits, got '32769'"),
+        ("+40_000", "must be at most 32768 bits, got '+40_000'"),
+    ],
+    ids=["long-text", "long-number", "ceiling-plus-one", "over-ceiling"],
+)
+def test_long_or_over_ceiling_precision_env_gives_one_short_line(value, message):
+    result = run("bound", "--homology", "--q", "2", "--p", "3", "--upto", "5", env={"TORSION_BOUNDS_PRECISION": value})
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == f"error: TORSION_BOUNDS_PRECISION {message}\n" and len(result.stderr) < 120
+
+
 @pytest.mark.parametrize(
     "args",
     [

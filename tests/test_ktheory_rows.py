@@ -46,7 +46,7 @@ def _reference_lower(params, m) -> BoundReport:
         big_e = n + 8 * (params.p - 1) ** 2
         value = phi ** (n * params.g) / big_e
         value -= params.g * phi ** (mpf(big_e * params.g) / 2)
-        if profile.has_psi:
+        if profile.psi_abs is not None:
             value -= params.gen.q_max * (3 + 2 * profile.psi_abs ** (big_e * params.g))
         return BoundReport(m, value, "ktheory_guaranteed", bool(value <= 0), bits, note=f"n(M)={n}")
 

@@ -11,8 +11,9 @@ from torsion_bounds import (
     pbw_ranks,
     tensor_dims,
 )
+from torsion_bounds import bounds, verify
 from torsion_bounds.lie_rank import _pbw_solve
-from torsion_bounds.verify import check_g_divisibility, check_oracle_equivalence, check_rank_window
+from torsion_bounds.verify import check_g_divisibility, check_oracle_equivalence, check_rank_window, generator_family
 
 
 def test_tensor_dims_examples():
@@ -63,6 +64,46 @@ def test_g_divisibility():
 
 def test_rank_window_contains_exact_rank():
     assert check_rank_window(60) == []
+
+
+def test_oracle_equivalence_catches_a_series_rank_one_too_large(monkeypatch):
+    assert check_oracle_equivalence(2, 3, 12) == []
+    series = verify.pbw_ranks
+    monkeypatch.setattr(verify, "pbw_ranks", lambda gen, n: [r + (k == 10) for k, r in enumerate(series(gen, n), 1)])
+    assert check_oracle_equivalence(2, 3, 12) == [
+        f"{gen.spec_string()}: formula {rank} vs series {rank + 1} at N=10"
+        for gen in generator_family(2, 3)
+        for rank in [babenko_ranks(gen, 10)[9]]
+    ]
+
+
+def test_g_divisibility_catches_a_rank_off_the_g_grid(monkeypatch):
+    assert check_g_divisibility(12) == []
+    formula = verify.babenko_ranks
+
+    def off_grid(gen, n):  # a rank of 1 at every N off the g-grid, where the rank is 0
+        return [1 if k % gen.g else r for k, r in enumerate(formula(gen, n), 1)]
+
+    monkeypatch.setattr(verify, "babenko_ranks", off_grid)
+    fails = check_g_divisibility(12)
+    family = generator_family()
+    assert fails == [f"{gen.spec_string()}: rank 1 != 0 at N={n}" for gen in family for n in range(1, 13) if n % gen.g]
+    assert len(fails) == 117
+
+
+def test_rank_window_catches_a_shifted_window(monkeypatch):
+    assert check_rank_window(12) == []
+    window = bounds.rank_window
+
+    def shifted(gen, n):  # up by twice the width plus 1: the rank, inside the true window, is below this one
+        lo, hi = window(gen, n)
+        return lo + 2 * (hi - lo) + 1, hi + 2 * (hi - lo) + 1
+
+    monkeypatch.setattr(bounds, "rank_window", shifted)
+    fails = check_rank_window(12)
+    family = generator_family()
+    assert fails == [f"{gen.spec_string()}: rank outside window at N={n}" for gen in family for n in range(gen.g, 13, gen.g)]
+    assert len(fails) == 543
 
 
 # random generator sets: up to four distinct degrees in 1..8, multiplicities 1..4
