@@ -145,9 +145,8 @@ def _homology_params(q: int, bits: int) -> RootProfile:
 
 
 def homology_params(q: int, n_max: int) -> RootProfile:
-    # The profile of z^{q+1} - z - 1 for degree n_max, at the precision for n_max rounded up to a
-    # multiple of 64 (an output-visible quirk kept until the golden digests are re-recorded).
-    return _homology_params(q, profile_bits(_homology_gen(q), 64 * max(math.ceil(n_max / 64), 1)))
+    # The profile of z^{q+1} - z - 1 for degree n_max, at the exponent budget n_max + 63 (cf. _exponent_budget)
+    return _homology_params(q, profile_bits(_homology_gen(q), n_max + 63))
 
 
 def _c_kappa(q: int, profile: RootProfile) -> tuple[mpf, mpf]:

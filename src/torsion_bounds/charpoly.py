@@ -2,11 +2,12 @@
 and certified root profiles (phi, |psi|, g).
 
 phi is enclosed by sign-change bisection in exact dyadic arithmetic, so
-P(phi_lo) < 0 < P(phi_hi) really holds.  Each polynomial keeps one bisection
-state, refined in place along the one bisection path; a deeper request jumps
-to its cell by integer Newton, accepted by two exact sign evaluations, and
-takes single steps only when Newton misses, so every enclosure equals the
-one a bisection from scratch would return.
+P(phi_lo) < 0 < P(phi_hi) really holds.  A polynomial's bisection takes
+single steps once, to a start cell narrower than 2^-32; each precision then
+reaches its cell by integer Newton from there and an exact-sign search
+around Newton's estimate, two sign evaluations when Newton lands on it.
+Only one cell has the sign change, so every enclosure equals the one a
+bisection from scratch returns.  Both steps are memoized pure functions.
 
 |psi| comes from the complex root cloud, once per polynomial and working
 precision.  Aberth-Ehrlich sweeps run on Python complex from a circle start
@@ -30,7 +31,6 @@ import contextlib
 import math
 import os
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -67,16 +67,18 @@ _GUARD_BITS = 16  # fixed-point bits beyond the working precision and the range 
 # bitlen(H), and carries this many bits beyond the cell it aims for
 _NEWTON_GUARD_BITS = 32
 _NEWTON_MAX_ITER = 64
-# Largest precision certified_phi accepts. The Newton jump takes 15 ms for
-# z^3 - z - 1 at 32768 bits, but the single-step fallback grows about 6x per
-# doubling of the bits (0.5 s at 8192, 20 s at 32768 on a 2-core Xeon host),
-# and this bounds it; a report up to M = 4000 asks for about 6.5k bits.
+# Largest precision certified_phi accepts. Newton's estimate takes 15 ms for
+# z^3 - z - 1 at 32768 bits, but when it is useless the sign search gallops and
+# halves across the start cell, which grows about 5x per doubling of the bits
+# (1.2 s at 8192, 31 s at 32768 on a 2-core Xeon host, twice what single steps
+# across the cell take), and this bounds it; a report up to M = 4000 asks for
+# about 6.5k bits.
 MAX_PRECISION_BITS = 1 << 15
-# Largest precision times degree certified_phi accepts. Single-step bisection time
-# grows about like degree^2 * bits^2.6 (6.8 s at degree 50 and 2048 bits, 2.3 s at
-# 150 and 655 on a 2-core Xeon host; Newton takes 33 ms at the latter), so for a
-# fixed product it falls as the degree grows, and this bounds every fallback by the
-# degree-3 case at MAX_PRECISION_BITS.
+# Largest precision times degree certified_phi accepts. The search across the start
+# cell grows about like degree^2 * bits^2.6 (7.3 s at degree 50 and 2048 bits, 2.2 s
+# at 150 and 655 on a 2-core Xeon host; Newton takes 21 ms at the latter), so for a
+# fixed product it falls as the degree grows, and this bounds every such search by
+# the degree-3 case at MAX_PRECISION_BITS.
 MAX_BITS_TIMES_DEGREE = 3 * MAX_PRECISION_BITS
 # Largest generator degree, i.e. degree of the characteristic polynomial. Each
 # Aberth sweep costs O(k^2) big-integer operations: roots --degrees 1:1,k:1 takes
@@ -240,110 +242,90 @@ def precision_for_exponent(n_max: int, phi_upper: float) -> int:
     raise InvalidArgument(f"TORSION_BOUNDS_PRECISION must be a whole number of bits, got {shown}")
 
 
-class _Bisection:
-    """The one bisection path of a polynomial from [0, H], refined in place.
+@lru_cache(maxsize=None)
+def _bisection_start(poly: MonicIntPoly) -> tuple[int, int, int, bool]:
+    """(H, j, s, exact): the cell (j H, (j + 1) H) / 2^s of phi after s = bitlen(H) +
+    _NEWTON_GUARD_BITS bisection steps from [0, H], or phi = j H / 2^s with exact
+    True when a midpoint meets it first.  H = coeff_bound() exceeds every root
+    modulus (Cauchy) and P(0) = a_0 <= -1, so P < 0 on [0, phi) and P > 0 on
+    (phi, H].  A rational phi is an integer m (P is monic), met if at all at
+    step v2(H) - v2(m) < bitlen(H), where a bisection from scratch for any
+    request meets it too."""
+    h, j = poly.coeff_bound(), 0
+    for s in range(1, h.bit_length() + _NEWTON_GUARD_BITS + 1):
+        sign = poly.eval_scaled((2 * j + 1) * h, s)
+        if sign == 0:
+            return h, 2 * j + 1, s, True
+        j = 2 * j + (sign < 0)
+    return h, j, s, False
 
-    Bisection from a fixed bracket is deterministic: after s steps the
-    bracket is [j H, (j + 1) H] / 2^s for one integer j, and since phi is
-    the only root in [0, H], j = floor(phi 2^s / H) unless a midpoint hits
-    phi exactly.  Only (H, j, s) at the deepest step reached is kept.  A
-    request for fewer steps reads its bracket off as j >> (s - s').  A
-    request for more takes single steps down to bitlen(H) + 32 steps, then
-    jumps to the requested cell: integer Newton from the midpoint of the
-    deepest bracket estimates j, and two exact sign evaluations accept it.
-    When Newton gives up or lands off the cell, single steps continue from
-    the deepest bracket.  Either way the answer is the bracket a bisection
-    from scratch returns.  P(0) = a_0 <= -1 for this family, so [0, H]
-    brackets phi once P(H) > 0.
+
+def _newton(poly: MonicIntPoly, h: int, j: int, start: int, steps: int) -> int:
+    """Newton's estimate of floor(phi 2^steps / H) from the cell (j H, (j + 1) H) / 2^start.
+
+    x = X / 2^F starts at the cell's midpoint with A = start + 1 - bitlen(H)
+    correct bits; each iteration takes F = 2A + 32 and counts on 2A - 16
+    correct bits after it.  At the last F, steps + 32 + degree * bitlen(H)
+    (the Horner rounding grows with the coefficients), iterations go on
+    until a step is below 2^-(steps + 16).  Iterates are clamped to the
+    cell; P'(x) <= 0 or _NEWTON_MAX_ITER iterations end the run early.
     """
-
-    def __init__(self, poly: MonicIntPoly):
-        self.poly = poly
-        self.exact: tuple[int, int] | None = None  # (num, shift) with phi = num / 2^shift
-        self.j, self.steps = 0, 0
-        self.h = poly.coeff_bound()
-        while True:
-            s = poly.eval_scaled(self.h, 0)
-            if s > 0:
-                break
-            if s == 0:
-                self.exact = (self.h, 0)
-                break
-            self.h *= 2
-        self._lock = threading.Lock()
-
-    def enclosure(self, bits: int) -> tuple[int, int, int]:
-        """(lo_num, hi_num, shift) with P(lo) < 0 < P(hi), hi - lo <= 2^-bits."""
-        # each step halves the width H / 2^s; run until it is <= 2^-bits
-        steps = bits + self.h.bit_length()
-        with self._lock:
-            self._single_steps(min(steps, self.h.bit_length() + _NEWTON_GUARD_BITS))
-            if self.exact is None and self.steps < steps:
-                j = self._newton(steps)
-                if j is not None and self._brackets(j, steps):
-                    self.j, self.steps = j, steps
-            self._single_steps(steps)
-            # A rational phi is an integer m (P is monic), met if at all at step
-            # v2(H) - v2(m) < H.bit_length() <= steps, by the single steps above:
-            # a bisection from scratch for any request meets it too.
-            if self.exact is not None:
-                return _exact_root_enclosure(self.poly, *self.exact, bits)
-            j = self.j >> (self.steps - steps)
-        if not self._brackets(j, steps):
-            raise NumericFailure("bisection bracket lost its sign change")
-        return j * self.h, (j + 1) * self.h, steps
-
-    def _brackets(self, j: int, steps: int) -> bool:
-        """P < 0 < P at the two ends of cell j after `steps` steps."""
-        return self.poly.eval_scaled(j * self.h, steps) < 0 < self.poly.eval_scaled((j + 1) * self.h, steps)
-
-    def _single_steps(self, steps: int) -> None:
-        while self.steps < steps and self.exact is None:
-            mid, shift = (2 * self.j + 1) * self.h, self.steps + 1
-            s = self.poly.eval_scaled(mid, shift)
-            if s == 0:
-                self.exact = (mid, shift)
-                return
-            self.j = 2 * self.j + (s < 0)
-            self.steps = shift
-
-    def _newton(self, steps: int) -> int | None:
-        """Newton's estimate of floor(phi 2^steps / H), or None when it gives up.
-
-        x = X / 2^F starts at the midpoint of the deepest bracket, where it
-        has A = s + 1 - bitlen(H) correct bits; each iteration takes F = 2A
-        + 32 and counts on 2A - 16 correct bits after it.  At the last F,
-        steps + 32 + degree * bitlen(H) (the Horner rounding grows with the
-        coefficients), iterations go on until a step is below
-        2^-(steps + 16).  Each iterate is clamped to the deepest bracket.
-        Newton gives up when P'(x) <= 0 or after _NEWTON_MAX_ITER iterations.
-        """
-        guard, h = _NEWTON_GUARD_BITS, self.h
-        last = steps + guard + self.poly.degree * h.bit_length()
-        shift = self.steps + 1
-        x, lo, hi = (2 * self.j + 1) * h, 2 * self.j * h, (2 * self.j + 2) * h
-        accurate = shift - h.bit_length()
-        for _ in range(_NEWTON_MAX_ITER):
-            up = max(min(2 * accurate + guard, last) - shift, 0)
-            x, lo, hi, shift = x << up, lo << up, hi << up, shift + up
-            p, _, d, _ = _fixed_horner(self.poly.coeffs, x, 0, shift)
-            if d <= 0:
-                return None
-            dx = (p << shift) // d
-            x = min(max(x - dx, lo), hi)
-            if shift == last and abs(dx) >> (last - steps - guard // 2) == 0:
-                return (x << steps) // (h << shift)
-            accurate = 2 * accurate - guard // 2
-        return None
+    guard, shift = _NEWTON_GUARD_BITS, start + 1
+    last = steps + guard + poly.degree * h.bit_length()
+    x, lo, hi = (2 * j + 1) * h, 2 * j * h, (2 * j + 2) * h
+    accurate = shift - h.bit_length()
+    for _ in range(_NEWTON_MAX_ITER):
+        up = max(min(2 * accurate + guard, last) - shift, 0)
+        x, lo, hi, shift = x << up, lo << up, hi << up, shift + up
+        p, _, d, _ = _fixed_horner(poly.coeffs, x, 0, shift)
+        if d <= 0:
+            break
+        dx = (p << shift) // d
+        x = min(max(x - dx, lo), hi)
+        if shift == last and abs(dx) >> (last - steps - guard // 2) == 0:
+            break
+        accurate = 2 * accurate - guard // 2
+    return (x << steps) // (h << shift)
 
 
-# the one bisection state of each polynomial
-_bisection = lru_cache(maxsize=None)(_Bisection)
-
-
+@lru_cache(maxsize=None)
 def _certified_enclosure(poly: MonicIntPoly, bits: int) -> tuple[int, int, int]:
-    """Dyadic (lo_num, hi_num, shift) with P(lo) < 0 < P(hi), hi - lo <= 2^-bits."""
-    return _bisection(poly).enclosure(bits)
+    """Dyadic (lo_num, hi_num, shift) with P(lo) < 0 < P(hi), hi - lo <= 2^-bits:
+    the cell a bisection from [0, H] reaches after shift = bits + bitlen(H) steps.
+
+    Only that cell has P < 0 < P at its ends, so the search inside the start
+    cell finds it whatever Newton's estimate g: it probes g +- 2^i, i = 0, 1,
+    ..., until two probes bracket the cell, then halves (Bentley & Yao, IPL
+    5(3), 1976); two sign evaluations when g is right.  Signs are taken in
+    lowest terms, so from g at an end of the start cell each probe costs what
+    a single step to it would.
+    """
+    h, j, start, exact = _bisection_start(poly)
+    if exact:
+        return _exact_root_enclosure(poly, j * h, start, bits)
+    steps = bits + h.bit_length()
+
+    def below(i: int) -> bool:  # i H / 2^steps < phi, for i >= 1
+        zeros = min((i & -i).bit_length() - 1, steps)
+        return poly.eval_scaled((i >> zeros) * h, steps - zeros) < 0
+
+    # below(lo) and not below(hi) throughout; the answer is lo once hi = lo + 1
+    lo, hi = j << (steps - start), (j + 1) << (steps - start)
+    guess, step = min(max(_newton(poly, h, j, start, steps), lo), hi), 1
+    if below(guess):
+        lo = guess
+        while guess + step < hi and below(guess + step):
+            lo, step = guess + step, 2 * step
+        hi = min(guess + step, hi)
+    else:
+        hi = guess
+        while guess - step > lo and not below(guess - step):
+            hi, step = guess - step, 2 * step
+        lo = max(guess - step, lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo * h, hi * h, steps
 
 
 def _exact_root_enclosure(poly: MonicIntPoly, num: int, shift: int, bits: int) -> tuple[int, int, int]:

@@ -17,7 +17,7 @@ import mpmath
 from . import verify as verify_mod
 from .bounds import MAX_EPSILON, MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_rows, ktheory_params, ktheory_rows
 from .charpoly import (
-    MAX_BITS_TIMES_DEGREE, MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, precision_for_exponent, profile_at
+    MAX_BITS_TIMES_DEGREE, MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, profile_at, profile_for_exponent
 )
 from .dgl_fp import MAX_PRIME, MOORE_DIFFERENTIAL, WeightedAlphabet, subspace_dims
 from .errors import (
@@ -149,8 +149,7 @@ def roots_cmd(degrees, precision_bits, fmt, out):
     """Certified root profile (phi, |psi|, g) of the characteristic polynomial."""
     gen = GeneratorSet.parse(degrees)
     poly = char_poly(gen)
-    bits = precision_bits if precision_bits is not None else precision_for_exponent(1, poly.coeff_bound())
-    profile = profile_at(gen, bits)
+    profile = profile_for_exponent(gen, 1) if precision_bits is None else profile_at(gen, precision_bits)
     summary = {
         "degrees": gen.spec_string(),
         "phi": decimal_str(profile.phi),

@@ -276,7 +276,8 @@ def _reference_enclosure(poly, bits):
 
 
 def _clear_refinement_state():
-    charpoly._bisection.cache_clear()
+    charpoly._bisection_start.cache_clear()
+    charpoly._certified_enclosure.cache_clear()
     charpoly._aberth_roots.cache_clear()
 
 
@@ -340,9 +341,9 @@ def _requests(k):
 
 
 def _assert_requests_match_cold_bisection(poly, requests):
-    state = charpoly._Bisection(poly)
+    _clear_refinement_state()
     for bits in requests:
-        assert state.enclosure(bits) == _reference_enclosure(poly, bits), (poly.coeffs, bits)
+        assert charpoly._certified_enclosure(poly, bits) == _reference_enclosure(poly, bits), (poly.coeffs, bits)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -367,28 +368,38 @@ def test_newton_bracket_on_integer_roots_and_falling_requests(poly, requests):
     _assert_requests_match_cold_bisection(poly, requests)
 
 
-@pytest.mark.parametrize("miss", [-1, 1, None], ids=["below", "above", "gave-up"])
-def test_newton_off_the_cell_falls_back_to_single_steps(monkeypatch, miss):
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda j: j - 1,
+        lambda j: j + 1,
+        lambda j: j - 2**40,
+        lambda j: j + 2**40,
+        lambda j: 0,
+    ],
+    ids=["below", "above", "far-below", "far-above", "useless"],
+)
+def test_newton_off_the_cell_is_corrected_by_the_sign_search(monkeypatch, estimate):
     poly = char_poly(GeneratorSet.parse("2:1,3:1"))
-    newton = charpoly._Bisection._newton
-    monkeypatch.setattr(
-        charpoly._Bisection, "_newton", lambda self, steps: None if miss is None else newton(self, steps) + miss
-    )
-    state = charpoly._Bisection(poly)
+    newton = charpoly._newton
+    monkeypatch.setattr(charpoly, "_newton", lambda *args: estimate(newton(*args)))
+    _clear_refinement_state()
     for bits in (600, 64, 1200):
-        assert state.enclosure(bits) == _reference_enclosure(poly, bits)
+        assert charpoly._certified_enclosure(poly, bits) == _reference_enclosure(poly, bits)
 
 
 def test_newton_jumps_without_single_steps(monkeypatch):
     poly = char_poly(GeneratorSet.parse("2:1,4:1"))
+    _clear_refinement_state()
     calls = []
     evaluate = MonicIntPoly.eval_scaled
     monkeypatch.setattr(
         MonicIntPoly, "eval_scaled", lambda self, num, shift: calls.append(shift) or evaluate(self, num, shift)
     )
-    state = charpoly._Bisection(poly)
-    lo, hi, shift = state.enclosure(3200)
-    assert shift == state.steps == 3200 + state.h.bit_length()
-    # the seed steps down to bitlen(H) + 32, then two sign checks of Newton's cell and two of the answer
-    assert len(calls) <= state.h.bit_length() + 32 + 1 + 4
+    lo, hi, shift = charpoly._certified_enclosure(poly, 3200)
+    h = poly.coeff_bound()
+    assert shift == 3200 + h.bit_length()
+    # the start cell's bitlen(H) + 32 single steps (P(H) > 0 needs no sign: H bounds every
+    # root), then two sign checks of Newton's cell
+    assert len(calls) <= h.bit_length() + 32 + 2
     assert _reference_enclosure(poly, 3200) == (lo, hi, shift)

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import time
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 from click.testing import CliRunner
@@ -45,6 +45,30 @@ def test_roots_json_schema():
     assert payload["g"] == 2
     assert payload["phi"].startswith("1.2720196495140689")
     assert len(payload["roots"]) == 4
+
+
+def _plastic_number():
+    x = Decimal(1)
+    for _ in range(12):  # Newton on x^3 - x - 1, quadratic from x = 1
+        x -= (x**3 - x - 1) / (3 * x * x - 1)
+    return x
+
+
+@pytest.mark.parametrize(
+    "degrees, reference",
+    [("2:1,3:1", _plastic_number), ("2:1,4:1", lambda: ((1 + Decimal(5).sqrt()) / 2).sqrt())],
+    ids=["plastic", "sqrt-golden"],
+)
+def test_default_roots_print_the_digits_of_phi(degrees, reference):
+    # phi of z^3 - z - 1 and of z^4 - z^2 - 1, computed here at 50 digits and rounded to the 24 printed
+    with localcontext() as ctx:
+        ctx.prec = 50
+        phi = reference()
+        ctx.prec = 24
+        expected = str(+phi)
+    result = run("roots", "--degrees", degrees, "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["phi"] == expected
 
 
 def test_bound_requires_route():
@@ -584,7 +608,8 @@ def test_multiplicity_past_the_float_range_ends_without_a_traceback(args, exit_c
     assert result.stderr.startswith(stderr) and "Traceback" not in result.stderr
     if exit_code == 0:
         out = json.loads(result.stdout)
-        assert out["phi"] == "1" + "0" * 400 and out["precision_bits"] == 1329 + 64  # ceil(log2 10^400) + 64
+        # ceil(log2 10^400) + 64 = 1393 bits, rounded up to a multiple of 64
+        assert out["phi"] == "1" + "0" * 400 and out["precision_bits"] == 1408
 
 
 @pytest.mark.parametrize(
