@@ -6,41 +6,36 @@ working precision P that auto-scales with the largest exponent in play
 charpoly.precision_for_exponent only), so identical inputs give
 bit-identical outputs.  Rational constants (a, b, B, theta_safe, thresholds)
 are kept as exact Fractions in the parameter objects and only converted to
-floating point inside a formula; each row sizes its own root profile, and
-every profile comes from the one cache of charpoly (profile_at,
-profile_for_exponent).  The homology route's c, kappa and c2 involve no p:
-each formula computes them from the RootProfile of z^{q+1} - z - 1 that the
-route reads phi and |psi| from (_c_kappa); p enters only sigma_upper.
+floating point inside a formula; every profile comes from the one cache of
+charpoly (profile_at, profile_for_exponent).  The homology route's c, kappa
+and c2 involve no p: each formula computes them from the RootProfile of
+z^{q+1} - z - 1 that the route reads phi and |psi| from (_c_kappa); p
+enters only sigma_upper.
 
 homology_rows and ktheory_rows build the report rows of the two routes;
 the CLI's bound and report commands both go through them.  A row prints
 its bound to 24 significant digits, and its precision_bits column is P,
 the precision whose 24 digits are printed.  Each table's rows are first
-evaluated in one integer pass (_Running) on mantissas of F = 112 +
-bitlen(W) + bitlen(rows) bits, W bounding the exponents of the deepest row
-times the logarithms of their bases: consecutive rows differ by one factor
-of phi, sqrt(phi) or |psi| to a power, so each power is a running product,
-restarted from the row's own profile whenever the profile changes or the
+evaluated in one integer pass (_Running) from the table's deepest root
+profile, on mantissas of F = 112 + bitlen(W) + bitlen(rows) bits, W
+bounding the exponents of the deepest row times the logarithms of their
+bases: consecutive rows differ by one factor of phi, sqrt(phi) or |psi| to
+a power, so each power is a running product, restarted only where the
 degrees skip.  A rigorous bound e on the distance of the row's value v to
-the P-bit value decides the row (Ziv's rounding test): render.common_text
-rounds the integer enclosure [v - e, v + e] to a decimal string once and
-returns it when every real of the enclosure prints it, so without 0 or the
-printed decimal inside.  The row then keeps v and that string, whose digits
-and sign are those of the P-bit value; otherwise it takes the P-bit value
-from f_q, _strong_value or weak_lower and formats it once.  Each table row
-carries its string to the printer, and is vacuous when that string is 0 or
-negative: negative bound values are reported as-is, valid but vacuous.
+the P-bit value from the row's own profile decides the row (Ziv's rounding
+test): render.common_text rounds the integer enclosure [v - e, v + e] to a
+decimal string once and returns it when every real of the enclosure prints
+it, so without 0 or the printed decimal inside.  The row then keeps v and
+that string, whose digits and sign are those of the P-bit value; otherwise
+it builds its own profile, takes the P-bit value from f_q, ktheory_lower or
+weak_lower and formats it once.  Each table row carries its string to the
+printer, and is vacuous when that string is 0 or negative: negative bound
+values are reported as-is, valid but vacuous.
 
-These values of the K-theory path are computed once and reused:
-
-- the ktheory_lower value, once per (p, g, q_l, n(M), bits), and within a
-  table the strong row's value likewise.  M enters the formula only through
-  n(M) and the row's precision, and a profile is fixed by its precision.
-- within a table, 1 + eps, and the root profile once per precision bucket:
-  rows whose exponent budgets round to the same bits share one profile.
-
-Each reuses a value that the same operations at the same precision would
-compute again, so every result stays bit-identical.
+The ktheory_lower value is computed once per (p, g, q_l, n(M), bits), and
+within a table the strong row's value likewise, and 1 + eps once: M enters
+the strong formula only through n(M) and the row's precision, and a profile
+is fixed by its precision.  So every result stays bit-identical.
 """
 
 from __future__ import annotations
@@ -180,18 +175,16 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
     deepest = max(degrees)
     _check_homology(q, p)
     top = homology_params(q, deepest)
-    running = _Running(_weight((top.phi, deepest), (top.phi, deepest / 2), (top.psi_abs, deepest)), len(degrees), 1)
+    phi, psi = top.phi, top.psi_abs
+    with mp.workprec(top.precision_bits):
+        constants = _c_kappa(q, top)
+    running = _Running(_weight((phi, deepest), (phi, deepest / 2), (psi, deepest)), len(degrees), 1, (
+        (phi, 1, 0), (phi, Fraction(1, 2), 0), (psi, 1, 0), (constants[0], 0, 1), (constants[1], 0, 1), (phi, 0, -1)))
     rows, bucket = [], None
     for n in degrees:
         if -(-n // 64) != bucket:  # the precision depends on N only through ceil(N / 64)
-            bucket, profile = -(-n // 64), homology_params(q, n)
-            with mp.workprec(profile.precision_bits):
-                constants = _c_kappa(q, profile)
-        bits, phi = profile.precision_bits, profile.phi
-        (big, half, tail, c, kappa, inverse), steps = running.powers(bits, n, lambda: (
-            (phi, 1, 0), (phi, Fraction(1, 2), 0), (profile.psi_abs, 1, 0),
-            (constants[0], 0, 1), (constants[1], 0, 1), (phi, 0, -1),
-        ))
+            bucket, bits = -(-n // 64), profile_bits(_homology_gen(q), n + 63)
+        (big, half, tail, c, kappa, inverse), steps = running.powers(n)
         # phi^N/N - phi^(N-1)/(N-1) - c N phi^(N/2) - kappa |psi|^N
         middle, less = _mul(c, half), _div(_mul(big, inverse), n - 1)
         terms = (_div(big, n), _neg(less), (-n * middle[0], middle[1]), _neg(_mul(kappa, tail)))
@@ -581,45 +574,37 @@ def _epsilon(epsilon) -> Fraction:
 def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[BoundReport]:
     """The ktheory_guaranteed and the ktheory_weak row at each degree M, in order.
 
-    The deepest row's profile is built first, so a range past the
-    precision ceiling fails before any row is computed.
+    eps and the first degree are checked, then the deepest row's profile is
+    built, so a range past the precision ceiling fails before any row is computed.
     """
     degrees = list(degrees)
     if not degrees:
         return []
-    top = profile_for_exponent(params.gen, _exponent_budget(params, max(degrees)))
     _check_degree(params, degrees[0])
     eps = _epsilon(eps)
-    g, tail_e = params.g, 8 * (params.p - 1) ** 2
     m_top = max(degrees)
+    top = profile_for_exponent(params.gen, _exponent_budget(params, m_top))
+    g, tail_e, phi, psi = params.g, 8 * (params.p - 1) ** 2, top.phi, top.psi_abs
     n_top = params.n_of(m_top) or 0
-    weight = _weight(
-        (top.phi, n_top * g), (top.phi, (n_top + tail_e) * g / 2), (top.psi_abs, (n_top + tail_e) * g),
-        (top.phi, params.ratio * m_top), (m_top, 1 + eps),
-    )
-    strong, weak = _Running(weight, len(degrees), 1), _Running(weight, len(degrees), params.g_prime)
-    strong_values = {}  # M enters the strong bound only through n(M) and the profile
-    profile, rows = top, []
+    weight = _weight((phi, n_top * g), (phi, (n_top + tail_e) * g / 2), (psi, (n_top + tail_e) * g),
+                     (phi, params.ratio * m_top), (m_top, 1 + eps))
+    strong = _Running(weight, len(degrees), 1,
+                      ((phi, g, 0), (phi, Fraction(g, 2), Fraction(tail_e * g, 2)), (psi, g, tail_e * g)))
+    weak = _Running(weight, len(degrees), params.g_prime, ((phi, params.ratio, 0),))
+    strong_values, rows = {}, []  # M enters the strong bound only through n(M) and the precision
     with mp.workprec(weak.bits):
         one_eps = 1 + _mpf_of(eps)
     for m in degrees:
         _check_degree(params, m)
-        budget = _exponent_budget(params, m)
-        if profile_bits(params.gen, budget) != profile.precision_bits:
-            profile = profile_for_exponent(params.gen, budget)
-        bits, phi, psi, n = profile.precision_bits, profile.phi, profile.psi_abs, params.n_of(m)
+        bits, n = profile_bits(params.gen, _exponent_budget(params, m)), params.n_of(m)
         if n is not None and (n, bits) not in strong_values:
-            powers, steps = strong.powers(
-                bits, n, lambda: ((phi, g, 0), (phi, Fraction(g, 2), Fraction(tail_e * g, 2)), (psi, g, tail_e * g))
-            )
+            powers, steps = strong.powers(n)
             # phi^(ng)/E - g phi^(Eg/2) - 3 q_l - 2 q_l |psi|^(Eg), E = n + 8(p-1)^2
             terms = [_div(powers[0], n + tail_e), (-g * powers[1][0], powers[1][1])]
             if psi is not None:
                 terms += [(-3 * params.gen.q_max, 0), (-2 * params.gen.q_max * powers[2][0], powers[2][1])]
-            strong_values[n, bits] = strong.decide(terms, steps, bits) or _printed(
-                _strong_value(params.p, params.g, params.gen.q_max, n, bits, phi, psi)
-            )
-        (power,), steps = weak.powers(bits, m, lambda: ((phi, params.ratio, 0),))
+            strong_values[n, bits] = strong.decide(terms, steps, bits) or _printed(ktheory_lower(params, m).bound)
+        (power,), steps = weak.powers(m)
         with mp.workprec(weak.bits):
             denominator = mpf(m) ** one_eps
         weak_printed = weak.decide([weak.divide(power, denominator)], steps, bits) or _printed(weak_lower(params, m, eps))
@@ -671,49 +656,61 @@ def _neg(a: tuple[int, int]) -> tuple[int, int]:
 
 
 class _Running:
-    """One integer pass over a table's rows, from the rows' own profiles.
+    """One integer pass over a table's rows, from the table's deepest profile.
 
-    powers() gives x^(a N + b) for each base x of the row's profile, stepping
-    from the previous row by one floor-rounded multiply by x^(a step) when the
-    row's profile is the previous row's and N is the previous N + step, and
-    restarting from mpmath powers at F bits otherwise.  Every mantissa has at
-    least F bits, so each rounding moves its value by less than 2^(1-F)
-    relatively.
+    powers() gives x^(a N + b) for each base (x, a, b) of the table, x None
+    giving None, stepping from the previous row by one floor-rounded multiply
+    by x^(a step), computed once per table, when N is the previous N + step,
+    and restarting from mpmath powers at F bits otherwise.  Every mantissa has at least F bits, so each rounding
+    moves its value by less than 2^(1-F) relatively.
 
     enclose() sums the row's signed terms into v and bounds |v - r| by e, r the
-    value that the row's formula returns at its precision P from the same
-    profile, and decide() keeps v with its text when render.common_text finds
-    one string that every real of [v - e, v + e] prints: one rounding per
-    row, from the integers, with no mpf for either end.  Each term
-    is a product of constants and powers x^y.  Rounding the exponents to F bits
-    moves it by at most the sum of |y| |ln x| 2^(1-F) <= W 2^(1-F) relatively,
-    and its other roundings number at most 8 + 2 j: the mpmath restart powers
-    and constants, 2 per step over the j steps since the restart, and the
-    term's own products and quotients.  So v is within S (W + 8 + 2 j) 2^(3-F)
-    of the exact formula, S the sum of the terms' magnitudes, and r within
-    S (2W + 32) 2^(8-P) of it, mpmath's powers, logs and exps being good to one
-    ulp.  e = S (2W + 32 + 4 j) 2^(9 - min(F, P)), plus one unit of the sum per
-    term for its alignment, covers both.
+    value that the row's formula returns at the row's precision P from the
+    row's own profile, and decide() keeps v with its text when
+    render.common_text finds one string that every real of [v - e, v + e]
+    prints: one rounding per row, from the integers, with no mpf for either
+    end.  Each term is a product of constants and powers x^y.  Rounding the
+    exponents to F bits moves it by at most the sum of |y| |ln x| 2^(1-F) <=
+    W 2^(1-F) relatively, and its other roundings number at most 8 + 2 j: the
+    mpmath restart powers and constants, 2 per step over the j steps since the
+    restart, and the term's own products and quotients.  So v is within
+    S (W + 8 + 2 j) 2^(3-F) of the exact formula at the table's inputs, S the
+    sum of the terms' magnitudes, and r within S (2W + 32) 2^(8-P) of the exact
+    formula at the row's inputs, mpmath's powers, logs and exps being good to
+    one ulp.  Each input of the two profiles differs by a relative delta <=
+    2^-min(P, 149).  phi is the midpoint of a bisection cell rounded to 32 bits
+    beyond the profile's precision, and the cells are nested, the row's at most
+    2^-P wide (charpoly._certified_enclosure), so with phi >= 1 the two lie
+    within 2^-(P+1) + 2^-(P+31).  |psi| is a centre's modulus in a cloud whose
+    discs have radii <= 2^-(b-8) |z| at b >= 160 Aberth bits, so within 2^-151
+    |psi| of the true value.  c = 2(q+2)(1 + phi) and kappa = (q+1)(1 + 1/|psi|)
+    move by at most delta relatively, and a term holds at most one of them or
+    1/phi besides powers whose exponents sum to at most W.  So a term's log
+    moves by at most delta (W + 2) (1 + 2^-127) <= 2^-80, as W < 2^40 and
+    P >= 128 (profile_bits), and the formula by at most 2 delta (W + 2) S.
+    e = S (2W + 32 + 4 j) 2^(9 - min(F, P)) + S (W + 2) 2^(3 - min(P, 149)),
+    plus one unit of the sum per term for its alignment, covers all three.
     """
 
-    def __init__(self, weight: int, rows: int, step: int):
+    def __init__(self, weight: int, rows: int, step: int, bases):
         self.bits = _ROW_BITS + weight.bit_length() + rows.bit_length()
         self.weight, self.step, self.at = weight, step, None
+        with mp.workprec(self.bits):
+            self.bases = [(x, Fraction(a), Fraction(b)) for x, a, b in bases]
+            self.factors = [None if x is None or not a else self.round(x ** _mpf_of(a * step)) for x, a, _ in self.bases]
 
-    def powers(self, key, n: int, bases) -> tuple[list, int]:
-        """[x^(a n + b) for (x, a, b) in bases()], x None giving None, and the steps since the restart."""
-        if self.at == (key, n - self.step):
+    def powers(self, n: int) -> tuple[list, int]:
+        """[x^(a n + b) for (x, a, b) in the bases], and the steps since the restart."""
+        if n == self.at:
+            return self.values, self.steps
+        if self.at == n - self.step:
             self.steps += 1
             self.values = [v if s is None else _mul(v, s) for v, s in zip(self.values, self.factors)]
         else:
             self.steps = 0
             with mp.workprec(self.bits):
-                bases = [(x, Fraction(a), Fraction(b)) for x, a, b in bases()]
-                self.values = [None if x is None else self.round(x ** _mpf_of(a * n + b)) for x, a, b in bases]
-                self.factors = [
-                    None if x is None or not a else self.round(x ** _mpf_of(a * self.step)) for x, a, _ in bases
-                ]
-        self.at = (key, n)
+                self.values = [None if x is None else self.round(x ** _mpf_of(a * n + b)) for x, a, b in self.bases]
+        self.at = n
         return self.values, self.steps
 
     def round(self, x: mpf) -> tuple[int, int]:
@@ -734,7 +731,8 @@ class _Running:
             value += t
             size += abs(t) + 1
         err = (size * (2 * self.weight + 32 + 4 * steps) << _ROW_SAFETY_BITS) >> (min(self.bits, bits) - 1)
-        return value, err + len(terms) + 1, base
+        inputs = -(-size * (self.weight + 2) >> (min(bits, 149) - 3))  # the table's inputs against the row's
+        return value, err + inputs + len(terms) + 1, base
 
     def decide(self, terms, steps: int, bits: int) -> tuple[mpf, str] | None:
         """(v, its text) when every real within e of v prints that text; else None."""

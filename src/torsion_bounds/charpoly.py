@@ -42,6 +42,7 @@ from .errors import InvalidArgument, NumericFailure, RootStructureViolation
 
 __all__ = [
     "GeneratorSet",
+    "MAX_DEGREE_TIMES_COEFF_BITS",
     "MAX_POLY_DEGREE",
     "MonicIntPoly",
     "RootProfile",
@@ -84,6 +85,15 @@ MAX_BITS_TIMES_DEGREE = 3 * MAX_PRECISION_BITS
 # Aberth sweep costs O(k^2) big-integer operations: roots --degrees 1:1,k:1 takes
 # 0.7 s at k = 150, 1.2 s at 200 and 1.7 s at 300 on a 2-core Xeon host.
 MAX_POLY_DEGREE = 150
+# Largest degree times bitlen(H), H = coeff_bound(), that root_profile accepts. Once
+# phi^degree passes the double range the double-precision start fails, and the
+# fixed-point sweeps, each O(k^2) products of about 2 bitlen(H) + 336 bits, carry
+# the largest root out from the circle. roots --degrees 1:2^e,k:1 (bitlen(H) = e + 1)
+# takes 0.7 s at k = 150 and e = 1, 2.6 s at e = 38, 3.9 s at 60, 19 s at 150 and
+# 64 s at 300, and at k = 50 1.1 s at e = 110, 4.2 s at 200, 6.9 s at 300 and over
+# 30 s at 570, on a 2-core Xeon host. So bitlen(H) stops at 40 for k = 150, at 122
+# for k = 50 and at 2048 for k = 3 (10^400 has 1329 bits).
+MAX_DEGREE_TIMES_COEFF_BITS = 6144
 
 
 @dataclass(frozen=True)
@@ -585,10 +595,17 @@ def root_profile(poly: MonicIntPoly, g: int, precision_bits: int) -> RootProfile
     but the g with the largest centres lies in |z| < phi_lo, |psi| is within
     a radius of the largest remaining centre's modulus, taken at the Aberth
     precision.  Raises RootStructureViolation when the exponents of P have a
-    gcd other than g, InvalidArgument when the discs do not separate the orbit.
+    gcd other than g, InvalidArgument when the discs do not separate the orbit
+    or the degree times bitlen(H) exceeds MAX_DEGREE_TIMES_COEFF_BITS.
     """
     if g < 1:
         raise InvalidArgument(f"g must be >= 1, got {g}")
+    coeff_bits = poly.coeff_bound().bit_length()
+    if poly.degree * coeff_bits > MAX_DEGREE_TIMES_COEFF_BITS:
+        raise InvalidArgument(
+            f"degree times coefficient bits must be <= {MAX_DEGREE_TIMES_COEFF_BITS} for the root cloud, "
+            f"got {poly.degree} * {coeff_bits}"
+        )
     phi_lo, phi_hi, phi = certified_phi(poly, precision_bits)
     exponent_gcd = math.gcd(*(i for i, a in enumerate(poly.coeffs) if a))
     if exponent_gcd != g:

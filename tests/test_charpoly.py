@@ -18,7 +18,13 @@ from torsion_bounds import (
     root_profile,
 )
 from torsion_bounds import charpoly, verify
-from torsion_bounds.charpoly import MAX_BITS_TIMES_DEGREE, MAX_PRECISION_BITS, RootProfile, certified_phi
+from torsion_bounds.charpoly import (
+    MAX_BITS_TIMES_DEGREE,
+    MAX_DEGREE_TIMES_COEFF_BITS,
+    MAX_PRECISION_BITS,
+    RootProfile,
+    certified_phi,
+)
 from torsion_bounds.verify import (
     generator_family,
     check_newton_growth,
@@ -247,6 +253,20 @@ def test_certified_phi_bits_times_degree_ceiling(monkeypatch, k, bits):
         certified_phi(poly, bits)
     with pytest.raises(InvalidArgument, match="precision_bits must be <="):
         certified_phi(poly, bits + 1)
+
+
+@pytest.mark.parametrize("k, b", [(150, 40), (50, 122), (3, 2048), (2, 3072)])
+def test_root_profile_degree_times_coefficient_bits_ceiling(monkeypatch, k, b):
+    # k * bitlen(H) <= MAX_DEGREE_TIMES_COEFF_BITS: the largest accepted coefficients
+    # reach the root work, one bit more is refused before it
+    assert k * b <= MAX_DEGREE_TIMES_COEFF_BITS < k * (b + 1)
+    monkeypatch.setattr(charpoly, "certified_phi", _reached)
+    largest, past = (char_poly(GeneratorSet.of((1, m), (k, 1))) for m in (1 << (b - 1), (1 << b) - 1))
+    assert (largest.coeff_bound().bit_length(), past.coeff_bound().bit_length()) == (b, b + 1)
+    with pytest.raises(_Reached):
+        root_profile(largest, 1, 128)
+    with pytest.raises(InvalidArgument, match=f"got {k} \\* {b + 1}$"):
+        root_profile(past, 1, 128)
 
 
 # -- refinement state: warm answers equal cold ones ----------------------------

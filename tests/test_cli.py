@@ -612,6 +612,18 @@ def test_multiplicity_past_the_float_range_ends_without_a_traceback(args, exit_c
         assert out["phi"] == "1" + "0" * 400 and out["precision_bits"] == 1408
 
 
+@pytest.mark.parametrize("bits", [300, 570])
+def test_root_cloud_past_its_work_ceiling_is_refused_at_once(bits):
+    # the start circle fails for a root near 2^bits, and the sweeps carrying it out
+    # took 64 s at 300 bits; both stay under the 640 x 150 precision ceiling of bisection
+    start = time.perf_counter()
+    result = run("roots", "--degrees", f"1:{2**bits},150:1")
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 1 and result.stderr == (
+        f"error: degree times coefficient bits must be <= 6144 for the root cloud, got 150 * {bits + 1}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "degrees, phi, psi",
     [

@@ -13,9 +13,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from torsion_bounds import bounds
+from torsion_bounds import bounds, charpoly
 from torsion_bounds.bounds import BoundReport, _exponent_budget, _mpf_of, ktheory_params
 from torsion_bounds.charpoly import profile_for_exponent
+from torsion_bounds.errors import InvalidArgument
 from torsion_bounds.render import decimal_str
 from torsion_bounds.spaces import space_by_name
 
@@ -113,3 +114,16 @@ def test_rows_match_uncached_reference(monkeypatch, name, values):
     assert bounds._strong_value.cache_info().misses == len(pairs)
     for m in degrees:
         assert bounds.ktheory_main_term(params, m)._mpf_ == _reference_main_term(params, m)._mpf_
+
+
+@pytest.mark.parametrize(
+    "degrees, eps, message",
+    [([2, 4000], "0", "epsilon must be > 0"), ([3, 4000], "1/2", "M=3 is not a multiple of g'=2")],
+    ids=["eps", "first-degree"],
+)
+def test_rows_refuse_their_input_before_any_profile(degrees, eps, message):
+    params = _space_params(*SPACES[0])
+    charpoly._cached_profile.cache_clear()
+    with pytest.raises(InvalidArgument, match=message):
+        bounds.ktheory_rows(params, degrees, eps)
+    assert charpoly._cached_profile.cache_info().misses == 0

@@ -1,12 +1,14 @@
 """Each bound row prints the digits of the public function at the row's precision.
 
 A table's rows are evaluated in one integer pass (bounds._Running): running
-powers on F-bit mantissas, restarted from the row's own profile, and a row
-keeps that value and its text only when render.common_text shows that every
-real of its enclosure, the P-bit value included, prints that text.  These
-tests compare every row's text with decimal_str of ktheory_lower, weak_lower
-and f_q at the same P, check the error bound against the exact difference,
-force the fallback, and check common_text against a rational-arithmetic form.
+powers on F-bit mantissas from the table's deepest profile, and a row keeps
+that value and its text only when render.common_text shows that every real
+of its enclosure, the P-bit value of the row's own profile included, prints
+that text.  These tests compare every row's text with decimal_str of
+ktheory_lower, weak_lower and f_q at the same P, check the error bound
+against the exact difference, count the profiles a table builds, move the
+table's profile, force the fallback, and check common_text against a
+rational-arithmetic form.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from torsion_bounds import bounds
+from torsion_bounds import bounds, charpoly
 from torsion_bounds.bounds import (
     _exponent_budget,
     f_q,
@@ -29,7 +31,7 @@ from torsion_bounds.bounds import (
     ktheory_rows,
     weak_lower,
 )
-from torsion_bounds.charpoly import profile_for_exponent
+from torsion_bounds.charpoly import profile_bits, profile_for_exponent
 from torsion_bounds.render import _ratio, common_text, decimal_str
 from torsion_bounds.spaces import catalog, space_by_name
 
@@ -202,33 +204,61 @@ def test_every_enclosure_holds_and_every_row_prints_its_reference(q, start, gaps
     _assert_ktheory_rows_print_references(params, ktheory_degrees, eps, ktheory)
 
 
-def _shifted(profile_of):
-    """profile_of with phi moved by 2^-60 per 64-bit bucket of precision, so
-    that each bucket's digits differ from the last one's in the 18th place."""
+def _shifted(profile_of, bits):
+    """profile_of with the phi of its profile at `bits` moved by 2^-60 per 64-bit
+    bucket of precision, so that its digits differ in the 18th place."""
 
     def shifted(*args):
         profile = profile_of(*args)
-        with mp.workprec(profile.precision_bits + 32):
-            return dataclasses.replace(profile, phi=profile.phi * (1 + mpf(2) ** -60 * (profile.precision_bits // 64)))
+        if profile.precision_bits != bits:
+            return profile
+        with mp.workprec(bits + 32):
+            return dataclasses.replace(profile, phi=profile.phi * (1 + mpf(2) ** -60 * (bits // 64)))
 
     return shifted
 
 
-def test_every_row_takes_its_inputs_from_its_own_profile(monkeypatch):
-    params = _ktheory()
-    bounds._strong_value.cache_clear()
+def _fallbacks(monkeypatch) -> list:
+    """The name of each P-bit function that a row falls back to, in the order of the calls."""
+    calls = []
+    for name in ("f_q", "ktheory_lower", "weak_lower"):
+        function = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *args, f=function, name=name: calls.append(name) or f(*args))
+    return calls
+
+
+def test_each_table_builds_one_profile_and_one_per_fallback_row(monkeypatch):
+    params, degrees = _ktheory(), range(2, 1501, 2)
+    fallbacks = _fallbacks(monkeypatch)
     bounds._homology_params.cache_clear()
-    monkeypatch.setattr(bounds, "profile_for_exponent", _shifted(profile_for_exponent))
-    monkeypatch.setattr(bounds, "profile_at", _shifted(bounds.profile_at))
-    try:
-        degrees = range(2, 1501, 2)
+    for build_rows in (lambda: ktheory_rows(params, degrees, "1/2"), lambda: homology_rows(2, 3, range(2, 1001))):
+        charpoly._cached_profile.cache_clear()
+        fallbacks.clear()
+        build_rows()
+        assert charpoly._cached_profile.cache_info().misses == 1 + len(fallbacks)
+
+
+def test_a_wrong_table_profile_shows_in_the_printed_rows(monkeypatch):
+    # every row takes its inputs from the deepest profile, so moving only that
+    # profile's phi moves digits that the reference assertions see
+    params, degrees = _ktheory(), range(2, 1501, 2)
+    with monkeypatch.context() as patch:
+        top = profile_bits(params.gen, _exponent_budget(params, max(degrees)))
+        patch.setattr(bounds, "profile_for_exponent", _shifted(profile_for_exponent, top))
         rows = ktheory_rows(params, degrees, "1/2")
+    with pytest.raises(AssertionError):
         _assert_ktheory_rows_print_references(params, degrees, "1/2", rows)
-        homology = homology_rows(2, 3, range(2, 1001))
-        _assert_homology_rows_print_references(2, range(2, 1001), homology)
+    bounds._homology_params.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            top = homology_params(2, 1000).precision_bits
+            bounds._homology_params.cache_clear()
+            patch.setattr(bounds, "profile_at", _shifted(bounds.profile_at, top))
+            rows = homology_rows(2, 3, range(2, 1001))
     finally:
-        bounds._strong_value.cache_clear()
         bounds._homology_params.cache_clear()
+    with pytest.raises(AssertionError):
+        _assert_homology_rows_print_references(2, range(2, 1001), rows)
 
 
 def test_forced_straddle_takes_the_fallback(monkeypatch):
