@@ -25,15 +25,15 @@ degrees skip.  A rigorous bound e on the distance of the row's value v to
 the P-bit value from the row's own profile decides the row (Ziv's rounding
 test): render.common_text rounds the integer enclosure [v - e, v + e] to a
 decimal string once and returns it when every real of the enclosure prints
-it, so without 0 or the printed decimal inside.  The row then keeps v and
-that string, whose digits and sign are those of the P-bit value; otherwise
-it builds its own profile, takes the P-bit value from f_q, ktheory_lower or
-weak_lower and formats it once.  Each table row carries its string to the
-printer, and is vacuous when that string is 0 or negative: negative bound
-values are reported as-is, valid but vacuous.
+it, so without 0 or the printed decimal inside.  The pass then returns that
+string, whose digits and sign are those of the P-bit value; otherwise the
+row builds its own profile, takes the P-bit value from f_q, ktheory_lower or
+weak_lower and formats it once.  A row is that string (BoundReport.text), and
+is vacuous when it is 0 or negative: negative bound values are reported
+as-is, valid but vacuous.
 
 The ktheory_lower value is computed once per (p, g, q_l, n(M), bits), and
-within a table the strong row's value likewise, and 1 + eps once: M enters
+within a table the strong row's text likewise, and 1 + eps once: M enters
 the strong formula only through n(M) and the row's precision, and a profile
 is fixed by its precision.  So every result stays bit-identical.
 """
@@ -48,7 +48,6 @@ from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
 
 from .charpoly import GeneratorSet, RootProfile, certified_phi, char_poly, profile_at, profile_bits, profile_for_exponent
 from .combinat import is_odd_prime
@@ -101,6 +100,18 @@ def _fraction_str(x: Fraction) -> str:
 def _mpf_of(x: Fraction) -> mpf:
     """A Fraction converted at the ambient working precision."""
     return mpf(x.numerator) / x.denominator
+
+
+def _span(degrees) -> tuple:
+    """(degrees as a sequence, its least, its greatest), 0 for both ends when it is empty.
+
+    A range stays a range and its ends are read off, so one past the precision
+    ceiling is refused before anything of its length is built.
+    """
+    if not isinstance(degrees, range):
+        degrees = list(degrees)
+    ends = (degrees[0], degrees[-1]) if isinstance(degrees, range) and degrees else degrees
+    return degrees, min(ends, default=0), max(ends, default=0)
 
 
 # -- the homology route: the two-generator (q, q+1) boundary bounds ----------
@@ -167,12 +178,11 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
     The deepest row's parameters are built first, so a range past the
     precision ceiling fails before any row is computed.
     """
-    degrees = list(degrees)
+    degrees, least, deepest = _span(degrees)
     if not degrees:
         return []
-    if min(degrees) < 2:
-        raise InvalidArgument(f"homology-route degrees start at 2, got {min(degrees)}")
-    deepest = max(degrees)
+    if least < 2:
+        raise InvalidArgument(f"homology-route degrees start at 2, got {least}")
     _check_homology(q, p)
     top = homology_params(q, deepest)
     phi, psi = top.phi, top.psi_abs
@@ -188,8 +198,8 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
         # phi^N/N - phi^(N-1)/(N-1) - c N phi^(N/2) - kappa |psi|^N
         middle, less = _mul(c, half), _div(_mul(big, inverse), n - 1)
         terms = (_div(big, n), _neg(less), (-n * middle[0], middle[1]), _neg(_mul(kappa, tail)))
-        printed = running.decide(terms, steps, bits) or _printed(f_q(q, n))
-        rows.append(_table_row(n, printed, "homology_boundary", bits, note(n) if note else ""))
+        text = running.decide(terms, steps, bits) or decimal_str(f_q(q, n))
+        rows.append(BoundReport(n, text, "homology_boundary", bits, note(n) if note else ""))
     return rows
 
 
@@ -321,11 +331,28 @@ class BezoutCoverage:
 # Largest value_cap bezout_cover accepts. Each base index n holds an int64
 # witness array of value_cap + 1 entries, so this caps it at 80 MB.
 MAX_VALUE_CAP = 10**7
+# Most indices i, over all n, that bezout_cover walks: those of the window whose S_i
+# starts at or below value_cap. Each costs about 5 us (2-core Xeon), and the writes
+# that follow about value_cap in all, so alpha 1, beta 440, a 1/10^6, n 1, cap 10^7
+# (194040 indices, 9.8e6 values checked) takes 1.7 s through the CLI, and alpha 3,
+# beta 1000, a 1/2 (19879 indices) 0.5 s.
+MAX_COVER_INDICES = 200_000
 
 
 def _min_j_over(a: Fraction, b: Fraction, n: int) -> int:
     # smallest integer j >= 0 with j > a n + b
     return max(0, math.floor(a * n + b) + 1)
+
+
+def _last_start(alpha: int, beta: int, a: Fraction, b: Fraction, n: int, value_cap: int) -> int:
+    """The largest i in [n, n + beta(beta+1)) whose S_i starts at or below value_cap,
+    n - 1 if none: min(S_i) = i alpha + j0(i) beta grows strictly with i, as alpha >= 1
+    and a > 0, so a bisection finds it."""
+    lo, hi = n - 1, n + beta * (beta + 1) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid * alpha + _min_j_over(a, b, mid) * beta <= value_cap else (lo, mid - 1)
+    return lo
 
 
 def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> BezoutCoverage:
@@ -334,7 +361,8 @@ def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> Bezout
 
     Every covered multiple is re-checked arithmetically (membership in S_i
     with its j recomputed), so a returned certificate is actually verified;
-    a gap raises CoverageViolation with the counterexample.
+    a gap raises CoverageViolation with the counterexample.  Only the i whose
+    S_i starts at or below value_cap are walked, at most MAX_COVER_INDICES of them.
     """
     if alpha < 1 or beta < 1:
         raise InvalidArgument(f"alpha, beta must be >= 1, got {alpha}, {beta}")
@@ -346,12 +374,18 @@ def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> Bezout
         raise InvalidArgument(f"value_cap must be >= 1, got {value_cap}")
     if value_cap > MAX_VALUE_CAP:
         raise InvalidArgument(f"value_cap must be <= {MAX_VALUE_CAP}, got {value_cap}")
+    ns = list(n_range)
+    for n in ns:
+        if n < 0:
+            raise InvalidArgument(f"n must be >= 0, got {n}")
+    lasts = [_last_start(alpha, beta, a, b, n, value_cap) for n in ns]
+    walk = sum(last - n + 1 for n, last in zip(ns, lasts))
+    if walk > MAX_COVER_INDICES:
+        raise InvalidArgument(f"the covering walk has {walk} indices i, more than {MAX_COVER_INDICES}; lower value_cap")
     g_prime = math.gcd(alpha, beta)
     bound_b = beta**2 * (alpha + a * (1 + beta)) + beta
     entries = []
-    for n in n_range:
-        if n < 0:
-            raise InvalidArgument(f"n must be >= 0, got {n}")
+    for n, last in zip(ns, lasts):
         j0 = _min_j_over(a, b, n)
         min_value = n * alpha + j0 * beta
         threshold = min_value + bound_b
@@ -359,10 +393,14 @@ def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> Bezout
         first += (-first) % g_prime
         i_window = (n, n + beta * (beta + 1))
         witness = np.full(value_cap + 1, -1, dtype=np.int64)
-        for i in range(i_window[1] - 1, n - 1, -1):  # descending: smallest i wins
+        # a value v is covered by the smallest i with min(S_i) <= v in v's class mod beta,
+        # which is the class's first i, as min(S_i) grows with i; later S_i start past value_cap
+        firsts = {}
+        for i in range(n, last + 1):
             start = i * alpha + _min_j_over(a, b, i) * beta
-            if start <= value_cap:
-                witness[start :: beta] = i
+            firsts.setdefault(start % beta, (start, i))
+        for start, i in firsts.values():
+            witness[start::beta] = i
         if first > value_cap:
             entries.append(CoverageEntry(n, j0, min_value, None, 0, i_window, witness))
             continue
@@ -473,47 +511,38 @@ def ktheory_params(p: int, gen: GeneratorSet, conn: int, dim: int) -> KTheoryPar
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One guaranteed lower bound at one degree, with provenance; text, the bound
-    as printed, is set on table rows (homology_rows, ktheory_rows) only."""
+    """One table row (homology_rows, ktheory_rows): a guaranteed lower bound at one
+    degree as printed, text being its 24 significant digits, with provenance."""
 
     degree: int
-    bound: mpf
+    text: str
     theorem: str
-    vacuous: bool
     precision_bits: int
     note: str = ""
-    text: str | None = None
 
-
-def _printed(value: mpf) -> tuple[mpf, str]:
-    return value, decimal_str(value)
-
-
-def _table_row(degree: int, printed: tuple[mpf, str], theorem: str, bits: int, note: str) -> BoundReport:
-    """A printed row, vacuous when its text is 0 or negative: decimal_str keeps
-    the value's sign, and the integer pass prints only a certified one."""
-    value, text = printed
-    return BoundReport(degree, value, theorem, text == "0" or text[0] == "-", bits, note=note, text=text)
+    @property
+    def vacuous(self) -> bool:
+        """True when the text is 0 or negative: decimal_str keeps the value's sign,
+        and the integer pass prints only a certified one."""
+        return self.text == "0" or self.text[0] == "-"
 
 
 def _exponent_budget(params: KTheoryParams, m: int) -> int:
     return m + 8 * (params.p - 1) ** 2 * params.g + 64
 
 
-def ktheory_lower(params: KTheoryParams, m: int) -> BoundReport:
-    """Fully explicit guaranteed bound for the p-torsion rank in degree M.
+def ktheory_lower(params: KTheoryParams, m: int) -> mpf:
+    """Fully explicit guaranteed bound for the p-torsion rank in degree M:
 
-    bound = phi^{ng}/(n + 8(p-1)^2) - g phi^{(n+8(p-1)^2)g/2}
-            - q_l (3 + 2 |psi|^{(n+8(p-1)^2)g}),  n = n(M);
-    below the threshold where n(M) < 0 the report carries bound 0 and a tag.
+    phi^{ng}/(n + 8(p-1)^2) - g phi^{(n+8(p-1)^2)g/2} - q_l (3 + 2 |psi|^{(n+8(p-1)^2)g}),
+    n = n(M), and 0 below the threshold where n(M) < 0.
     """
     _check_degree(params, m)
-    profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
-    bits, n = profile.precision_bits, params.n_of(m)
+    n = params.n_of(m)
     if n is None:
-        return BoundReport(m, mpf(0), "ktheory_guaranteed", True, bits, note="below-threshold")
-    value = _strong_value(params.p, params.g, params.gen.q_max, n, bits, profile.phi, profile.psi_abs)
-    return BoundReport(m, value, "ktheory_guaranteed", bool(value <= 0), bits, note=f"n(M)={n}")
+        return mpf(0)
+    profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
+    return _strong_value(params.p, params.g, params.gen.q_max, n, profile.precision_bits, profile.phi, profile.psi_abs)
 
 
 def _check_degree(params: KTheoryParams, m: int) -> None:
@@ -577,12 +606,11 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
     eps and the first degree are checked, then the deepest row's profile is
     built, so a range past the precision ceiling fails before any row is computed.
     """
-    degrees = list(degrees)
+    degrees, _, m_top = _span(degrees)
     if not degrees:
         return []
     _check_degree(params, degrees[0])
     eps = _epsilon(eps)
-    m_top = max(degrees)
     top = profile_for_exponent(params.gen, _exponent_budget(params, m_top))
     g, tail_e, phi, psi = params.g, 8 * (params.p - 1) ** 2, top.phi, top.psi_abs
     n_top = params.n_of(m_top) or 0
@@ -591,28 +619,28 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
     strong = _Running(weight, len(degrees), 1,
                       ((phi, g, 0), (phi, Fraction(g, 2), Fraction(tail_e * g, 2)), (psi, g, tail_e * g)))
     weak = _Running(weight, len(degrees), params.g_prime, ((phi, params.ratio, 0),))
-    strong_values, rows = {}, []  # M enters the strong bound only through n(M) and the precision
+    strong_texts, rows = {}, []  # M enters the strong bound only through n(M) and the precision
     with mp.workprec(weak.bits):
         one_eps = 1 + _mpf_of(eps)
     for m in degrees:
         _check_degree(params, m)
         bits, n = profile_bits(params.gen, _exponent_budget(params, m)), params.n_of(m)
-        if n is not None and (n, bits) not in strong_values:
+        if n is not None and (n, bits) not in strong_texts:
             powers, steps = strong.powers(n)
             # phi^(ng)/E - g phi^(Eg/2) - 3 q_l - 2 q_l |psi|^(Eg), E = n + 8(p-1)^2
             terms = [_div(powers[0], n + tail_e), (-g * powers[1][0], powers[1][1])]
             if psi is not None:
                 terms += [(-3 * params.gen.q_max, 0), (-2 * params.gen.q_max * powers[2][0], powers[2][1])]
-            strong_values[n, bits] = strong.decide(terms, steps, bits) or _printed(ktheory_lower(params, m).bound)
+            strong_texts[n, bits] = strong.decide(terms, steps, bits) or decimal_str(ktheory_lower(params, m))
         (power,), steps = weak.powers(m)
         with mp.workprec(weak.bits):
             denominator = mpf(m) ** one_eps
-        weak_printed = weak.decide([weak.divide(power, denominator)], steps, bits) or _printed(weak_lower(params, m, eps))
+        weak_text = weak.decide([weak.divide(power, denominator)], steps, bits) or decimal_str(weak_lower(params, m, eps))
         rows += [
             # below the threshold (n None) the bound is 0
-            _table_row(m, strong_values.get((n, bits), (mpf(0), "0")), "ktheory_guaranteed", bits,
-                       "below-threshold" if n is None else f"n(M)={n}"),
-            _table_row(m, weak_printed, "ktheory_weak", bits, note),
+            BoundReport(m, strong_texts.get((n, bits), "0"), "ktheory_guaranteed", bits,
+                        "below-threshold" if n is None else f"n(M)={n}"),
+            BoundReport(m, weak_text, "ktheory_weak", bits, note),
         ]
     return rows
 
@@ -666,10 +694,10 @@ class _Running:
 
     enclose() sums the row's signed terms into v and bounds |v - r| by e, r the
     value that the row's formula returns at the row's precision P from the
-    row's own profile, and decide() keeps v with its text when
+    row's own profile, and decide() returns the text when
     render.common_text finds one string that every real of [v - e, v + e]
-    prints: one rounding per row, from the integers, with no mpf for either
-    end.  Each term is a product of constants and powers x^y.  Rounding the
+    prints: one rounding per row, from the integers, with no mpf for v or
+    e.  Each term is a product of constants and powers x^y.  Rounding the
     exponents to F bits moves it by at most the sum of |y| |ln x| 2^(1-F) <=
     W 2^(1-F) relatively, and its other roundings number at most 8 + 2 j: the
     mpmath restart powers and constants, 2 per step over the j steps since the
@@ -734,8 +762,7 @@ class _Running:
         inputs = -(-size * (self.weight + 2) >> (min(bits, 149) - 3))  # the table's inputs against the row's
         return value, err + inputs + len(terms) + 1, base
 
-    def decide(self, terms, steps: int, bits: int) -> tuple[mpf, str] | None:
-        """(v, its text) when every real within e of v prints that text; else None."""
+    def decide(self, terms, steps: int, bits: int) -> str | None:
+        """The text that every real within e of v prints, or None."""
         value, err, base = self.enclose(terms, steps, bits)
-        text = common_text(value - err, value + err, base)
-        return None if text is None else (mp.make_mpf(from_man_exp(value, base)), text)
+        return common_text(value - err, value + err, base)

@@ -2,9 +2,9 @@
 
 A SpaceSpec is a parameterized family; report() instantiates it and builds
 its rows with bounds.homology_rows / bounds.ktheory_rows, one BoundReport
-per (degree, bound kind).  Homology-route rows carry f_q(N) as the
-lower bound for the torsion of the homotopy group one degree up (pi_{N+1});
-K-theory-route rows carry both the guaranteed bound and the weak
+per (degree, bound kind) and printed as its text.  Homology-route rows
+print f_q(N) as the lower bound for the torsion of pi_{N+1}, the homotopy
+group one degree up; K-theory-route rows print the guaranteed and the weak
 1/M^{1+eps} bound for the p-torsion rank of pi_M of the suspension.
 """
 
@@ -157,7 +157,9 @@ def report(space: SpaceSpec, params: dict[str, int], degree_range, eps="1/2") ->
     of g' = gcd(g, 2(p-1)).
     """
     _validate_params(space, params)
-    degrees = sorted(set(int(d) for d in degree_range))
+    # a range of positive step is sorted and without repeats: kept, it is never listed past the ceiling
+    ascending = isinstance(degree_range, range) and degree_range.step > 0
+    degrees = degree_range if ascending else sorted(set(int(d) for d in degree_range))
     p = params["p"]
     if space.route == "homology":
         return homology_rows(params["q"], p, degrees, note=lambda n: f"bounds rank of pi_{{{n + 1}}} torsion")

@@ -24,7 +24,7 @@ from torsion_bounds import (
     weak_lower,
 )
 from torsion_bounds import bounds, charpoly, verify
-from torsion_bounds.bounds import MAX_VALUE_CAP, KTheoryParams, ktheory_main_term, ktheory_params
+from torsion_bounds.bounds import MAX_COVER_INDICES, MAX_VALUE_CAP, KTheoryParams, _exponent_budget, ktheory_main_term, ktheory_params, ktheory_rows
 from torsion_bounds.charpoly import profile_for_exponent
 from torsion_bounds.render import decimal_str
 from torsion_bounds.verify import (
@@ -162,7 +162,7 @@ def test_boundary_rows_check_catches_a_bumped_last_digit(monkeypatch):
 
     def bumped(self, *args):
         got = decide(self, *args)
-        return got and (got[0], got[1][:-1] + str((int(got[1][-1]) + 1) % 10))
+        return got and got[:-1] + str((int(got[-1]) + 1) % 10)
 
     monkeypatch.setattr(bounds._Running, "decide", bumped)
     assert len(check_boundary_equals_fq(50, seed=7)) == 50
@@ -307,6 +307,41 @@ def test_bezout_cover_randomized():
     assert check_bezout_coverage(100, seed=11) == []
 
 
+def _whole_window_witnesses(alpha, beta, a, b, n, cap) -> list[int]:
+    """The witness of each value 0..cap from every i of [n, n + beta(beta+1)), the
+    smallest i whose S_i = {i alpha + j beta : j >= 0, j > a i + b} holds the value."""
+    witness = [-1] * (cap + 1)
+    for i in range(n + beta * (beta + 1) - 1, n - 1, -1):
+        start = i * alpha + max(0, math.floor(a * i + b) + 1) * beta
+        witness[start : cap + 1 : beta] = [i] * len(range(start, cap + 1, beta))
+    return witness
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    alpha=st.integers(1, 12),
+    beta=st.integers(1, 12),
+    a=st.fractions(min_value=Fraction(1, 20), max_value=3, max_denominator=20),
+    b=st.integers(-20, 20),
+    n=st.integers(0, 6),
+    cap=st.integers(1, 2500),
+)
+def test_bezout_cover_witnesses_match_the_whole_window(alpha, beta, a, b, n, cap):
+    # bezout_cover walks only the i whose S_i starts at or below cap, once per class mod beta
+    (entry,) = bezout_cover(alpha, beta, a, b, [n], cap).entries
+    assert entry.witness_array.tolist() == _whole_window_witnesses(alpha, beta, a, b, n, cap)
+
+
+def test_bezout_cover_refuses_a_walk_past_its_ceiling():
+    # alpha 1 and a near 0: nearly all of the 3000 * 3001 indices of the window start below the cap
+    with pytest.raises(InvalidArgument, match=f"more than {MAX_COVER_INDICES}; lower value_cap"):
+        bezout_cover(1, 3000, Fraction(1, 10**6), 0, [1], MAX_VALUE_CAP)
+    # the walks of several n count together: 3 * 300 * 301 indices
+    bezout_cover(1, 300, Fraction(1, 10**6), 0, [1], MAX_VALUE_CAP)
+    with pytest.raises(InvalidArgument, match="the covering walk has 270900 indices i"):
+        bezout_cover(1, 300, Fraction(1, 10**6), 0, [1, 2, 3], MAX_VALUE_CAP)
+
+
 GRASSMANNIAN_GEN = GeneratorSet.of((2, 1), (4, 1))
 
 
@@ -353,10 +388,11 @@ def test_ktheory_constants_match_stated_formulas():
 
 def test_ktheory_below_threshold_tag():
     kt = _grassmannian_params()
-    report = ktheory_lower(kt, 2)
-    assert report.bound == 0
-    assert report.vacuous
-    assert report.note == "below-threshold"
+    assert ktheory_lower(kt, 2) == 0
+    row = ktheory_rows(kt, [2], "1/2")[0]
+    assert row.text == "0"
+    assert row.vacuous
+    assert row.note == "below-threshold"
 
 
 def test_ktheory_rejects_off_grid_degree():
@@ -400,21 +436,21 @@ def test_ktheory_bound_dominates_display_main_term():
     kt = _grassmannian_params()
     profile = profile_for_exponent(kt.gen, 1200)
     for m in range(380, 1200, 2):
-        report = ktheory_lower(kt, m)
+        value = ktheory_lower(kt, m)
         n = kt.n_of(m)
         big_e = n + 8 * (kt.p - 1) ** 2
-        with mp.workprec(report.precision_bits):
+        with mp.workprec(profile_for_exponent(kt.gen, _exponent_budget(kt, m)).precision_bits):
             error_terms = kt.g * profile.phi ** (mpf(big_e * kt.g) / 2)
             error_terms += kt.gen.q_max * (3 + 2 * profile.psi_abs ** (big_e * kt.g))
             main = ktheory_main_term(kt, m)
-            assert report.bound >= main - error_terms - mpf("1e-12") * (1 + abs(main))
+            assert value >= main - error_terms - mpf("1e-12") * (1 + abs(main))
 
 
 def test_ktheory_positivity_threshold():
     assert check_ktheory_positivity("grassmannian", {"n": 3, "k": 1, "p": 3}, 600, 50) == []
     kt = _grassmannian_params()
-    assert ktheory_lower(kt, 380).bound > 0 > -1  # frozen M1
-    assert ktheory_lower(kt, 378).bound <= 0
+    assert ktheory_lower(kt, 380) > 0 > -1  # frozen M1
+    assert ktheory_lower(kt, 378) <= 0
 
 
 def test_weak_lower_closed_form_grassmannian():

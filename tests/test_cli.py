@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from decimal import Decimal, localcontext
 
 import pytest
@@ -313,6 +317,21 @@ def test_any_eps_string_exits_cleanly(eps):
         assert result.stderr.startswith("error: ")
 
 
+def test_bezout_walk_past_its_ceiling_exit_code():
+    result = run("bezout", "--alpha", "1", "--beta", "3000", "--a", "1/1000000", "--n", "1", "--cap", "10000000")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: the covering walk has ") and result.stderr.count("\n") == 1
+
+
+def test_bezout_wide_window_ends_fast():
+    # a window of beta(beta+1) = 10^10 indices, of which only the first 197 start at or below the cap
+    start = time.perf_counter()
+    result = run("bezout", "--alpha", "3", "--beta", "100000", "--a", "1/2", "--n", "1", "--cap", "10000000")
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[1] == "1,3,100000,1/2,0,1,500035000100000,100003,,0,1..10000100000"
+
+
 def test_bezout_oversized_cap_exit_code():
     result = run("bezout", "--alpha", "2", "--beta", "3", "--a", "1/2", "--n", "1",
                  "--cap", "100000000000")
@@ -442,6 +461,29 @@ def test_homology_oversized_range_exit_code(args):
     assert time.perf_counter() - start < 2
     assert result.exit_code == 1
     assert result.stderr.startswith("error: precision_bits must be <= 32768, got ")
+
+
+_CAPPED_CLI = (  # the CLI under a 2 GB address-space cap, where a list of 10^12 degrees is a MemoryError
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    "from torsion_bounds.cli import main; main()"
+)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bound", "--homology", "--q", "2", "--p", "3", "--upto", "1000000000000"),
+        ("report", "--space", "moore", "--q", "2", "--p", "3", "--r", "1", "--upto", "1000000000000"),
+        ("bound", "--ktheory", "--degrees", "2:1,4:1", "--conn", "1", "--dim", "4", "--p", "3", "--upto", "1000000000000"),
+    ],
+    ids=["bound-homology", "report-moore", "bound-ktheory"],
+)
+def test_range_of_a_trillion_degrees_is_refused_before_it_is_listed(args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *args], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("error: precision_bits must be <= 32768, got ") and result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

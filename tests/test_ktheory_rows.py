@@ -36,20 +36,19 @@ def _tau_exponent(params) -> Fraction:
 # -- the uncached formulas ------------------------------------------------------
 
 
-def _reference_lower(params, m) -> BoundReport:
+def _reference_lower(params, m) -> mpf:
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
-    bits = profile.precision_bits
     n = params.n_of(m)
     if n is None:
-        return BoundReport(m, mpf(0), "ktheory_guaranteed", True, bits, note="below-threshold")
-    with mp.workprec(bits):
+        return mpf(0)
+    with mp.workprec(profile.precision_bits):
         phi = profile.phi
         big_e = n + 8 * (params.p - 1) ** 2
         value = phi ** (n * params.g) / big_e
         value -= params.g * phi ** (mpf(big_e * params.g) / 2)
         if profile.psi_abs is not None:
             value -= params.gen.q_max * (3 + 2 * profile.psi_abs ** (big_e * params.g))
-        return BoundReport(m, value, "ktheory_guaranteed", bool(value <= 0), bits, note=f"n(M)={n}")
+        return value
 
 
 def _reference_weak(params, m, epsilon) -> mpf:
@@ -69,21 +68,22 @@ def _reference_main_term(params, m) -> mpf:
         return profile.phi**tau / denom * profile.phi ** _mpf_of(params.ratio * m)
 
 
-def _reference_rows(params, degrees, eps, note) -> list[BoundReport]:
+def _reference_rows(params, degrees, eps, note) -> list[tuple]:
+    """Each row as _printed gives it, from the reference values."""
     rows = []
     for m in degrees:
-        strong = _reference_lower(params, m)
-        weak = _reference_weak(params, m, eps)
-        rows += [strong, BoundReport(m, weak, "ktheory_weak", bool(weak <= 0), strong.precision_bits, note=note)]
+        bits = profile_for_exponent(params.gen, _exponent_budget(params, m)).precision_bits
+        n = params.n_of(m)
+        strong, weak = _reference_lower(params, m), _reference_weak(params, m, eps)
+        rows += [
+            (m, decimal_str(strong), "ktheory_guaranteed", strong <= 0, bits, "below-threshold" if n is None else f"n(M)={n}"),
+            (m, decimal_str(weak), "ktheory_weak", weak <= 0, bits, note),
+        ]
     return rows
 
 
-def _fields(row: BoundReport) -> tuple:
-    return (row.degree, row.bound._mpf_, row.theorem, row.vacuous, row.precision_bits, row.note)
-
-
-def _printed(row: BoundReport, text: str) -> tuple:
-    return (row.degree, text, row.theorem, row.vacuous, row.precision_bits, row.note)
+def _printed(row: BoundReport) -> tuple:
+    return (row.degree, row.text, row.theorem, row.vacuous, row.precision_bits, row.note)
 
 
 # -- the rows ----------------------------------------------------------------------
@@ -100,17 +100,16 @@ def test_rows_match_uncached_reference(monkeypatch, name, values):
 
     rows = bounds.ktheory_rows(params, degrees, EPS, note=f"eps={EPS}")
 
-    # the rows print the reference's digits; their values may come from the
-    # integer pass, so they are compared as printed: each row's text with the
-    # reference value's decimal_str
+    # the rows print the reference's digits: each row's text is the reference
+    # value's decimal_str, its vacuous flag the reference value's sign
     want = _reference_rows(params, degrees, EPS, f"eps={EPS}")
-    assert [_printed(r, r.text) for r in rows] == [_printed(r, decimal_str(r.bound)) for r in want]
+    assert [_printed(r) for r in rows] == want
     pairs = {(params.n_of(m), row.precision_bits) for m, row in zip(degrees, rows[::2]) if params.n_of(m) is not None}
     # one strong evaluation per (n(M), bits) and one weak one per degree
     assert len(decided) == len(pairs) + len(degrees) and len(pairs) < len(degrees)
     # the public functions keep the reference's exact values, the strong one computed once per pair
-    assert [_fields(bounds.ktheory_lower(params, m)) for m in degrees] == [_fields(r) for r in want[::2]]
-    assert [bounds.weak_lower(params, m, EPS)._mpf_ for m in degrees] == [r.bound._mpf_ for r in want[1::2]]
+    assert [bounds.ktheory_lower(params, m)._mpf_ for m in degrees] == [_reference_lower(params, m)._mpf_ for m in degrees]
+    assert [bounds.weak_lower(params, m, EPS)._mpf_ for m in degrees] == [_reference_weak(params, m, EPS)._mpf_ for m in degrees]
     assert bounds._strong_value.cache_info().misses == len(pairs)
     for m in degrees:
         assert bounds.ktheory_main_term(params, m)._mpf_ == _reference_main_term(params, m)._mpf_

@@ -1,8 +1,8 @@
 """Each bound row prints the digits of the public function at the row's precision.
 
 A table's rows are evaluated in one integer pass (bounds._Running): running
-powers on F-bit mantissas from the table's deepest profile, and a row keeps
-that value and its text only when render.common_text shows that every real
+powers on F-bit mantissas from the table's deepest profile, and a row takes
+its text from the pass only when render.common_text shows that every real
 of its enclosure, the P-bit value of the row's own profile included, prints
 that text.  These tests compare every row's text with decimal_str of
 ktheory_lower, weak_lower and f_q at the same P, check the error bound
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from torsion_bounds import bounds, charpoly
 from torsion_bounds.bounds import (
@@ -60,8 +61,8 @@ def _printed(bound, vacuous, bits):
 
 
 def _printed_row(row):
-    """The row as printed; its value prints its text, its vacuous flag follows the text's sign."""
-    assert decimal_str(row.bound) == row.text and row.vacuous == (Decimal(row.text) <= 0), row
+    """The row as printed; its vacuous flag follows the text's sign."""
+    assert row.vacuous == (Decimal(row.text) <= 0), row
     return row.text, row.vacuous, row.precision_bits
 
 
@@ -73,7 +74,7 @@ def _set_precision(monkeypatch, floor):
 
 
 def _dyadic(man: int, exp: int) -> mpf:
-    return mp.make_mpf(bounds.from_man_exp(man, exp))
+    return mp.make_mpf(from_man_exp(man, exp))
 
 
 def _record_enclosures(monkeypatch) -> list:
@@ -99,7 +100,7 @@ def _ktheory_references(params, degrees, eps) -> list:
         bits = profile_for_exponent(params.gen, _exponent_budget(params, m)).precision_bits
         if n is not None and (n, bits) not in pairs:
             pairs.add((n, bits))
-            references.append(ktheory_lower(params, m).bound)
+            references.append(ktheory_lower(params, m))
         references.append(weak_lower(params, m, eps))
     return references
 
@@ -112,10 +113,11 @@ def _assert_enclosed(enclosures, references):
 
 def _assert_ktheory_rows_print_references(params, degrees, eps, rows):
     for strong, weak, m in zip(rows[::2], rows[1::2], degrees):
+        bits = profile_for_exponent(params.gen, _exponent_budget(params, m)).precision_bits
         want = ktheory_lower(params, m)
-        assert _printed_row(strong) == _printed(want.bound, want.vacuous, want.precision_bits), m
+        assert _printed_row(strong) == _printed(want, bool(want <= 0), bits), m
         exact = weak_lower(params, m, eps)
-        assert _printed_row(weak) == _printed(exact, bool(exact <= 0), want.precision_bits), m
+        assert _printed_row(weak) == _printed(exact, bool(exact <= 0), bits), m
 
 
 def _assert_homology_rows_print_references(q, degrees, rows):
@@ -264,27 +266,33 @@ def test_a_wrong_table_profile_shows_in_the_printed_rows(monkeypatch):
 def test_forced_straddle_takes_the_fallback(monkeypatch):
     # an error bound of 2^200 times the real one straddles every rounding boundary
     monkeypatch.setattr(bounds, "_ROW_SAFETY_BITS", 200)
+    fallbacks = _fallbacks(monkeypatch)
     params = _ktheory()
     degrees = range(2, 1201, 2)
 
     rows = ktheory_rows(params, degrees, "1/2")
 
+    # every row above the threshold falls back, the strong one once per (n(M), precision)
+    pairs = {(params.n_of(m), row.precision_bits) for m, row in zip(degrees, rows[::2]) if params.n_of(m) is not None}
+    assert fallbacks.count("ktheory_lower") == len(pairs) and fallbacks.count("weak_lower") == len(degrees)
     strong = [ktheory_lower(params, m) for m in degrees]
     weak = [weak_lower(params, m, Fraction(1, 2)) for m in degrees]
-    assert [row.bound._mpf_ for row in rows[::2]] == [row.bound._mpf_ for row in strong]
-    assert [row.bound._mpf_ for row in rows[1::2]] == [value._mpf_ for value in weak]
+    assert [row.text for row in rows[::2]] == [decimal_str(value) for value in strong]
+    assert [row.text for row in rows[1::2]] == [decimal_str(value) for value in weak]
     homology = homology_rows(2, 3, range(2, 400))
-    assert [row.bound._mpf_ for row in homology] == [f_q(2, n)._mpf_ for n in range(2, 400)]
+    assert fallbacks.count("f_q") == len(homology)
+    assert [row.text for row in homology] == [decimal_str(f_q(2, n)) for n in range(2, 400)]
 
 
-def test_value_near_a_short_decimal_takes_the_fallback():
+def test_value_near_a_short_decimal_takes_the_fallback(monkeypatch):
     # n(M) = 102: the strong bound is 15474936163125650796.99999999999998..., within
     # 2e-14 of an integer, which prints as ...797.0000 and lies inside [v - e, v + e]
     params = _ktheory()
     m = next(m for m in range(2, 3001, 2) if params.n_of(m) == 102)
+    fallbacks = _fallbacks(monkeypatch)
     row = ktheory_rows(params, [m], "1/2")[0]
-    assert row.bound._mpf_ == ktheory_lower(params, m).bound._mpf_
-    assert decimal_str(row.bound) == row.text == "15474936163125650797.0000"
+    assert fallbacks.count("ktheory_lower") == 1
+    assert row.text == decimal_str(ktheory_lower(params, m)) == "15474936163125650797.0000"
 
 
 def test_catalog_covers_every_ktheory_space():

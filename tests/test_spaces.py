@@ -65,9 +65,9 @@ def test_moore_report_is_f_q_column():
     assert [r.degree for r in rows] == list(range(2, 12))
     for row in rows:
         assert row.theorem == "homology_boundary"
-        # the row's value comes from the integer pass: it prints f_q's digits
-        assert decimal_str(row.bound) == decimal_str(f_q(2, row.degree))
-        assert row.vacuous == (row.bound <= 0)
+        # the row's text comes from the integer pass: it prints f_q's digits
+        assert row.text == decimal_str(f_q(2, row.degree))
+        assert row.vacuous == (f_q(2, row.degree) <= 0)
 
 
 def test_empty_range_gives_empty_report():
@@ -110,8 +110,8 @@ def test_weak_rows_match_known_closed_form():
     rows = report(
         space_by_name("grassmannian"), {"n": 3, "k": 1, "p": 3}, [20, 40], eps="1/2"
     )
-    weak = {r.degree: r.bound for r in rows if r.theorem == "ktheory_weak"}
     with mp.workprec(192):
+        weak = {r.degree: mpf(r.text) for r in rows if r.theorem == "ktheory_weak"}
         golden4 = (3 + mpmath.sqrt(5)) / 2
         for m in (10, 20):
             want = golden4 ** (mpf(m) / 5) / mpf(2 * m) ** mpf("1.5")
@@ -142,10 +142,12 @@ def test_closed_form_specializations_catch_scaled_weak_rows(monkeypatch):
     ktheory_rows = bounds.ktheory_rows
 
     def scaled(*args):
-        return [
-            dataclasses.replace(row, bound=row.bound * (1 + mpf("1e-8"))) if row.theorem == "ktheory_weak" else row
-            for row in ktheory_rows(*args)
-        ]
+        with mp.workprec(128):
+            return [
+                dataclasses.replace(row, text=decimal_str(mpf(row.text) * (1 + mpf("1e-8"))))
+                if row.theorem == "ktheory_weak" else row
+                for row in ktheory_rows(*args)
+            ]
 
     monkeypatch.setattr(bounds, "ktheory_rows", scaled)
     assert check_closed_form_specializations(3) == FIRST_DEGREE_MISMATCHES
