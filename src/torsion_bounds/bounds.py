@@ -33,9 +33,10 @@ is vacuous when it is 0 or negative: negative bound values are reported
 as-is, valid but vacuous.
 
 The ktheory_lower value is computed once per (p, g, q_l, n(M), bits), and
-within a table the strong row's text likewise, and 1 + eps once: M enters
-the strong formula only through n(M) and the row's precision, and a profile
-is fixed by its precision.  So every result stays bit-identical.
+within a table the strong row's text likewise: M enters it only through n(M)
+and the row's precision, and a profile is fixed by its precision.  So every
+result stays bit-identical.  The weak row's M^(1+eps), eps = a/b, is an
+integer b-th root of M^(a+b).
 """
 
 from __future__ import annotations
@@ -241,12 +242,11 @@ def rank_window(gen: GeneratorSet, n: int) -> tuple[mpf, mpf]:
     profile = profile_for_exponent(gen, n)
     ql = gen.q_max
     with mp.workprec(profile.precision_bits):
-        phi = profile.phi
-        center = g * phi**n / n
-        err = g * phi ** (mpf(n) / 2)
+        big = profile.phi**n
+        center, err = g * big / n, g * mp.sqrt(big)
         if profile.psi_abs is not None:
-            psi = profile.psi_abs
-            err += (mpf(ql) / n) * psi**n + ql * psi ** (mpf(n) / 2)
+            tail = profile.psi_abs**n
+            err += (mpf(ql) / n) * tail + ql * mp.sqrt(tail)
         return center - err, center + err
 
 
@@ -620,8 +620,6 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
                       ((phi, g, 0), (phi, Fraction(g, 2), Fraction(tail_e * g, 2)), (psi, g, tail_e * g)))
     weak = _Running(weight, len(degrees), params.g_prime, ((phi, params.ratio, 0),))
     strong_texts, rows = {}, []  # M enters the strong bound only through n(M) and the precision
-    with mp.workprec(weak.bits):
-        one_eps = 1 + _mpf_of(eps)
     for m in degrees:
         _check_degree(params, m)
         bits, n = profile_bits(params.gen, _exponent_budget(params, m)), params.n_of(m)
@@ -633,9 +631,7 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
                 terms += [(-3 * params.gen.q_max, 0), (-2 * params.gen.q_max * powers[2][0], powers[2][1])]
             strong_texts[n, bits] = strong.decide(terms, steps, bits) or decimal_str(ktheory_lower(params, m))
         (power,), steps = weak.powers(m)
-        with mp.workprec(weak.bits):
-            denominator = mpf(m) ** one_eps
-        weak_text = weak.decide([weak.divide(power, denominator)], steps, bits) or decimal_str(weak_lower(params, m, eps))
+        weak_text = weak.decide([weak.divide_power(power, m, eps)], steps, bits) or decimal_str(weak_lower(params, m, eps))
         rows += [
             # below the threshold (n None) the bound is 0
             BoundReport(m, strong_texts.get((n, bits), "0"), "ktheory_guaranteed", bits,
@@ -664,6 +660,28 @@ def _mantissa(x: mpf, bits: int) -> tuple[int, int]:
     _, man, exp, bc = x._mpf_
     shift = int(bc) - bits
     return (int(man) >> shift, exp + shift) if shift >= 0 else (int(man) << -shift, exp + shift)
+
+
+# Largest b and a + b for which M^(1+eps), eps = a/b, is the integer b-th root of M^(a+b); past them the
+# root costs more than the F-bit mpmath power (13-30 us; 31 at b = 24, 32 at a + b = 1024; F = 140, 2-core Xeon).
+_MAX_ROOT_INDEX, _MAX_ROOT_POWER = 16, 512
+
+
+@lru_cache(maxsize=8)
+def _one_plus(num: int, den: int, bits: int) -> mpf:  # once per table: den may have thousands of digits
+    return mp.fadd(1, mp.fdiv(num, den, prec=bits), prec=bits)
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 0, k >= 1: isqrt, or integer Newton from above a float seed
+    good to 2^-32 (Brent & Zimmermann, Modern Computer Arithmetic, 1.5.2)."""
+    if k == 2 or x < 2:
+        return math.isqrt(x)
+    t = max(x.bit_length() // k - 52, 0)  # the float carries the root's top 52 bits
+    y = int(2 ** (math.log2(x) / k - t) * (1 + 2**-32) + 1) << t
+    while (z := ((k - 1) * y + x // y ** (k - 1)) // k) < y:
+        y = z
+    return y
 
 
 def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -701,7 +719,8 @@ class _Running:
     exponents to F bits moves it by at most the sum of |y| |ln x| 2^(1-F) <=
     W 2^(1-F) relatively, and its other roundings number at most 8 + 2 j: the
     mpmath restart powers and constants, 2 per step over the j steps since the
-    restart, and the term's own products and quotients.  So v is within
+    restart, M^(1+eps)'s one floor (past the root's caps an mpmath power and its
+    floor), and the term's own products and quotients.  So v is within
     S (W + 8 + 2 j) 2^(3-F) of the exact formula at the table's inputs, S the
     sum of the terms' magnitudes, and r within S (2W + 32) 2^(8-P) of the exact
     formula at the row's inputs, mpmath's powers, logs and exps being good to
@@ -725,7 +744,7 @@ class _Running:
         self.weight, self.step, self.at = weight, step, None
         with mp.workprec(self.bits):
             self.bases = [(x, Fraction(a), Fraction(b)) for x, a, b in bases]
-            self.factors = [None if x is None or not a else self.round(x ** _mpf_of(a * step)) for x, a, _ in self.bases]
+            self.factors = [None if x is None or not a else _mantissa(x ** _mpf_of(a * step), self.bits) for x, a, _ in self.bases]
 
     def powers(self, n: int) -> tuple[list, int]:
         """[x^(a n + b) for (x, a, b) in the bases], and the steps since the restart."""
@@ -737,17 +756,22 @@ class _Running:
         else:
             self.steps = 0
             with mp.workprec(self.bits):
-                self.values = [None if x is None else self.round(x ** _mpf_of(a * n + b)) for x, a, b in self.bases]
+                self.values = [None if x is None else _mantissa(x ** _mpf_of(a * n + b), self.bits) for x, a, b in self.bases]
         self.at = n
         return self.values, self.steps
 
-    def round(self, x: mpf) -> tuple[int, int]:
-        return _mantissa(x, self.bits)
-
-    def divide(self, a: tuple[int, int], x: mpf) -> tuple[int, int]:
-        """a / x rounded down, x rounded down to F bits."""
-        m, k = self.round(x)
-        return (a[0] << self.bits) // m, a[1] - k - self.bits
+    def divide_power(self, a: tuple[int, int], m: int, eps: Fraction) -> tuple[int, int]:
+        """a / M^(1+eps) rounded down, M^(1+eps) floored to more than F bits first: for eps =
+        a'/b the b-th root of M^(a'+b) 2^(sb), past the root's caps the F-bit mpmath power."""
+        power, index = eps.numerator + eps.denominator, eps.denominator
+        if index > _MAX_ROOT_INDEX or power > _MAX_ROOT_POWER:
+            with mp.workprec(self.bits):
+                root, k = _mantissa(mpf(m) ** _one_plus(eps.numerator, index, self.bits), self.bits)
+        else:
+            x = m**power
+            s = self.bits - (x.bit_length() - 1) // index  # so root >= 2^F
+            root, k = _iroot(x << s * index if s >= 0 else x >> -s * index, index), -s
+        return (a[0] << root.bit_length()) // root, a[1] - k - root.bit_length()
 
     def enclose(self, terms, steps: int, bits: int) -> tuple[int, int, int]:
         """(V, E, k): v = V 2^k is the sum of the signed terms (m, k'), each worth

@@ -181,21 +181,22 @@ class MonicIntPoly:
         return acc
 
     def eval_scaled(self, num: int, shift: int) -> int:
-        """Exact P(num / 2^shift) * 2^(shift*degree); only the sign matters."""
-        k = self.degree
-        acc = self.coeffs[k]
+        """Exact P(num / 2^shift) * 2^(shift*degree), a run of zero coefficients costing one power of num."""
+        acc, k, at = 1, self.degree, self.degree
         for j in range(k - 1, -1, -1):
-            acc = acc * num + (self.coeffs[j] << (shift * (k - j)))
-        return acc
+            if self.coeffs[j]:
+                acc, at = (acc * num if at - j == 1 else acc * num ** (at - j)) + (self.coeffs[j] << (shift * (k - j))), j
+        return acc * num**at
 
     def sign_at(self, x: Fraction) -> int:
-        """Exact sign of P(x) at a rational x = a/b with b > 0, from the
-        homogeneous integer Horner b^k P(a/b) = sum_i a_i a^i b^(k-i)."""
+        """Exact sign of P(x) at a rational x = a/b with b > 0, from the homogeneous
+        integer Horner b^k P(a/b) = sum_i a_i a^i b^(k-i), sparse as in eval_scaled."""
         num, den = x.numerator, x.denominator
-        acc, den_pow = self.coeffs[-1], 1
-        for a in reversed(self.coeffs[:-1]):
-            den_pow *= den
-            acc = acc * num + a * den_pow
+        acc, k, at = 1, self.degree, self.degree
+        for j in range(k - 1, -1, -1):
+            if self.coeffs[j]:
+                acc, at = (acc * num if at - j == 1 else acc * num ** (at - j)) + self.coeffs[j] * den ** (k - j), j
+        acc *= num**at
         return (acc > 0) - (acc < 0)
 
     def is_dominant_family(self) -> bool:

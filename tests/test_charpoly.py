@@ -193,6 +193,25 @@ def test_sign_at_matches_fraction_horner(coeffs, x):
     assert poly.sign_at(x) == (value > 0) - (value < 0)
 
 
+def _sparse_coeffs():
+    """Coefficient lists below the leading 1 of up to degree 120, mostly zero."""
+    return st.lists(st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-(10**6), 10**6)), min_size=1, max_size=120)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(coeffs=_sparse_coeffs(), num=st.integers(-(2**200), 2**200), shift=st.integers(0, 200), x=_RATIONALS)
+@example(coeffs=[0] * 100 + [-1, 0], num=3, shift=1, x=Fraction(1, 3))  # a trinomial, gaps of 1 and 100
+@example(coeffs=[5], num=0, shift=7, x=Fraction(0))
+def test_sparse_horner_matches_the_dense_one(coeffs, num, shift, x):
+    poly, k = MonicIntPoly((*coeffs, 1)), len(coeffs)
+    scaled, homogeneous = 1, 1
+    for j in range(k - 1, -1, -1):  # the dense Horner forms, one step per coefficient
+        scaled = scaled * num + (coeffs[j] << (shift * (k - j)))
+        homogeneous = homogeneous * x.numerator + coeffs[j] * x.denominator ** (k - j)
+    assert poly.eval_scaled(num, shift) == scaled
+    assert poly.sign_at(x) == (homogeneous > 0) - (homogeneous < 0)
+
+
 def test_phi_lower_bound_attained_single_degree():
     # one degree, m generators: phi = m^{1/q} exactly, so the bound is tight
     lo, hi, phi = certified_phi(char_poly(GeneratorSet.of((3, 2))), 96)

@@ -1,5 +1,6 @@
-"""The K-theory rows compute the strong bound once per (n(M), bits), and print
-the digits of the uncached formulas.
+"""The K-theory rows compute the strong bound once per (n(M), bits), take the
+weak bound's M^(1+eps) as an integer root with no mpmath power per row, and
+print the digits of the uncached formulas.
 
 The reference functions below are ktheory_lower, weak_lower and
 ktheory_main_term written out as plain mpmath formulas, with no cache and no
@@ -126,3 +127,44 @@ def test_rows_refuse_their_input_before_any_profile(degrees, eps, message):
     with pytest.raises(InvalidArgument, match=message):
         bounds.ktheory_rows(params, degrees, eps)
     assert charpoly._cached_profile.cache_info().misses == 0
+
+
+# -- M^(1+eps) as an integer root --------------------------------------------------
+
+# (eps, whether its weak rows take the integer root): b = 16 and a + b = 512 are the
+# caps, 1/17 and 505/8 the first epsilons past them
+ROOT_EPSILONS = [
+    ("1/2", True), ("1/3", True), ("2/3", True), ("1/16", True), ("503/9", True), ("64", True),
+    ("63/64", False), ("1/17", False), ("505/8", False), ("1e-4300", False),
+]
+
+
+@pytest.mark.parametrize("eps, rooted", ROOT_EPSILONS, ids=[eps[:8] for eps, _ in ROOT_EPSILONS])
+def test_weak_rows_print_weak_lower_on_both_sides_of_the_root_caps(monkeypatch, eps, rooted):
+    params = _space_params(*SPACES[0])
+    degrees = range(2, 801, 2)
+    indices, iroot = [], bounds._iroot
+    monkeypatch.setattr(bounds, "_iroot", lambda x, k: indices.append(k) or iroot(x, k))
+
+    rows = bounds.ktheory_rows(params, degrees, eps)
+
+    assert [row.text for row in rows[1::2]] == [decimal_str(bounds.weak_lower(params, m, eps)) for m in degrees]
+    assert len(indices) == (len(degrees) if rooted else 0)
+
+
+@pytest.mark.parametrize("eps", ["1/2", "1/3"])
+def test_weak_rows_make_no_mpmath_power_per_row(monkeypatch, eps):
+    # only the restarts and the fallback rows raise an mpf to a power
+    params, cls = _space_params(*SPACES[0]), type(mpf(1))
+
+    def power_calls(rows: int) -> int:
+        degrees = range(2, 2 * rows + 1, 2)
+        bounds.ktheory_rows(params, degrees, eps)  # the profiles and the strong values are cached
+        calls = []
+        with monkeypatch.context() as patch:
+            for name in ("__pow__", "__rpow__"):
+                patch.setattr(cls, name, lambda *args, f=getattr(cls, name): calls.append(1) or f(*args))
+            bounds.ktheory_rows(params, degrees, eps)
+        return len(calls)
+
+    assert power_calls(1500) == power_calls(750) < 15

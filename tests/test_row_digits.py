@@ -295,6 +295,34 @@ def test_value_near_a_short_decimal_takes_the_fallback(monkeypatch):
     assert row.text == decimal_str(ktheory_lower(params, m)) == "15474936163125650797.0000"
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(x=st.integers(0, 2**4096), k=st.integers(1, bounds._MAX_ROOT_INDEX))
+@example(x=2**4096, k=bounds._MAX_ROOT_INDEX)
+@example(x=3**48 - 1, k=16)  # one below a perfect power
+@example(x=2**64 - 1, k=1)
+def test_integer_root_is_the_floor(x, k):
+    y = bounds._iroot(x, k)
+    assert y**k <= x < (y + 1) ** k
+
+
+# (M, eps): M^(a+b) shorter than F bits, then longer, down to the caps
+@pytest.mark.parametrize("m, eps", [(2, "1/2"), (6, "1/3"), (2, "1/16"), (3999, "64"), (3999, "503/9"), (4000, "1/2")])
+def test_root_mantissa_has_more_than_f_bits(monkeypatch, m, eps):
+    running, eps = bounds._Running(100, 1000, 1, ()), Fraction(eps)
+    roots, iroot = [], bounds._iroot
+    monkeypatch.setattr(bounds, "_iroot", lambda x, k: roots.append(iroot(x, k)) or roots[-1])
+    one = (1 << running.bits, -running.bits)
+
+    man, exp = running.divide_power(one, m, eps)
+
+    assert len(roots) == 1 and roots[0].bit_length() > running.bits
+    assert man.bit_length() >= running.bits
+    # man 2^exp is 1/M^(1+eps) to within two floors, each less than 2^-F relatively
+    with mp.workprec(running.bits + 64):
+        exact = mpf(m) ** -(1 + mpf(eps.numerator) / eps.denominator)
+        assert abs(exact - _dyadic(man, exp)) <= exact * mpf(2) ** (1 - running.bits)
+
+
 def test_catalog_covers_every_ktheory_space():
     assert sorted(KTHEORY_SPACES) == sorted(space.name for space in catalog() if space.route == "ktheory")
 
