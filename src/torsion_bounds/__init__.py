@@ -5,7 +5,6 @@ from .bounds import (
     BezoutCoverage,
     BoundReport,
     KTheoryParams,
-    bbar_lower,
     bezout_cover,
     condition_star,
     f_q,

@@ -7,8 +7,8 @@ charpoly.precision_for_exponent only), so identical inputs give
 bit-identical outputs.  Rational constants (a, b, B, theta_safe, thresholds)
 are kept as exact Fractions in the parameter objects and only converted to
 floating point inside a formula; every profile comes from the one cache of
-charpoly (profile_at, profile_for_exponent).  The homology route's c, kappa
-and c2 involve no p: each formula computes them from the RootProfile of
+charpoly (profile_at, profile_for_exponent).  The homology route's c and
+kappa involve no p: each formula computes them from the RootProfile of
 z^{q+1} - z - 1 that the route reads phi and |psi| from (_c_kappa); p
 enters only sigma_upper.
 
@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .charpoly import GeneratorSet, RootProfile, certified_phi, char_poly, profile_at, profile_bits, profile_for_exponent
@@ -59,7 +58,6 @@ __all__ = [
     "BezoutCoverage",
     "BoundReport",
     "KTheoryParams",
-    "bbar_lower",
     "bezout_cover",
     "condition_star",
     "f_q",
@@ -204,17 +202,6 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
     return rows
 
 
-def bbar_lower(q: int, n: int) -> mpf:
-    """(1 - (N/(N-1))/phi) phi^N / N - kappa |psi|^N - c2 phi^{N/2}, c2 = (q+2)(1 + phi^{-1/2})."""
-    if n < 2:
-        raise InvalidArgument(f"bbar_lower requires N >= 2, got {n}")
-    profile = homology_params(q, n)
-    with mp.workprec(profile.precision_bits):
-        phi, kappa = profile.phi, _c_kappa(q, profile)[1]
-        main = (1 - (mpf(n) / (n - 1)) / phi) * phi**n / n
-        return main - kappa * profile.psi_abs**n - (q + 2) * (1 + 1 / mp.sqrt(phi)) * phi ** (mpf(n) / 2)
-
-
 def sigma_upper(q: int, p: int, n: int) -> mpf:
     """c1 N phi^{N/p}, c1 = 2(q+2) phi^{2/p}: the crude upper bound for the sigma subspace."""
     if n < 0:
@@ -293,20 +280,23 @@ class CoverageEntry:
     first_checked: int | None  # smallest checked multiple of g', None if none in range
     checked: int
     i_window: tuple[int, int]
-    witness_array: np.ndarray = field(repr=False, compare=False)
+    # v mod beta -> (min(S_i), i) for the class's first walked i: S_i holds every v >= min(S_i) of the class
+    classes: dict[int, tuple[int, int]] = field(repr=False, compare=False)
+    beta: int = field(repr=False, compare=False)
+    value_cap: int = field(repr=False, compare=False)
 
     def witness_for(self, value: int) -> int:
-        if not 0 <= value < len(self.witness_array):
+        if not 0 <= value <= self.value_cap:
             raise InvalidArgument(f"value {value} outside the certified range")
-        w = int(self.witness_array[value])
-        if w < 0:
+        start, i = self.classes.get(value % self.beta, (value + 1, -1))
+        if start > value:
             raise InvalidArgument(f"value {value} was not certified (below threshold?)")
-        return w
+        return i
 
 
 @dataclass(frozen=True)
 class BezoutCoverage:
-    """Brute-force-verified covering certificate for the sets S_n."""
+    """Exactly verified covering certificate for the sets S_n."""
 
     alpha: int
     beta: int
@@ -328,14 +318,14 @@ class BezoutCoverage:
         raise InvalidArgument(f"n={n} was not part of this certificate")
 
 
-# Largest value_cap bezout_cover accepts. Each base index n holds an int64
-# witness array of value_cap + 1 entries, so this caps it at 80 MB.
+# Largest value_cap bezout_cover accepts.  The certificate holds one pair per
+# class mod beta whatever the cap, so this bounds only what a witness listing
+# could ask for, and the indices the walk may reach.
 MAX_VALUE_CAP = 10**7
 # Most indices i, over all n, that bezout_cover walks: those of the window whose S_i
-# starts at or below value_cap. Each costs about 5 us (2-core Xeon), and the writes
-# that follow about value_cap in all, so alpha 1, beta 440, a 1/10^6, n 1, cap 10^7
-# (194040 indices, 9.8e6 values checked) takes 1.7 s through the CLI, and alpha 3,
-# beta 1000, a 1/2 (19879 indices) 0.5 s.
+# starts at or below value_cap. Each costs about 5 us (2-core Xeon), so alpha 1,
+# beta 440, a 1/10^6, n 1, cap 10^7 (194040 indices) takes 1.7 s through the CLI,
+# and alpha 3, beta 1000, a 1/2 (19879 indices) 0.5 s.
 MAX_COVER_INDICES = 200_000
 
 
@@ -359,10 +349,15 @@ def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> Bezout
     """Verify that S_i for i in [n, n + beta(beta+1)) covers all multiples of
     g' = gcd(alpha, beta) in [min(S_n) + B, value_cap], B = beta^2(alpha + a(1+beta)) + beta.
 
-    Every covered multiple is re-checked arithmetically (membership in S_i
-    with its j recomputed), so a returned certificate is actually verified;
-    a gap raises CoverageViolation with the counterexample.  Only the i whose
-    S_i starts at or below value_cap are walked, at most MAX_COVER_INDICES of them.
+    The witness of a value v is the first walked i of v's class mod beta, as
+    min(S_i) grows with i; S_i holds every v >= min(S_i) of that class (the
+    union's Apery-set element mod beta).  So the certificate is one exact fact per
+    class that holds checked multiples: its least one v0 is at least min(S_i),
+    and j = (v0 - i alpha)/beta is an integer with j >= 0 and j > a i + b.
+    Each condition holds for every later member once it holds at v0.  A
+    failure raises CoverageViolation naming the least failing value.  Only
+    the i whose S_i starts at or below value_cap are walked, at most
+    MAX_COVER_INDICES of them, and no work grows with value_cap.
     """
     if alpha < 1 or beta < 1:
         raise InvalidArgument(f"alpha, beta must be >= 1, got {alpha}, {beta}")
@@ -388,43 +383,34 @@ def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> Bezout
     for n, last in zip(ns, lasts):
         j0 = _min_j_over(a, b, n)
         min_value = n * alpha + j0 * beta
-        threshold = min_value + bound_b
-        first = math.ceil(threshold)
+        first = math.ceil(min_value + bound_b)
         first += (-first) % g_prime
-        i_window = (n, n + beta * (beta + 1))
-        witness = np.full(value_cap + 1, -1, dtype=np.int64)
-        # a value v is covered by the smallest i with min(S_i) <= v in v's class mod beta,
-        # which is the class's first i, as min(S_i) grows with i; later S_i start past value_cap
-        firsts = {}
+        classes = {}
         for i in range(n, last + 1):
             start = i * alpha + _min_j_over(a, b, i) * beta
-            firsts.setdefault(start % beta, (start, i))
-        for start, i in firsts.values():
-            witness[start::beta] = i
-        if first > value_cap:
-            entries.append(CoverageEntry(n, j0, min_value, None, 0, i_window, witness))
-            continue
-        values = np.arange(first, value_cap + 1, g_prime, dtype=np.int64)
-        wit = witness[values]
-        if np.any(wit < 0):
-            bad = int(values[np.argmax(wit < 0)])
+            classes.setdefault(start % beta, (start, i))
+        # the least checked value of each class, in increasing order, with the class's (min(S_i), i)
+        # and v = i alpha + j beta + rest
+        least = []
+        for v in range(first, min(first + beta, value_cap + 1), g_prime):
+            start, i = classes.get(v % beta, (v + 1, -1))
+            least.append((v, start, i, *divmod(v - i * alpha, beta)))
+        bad = next((v for v, start, i, j, rest in least if start > v), None)
+        if bad is not None:
             raise CoverageViolation(
                 f"multiple {bad} of g'={g_prime} not covered for n={n} "
                 f"(alpha={alpha}, beta={beta}, a={a}, b={b})"
             )
-        # independent membership re-check: value = i alpha + j beta, j >= 0 integer, j > a i + b
-        j_num = values - wit * alpha
-        if np.any(j_num % beta):
-            bad = int(values[np.argmax(j_num % beta != 0)])
+        # independent membership re-check: j >= 0 integer, j > a i + b
+        bad = next((v for v, start, i, j, rest in least if rest), None)
+        if bad is not None:
             raise CoverageViolation(f"witness for {bad} is not a linear combination")
-        j = j_num // beta
-        den = a.denominator * b.denominator
-        lhs = j * den
-        rhs = (a.numerator * b.denominator) * wit + b.numerator * a.denominator
-        if np.any(j < 0) or np.any(lhs <= rhs):
-            bad = int(values[np.argmax((j < 0) | (lhs <= rhs))])
+        bad = next((v for v, start, i, j, rest in least if j < 0 or j <= a * i + b), None)
+        if bad is not None:
             raise CoverageViolation(f"witness for {bad} fails the excess condition")
-        entries.append(CoverageEntry(n, j0, min_value, int(values[0]), len(values), i_window, witness))
+        checked = max(0, (value_cap - first) // g_prime + 1)
+        i_window = (n, n + beta * (beta + 1))
+        entries.append(CoverageEntry(n, j0, min_value, first if checked else None, checked, i_window, classes, beta, value_cap))
     return BezoutCoverage(
         alpha=alpha,
         beta=beta,

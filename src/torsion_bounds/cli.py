@@ -47,6 +47,9 @@ MAX_LIE_RANK_DIGITS, MAX_LIE_RANK_ROW_DIGITS = 16_000_000, 20_000
 # RSS (2-core Xeon). The matrix it ranks last is only 1164 x 750; the expansion cache,
 # about 10 MiB at degree 21, is what grows fastest.
 MAX_DGL_DEGREE = 20
+# Most values a bezout --witnesses listing holds, over all --n. At cap 10^6 (one n) a listing
+# took 3.0-3.5 s and 300-308 MB peak RSS, and 3 * 10^6 values 10.8 s and 927 MB (2-core Xeon).
+MAX_WITNESS_VALUES = 10**6
 
 _DEGREES_HELP = f"generator degrees, e.g. 2:1,3:1, each at most {MAX_POLY_DEGREE}"
 
@@ -231,7 +234,7 @@ def _emit_reports(reports, fmt, out):
 @_format_option
 @_out_option
 def bezout_cmd(alpha, beta, a_, b_, ns, cap, witnesses, fmt, out):
-    """Brute-force-verified covering certificate for the sets S_n."""
+    """Exactly verified covering certificate for the sets S_n."""
     cert = bezout_cover(alpha, beta, _as_fraction(a_, "--a"), _as_fraction(b_, "--b"), list(ns), cap)
     rows = []
     for entry in cert.entries:
@@ -255,6 +258,9 @@ def bezout_cmd(alpha, beta, a_, b_, ns, cap, witnesses, fmt, out):
     else:
         payload = {"certificate": rows}
         if witnesses:
+            listed = sum(entry.checked for entry in cert.entries)
+            if listed > MAX_WITNESS_VALUES:
+                raise InvalidArgument(f"--witnesses would list {listed} values, more than {MAX_WITNESS_VALUES}; lower --cap")
             payload["witnesses"] = {
                 str(entry.n): {str(v): i for v, i in sorted(cert.witness_map(entry.n).items())}
                 for entry in cert.entries

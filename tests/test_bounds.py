@@ -1,8 +1,11 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,6 @@ from torsion_bounds import (
     InternalError,
     InvalidArgument,
     babenko_rank,
-    bbar_lower,
     bezout_cover,
     condition_star,
     f_q,
@@ -23,7 +25,7 @@ from torsion_bounds import (
     sigma_upper,
     weak_lower,
 )
-from torsion_bounds import bounds, charpoly, verify
+from torsion_bounds import CoverageViolation, bounds, charpoly, verify
 from torsion_bounds.bounds import MAX_COVER_INDICES, MAX_VALUE_CAP, KTheoryParams, _exponent_budget, ktheory_main_term, ktheory_params, ktheory_rows
 from torsion_bounds.charpoly import profile_for_exponent
 from torsion_bounds.render import decimal_str
@@ -39,7 +41,6 @@ from torsion_bounds.verify import (
 
 # scanned regression constants (frozen)
 FIRST_POSITIVE_N = {2: 96, 3: 149, 4: 207}
-BBAR_FIRST_POSITIVE = {2: 53, 3: 86}
 
 
 def _independent_homology_constants(q, dps=60):
@@ -192,20 +193,6 @@ def test_homology_rows_refuse_q_then_p(q, p):
         bounds.homology_rows(q, p, [1, 10])
 
 
-def test_bbar_lower_against_independent_root_finder():
-    for q, n in ((2, 10), (2, 30), (2, 60), (3, 12)):
-        phi, psi, _, kappa = _independent_homology_constants(q)
-        with mp.workdps(60):
-            c2 = (q + 2) * (1 + 1 / mpmath.sqrt(phi))
-            want = (1 - (mpf(n) / (n - 1)) / phi) * phi**n / n - kappa * psi**n - c2 * phi ** (mpf(n) / 2)
-            assert abs(bbar_lower(q, n) - want) <= mpf("1e-12") * abs(want)
-
-
-def test_bbar_lower_sign_change_regression():
-    for q, n0 in BBAR_FIRST_POSITIVE.items():
-        assert bbar_lower(q, n0) > 0 > bbar_lower(q, n0 - 1)
-
-
 def test_sigma_upper():
     assert sigma_upper(2, 3, 0) == 0
     phi, _, _, _ = _independent_homology_constants(2)
@@ -329,7 +316,111 @@ def _whole_window_witnesses(alpha, beta, a, b, n, cap) -> list[int]:
 def test_bezout_cover_witnesses_match_the_whole_window(alpha, beta, a, b, n, cap):
     # bezout_cover walks only the i whose S_i starts at or below cap, once per class mod beta
     (entry,) = bezout_cover(alpha, beta, a, b, [n], cap).entries
-    assert entry.witness_array.tolist() == _whole_window_witnesses(alpha, beta, a, b, n, cap)
+    assert [_witness_or_minus_one(entry, v) for v in range(cap + 1)] == _whole_window_witnesses(alpha, beta, a, b, n, cap)
+
+
+def _witness_or_minus_one(entry, value):
+    try:
+        return entry.witness_for(value)
+    except InvalidArgument:
+        return -1
+
+
+def _array_cover(alpha, beta, a, b, ns, cap):
+    """The value-by-value certificate: an int64 witness array of cap + 1 entries per n,
+    filled from the first walked i of each class mod beta, and every checked multiple
+    of g' re-checked.  Returns (entry fields, witness maps) or the violation text."""
+    g_prime = math.gcd(alpha, beta)
+    bound_b = beta**2 * (alpha + a * (1 + beta)) + beta
+    entries, maps = [], {}
+    for n in ns:
+        j0 = bounds._min_j_over(a, b, n)
+        min_value = n * alpha + j0 * beta
+        first = math.ceil(min_value + bound_b)
+        first += (-first) % g_prime
+        witness = np.full(cap + 1, -1, dtype=np.int64)
+        firsts = {}
+        for i in range(n, bounds._last_start(alpha, beta, a, b, n, cap) + 1):
+            start = i * alpha + bounds._min_j_over(a, b, i) * beta
+            firsts.setdefault(start % beta, (start, i))
+        for start, i in firsts.values():
+            witness[start::beta] = i
+        if first > cap:
+            entries.append((n, j0, min_value, None, 0))
+            maps[n] = {}
+            continue
+        values = np.arange(first, cap + 1, g_prime, dtype=np.int64)
+        wit = witness[values]
+        if np.any(wit < 0):
+            bad = int(values[np.argmax(wit < 0)])
+            return f"multiple {bad} of g'={g_prime} not covered for n={n} (alpha={alpha}, beta={beta}, a={a}, b={b})"
+        j_num = values - wit * alpha
+        if np.any(j_num % beta):
+            return f"witness for {int(values[np.argmax(j_num % beta != 0)])} is not a linear combination"
+        j = j_num // beta
+        lhs = j * (a.denominator * b.denominator)
+        rhs = (a.numerator * b.denominator) * wit + b.numerator * a.denominator
+        if np.any(j < 0) or np.any(lhs <= rhs):
+            return f"witness for {int(values[np.argmax((j < 0) | (lhs <= rhs))])} fails the excess condition"
+        entries.append((n, j0, min_value, first, len(values)))
+        maps[n] = dict(zip(values.tolist(), wit.tolist()))
+    return entries, maps
+
+
+def _one_high(a, b, n):
+    return max(0, math.floor(a * n + b) + 2)
+
+
+def _always_zero(a, b, n):
+    return 0
+
+
+def _squared(a, b, n):
+    return max(0, math.floor(a * n + b) + 1) ** 2
+
+
+# A one-low fault is left out: it can make min(S_i) negative, where the array's
+# witness[start::beta] counts the start from the array's end, an artefact of the
+# array that a correct _min_j_over (always >= 0) never reaches.
+@pytest.mark.parametrize("min_j_over", [bounds._min_j_over, _one_high, _always_zero, _squared])
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    alpha=st.integers(1, 12),
+    beta=st.integers(1, 12),
+    a=st.fractions(min_value=Fraction(1, 20), max_value=3, max_denominator=20),
+    b=st.integers(-20, 20).map(Fraction),
+    ns=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+    past_threshold=st.integers(-30, 400),
+)
+def test_bezout_cover_matches_the_value_by_value_array(min_j_over, alpha, beta, a, b, ns, past_threshold):
+    # one exact fact per class gives the array's entries, witnesses and violation texts;
+    # _always_zero fails the excess condition and _squared leaves gaps in some draws
+    with mock.patch.object(bounds, "_min_j_over", min_j_over):
+        n = ns[0]
+        threshold = n * alpha + min_j_over(a, b, n) * beta + beta**2 * (alpha + a * (1 + beta)) + beta
+        cap = max(1, math.ceil(threshold) + past_threshold)
+        want = _array_cover(alpha, beta, a, b, ns, cap)
+        try:
+            cert = bezout_cover(alpha, beta, a, b, ns, cap)
+        except CoverageViolation as exc:
+            assert str(exc) == want
+            return
+    assert not isinstance(want, str), want
+    entries, maps = want
+    assert [(e.n, e.j_start, e.min_value, e.first_checked, e.checked) for e in cert.entries] == entries
+    assert all(e.i_window == (e.n, e.n + beta * (beta + 1)) for e in cert.entries)
+    assert {n: cert.witness_map(n) for n in ns} == maps
+
+
+def test_bezout_cover_memory_does_not_grow_with_the_cap():
+    # the value-by-value array peaked at about 90 MiB here
+    tracemalloc.start()
+    try:
+        bezout_cover(3, 4, Fraction(1, 2), 0, [1, 2, 3, 4], 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_bezout_cover_refuses_a_walk_past_its_ceiling():
