@@ -430,8 +430,9 @@ def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> Bezout
 class KTheoryParams:
     """Constants for the dimension-shifted K-theory bounds.
 
-    theta_safe, the constant of the display form, is the one implied by the
-    floor arithmetic of n(M), which provably sits under the main term.
+    theta_safe, the constant of the paper's display form, is the one implied
+    by the floor arithmetic of n(M), which provably sits under the main term.
+    Only the tests read the display form.
     """
 
     p: int
@@ -547,19 +548,6 @@ def _strong_value(p: int, g: int, q_max: int, n: int, bits: int, phi: mpf, psi_a
         if psi_abs is not None:
             value -= q_max * (3 + 2 * psi_abs ** (big_e * g))
         return value
-
-
-def ktheory_main_term(params: KTheoryParams, m: int) -> mpf:
-    """Display form tau / ((1/g) ratio M + theta_safe) * phi^{ratio M},
-    tau = phi^{-g - ratio (2(p-1)(b+1) + B)}, at the precision of the row at M."""
-    profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
-    with mp.workprec(profile.precision_bits):
-        denom = _mpf_of(params.ratio) * m / params.g + _mpf_of(params.theta_safe)
-        if denom <= 0:
-            return mpf(0)
-        tau_exponent = -params.g - params.ratio * params.offset
-        phi = profile.phi
-        return phi ** _mpf_of(tau_exponent) / denom * phi ** _mpf_of(params.ratio * m)
 
 
 # Largest epsilon weak_lower accepts (the default is 1/2). The weak bound divides by

@@ -4,10 +4,10 @@ and certified root profiles (phi, |psi|, g).
 phi is enclosed by sign-change bisection in exact dyadic arithmetic, so
 P(phi_lo) < 0 < P(phi_hi) really holds.  A polynomial's bisection takes
 single steps once, to a start cell narrower than 2^-32; each precision then
-reaches its cell by integer Newton from there and an exact-sign search
-around Newton's estimate, two sign evaluations when Newton lands on it.
-Only one cell has the sign change, so every enclosure equals the one a
-bisection from scratch returns.  Both steps are memoized pure functions.
+takes its cell from integer Newton's estimate, confirmed by two exact signs,
+or bisects the start cell when the estimate misses.  Only one cell has the
+sign change, so every enclosure equals the one a bisection from scratch
+returns.  Both steps are memoized pure functions.
 
 |psi| comes from the complex root cloud, once per polynomial and working
 precision.  Aberth-Ehrlich sweeps run on Python complex from a circle start
@@ -69,17 +69,16 @@ _GUARD_BITS = 16  # fixed-point bits beyond the working precision and the range 
 _NEWTON_GUARD_BITS = 32
 _NEWTON_MAX_ITER = 64
 # Largest precision certified_phi accepts. Newton's estimate takes 15 ms for
-# z^3 - z - 1 at 32768 bits, but when it is useless the sign search gallops and
-# halves across the start cell, which grows about 5x per doubling of the bits
-# (1.2 s at 8192, 31 s at 32768 on a 2-core Xeon host, twice what single steps
-# across the cell take), and this bounds it; a report up to M = 4000 asks for
-# about 6.5k bits.
+# z^3 - z - 1 at 32768 bits, but when it is useless the bisection across the start
+# cell grows about 5x per doubling of the bits (0.6 s at 8192, 20 s at 32768 on a
+# 2-core Xeon host), and this bounds it; a report up to M = 4000 asks for about
+# 6.5k bits.
 MAX_PRECISION_BITS = 1 << 15
-# Largest precision times degree certified_phi accepts. The search across the start
-# cell grows about like degree^2 * bits^2.6 (7.3 s at degree 50 and 2048 bits, 2.2 s
-# at 150 and 655 on a 2-core Xeon host; Newton takes 21 ms at the latter), so for a
-# fixed product it falls as the degree grows, and this bounds every such search by
-# the degree-3 case at MAX_PRECISION_BITS.
+# Largest precision times degree certified_phi accepts. The bisection across the
+# start cell grows about like degree^2 * bits^2.6 (1.3 s at degree 50 and 2048 bits,
+# 0.45 s at 150 and 655 on a 2-core Xeon host; Newton takes 21 ms at the latter), so
+# for a fixed product it falls as the degree grows, and this bounds every such
+# bisection by the degree-3 case at MAX_PRECISION_BITS.
 MAX_BITS_TIMES_DEGREE = 3 * MAX_PRECISION_BITS
 # Largest generator degree, i.e. degree of the characteristic polynomial. Each
 # Aberth sweep costs O(k^2) big-integer operations: roots --degrees 1:1,k:1 takes
@@ -304,12 +303,11 @@ def _certified_enclosure(poly: MonicIntPoly, bits: int) -> tuple[int, int, int]:
     """Dyadic (lo_num, hi_num, shift) with P(lo) < 0 < P(hi), hi - lo <= 2^-bits:
     the cell a bisection from [0, H] reaches after shift = bits + bitlen(H) steps.
 
-    Only that cell has P < 0 < P at its ends, so the search inside the start
-    cell finds it whatever Newton's estimate g: it probes g +- 2^i, i = 0, 1,
-    ..., until two probes bracket the cell, then halves (Bentley & Yao, IPL
-    5(3), 1976); two sign evaluations when g is right.  Signs are taken in
-    lowest terms, so from g at an end of the start cell each probe costs what
-    a single step to it would.
+    Newton's estimate g, clamped to the start cell, is the cell when P < 0 at
+    its left end and not at its right: two exact signs.  Only one cell has
+    P < 0 < P at its ends, so on a miss a bisection of the start cell finds
+    the same one, in steps - start more signs.  Signs are taken in lowest
+    terms, so each costs what a single step to its point would.
     """
     h, j, start, exact = _bisection_start(poly)
     if exact:
@@ -320,19 +318,11 @@ def _certified_enclosure(poly: MonicIntPoly, bits: int) -> tuple[int, int, int]:
         zeros = min((i & -i).bit_length() - 1, steps)
         return poly.eval_scaled((i >> zeros) * h, steps - zeros) < 0
 
-    # below(lo) and not below(hi) throughout; the answer is lo once hi = lo + 1
     lo, hi = j << (steps - start), (j + 1) << (steps - start)
-    guess, step = min(max(_newton(poly, h, j, start, steps), lo), hi), 1
-    if below(guess):
-        lo = guess
-        while guess + step < hi and below(guess + step):
-            lo, step = guess + step, 2 * step
-        hi = min(guess + step, hi)
-    else:
-        hi = guess
-        while guess - step > lo and not below(guess - step):
-            hi, step = guess - step, 2 * step
-        lo = max(guess - step, lo)
+    guess = min(max(_newton(poly, h, j, start, steps), lo), hi - 1)
+    if below(guess) and not below(guess + 1):
+        return guess * h, (guess + 1) * h, steps
+    # below(lo) and not below(hi) throughout; the answer is lo once hi = lo + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if below(mid) else (lo, mid)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from test_ktheory_rows import _reference_main_term
 
 from torsion_bounds import (
     GeneratorSet,
@@ -26,7 +27,7 @@ from torsion_bounds import (
     weak_lower,
 )
 from torsion_bounds import CoverageViolation, bounds, charpoly, verify
-from torsion_bounds.bounds import MAX_COVER_INDICES, MAX_VALUE_CAP, KTheoryParams, _exponent_budget, ktheory_main_term, ktheory_params, ktheory_rows
+from torsion_bounds.bounds import MAX_COVER_INDICES, MAX_VALUE_CAP, KTheoryParams, _exponent_budget, ktheory_params, ktheory_rows
 from torsion_bounds.charpoly import profile_for_exponent
 from torsion_bounds.render import decimal_str
 from torsion_bounds.verify import (
@@ -533,7 +534,7 @@ def test_ktheory_bound_dominates_display_main_term():
         with mp.workprec(profile_for_exponent(kt.gen, _exponent_budget(kt, m)).precision_bits):
             error_terms = kt.g * profile.phi ** (mpf(big_e * kt.g) / 2)
             error_terms += kt.gen.q_max * (3 + 2 * profile.psi_abs ** (big_e * kt.g))
-            main = ktheory_main_term(kt, m)
+            main = _reference_main_term(kt, m)
             assert value >= main - error_terms - mpf("1e-12") * (1 + abs(main))
 
 

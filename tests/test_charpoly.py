@@ -442,3 +442,21 @@ def test_newton_jumps_without_single_steps(monkeypatch):
     # root), then two sign checks of Newton's cell
     assert len(calls) <= h.bit_length() + 32 + 2
     assert _reference_enclosure(poly, 3200) == (lo, hi, shift)
+
+
+def test_newton_miss_bisects_the_start_cell_once(monkeypatch):
+    poly = char_poly(GeneratorSet.parse("2:1,3:1"))
+    _clear_refinement_state()
+    charpoly._bisection_start(poly)
+    monkeypatch.setattr(charpoly, "_newton", lambda *args: 0)
+    calls = []
+    evaluate = MonicIntPoly.eval_scaled
+    monkeypatch.setattr(
+        MonicIntPoly, "eval_scaled", lambda self, num, shift: calls.append(shift) or evaluate(self, num, shift)
+    )
+    bits = 2048
+    enclosure = charpoly._certified_enclosure(poly, bits)
+    # the two checks of the estimate's cell, then steps - start = bits - 32 halvings
+    assert len(calls) <= bits - 30
+    monkeypatch.undo()
+    assert enclosure == _reference_enclosure(poly, bits)
