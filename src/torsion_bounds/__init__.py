@@ -45,7 +45,7 @@ from .errors import (
     RootStructureViolation,
     TorsionBoundsError,
 )
-from .lie_rank import babenko_rank, babenko_ranks, pbw_ranks, tensor_dims
+from .lie_rank import babenko_ranks, pbw_ranks, tensor_dims
 from .spaces import SpaceSpec, catalog, report, space_by_name
 
 __version__ = "0.1.0"

@@ -2,15 +2,14 @@
 
 All real arithmetic of the public functions runs under an explicit mpmath
 working precision P that auto-scales with the largest exponent in play
-(charpoly.profile_bits; the TORSION_BOUNDS_PRECISION floor is read in
-charpoly.precision_for_exponent only), so identical inputs give
-bit-identical outputs.  Rational constants (a, b, B, theta_safe, thresholds)
-are kept as exact Fractions in the parameter objects and only converted to
-floating point inside a formula; every profile comes from the one cache of
-charpoly (profile_at, profile_for_exponent).  The homology route's c and
-kappa involve no p: each formula computes them from the RootProfile of
-z^{q+1} - z - 1 that the route reads phi and |psi| from (_c_kappa); p
-enters only sigma_upper.
+(charpoly.profile_bits, which reads no environment variable), so identical
+inputs give bit-identical outputs.  Rational constants (a, b, B, theta_safe,
+thresholds) are kept as exact Fractions in the parameter objects and only
+converted to floating point inside a formula; every profile comes from the
+one cache of charpoly (profile_at, profile_for_exponent).  The homology
+route's c and kappa involve no p: each formula computes them from the
+RootProfile of z^{q+1} - z - 1 that the route reads phi and |psi| from
+(_c_kappa); p enters only sigma_upper.
 
 homology_rows and ktheory_rows build the report rows of the two routes;
 the CLI's bound and report commands both go through them.  A row prints
@@ -183,16 +182,15 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
     if least < 2:
         raise InvalidArgument(f"homology-route degrees start at 2, got {least}")
     _check_homology(q, p)
-    top = homology_params(q, deepest)
+    gen, top = _homology_gen(q), homology_params(q, deepest)
     phi, psi = top.phi, top.psi_abs
     with mp.workprec(top.precision_bits):
         constants = _c_kappa(q, top)
     running = _Running(_weight((phi, deepest), (phi, deepest / 2), (psi, deepest)), len(degrees), 1, (
         (phi, 1, 0), (phi, Fraction(1, 2), 0), (psi, 1, 0), (constants[0], 0, 1), (constants[1], 0, 1), (phi, 0, -1)))
-    rows, bucket = [], None
+    rows = []
     for n in degrees:
-        if -(-n // 64) != bucket:  # the precision depends on N only through ceil(N / 64)
-            bucket, bits = -(-n // 64), profile_bits(_homology_gen(q), n + 63)
+        bits = profile_bits(gen, n + 63)
         (big, half, tail, c, kappa, inverse), steps = running.powers(n)
         # phi^N/N - phi^(N-1)/(N-1) - c N phi^(N/2) - kappa |psi|^N
         middle, less = _mul(c, half), _div(_mul(big, inverse), n - 1)
@@ -337,8 +335,8 @@ def _min_j_over(a: Fraction, b: Fraction, n: int) -> int:
 def _last_start(alpha: int, beta: int, a: Fraction, b: Fraction, n: int, value_cap: int) -> int:
     """The largest i in [n, n + beta(beta+1)) whose S_i starts at or below value_cap,
     n - 1 if none: min(S_i) = i alpha + j0(i) beta grows strictly with i, as alpha >= 1
-    and a > 0, so a bisection finds it."""
-    lo, hi = n - 1, n + beta * (beta + 1) - 1
+    and a > 0, so a bisection finds it; min(S_i) >= i, so it searches no i past value_cap."""
+    lo, hi = n - 1, max(n - 1, min(n + beta * (beta + 1) - 1, value_cap))
     while lo < hi:
         mid = (lo + hi + 1) // 2
         lo, hi = (mid, hi) if mid * alpha + _min_j_over(a, b, mid) * beta <= value_cap else (lo, mid - 1)
@@ -399,7 +397,7 @@ def bezout_cover(alpha: int, beta: int, a, b, n_range, value_cap: int) -> Bezout
         if bad is not None:
             raise CoverageViolation(
                 f"multiple {bad} of g'={g_prime} not covered for n={n} "
-                f"(alpha={alpha}, beta={beta}, a={a}, b={b})"
+                f"(alpha={alpha}, beta={beta}, a={_fraction_str(a)}, b={_fraction_str(b)})"
             )
         # independent membership re-check: j >= 0 integer, j > a i + b
         bad = next((v for v, start, i, j, rest in least if rest), None)

@@ -29,8 +29,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-import os
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -232,24 +230,13 @@ def newton_sums(poly: MonicIntPoly, n_max: int) -> list[int]:
 
 
 def precision_for_exponent(n_max: int, phi_upper: float) -> int:
-    """Bits so that phi^n_max still carries >= 64 correct bits.
-
-    TORSION_BOUNDS_PRECISION, a whole number of at most MAX_PRECISION_BITS
-    bits, raises the floor; this is the one place in the package that reads it.
-    """
+    """Bits so that phi^n_max still carries >= 64 correct bits; profile_bits
+    buckets them into the precision of a root profile."""
     try:
         log_upper = math.log2(max(phi_upper, 1.0) + 1e-9)
     except OverflowError:  # an integer bound past the float range, where the 1e-9 is lost anyway
         log_upper = math.log2(phi_upper)
-    bits = math.ceil(max(n_max, 1) * log_upper) + 64
-    text = os.environ.get("TORSION_BOUNDS_PRECISION", "") or "0"
-    with contextlib.suppress(ValueError):
-        if 0 <= (floor := int(text)) <= MAX_PRECISION_BITS:
-            return max(bits, 64, floor)
-    shown = repr(text) if len(repr(text)) <= 40 else repr(text)[:37] + "..."
-    if re.fullmatch(r"\s*\+?\d+(_\d+)*\s*", text):  # also a whole number too long for int(), over 4300 digits
-        raise InvalidArgument(f"TORSION_BOUNDS_PRECISION must be at most {MAX_PRECISION_BITS} bits, got {shown}")
-    raise InvalidArgument(f"TORSION_BOUNDS_PRECISION must be a whole number of bits, got {shown}")
+    return math.ceil(max(n_max, 1) * log_upper) + 64
 
 
 @lru_cache(maxsize=None)

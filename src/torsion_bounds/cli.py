@@ -15,7 +15,10 @@ import click
 import mpmath
 
 from . import verify as verify_mod
-from .bounds import MAX_EPSILON, MAX_VALUE_CAP, _as_fraction, bezout_cover, homology_rows, ktheory_params, ktheory_rows
+from .bounds import (
+    _MAX_DECIMAL_EXPONENT, MAX_EPSILON, MAX_VALUE_CAP, _as_fraction, _fraction_str, bezout_cover, homology_rows, ktheory_params,
+    ktheory_rows,
+)
 from .charpoly import (
     MAX_BITS_TIMES_DEGREE, MAX_POLY_DEGREE, MAX_PRECISION_BITS, GeneratorSet, char_poly, profile_at, profile_for_exponent
 )
@@ -238,15 +241,20 @@ def bezout_cmd(alpha, beta, a_, b_, ns, cap, witnesses, fmt, out):
     cert = bezout_cover(alpha, beta, _as_fraction(a_, "--a"), _as_fraction(b_, "--b"), list(ns), cap)
     rows = []
     for entry in cert.entries:
+        # printed as ints, which str() refuses past 4300 digits; either one that long leaves no value to check
+        if max(entry.min_value, entry.i_window[1] - 1) >= 10**_MAX_DECIMAL_EXPONENT:
+            raise InvalidArgument(
+                f"min(S_n) or the window's last index has more than {_MAX_DECIMAL_EXPONENT} digits; no value up to --cap is checked"
+            )
         rows.append(
             {
                 "n": entry.n,
                 "alpha": alpha,
                 "beta": beta,
-                "a": str(cert.a),
-                "b": str(cert.b),
+                "a": _fraction_str(cert.a),
+                "b": _fraction_str(cert.b),
                 "g_prime": cert.g_prime,
-                "B": str(cert.bound_b),
+                "B": _fraction_str(cert.bound_b),
                 "min_Sn": entry.min_value,
                 "first_checked": "" if entry.first_checked is None else entry.first_checked,
                 "checked": entry.checked,

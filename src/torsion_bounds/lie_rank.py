@@ -1,7 +1,7 @@
 """Exact ranks of free graded Lie algebras.
 
 Two independent routes are implemented: the divisor-sum Moebius formula
-driven by exact Newton power sums (babenko_rank), and a graded
+driven by exact Newton power sums (babenko_ranks), and a graded
 Poincare-Birkhoff-Witt power-series solve against the Hilbert series of
 the tensor algebra (pbw_ranks).  Their entrywise agreement is the central
 correctness gate of the whole package.
@@ -15,7 +15,7 @@ from .charpoly import GeneratorSet, char_poly, newton_sums
 from .combinat import divisors, mobius
 from .errors import InternalError, InvalidArgument, OracleInconsistency
 
-__all__ = ["babenko_rank", "babenko_ranks", "pbw_ranks", "tensor_dims"]
+__all__ = ["babenko_ranks", "pbw_ranks", "tensor_dims"]
 
 
 def tensor_dims(gen: GeneratorSet, n_max: int) -> list[int]:
@@ -46,13 +46,6 @@ def babenko_ranks(gen: GeneratorSet, n_max: int) -> list[int]:
             raise InternalError(f"negative rank {q} at N={n} ({gen.spec_string()})")
         ranks.append(q)
     return ranks
-
-
-def babenko_rank(gen: GeneratorSet, n: int) -> int:
-    """rank(L_n); zero whenever gcd of the degrees does not divide n."""
-    if n < 1:
-        raise InvalidArgument(f"babenko_rank requires N >= 1, got {n}")
-    return babenko_ranks(gen, n)[n - 1]
 
 
 def pbw_ranks(gen: GeneratorSet, n_max: int) -> list[int]:

@@ -125,11 +125,6 @@ def test_precision_scaling():
     assert precision_for_exponent(1, 1.0) == 64 + 1
 
 
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("TORSION_BOUNDS_PRECISION", "500")
-    assert precision_for_exponent(1, 1.0) == 500
-
-
 def test_phi_window_small():
     assert check_phi_window(30) == []
 

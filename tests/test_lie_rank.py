@@ -6,7 +6,6 @@ from torsion_bounds import (
     GeneratorSet,
     InvalidArgument,
     OracleInconsistency,
-    babenko_rank,
     babenko_ranks,
     pbw_ranks,
     tensor_dims,
@@ -24,17 +23,16 @@ def test_tensor_dims_examples():
 
 def test_babenko_known_values():
     one_odd = GeneratorSet.of((1, 1))
-    assert [babenko_rank(one_odd, n) for n in (1, 2, 3)] == [1, 1, 0]
+    assert babenko_ranks(one_odd, 3) == [1, 1, 0]
     one_even = GeneratorSet.of((2, 1))
-    assert babenko_rank(one_even, 2) == 1
-    assert babenko_rank(one_even, 4) == 0
-    assert babenko_rank(GeneratorSet.of((2, 1), (3, 1)), 5) == 1
-    assert babenko_rank(GeneratorSet.of((1, 2)), 3) == 2
+    assert babenko_ranks(one_even, 4)[1::2] == [1, 0]
+    assert babenko_ranks(GeneratorSet.of((2, 1), (3, 1)), 5)[4] == 1
+    assert babenko_ranks(GeneratorSet.of((1, 2)), 3)[2] == 2
 
 
 def test_babenko_rejects_zero():
     with pytest.raises(InvalidArgument):
-        babenko_rank(GeneratorSet.of((1, 1)), 0)
+        babenko_ranks(GeneratorSet.of((1, 1)), 0)
 
 
 def test_pbw_examples():

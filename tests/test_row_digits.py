@@ -37,11 +37,18 @@ from torsion_bounds.render import _ratio, common_text, decimal_str
 from torsion_bounds.spaces import catalog, space_by_name
 
 EPSILONS = ("1/2", "1/3", "7", "64")
-# (environment floor, K-theory degrees, homology degrees): at 8192 bits every row
-# runs at that precision, so the references cost more and fewer degrees are drawn
-PRECISIONS = {
-    "auto": (None, range(2, 3001, 6), range(2, 1501, 3)),
-    "8192": ("8192", range(2, 1201, 46), range(2, 1201, 23)),
+# (p, degrees, least row precision) of a Grassmannian n = 3, k = 1 table, and (q, degrees,
+# least row precision) of a homology table.  Every deep row runs at 1024 bits or more, where
+# the larger p and q still leave vacuous rows.
+KTHEORY_TABLES = {
+    "auto": (3, range(2, 3001, 6), 256),
+    "deep": (7, range(1000, 3001, 10), 1024),
+}
+HOMOLOGY_TABLES = {
+    "2-auto": (2, range(2, 1501, 3), 192),
+    "4-auto": (4, range(2, 1501, 3), 192),
+    "7-deep": (7, range(900, 2001, 7), 1024),
+    "8-deep": (8, range(1000, 2001, 7), 1024),
 }
 KTHEORY_SPACES = {
     "grassmannian": {"n": 3, "k": 1, "p": 3},
@@ -64,13 +71,6 @@ def _printed_row(row):
     """The row as printed; its vacuous flag follows the text's sign."""
     assert row.vacuous == (Decimal(row.text) <= 0), row
     return row.text, row.vacuous, row.precision_bits
-
-
-def _set_precision(monkeypatch, floor):
-    if floor is None:
-        monkeypatch.delenv("TORSION_BOUNDS_PRECISION", raising=False)
-    else:
-        monkeypatch.setenv("TORSION_BOUNDS_PRECISION", floor)
 
 
 def _dyadic(man: int, exp: int) -> mpf:
@@ -129,33 +129,32 @@ def _assert_homology_rows_print_references(q, degrees, rows):
         ), n
 
 
-@pytest.mark.parametrize("precision", PRECISIONS, ids=list(PRECISIONS))
+@pytest.mark.parametrize("table", KTHEORY_TABLES)
 @pytest.mark.parametrize("eps", EPSILONS)
-def test_ktheory_rows_print_the_reference_digits(monkeypatch, eps, precision):
-    floor, degrees, _ = PRECISIONS[precision]
-    _set_precision(monkeypatch, floor)
-    params = _ktheory()
+def test_ktheory_rows_print_the_reference_digits(monkeypatch, eps, table):
+    p, degrees, least_bits = KTHEORY_TABLES[table]
+    params = _ktheory(values={"n": 3, "k": 1, "p": p})
     calls = []
     monkeypatch.setattr(bounds, "weak_lower", lambda *args: calls.append(args) or weak_lower(*args))
 
     rows = ktheory_rows(params, degrees, eps)
 
     _assert_ktheory_rows_print_references(params, degrees, eps, rows)
+    assert min(row.precision_bits for row in rows) >= least_bits
     assert any(row.vacuous for row in rows) and not all(row.vacuous for row in rows)
     assert len(calls) <= 2  # the integer pass decides nearly every weak row
 
 
-@pytest.mark.parametrize("precision", PRECISIONS, ids=list(PRECISIONS))
-@pytest.mark.parametrize("q", [2, 4])
-def test_homology_rows_print_the_reference_digits(monkeypatch, q, precision):
-    floor, _, degrees = PRECISIONS[precision]
-    _set_precision(monkeypatch, floor)
+@pytest.mark.parametrize("table", HOMOLOGY_TABLES)
+def test_homology_rows_print_the_reference_digits(monkeypatch, table):
+    q, degrees, least_bits = HOMOLOGY_TABLES[table]
     calls = []
     monkeypatch.setattr(bounds, "f_q", lambda *args: calls.append(args) or f_q(*args))
 
     rows = homology_rows(q, 3, degrees)
 
     _assert_homology_rows_print_references(q, degrees, rows)
+    assert min(row.precision_bits for row in rows) >= least_bits
     assert any(row.vacuous for row in rows) and not all(row.vacuous for row in rows)
     assert len(calls) <= len(degrees) // 50  # every row goes through the integer pass, few fall back
 
