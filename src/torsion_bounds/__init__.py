@@ -20,7 +20,6 @@ from .charpoly import (
     RootProfile,
     char_poly,
     newton_sums,
-    precision_for_exponent,
     profile_for_exponent,
     root_profile,
 )

@@ -2,7 +2,9 @@
 
 All real arithmetic of the public functions runs under an explicit mpmath
 working precision P that auto-scales with the largest exponent in play
-(charpoly.profile_bits, which reads no environment variable), so identical
+(charpoly.profile_bits, which reads no environment variable; a table takes
+its rows' P from charpoly.profile_bits_of, the same rule with the generator
+set's part computed once), so identical
 inputs give bit-identical outputs.  Rational constants (a, b, B, theta_safe,
 thresholds) are kept as exact Fractions in the parameter objects and only
 converted to floating point inside a formula; every profile comes from the
@@ -45,10 +47,13 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .charpoly import GeneratorSet, RootProfile, certified_phi, char_poly, profile_at, profile_bits, profile_for_exponent
+from .charpoly import (
+    GeneratorSet, RootProfile, certified_phi, char_poly, profile_at, profile_bits, profile_bits_of, profile_for_exponent,
+)
 from .combinat import is_odd_prime
 from .errors import CoverageViolation, InternalError, InvalidArgument
 from .render import common_text, decimal_str
@@ -188,13 +193,13 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
         constants = _c_kappa(q, top)
     running = _Running(_weight((phi, deepest), (phi, deepest / 2), (psi, deepest)), len(degrees), 1, (
         (phi, 1, 0), (phi, Fraction(1, 2), 0), (psi, 1, 0), (constants[0], 0, 1), (constants[1], 0, 1), (phi, 0, -1)))
-    rows = []
+    bits_of, rows = profile_bits_of(gen), []
     for n in degrees:
-        bits = profile_bits(gen, n + 63)
+        bits = bits_of(n + 63)
         (big, half, tail, c, kappa, inverse), steps = running.powers(n)
         # phi^N/N - phi^(N-1)/(N-1) - c N phi^(N/2) - kappa |psi|^N
-        middle, less = _mul(c, half), _div(_mul(big, inverse), n - 1)
-        terms = (_div(big, n), _neg(less), (-n * middle[0], middle[1]), _neg(_mul(kappa, tail)))
+        middle, less, last = _mul(c, half), _div(_mul(big, inverse), n - 1), _mul(kappa, tail)
+        terms = (_div(big, n), (-less[0], less[1]), (-n * middle[0], middle[1]), (-last[0], last[1]))
         text = running.decide(terms, steps, bits) or decimal_str(f_q(q, n))
         rows.append(BoundReport(n, text, "homology_boundary", bits, note(n) if note else ""))
     return rows
@@ -494,10 +499,10 @@ def ktheory_params(p: int, gen: GeneratorSet, conn: int, dim: int) -> KTheoryPar
     return _ktheory_params(p, gen, conn, dim)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One table row (homology_rows, ktheory_rows): a guaranteed lower bound at one
-    degree as printed, text being its 24 significant digits, with provenance."""
+    degree as printed, text being its 24 significant digits, with provenance.  A
+    tuple, so a table's thousands of rows cost one allocation each."""
 
     degree: int
     text: str
@@ -591,25 +596,24 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
     strong = _Running(weight, len(degrees), 1,
                       ((phi, g, 0), (phi, Fraction(g, 2), Fraction(tail_e * g, 2)), (psi, g, tail_e * g)))
     weak = _Running(weight, len(degrees), params.g_prime, ((phi, params.ratio, 0),))
+    bits_of, q_max = profile_bits_of(params.gen), params.gen.q_max
     strong_texts, rows = {}, []  # M enters the strong bound only through n(M) and the precision
     for m in degrees:
         _check_degree(params, m)
-        bits, n = profile_bits(params.gen, _exponent_budget(params, m)), params.n_of(m)
+        bits, n = bits_of(_exponent_budget(params, m)), params.n_of(m)
         if n is not None and (n, bits) not in strong_texts:
-            powers, steps = strong.powers(n)
+            (big, half, tail), steps = strong.powers(n)
             # phi^(ng)/E - g phi^(Eg/2) - 3 q_l - 2 q_l |psi|^(Eg), E = n + 8(p-1)^2
-            terms = [_div(powers[0], n + tail_e), (-g * powers[1][0], powers[1][1])]
+            terms = (_div(big, n + tail_e), (-g * half[0], half[1]))
             if psi is not None:
-                terms += [(-3 * params.gen.q_max, 0), (-2 * params.gen.q_max * powers[2][0], powers[2][1])]
+                terms += ((-3 * q_max, 0), (-2 * q_max * tail[0], tail[1]))
             strong_texts[n, bits] = strong.decide(terms, steps, bits) or decimal_str(ktheory_lower(params, m))
         (power,), steps = weak.powers(m)
-        weak_text = weak.decide([weak.divide_power(power, m, eps)], steps, bits) or decimal_str(weak_lower(params, m, eps))
-        rows += [
-            # below the threshold (n None) the bound is 0
-            BoundReport(m, strong_texts.get((n, bits), "0"), "ktheory_guaranteed", bits,
-                        "below-threshold" if n is None else f"n(M)={n}"),
-            BoundReport(m, weak_text, "ktheory_weak", bits, note),
-        ]
+        weak_text = weak.decide((weak.divide_power(power, m, eps),), steps, bits) or decimal_str(weak_lower(params, m, eps))
+        # below the threshold (n None) the bound is 0
+        rows.append(BoundReport(m, strong_texts.get((n, bits), "0"), "ktheory_guaranteed", bits,
+                                "below-threshold" if n is None else f"n(M)={n}"))
+        rows.append(BoundReport(m, weak_text, "ktheory_weak", bits, note))
     return rows
 
 
@@ -669,12 +673,12 @@ def _div(a: tuple[int, int], n: int) -> tuple[int, int]:
     return (a[0] << shift) // n, a[1] - shift
 
 
-def _neg(a: tuple[int, int]) -> tuple[int, int]:
-    return -a[0], a[1]
-
-
 class _Running:
     """One integer pass over a table's rows, from the table's deepest profile.
+
+    A decided row costs its running products, its terms and one Decimal
+    division (render.common_text); its precision is one call of the table's
+    charpoly.profile_bits_of rule, and its row a BoundReport tuple.
 
     powers() gives x^(a N + b) for each base (x, a, b) of the table, x None
     giving None, stepping from the previous row by one floor-rounded multiply
@@ -714,6 +718,7 @@ class _Running:
     def __init__(self, weight: int, rows: int, step: int, bases):
         self.bits = _ROW_BITS + weight.bit_length() + rows.bit_length()
         self.weight, self.step, self.at = weight, step, None
+        self.scales = 2 * weight + 32, weight + 2  # the factors of e's two parts that the table fixes
         with mp.workprec(self.bits):
             self.bases = [(x, Fraction(a), Fraction(b)) for x, a, b in bases]
             self.factors = [None if x is None or not a else _mantissa(x ** _mpf_of(a * step), self.bits) for x, a, _ in self.bases]
@@ -748,14 +753,18 @@ class _Running:
     def enclose(self, terms, steps: int, bits: int) -> tuple[int, int, int]:
         """(V, E, k): v = V 2^k is the sum of the signed terms (m, k'), each worth
         m 2^k', and e = E 2^k bounds |v - r|."""
-        base = max(k + m.bit_length() for m, k in terms) - self.bits - 16
-        value = size = 0
+        top = None
+        for m, k in terms:
+            if top is None or k + m.bit_length() > top:
+                top = k + m.bit_length()
+        base, value, size = top - self.bits - 16, 0, len(terms)
         for m, k in terms:
             t = m << (k - base) if k >= base else m >> (base - k)
             value += t
-            size += abs(t) + 1
-        err = (size * (2 * self.weight + 32 + 4 * steps) << _ROW_SAFETY_BITS) >> (min(self.bits, bits) - 1)
-        inputs = -(-size * (self.weight + 2) >> (min(bits, 149) - 3))  # the table's inputs against the row's
+            size += abs(t)
+        scale, input_scale = self.scales
+        err = (size * (scale + 4 * steps) << _ROW_SAFETY_BITS) >> ((self.bits if self.bits < bits else bits) - 1)
+        inputs = -(-size * input_scale >> ((bits if bits < 149 else 149) - 3))  # the table's inputs against the row's
         return value, err + inputs + len(terms) + 1, base
 
     def decide(self, terms, steps: int, bits: int) -> str | None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -47,9 +48,9 @@ __all__ = [
     "certified_phi",
     "char_poly",
     "newton_sums",
-    "precision_for_exponent",
     "profile_at",
     "profile_bits",
+    "profile_bits_of",
     "profile_for_exponent",
     "root_profile",
 ]
@@ -227,16 +228,6 @@ def newton_sums(poly: MonicIntPoly, n_max: int) -> list[int]:
             acc += a[k - i] * sums[n - i - 1]
         sums.append(-acc)
     return sums
-
-
-def precision_for_exponent(n_max: int, phi_upper: float) -> int:
-    """Bits so that phi^n_max still carries >= 64 correct bits; profile_bits
-    buckets them into the precision of a root profile."""
-    try:
-        log_upper = math.log2(max(phi_upper, 1.0) + 1e-9)
-    except OverflowError:  # an integer bound past the float range, where the 1e-9 is lost anyway
-        log_upper = math.log2(phi_upper)
-    return math.ceil(max(n_max, 1) * log_upper) + 64
 
 
 @lru_cache(maxsize=None)
@@ -629,9 +620,22 @@ def profile_at(gen: GeneratorSet, bits: int) -> RootProfile:
 
 def profile_bits(gen: GeneratorSet, n_max: int) -> int:
     """Precision for phi^n_max over char_poly(gen), bucketed to 64-bit steps
-    so sweeps share cached profiles.  The coefficients of char_poly(gen) are
-    the -m_i, each at its own power, so its coefficient bound is 1 + max m_i."""
-    return 64 * math.ceil(precision_for_exponent(n_max, 1 + max(m for _, m in gen.degrees)) / 64)
+    so sweeps share cached profiles: profile_bits_of(gen)(n_max)."""
+    return profile_bits_of(gen)(n_max)
+
+
+def profile_bits_of(gen: GeneratorSet) -> Callable[[int], int]:
+    """n_max -> profile_bits(gen, n_max), with the part that depends on gen alone
+    computed once, for the rows of a table.  phi^n_max must keep >= 64 correct
+    bits, so the rule is n_max log2(bound) + 64 bits, rounded up to a multiple
+    of 64.  The coefficients of char_poly(gen) are the -m_i, each at its own
+    power, so its coefficient bound is 1 + max m_i."""
+    bound = 1 + max(m for _, m in gen.degrees)
+    try:
+        log_bound = math.log2(bound + 1e-9)
+    except OverflowError:  # an integer bound past the float range, where the 1e-9 is lost anyway
+        log_bound = math.log2(bound)
+    return lambda n_max: 64 * math.ceil((math.ceil(max(n_max, 1) * log_bound) + 64) / 64)
 
 
 def profile_for_exponent(gen: GeneratorSet, n_max: int) -> RootProfile:

@@ -9,6 +9,7 @@ exit codes: 0 success, 1 invalid input (click's usage errors included),
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import click
@@ -34,11 +35,9 @@ from .errors import (
     TorsionBoundsError,
 )
 from .lie_rank import babenko_ranks
-from .render import decimal_str, report_rows, to_csv, to_json
+from .render import REPORT_FIELDS, decimal_str, report_rows, to_csv, to_json
 from .spaces import report as space_report
 from .spaces import space_by_name
-
-REPORT_FIELDS = ["degree", "bound", "exact_rank", "theorem", "vacuous", "precision_bits"]
 
 # Largest lie-rank --upto; 2:1,3:1 and 1:1,2:1 run there in 0.9 and 1.2 s. Since rank(L_N) < H^N,
 # H the coefficient bound, lie-rank prints at most U(U+1)/2 log10 H digits up to U, U log10 H in
@@ -51,10 +50,15 @@ MAX_LIE_RANK_DIGITS, MAX_LIE_RANK_ROW_DIGITS = 16_000_000, 20_000
 # about 10 MiB at degree 21, is what grows fastest.
 MAX_DGL_DEGREE = 20
 # Most values a bezout --witnesses listing holds, over all --n. At cap 10^6 (one n) a listing
-# took 3.0-3.5 s and 300-308 MB peak RSS, and 3 * 10^6 values 10.8 s and 927 MB (2-core Xeon).
+# takes about 1.6 s and 253 MB peak RSS (2-core host; 3.0-3.5 s and 300-308 MB on a 2-core Xeon
+# with json's indented encoder, where 3 * 10^6 values took 10.8 s and 927 MB).
 MAX_WITNESS_VALUES = 10**6
 
 _DEGREES_HELP = f"generator degrees, e.g. 2:1,3:1, each at most {MAX_POLY_DEGREE}"
+
+# click echoes an option's value whole in its usage errors: each run of more than _ECHOED_CHARS
+# non-blank characters is cut to its first _ECHOED_CHARS - 3 and "...", and the line to 199 bytes
+_ECHOED_CHARS, _MAX_LINE_BYTES = 40, 199
 
 _EXIT_INVALID = 1
 _EXIT_VERIFICATION = 2
@@ -70,11 +74,20 @@ def _exit_on_failure(fn, *args, **kwargs):
     except (CoverageViolation, DimensionMismatch, InternalError, OracleInconsistency, RootStructureViolation) as exc:
         message, code = f"verification failure: {exc}", _EXIT_VERIFICATION
     except click.UsageError as exc:  # click's own: a missing or unknown option, a value of the wrong type
-        message, code = f"error: {' '.join(exc.format_message().splitlines())}", _EXIT_INVALID
+        message, code = _shortened(f"error: {' '.join(exc.format_message().splitlines())}"), _EXIT_INVALID
     except TorsionBoundsError as exc:
         message, code = f"error: {exc}", _EXIT_INVALID
     click.echo(message, err=True)
     sys.exit(code)
+
+
+def _shortened(line: str) -> str:
+    """line with every long echoed value cut, and cut to _MAX_LINE_BYTES of UTF-8 with the newline."""
+    line = re.sub(rf"\S{{{_ECHOED_CHARS + 1},}}", lambda run: run[0][: _ECHOED_CHARS - 3] + "...", line)
+    encoded = line.encode("utf-8", "backslashreplace")
+    if len(encoded) < _MAX_LINE_BYTES:
+        return line
+    return encoded[: _MAX_LINE_BYTES - 4].decode("utf-8", "ignore") + "..."
 
 
 def _emit(text: str, out: str | None):
@@ -137,7 +150,7 @@ def lie_rank_cmd(degrees, upto, oracle_check, fmt, out):
             raise OracleInconsistency("series oracle disagrees with the rank formula")
     ranks = [decimal_str(r) for r in ranks]
     if fmt == "csv":
-        _emit(to_csv([{"N": n, "rank": r} for n, r in enumerate(ranks, start=1)], ["N", "rank"]), out)
+        _emit(to_csv(enumerate(ranks, start=1), ["N", "rank"]), out)
     else:
         _emit(to_json([{"degree": n, "rank": r} for n, r in enumerate(ranks, start=1)]), out)
 
@@ -165,7 +178,7 @@ def roots_cmd(degrees, precision_bits, fmt, out):
         "precision_bits": profile.precision_bits,
     }
     if fmt == "csv":
-        _emit(to_csv([summary], list(summary)), out)
+        _emit(to_csv([list(summary.values())], list(summary)), out)
     else:
         with mpmath.mp.workprec(64):
             summary["roots"] = [
@@ -223,7 +236,10 @@ def _degree_range(from_, upto, first, step=1) -> range:
 
 def _emit_reports(reports, fmt, out):
     rows = report_rows(reports)
-    _emit(to_csv(rows, REPORT_FIELDS) if fmt == "csv" else to_json(list(rows)), out)
+    if fmt == "csv":
+        _emit(to_csv(rows, REPORT_FIELDS), out)
+    else:
+        _emit(to_json([dict(zip((*REPORT_FIELDS, "note") if row[-1] else REPORT_FIELDS, row)) for row in rows]), out)
 
 
 @main.command("bezout")
@@ -262,7 +278,7 @@ def bezout_cmd(alpha, beta, a_, b_, ns, cap, witnesses, fmt, out):
             }
         )
     if fmt == "csv":
-        _emit(to_csv(rows, list(rows[0])), out)
+        _emit(to_csv([list(row.values()) for row in rows], list(rows[0])), out)
     else:
         payload = {"certificate": rows}
         if witnesses:
@@ -300,7 +316,7 @@ def dgl_cmd(q, p, upto, fmt, out):
         for n in range(1, upto + 1)
     ]
     if fmt == "csv":
-        _emit(to_csv(rows, ["degree", "dim", "cycles", "boundaries", "homology"]), out)
+        _emit(to_csv([list(row.values()) for row in rows], list(rows[0])), out)
     else:
         _emit(to_json(rows), out)
 

@@ -169,6 +169,25 @@ def test_usage_errors_exit_1_with_one_error_line(argv):
     _assert_one_error_line(argv, result)
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--homology", "--q", "2", "--p", "3", "--upto", "x" * 3000],
+    ["bezout", "--alpha", "9" * 5000, "--beta", "4", "--a", "1/2", "--n", "1", "--cap", "10"],
+    ["bound", "--homology", "--q", "2", "--p", "3", "--upto", "1 " * 3000],
+    ["bound", "--homology", "--q", "2", "--p", "3", "--upto", "\u20ac" * 3000],
+    ["bound", "--" + "x" * 3000],
+], ids=["long-int", "digits-past-int", "long-with-blanks", "long-non-ascii", "long-option"])
+def test_usage_errors_cut_long_values_below_200_bytes(argv):
+    result = _invoke(argv)
+    assert result.exit_code == 1 and result.stdout == ""
+    _assert_one_error_line(argv, result)
+    assert len(result.stderr.encode()) < 200 and "..." in result.stderr, result.stderr
+
+
+def test_usage_errors_keep_short_values_whole():
+    result = _invoke(["bound", "--homology", "--q", "2", "--p", "3", "--upto", "abc"])
+    assert result.stderr == "error: Invalid value for '--upto': 'abc' is not a valid integer.\n"
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["roots", "--help"], ["report", "--help"]])
 def test_help_still_exits_0(argv):
     result = CliRunner().invoke(main, argv, catch_exceptions=False)

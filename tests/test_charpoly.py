@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from torsion_bounds import (
     RootStructureViolation,
     char_poly,
     newton_sums,
-    precision_for_exponent,
     root_profile,
 )
 from torsion_bounds import charpoly, verify
@@ -121,8 +121,11 @@ def test_root_profile_rejects_low_precision_and_bad_family():
 
 
 def test_precision_scaling():
-    assert precision_for_exponent(200, 1.5) >= 200 * 0.58 + 64
-    assert precision_for_exponent(1, 1.0) == 64 + 1
+    gen = GeneratorSet.of((2, 1), (3, 2))  # coefficient bound 1 + 2
+    bits = charpoly.profile_bits_of(gen)
+    for n in (1, 200, 1000):
+        assert bits(n) % 64 == 0 and n * math.log2(3) + 64 <= bits(n) < n * math.log2(3) + 2 * 64 + 1
+        assert bits(n) == charpoly.profile_bits(gen, n)
 
 
 def test_phi_window_small():

@@ -144,7 +144,7 @@ def test_closed_form_specializations_catch_scaled_weak_rows(monkeypatch):
     def scaled(*args):
         with mp.workprec(128):
             return [
-                dataclasses.replace(row, text=decimal_str(mpf(row.text) * (1 + mpf("1e-8"))))
+                row._replace(text=decimal_str(mpf(row.text) * (1 + mpf("1e-8"))))
                 if row.theorem == "ktheory_weak" else row
                 for row in ktheory_rows(*args)
             ]
