@@ -2,42 +2,32 @@
 
 All real arithmetic of the public functions runs under an explicit mpmath
 working precision P that auto-scales with the largest exponent in play
-(charpoly.profile_bits, which reads no environment variable; a table takes
-its rows' P from charpoly.profile_bits_of, the same rule with the generator
-set's part computed once), so identical
-inputs give bit-identical outputs.  Rational constants (a, b, B, theta_safe,
-thresholds) are kept as exact Fractions in the parameter objects and only
-converted to floating point inside a formula; every profile comes from the
-one cache of charpoly (profile_at, profile_for_exponent).  The homology
-route's c and kappa involve no p: each formula computes them from the
-RootProfile of z^{q+1} - z - 1 that the route reads phi and |psi| from
-(_c_kappa); p enters only sigma_upper.
+(charpoly.profile_bits; a table takes its rows' P from
+charpoly.profile_bits_of, the same rule with the generator set's part
+computed once), so identical inputs give bit-identical outputs.  Rational
+constants (a, b, B, theta_safe, thresholds) are kept as exact Fractions in
+the parameter objects and only converted to floating point inside a formula;
+every profile comes from the one cache of charpoly (profile_at,
+profile_for_exponent).  The homology route's c and kappa involve no p: each
+formula computes them from the RootProfile of z^{q+1} - z - 1 that the route
+reads phi and |psi| from (_c_kappa); p enters only sigma_upper.
 
-homology_rows and ktheory_rows build the report rows of the two routes;
-the CLI's bound and report commands both go through them.  A row prints
-its bound to 24 significant digits, and its precision_bits column is P,
-the precision whose 24 digits are printed.  Each table's rows are first
-evaluated in one integer pass (_Running) from the table's deepest root
-profile, on mantissas of F = 112 + bitlen(W) + bitlen(rows) bits, W
-bounding the exponents of the deepest row times the logarithms of their
-bases: consecutive rows differ by one factor of phi, sqrt(phi) or |psi| to
-a power, so each power is a running product, restarted only where the
-degrees skip.  A rigorous bound e on the distance of the row's value v to
-the P-bit value from the row's own profile decides the row (Ziv's rounding
-test): render.common_text rounds the integer enclosure [v - e, v + e] to a
-decimal string once and returns it when every real of the enclosure prints
-it, so without 0 or the printed decimal inside.  The pass then returns that
-string, whose digits and sign are those of the P-bit value; otherwise the
-row builds its own profile, takes the P-bit value from f_q, ktheory_lower or
-weak_lower and formats it once.  A row is that string (BoundReport.text), and
-is vacuous when it is 0 or negative: negative bound values are reported
-as-is, valid but vacuous.
+homology_rows and ktheory_rows build the report rows of the two routes, for
+the CLI's bound and report commands.  A row prints its bound to 24
+significant digits, and its precision_bits column is P, the precision whose
+digits those are.  One integer pass over the table (_Running), from the
+table's deepest root profile, encloses each row's P-bit value and decides the
+row when every real of the enclosure prints one decimal string (Ziv's
+rounding test, render.common_text); otherwise the row builds its own profile
+and formats the P-bit value of f_q, ktheory_lower or weak_lower once.  A row
+is that string (BoundReport.text), and is vacuous when it is 0 or negative:
+negative bound values are reported as-is, valid but vacuous.
 
 The ktheory_lower value is computed once per (p, g, q_l, n(M), bits), and
 within a table the strong row's text likewise: M enters it only through n(M)
-and the row's precision, and a profile is fixed by its precision.  So every
-result stays bit-identical.  The weak row's M^(1+eps), eps = a/b, is an
-integer b-th root of M^(a+b).
+and the row's precision, and a profile is fixed by its precision, so every
+result stays bit-identical.  Every power of the pass is one integer routine,
+_power: phi^(N/2), phi^(ratio M) and the weak row's M^(1+eps) among them.
 """
 
 from __future__ import annotations
@@ -198,8 +188,8 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
         bits = bits_of(n + 63)
         (big, half, tail, c, kappa, inverse), steps = running.powers(n)
         # phi^N/N - phi^(N-1)/(N-1) - c N phi^(N/2) - kappa |psi|^N
-        middle, less, last = _mul(c, half), _div(_mul(big, inverse), n - 1), _mul(kappa, tail)
-        terms = (_div(big, n), (-less[0], less[1]), (-n * middle[0], middle[1]), (-last[0], last[1]))
+        middle, less, last = _mul(c, half), _div(_mul(big, inverse), (n - 1, 0)), _mul(kappa, tail)
+        terms = (_div(big, (n, 0)), (-less[0], less[1]), (-n * middle[0], middle[1]), (-last[0], last[1]))
         text = running.decide(terms, steps, bits) or decimal_str(f_q(q, n))
         rows.append(BoundReport(n, text, "homology_boundary", bits, note(n) if note else ""))
     return rows
@@ -311,7 +301,7 @@ class BezoutCoverage:
     entries: tuple[CoverageEntry, ...]
 
     def witness_map(self, n: int) -> dict[int, int]:
-        """value -> covering index i, for every certified multiple of g'."""
+        """value -> covering index i, for every certified multiple of g', in ascending order."""
         for entry in self.entries:
             if entry.n == n:
                 if entry.first_checked is None:
@@ -596,6 +586,7 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
     strong = _Running(weight, len(degrees), 1,
                       ((phi, g, 0), (phi, Fraction(g, 2), Fraction(tail_e * g, 2)), (psi, g, tail_e * g)))
     weak = _Running(weight, len(degrees), params.g_prime, ((phi, params.ratio, 0),))
+    one_plus = _exponent(1 + eps, weak.bits)  # once per table: eps may have thousands of digits
     bits_of, q_max = profile_bits_of(params.gen), params.gen.q_max
     strong_texts, rows = {}, []  # M enters the strong bound only through n(M) and the precision
     for m in degrees:
@@ -604,12 +595,13 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
         if n is not None and (n, bits) not in strong_texts:
             (big, half, tail), steps = strong.powers(n)
             # phi^(ng)/E - g phi^(Eg/2) - 3 q_l - 2 q_l |psi|^(Eg), E = n + 8(p-1)^2
-            terms = (_div(big, n + tail_e), (-g * half[0], half[1]))
+            terms = (_div(big, (n + tail_e, 0)), (-g * half[0], half[1]))
             if psi is not None:
                 terms += ((-3 * q_max, 0), (-2 * q_max * tail[0], tail[1]))
             strong_texts[n, bits] = strong.decide(terms, steps, bits) or decimal_str(ktheory_lower(params, m))
         (power,), steps = weak.powers(m)
-        weak_text = weak.decide((weak.divide_power(power, m, eps),), steps, bits) or decimal_str(weak_lower(params, m, eps))
+        weak_term = _div(power, _power((m, 0), one_plus, weak.bits))  # phi^(ratio M) / M^(1+eps)
+        weak_text = weak.decide((weak_term,), steps, bits) or decimal_str(weak_lower(params, m, eps))
         # below the threshold (n None) the bound is 0
         rows.append(BoundReport(m, strong_texts.get((n, bits), "0"), "ktheory_guaranteed", bits,
                                 "below-threshold" if n is None else f"n(M)={n}"))
@@ -631,33 +623,55 @@ def _weight(*powers) -> int:
     return sum(math.ceil(abs(y)) * (4 + abs(int(mp.mag(x)))) for x, y in powers if x is not None)
 
 
-def _mantissa(x: mpf, bits: int) -> tuple[int, int]:
-    """x > 0 rounded down to a mantissa of `bits` bits: (m, k) with m 2^k <= x < (m + 1) 2^k."""
-    _, man, exp, bc = x._mpf_
-    shift = int(bc) - bits
-    return (int(man) >> shift, exp + shift) if shift >= 0 else (int(man) << -shift, exp + shift)
+_SEED_BITS = 48  # _power's float seed is good to 2^-48; Newton gains bits from it only for a shorter root index
 
 
-# Largest b and a + b for which M^(1+eps), eps = a/b, is the integer b-th root of M^(a+b); past them the
-# root costs more than the F-bit mpmath power (13-30 us; 31 at b = 24, 32 at a + b = 1024; F = 140, 2-core Xeon).
-_MAX_ROOT_INDEX, _MAX_ROOT_POWER = 16, 512
+def _exponent(y: Fraction, bits: int) -> Fraction:
+    """y, or past the seed's reach y to bits + 1 significant bits on a dyadic grid: |y' - y| <= |y| 2^-(bits+1)."""
+    if y.denominator.bit_length() < _SEED_BITS:
+        return y
+    s = max(bits + 1 - y.numerator.bit_length() + y.denominator.bit_length(), 0)
+    return Fraction(round(y * (1 << s)), 1 << s)
 
 
-@lru_cache(maxsize=8)
-def _one_plus(num: int, den: int, bits: int) -> mpf:  # once per table: den may have thousands of digits
-    return mp.fadd(1, mp.fdiv(num, den, prec=bits), prec=bits)
+def _ipow(x: tuple[int, int], e: int, n: int) -> tuple[int, int]:
+    """x^e, e >= 1, by binary powering, each square (times x) rounded down to n bits when longer."""
+    (m, k), (p, q) = x, x
+    for bit in bin(e)[3:]:
+        p, q = (p * p * m, 2 * q + k) if bit == "1" else (p * p, 2 * q)
+        if (s := p.bit_length() - n) > 0:
+            p, q = p >> s, q + s
+    return p, q
 
 
-def _iroot(x: int, k: int) -> int:
-    """floor(x^(1/k)) for x >= 0, k >= 1: isqrt, or integer Newton from above a float seed
-    good to 2^-32 (Brent & Zimmermann, Modern Computer Arithmetic, 1.5.2)."""
-    if k == 2 or x < 2:
-        return math.isqrt(x)
-    t = max(x.bit_length() // k - 52, 0)  # the float carries the root's top 52 bits
-    y = int(2 ** (math.log2(x) / k - t) * (1 + 2**-32) + 1) << t
-    while (z := ((k - 1) * y + x // y ** (k - 1)) // k) < y:
-        y = z
-    return y
+def _power(x: tuple[int, int], y: Fraction, bits: int) -> tuple[int, int]:
+    """x^y for x = (m, k) worth m 2^k > 0 and y through _exponent, with a mantissa of more than `bits`
+    bits: |ln(x^y / result)| <= (|y| + 2) u, u = 2^(1-bits) (Brent & Zimmermann, MCA, 1.5 and 4.2).
+    m cut to n = bits + 1 bits and raised to y = a/b's |a| by _ipow takes < |y| u; b = 2^L then L floored
+    square roots, < u, any other b Newton steps z + z (x^|a| / z^b - 1) / b from the float seed, each
+    leaving (b - 1) t^2 / 2 + 0.9 u of z = root (1 + t), until that is < u/32; y < 0 a floored 1/x, < u/4."""
+    (m, k), y = x, _exponent(y, bits)
+    num, den, n = y.numerator, y.denominator, bits + 1
+    if (s := m.bit_length() - n) > 0:
+        m, k = m >> s, k + s
+    m, k = _ipow((m, k), abs(num), n) if num else (1, 0)
+    if den & (den - 1) == 0:
+        for _ in range(den.bit_length() - 1):
+            s = 2 * n - 1 - (b := m.bit_length()) + ((k + b + 1) & 1)  # k - s even, the root n bits
+            m, k = math.isqrt(m << s), (k - s) >> 1
+    else:
+        q, r = divmod(k + m.bit_length() - 1, den)  # x^|a| = f 2^(q b + r), f in [1, 2)
+        f = m >> max(m.bit_length() - 53, 0)
+        t = (math.log2(f / (1 << f.bit_length() - 1)) + r) / den  # the root is 2^(q + t), t in [0, 1)
+        z, good = int(math.ldexp(2**t, n)), _SEED_BITS
+        while good < bits + 4:
+            p, e = _ipow((z, q - n), den, n + 1)
+            z += (z * ((m << n + 2 + k - e) // p - (1 << n + 2)) >> n + 2) // den
+            good = 2 * good - den.bit_length() + 1
+        m, k = z, q - n
+    if num < 0:
+        m, k = (1 << n + m.bit_length()) // m, -k - n - m.bit_length()
+    return (m << n - m.bit_length(), k - n + m.bit_length()) if m.bit_length() < n else (m, k)
 
 
 def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -667,61 +681,60 @@ def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return m >> shift, a[1] + b[1] + shift
 
 
-def _div(a: tuple[int, int], n: int) -> tuple[int, int]:
-    """a / n rounded down, with a mantissa at least as long as a's."""
-    shift = n.bit_length()
-    return (a[0] << shift) // n, a[1] - shift
+def _div(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a / b rounded down, with a mantissa at least as long as a's."""
+    shift = b[0].bit_length()
+    return (a[0] << shift) // b[0], a[1] - b[1] - shift
 
 
 class _Running:
     """One integer pass over a table's rows, from the table's deepest profile.
 
-    A decided row costs its running products, its terms and one Decimal
-    division (render.common_text); its precision is one call of the table's
-    charpoly.profile_bits_of rule, and its row a BoundReport tuple.
-
+    The pass runs on mantissas of F = _ROW_BITS + bitlen(W) + bitlen(rows)
+    bits, W bounding the deepest row's exponents times the logs of their bases.
     powers() gives x^(a N + b) for each base (x, a, b) of the table, x None
-    giving None, stepping from the previous row by one floor-rounded multiply
-    by x^(a step), computed once per table, when N is the previous N + step,
-    and restarting from mpmath powers at F bits otherwise.  Every mantissa has at least F bits, so each rounding
-    moves its value by less than 2^(1-F) relatively.
+    giving None: consecutive rows differ by one factor of phi, sqrt(phi) or
+    |psi| to a power, so it steps from the previous row by one floor-rounded
+    multiply by x^(a step) when N is the previous N + step, and restarts from
+    x^(a N + b) otherwise.  Every power is one _power at F bits, with a
+    mantissa of more than F bits, so each rounding moves its value by less than
+    u = 2^(1-F) relatively.
 
     enclose() sums the row's signed terms into v and bounds |v - r| by e, r the
     value that the row's formula returns at the row's precision P from the
-    row's own profile, and decide() returns the text when
-    render.common_text finds one string that every real of [v - e, v + e]
-    prints: one rounding per row, from the integers, with no mpf for v or
-    e.  Each term is a product of constants and powers x^y.  Rounding the
-    exponents to F bits moves it by at most the sum of |y| |ln x| 2^(1-F) <=
-    W 2^(1-F) relatively, and its other roundings number at most 8 + 2 j: the
-    mpmath restart powers and constants, 2 per step over the j steps since the
-    restart, M^(1+eps)'s one floor (past the root's caps an mpmath power and its
-    floor), and the term's own products and quotients.  So v is within
-    S (W + 8 + 2 j) 2^(3-F) of the exact formula at the table's inputs, S the
-    sum of the terms' magnitudes, and r within S (2W + 32) 2^(8-P) of the exact
-    formula at the row's inputs, mpmath's powers, logs and exps being good to
-    one ulp.  Each input of the two profiles differs by a relative delta <=
-    2^-min(P, 149).  phi is the midpoint of a bisection cell rounded to 32 bits
-    beyond the profile's precision, and the cells are nested, the row's at most
-    2^-P wide (charpoly._certified_enclosure), so with phi >= 1 the two lie
-    within 2^-(P+1) + 2^-(P+31).  |psi| is a centre's modulus in a cloud whose
-    discs have radii <= 2^-(b-8) |z| at b >= 160 Aberth bits, so within 2^-151
-    |psi| of the true value.  c = 2(q+2)(1 + phi) and kappa = (q+1)(1 + 1/|psi|)
-    move by at most delta relatively, and a term holds at most one of them or
-    1/phi besides powers whose exponents sum to at most W.  So a term's log
-    moves by at most delta (W + 2) (1 + 2^-127) <= 2^-80, as W < 2^40 and
-    P >= 128 (profile_bits), and the formula by at most 2 delta (W + 2) S.
+    row's own profile, and decide() returns the text when render.common_text
+    finds one string that every real of [v - e, v + e] prints.  A term holds
+    one stepping power x^y, at most one constant (c, kappa or 1/phi, one
+    _power: 3 u), small integers and, in the weak row, M^(1+eps).  In units of u,
+    x^y = x^(y0) (x^(a step))^j, j steps after a restart at y0 (a, b >= 0), is
+    within |y| + 2 + 3 j: _power's |y0| + 2 and j (|a step| + 2), and j
+    multiplies; _exponent adds |y| |ln x| / 4.  M^(1+eps) takes |1 + eps| + 2,
+    its quotient 1, the term's own products and quotients at most 3.  As
+    |ln x| <= 3 + |mag x|, a term's |y| units sum to at most W.  So v is within
+    S (W + 8 + 3 j) 2^(1-F) of the exact formula at the table's inputs, S the sum of the terms'
+    magnitudes, and r within S (2W + 32) 2^(8-P) of the exact formula at the
+    row's inputs, mpmath's powers, logs and exps being good to one ulp.  Each
+    input of the two profiles differs by a relative delta <= 2^-min(P, 149).
+    phi is the midpoint of a bisection cell rounded to 32 bits beyond the
+    profile's precision, and the cells are nested, the row's at most 2^-P wide
+    (charpoly._certified_enclosure), so with phi >= 1 the two lie within
+    2^-(P+1) + 2^-(P+31).  |psi| is a centre's modulus in a cloud whose discs
+    have radii <= 2^-(b-8) |z| at b >= 160 Aberth bits, so within 2^-151 |psi|
+    of the true value.  c = 2(q+2)(1 + phi) and kappa = (q+1)(1 + 1/|psi|) move
+    by at most delta relatively, and a term holds at most one of them or 1/phi
+    besides powers whose exponents sum to at most W.  So a term's log moves by
+    at most delta (W + 2) (1 + 2^-127) <= 2^-80, as W < 2^40 and P >= 128
+    (profile_bits), and the formula by at most 2 delta (W + 2) S.
     e = S (2W + 32 + 4 j) 2^(9 - min(F, P)) + S (W + 2) 2^(3 - min(P, 149)),
     plus one unit of the sum per term for its alignment, covers all three.
     """
 
     def __init__(self, weight: int, rows: int, step: int, bases):
         self.bits = _ROW_BITS + weight.bit_length() + rows.bit_length()
-        self.weight, self.step, self.at = weight, step, None
+        self.step, self.at = step, None
         self.scales = 2 * weight + 32, weight + 2  # the factors of e's two parts that the table fixes
-        with mp.workprec(self.bits):
-            self.bases = [(x, Fraction(a), Fraction(b)) for x, a, b in bases]
-            self.factors = [None if x is None or not a else _mantissa(x ** _mpf_of(a * step), self.bits) for x, a, _ in self.bases]
+        self.bases = [(None if x is None else (int(x.man), int(x.exp)), a, b) for x, a, b in bases]  # x > 0, exactly
+        self.factors = [None if x is None or not a else _power(x, a * step, self.bits) for x, a, _ in self.bases]
 
     def powers(self, n: int) -> tuple[list, int]:
         """[x^(a n + b) for (x, a, b) in the bases], and the steps since the restart."""
@@ -732,23 +745,9 @@ class _Running:
             self.values = [v if s is None else _mul(v, s) for v, s in zip(self.values, self.factors)]
         else:
             self.steps = 0
-            with mp.workprec(self.bits):
-                self.values = [None if x is None else _mantissa(x ** _mpf_of(a * n + b), self.bits) for x, a, b in self.bases]
+            self.values = [None if x is None else _power(x, a * n + b, self.bits) for x, a, b in self.bases]
         self.at = n
         return self.values, self.steps
-
-    def divide_power(self, a: tuple[int, int], m: int, eps: Fraction) -> tuple[int, int]:
-        """a / M^(1+eps) rounded down, M^(1+eps) floored to more than F bits first: for eps =
-        a'/b the b-th root of M^(a'+b) 2^(sb), past the root's caps the F-bit mpmath power."""
-        power, index = eps.numerator + eps.denominator, eps.denominator
-        if index > _MAX_ROOT_INDEX or power > _MAX_ROOT_POWER:
-            with mp.workprec(self.bits):
-                root, k = _mantissa(mpf(m) ** _one_plus(eps.numerator, index, self.bits), self.bits)
-        else:
-            x = m**power
-            s = self.bits - (x.bit_length() - 1) // index  # so root >= 2^F
-            root, k = _iroot(x << s * index if s >= 0 else x >> -s * index, index), -s
-        return (a[0] << root.bit_length()) // root, a[1] - k - root.bit_length()
 
     def enclose(self, terms, steps: int, bits: int) -> tuple[int, int, int]:
         """(V, E, k): v = V 2^k is the sum of the signed terms (m, k'), each worth

@@ -50,7 +50,7 @@ MAX_LIE_RANK_DIGITS, MAX_LIE_RANK_ROW_DIGITS = 16_000_000, 20_000
 # about 10 MiB at degree 21, is what grows fastest.
 MAX_DGL_DEGREE = 20
 # Most values a bezout --witnesses listing holds, over all --n. At cap 10^6 (one n) a listing
-# takes about 1.6 s and 253 MB peak RSS (2-core host; 3.0-3.5 s and 300-308 MB on a 2-core Xeon
+# takes about 1.4 s and 224 MB peak RSS (2-core host; 3.0-3.5 s and 300-308 MB on a 2-core Xeon
 # with json's indented encoder, where 3 * 10^6 values took 10.8 s and 927 MB).
 MAX_WITNESS_VALUES = 10**6
 
@@ -286,7 +286,7 @@ def bezout_cmd(alpha, beta, a_, b_, ns, cap, witnesses, fmt, out):
             if listed > MAX_WITNESS_VALUES:
                 raise InvalidArgument(f"--witnesses would list {listed} values, more than {MAX_WITNESS_VALUES}; lower --cap")
             payload["witnesses"] = {
-                str(entry.n): {str(v): i for v, i in sorted(cert.witness_map(entry.n).items())}
+                str(entry.n): {str(v): i for v, i in cert.witness_map(entry.n).items()}
                 for entry in cert.entries
             }
         _emit(to_json(payload), out)

@@ -262,7 +262,7 @@ def test_bezout_cover_worked_example():
     assert cert.bound_b == 92
     assert entry.first_checked == 99
     witnesses = cert.witness_map(1)
-    assert set(witnesses) == set(range(99, 501))
+    assert list(witnesses) == list(range(99, 501))  # in ascending order, as bezout --witnesses lists them
     assert all(1 <= i < 21 for i in witnesses.values())
 
 
@@ -276,7 +276,8 @@ def test_bezout_cover_trivial_alpha_beta_one():
 def test_bezout_cover_parity():
     cert = bezout_cover(2, 4, Fraction(1, 2), 1, [2], 400)
     assert cert.g_prime == 2
-    assert all(v % 2 == 0 for v in cert.witness_map(2))
+    witnesses = list(cert.witness_map(2))
+    assert witnesses == sorted(witnesses) and all(v % 2 == 0 for v in witnesses)
 
 
 def test_bezout_cover_rejects_zero_slope():

@@ -1,6 +1,6 @@
 """The K-theory rows compute the strong bound once per (n(M), bits), take the
-weak bound's M^(1+eps) as an integer root with no mpmath power per row, and
-print the digits of the uncached formulas.
+weak bound's M^(1+eps) from the integer power routine with no mpmath power
+per row, and print the digits of the uncached formulas.
 
 The reference functions below are ktheory_lower and weak_lower written out
 as plain mpmath formulas, with no cache and no integer pass, and the paper's
@@ -127,42 +127,49 @@ def test_rows_refuse_their_input_before_any_profile(degrees, eps, message):
     assert charpoly._cached_profile.cache_info().misses == 0
 
 
-# -- M^(1+eps) as an integer root --------------------------------------------------
+# -- M^(1+eps) from the integer power routine ---------------------------------------
 
-# (eps, whether its weak rows take the integer root): b = 16 and a + b = 512 are the
-# caps, 1/17 and 505/8 the first epsilons past them
-ROOT_EPSILONS = [
-    ("1/2", True), ("1/3", True), ("2/3", True), ("1/16", True), ("503/9", True), ("64", True),
-    ("63/64", False), ("1/17", False), ("505/8", False), ("1e-4300", False),
-]
+# b = 16 and a + b = 512 once capped an integer root, 1/17 and 505/8 the first epsilons past them;
+# 63/64 takes six square roots, 1e-4300 the exponent 1 once it is rounded
+ROOT_EPSILONS = ["1/2", "1/3", "2/3", "1/16", "503/9", "64", "63/64", "1/17", "505/8", "1e-4300"]
 
 
-@pytest.mark.parametrize("eps, rooted", ROOT_EPSILONS, ids=[eps[:8] for eps, _ in ROOT_EPSILONS])
-def test_weak_rows_print_weak_lower_on_both_sides_of_the_root_caps(monkeypatch, eps, rooted):
+@pytest.mark.parametrize("eps", ROOT_EPSILONS, ids=[eps[:8] for eps in ROOT_EPSILONS])
+def test_weak_rows_print_weak_lower_on_both_sides_of_the_root_caps(eps):
     params = _space_params(*SPACES[0])
     degrees = range(2, 801, 2)
-    indices, iroot = [], bounds._iroot
-    monkeypatch.setattr(bounds, "_iroot", lambda x, k: indices.append(k) or iroot(x, k))
 
     rows = bounds.ktheory_rows(params, degrees, eps)
 
     assert [row.text for row in rows[1::2]] == [decimal_str(bounds.weak_lower(params, m, eps)) for m in degrees]
-    assert len(indices) == (len(degrees) if rooted else 0)
 
 
-@pytest.mark.parametrize("eps", ["1/2", "1/3"])
+def _count_powers(monkeypatch, build_rows) -> tuple[int, dict]:
+    """(mpf powers, {fallback function: calls}) of a second build_rows(), its profiles and strong values cached."""
+    build_rows()
+    cls, powers, fallbacks = type(mpf(1)), [], {"f_q": 0, "ktheory_lower": 0, "weak_lower": 0}
+    with monkeypatch.context() as patch:
+        for name in ("__pow__", "__rpow__"):
+            patch.setattr(cls, name, lambda *args, f=getattr(cls, name): powers.append(1) or f(*args))
+        for name in fallbacks:
+            function = getattr(bounds, name)
+            patch.setattr(bounds, name, lambda *args, f=function, name=name: fallbacks.update({name: fallbacks[name] + 1}) or f(*args))
+        build_rows()
+    return len(powers), fallbacks
+
+
+@pytest.mark.parametrize("eps", ["1/2", "1/3", "63/64", "64", "1e-4300"])
 def test_weak_rows_make_no_mpmath_power_per_row(monkeypatch, eps):
-    # only the restarts and the fallback rows raise an mpf to a power
-    params, cls = _space_params(*SPACES[0]), type(mpf(1))
+    # only a fallback row raises an mpf to a power: weak_lower twice, and ktheory_lower's value is cached
+    params = _space_params(*SPACES[0])
+    powers, fallbacks = _count_powers(monkeypatch, lambda: bounds.ktheory_rows(params, range(2, 3001, 2), eps))
+    assert powers == 2 * fallbacks["weak_lower"]
 
-    def power_calls(rows: int) -> int:
-        degrees = range(2, 2 * rows + 1, 2)
-        bounds.ktheory_rows(params, degrees, eps)  # the profiles and the strong values are cached
-        calls = []
-        with monkeypatch.context() as patch:
-            for name in ("__pow__", "__rpow__"):
-                patch.setattr(cls, name, lambda *args, f=getattr(cls, name): calls.append(1) or f(*args))
-            bounds.ktheory_rows(params, degrees, eps)
-        return len(calls)
 
-    assert power_calls(1500) == power_calls(750) < 15
+def test_homology_rows_make_no_mpmath_power_per_row(monkeypatch):
+    # only a fallback row raises an mpf to a power: f_q three times; no row of this table falls
+    # back by itself, so every 250th row is made to
+    decide = bounds._Running.decide
+    monkeypatch.setattr(bounds._Running, "decide", lambda self, *args: None if self.at % 250 == 0 else decide(self, *args))
+    powers, fallbacks = _count_powers(monkeypatch, lambda: bounds.homology_rows(2, 3, range(2, 2001)))
+    assert powers == 3 * fallbacks["f_q"] and fallbacks["f_q"] == 8

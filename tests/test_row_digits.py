@@ -6,7 +6,8 @@ its text from the pass only when render.common_text shows that every real
 of its enclosure, the P-bit value of the row's own profile included, prints
 that text.  These tests compare every row's text with decimal_str of
 ktheory_lower, weak_lower and f_q at the same P, check the error bound
-against the exact difference, count the profiles a table builds, move the
+against the exact difference, at the real F and at a small one, check the
+power routine's stated bound, count the profiles a table builds, move the
 table's profile, force the fallback, and check common_text against a
 rational-arithmetic form.
 """
@@ -205,6 +206,60 @@ def test_every_enclosure_holds_and_every_row_prints_its_reference(q, start, gaps
     _assert_ktheory_rows_print_references(params, ktheory_degrees, eps, ktheory)
 
 
+# (degrees, eps) of the small-F tables, eps None for homology: a contiguous run, a strided deep
+# run that restarts at every row, and a deep contiguous run
+SMALL_F_TABLES = {
+    "homology": ([*range(2, 200), *range(900, 1400, 3), *range(1400, 1500)], None),
+    **{eps: ([*range(2, 400, 2), *range(1000, 1400, 6), *range(1400, 1600, 2)], eps) for eps in ("1/2", "1/3", "63/64")},
+}
+
+
+@pytest.mark.parametrize("table", SMALL_F_TABLES)
+def test_enclosures_hold_the_table_formula_at_small_f(monkeypatch, table):
+    # With F = 8 + bitlen(W) + bitlen(rows) and no safety bits, e is little more than the _Running
+    # inventory, and every [v - e, v + e] must still hold the row's formula at the table's own
+    # inputs, evaluated at 4F bits.
+    monkeypatch.setattr(bounds, "_ROW_BITS", 8)
+    monkeypatch.setattr(bounds, "_ROW_SAFETY_BITS", 0)
+    passes, seen = [], []
+    init, enclose = bounds._Running.__init__, bounds._Running.enclose
+
+    def recording_enclose(self, terms, steps, bits):
+        value, err, base = enclose(self, terms, steps, bits)
+        seen.append((self, self.at, _dyadic(value, base), _dyadic(err, base)))
+        return value, err, base
+
+    monkeypatch.setattr(bounds._Running, "__init__", lambda self, *args: init(self, *args) or passes.append(self))
+    monkeypatch.setattr(bounds._Running, "enclose", recording_enclose)
+    degrees, eps = SMALL_F_TABLES[table]
+    if eps is None:
+        homology_rows(2, 3, degrees)
+        top = homology_params(2, max(degrees))
+        with mp.workprec(top.precision_bits):
+            c, kappa = bounds._c_kappa(2, top)
+
+        def formula(running, n):
+            phi, psi = top.phi, top.psi_abs
+            return phi**n / n - phi ** (n - 1) / (n - 1) - c * n * phi ** (mpf(n) / 2) - kappa * psi**n
+    else:
+        params = _ktheory()
+        ktheory_rows(params, degrees, eps)
+        top = profile_for_exponent(params.gen, _exponent_budget(params, max(degrees)))
+        g, big_e = params.g, 8 * (params.p - 1) ** 2
+
+        def formula(running, n):
+            phi, psi = top.phi, top.psi_abs
+            if running is passes[1]:
+                return phi ** bounds._mpf_of(params.ratio * n) / mpf(n) ** (1 + bounds._mpf_of(Fraction(eps)))
+            value = phi ** (n * g) / (n + big_e) - g * phi ** (mpf((n + big_e) * g) / 2)
+            return value - params.gen.q_max * (3 + 2 * psi ** ((n + big_e) * g)) if psi is not None else value
+
+    assert len(seen) >= len(degrees) and max(running.bits for running in passes) < 64
+    for running, n, value, err in seen:
+        with mp.workprec(4 * running.bits):
+            assert abs(mp.fsub(value, formula(running, n), exact=True)) <= err, (n, running.step, running.steps)
+
+
 def _shifted(profile_of, bits):
     """profile_of with the phi of its profile at `bits` moved by 2^-60 per 64-bit
     bucket of precision, so that its digits differ in the 18th place."""
@@ -294,32 +349,67 @@ def test_value_near_a_short_decimal_takes_the_fallback(monkeypatch):
     assert row.text == decimal_str(ktheory_lower(params, m)) == "15474936163125650797.0000"
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(x=st.integers(0, 2**4096), k=st.integers(1, bounds._MAX_ROOT_INDEX))
-@example(x=2**4096, k=bounds._MAX_ROOT_INDEX)
-@example(x=3**48 - 1, k=16)  # one below a perfect power
-@example(x=2**64 - 1, k=1)
-def test_integer_root_is_the_floor(x, k):
-    y = bounds._iroot(x, k)
-    assert y**k <= x < (y + 1) ** k
+def _exact(man: int, exp: int) -> Fraction:
+    return Fraction(man) * Fraction(2) ** exp
 
 
-# (M, eps): M^(a+b) shorter than F bits, then longer, down to the caps
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    m=st.integers(1, 2**4096), k=st.integers(-4096, 0), a=st.integers(-192, 192), b=st.integers(1, 64),
+    bits=st.integers(24, 320),
+)
+@example(m=2**4096, k=0, a=-1, b=1, bits=150)
+@example(m=3**48 - 1, k=-76, a=1, b=16, bits=24)  # one below a perfect power
+@example(m=3999, k=0, a=10**4300 + 1, b=10**4300, bits=150)  # eps = 1e-4300: rounded to 1
+@example(m=3999, k=0, a=127, b=64, bits=142)
+def test_power_is_within_its_stated_bound(m, k, a, b, bits):
+    y = Fraction(a, b)
+    z = bounds._exponent(y, bits)
+    assert abs(z - y) <= abs(y) / 2 ** (bits + 1)
+    man, exp = bounds._power((m, k), y, bits)
+    assert man.bit_length() > bits
+    # |ln(r / x^z)| <= c u gives (1 - c u) x^z <= r <= x^z / (1 - c u), here raised to z's denominator
+    r, x, near_one = _exact(man, exp), _exact(m, k), 1 - (abs(z) + 2) / Fraction(2) ** (bits - 1)
+    power = x**z.numerator
+    assert power * near_one**z.denominator <= r**z.denominator <= power / near_one**z.denominator
+
+
+# root indices past b = 64 up to the seed's reach, where x^(a/b) has no exact check: b = 2^47 + 1
+# and 10^20 have their exponents rounded, b = 2^47 - 1 is the longest index Newton takes
+@pytest.mark.parametrize("b", [3**29, 10**12 + 39, 2**47 - 1, 2**47 + 1, 10**20])
+@pytest.mark.parametrize("a", [1, -1, 7])
+def test_power_with_a_long_root_index_is_within_its_stated_bound(a, b):
+    for bits in (30, 60, 142, 300):
+        y = Fraction(a, b) + a
+        z = bounds._exponent(y, bits)
+        man, exp = bounds._power((3**1000, -1500), y, bits)
+        with mp.workprec(4 * bits + 200):
+            exact = (mpf(3**1000) * mpf(2) ** -1500) ** (mpf(z.numerator) / z.denominator)
+            assert abs(mp.log(_dyadic(man, exp) / exact)) <= (abs(z) + 2) * mpf(2) ** (1 - bits), bits
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(a=st.integers(-(10**80), 10**80), b=st.integers(2**47, 10**80), bits=st.integers(24, 320))
+@example(a=10**4300 + 1, b=10**4300, bits=150)
+def test_exponent_past_the_seed_is_rounded_within_its_bound(a, b, bits):
+    y = Fraction(a, b)
+    z = bounds._exponent(y, bits)
+    assert abs(z - y) <= abs(y) / 2 ** (bits + 1)
+    assert z == y or z.denominator & (z.denominator - 1) == 0  # a power of two: square roots only
+
+
+# (M, eps): M^(a+b) shorter than F bits, then longer; square roots and Newton roots
 @pytest.mark.parametrize("m, eps", [(2, "1/2"), (6, "1/3"), (2, "1/16"), (3999, "64"), (3999, "503/9"), (4000, "1/2")])
-def test_root_mantissa_has_more_than_f_bits(monkeypatch, m, eps):
-    running, eps = bounds._Running(100, 1000, 1, ()), Fraction(eps)
-    roots, iroot = [], bounds._iroot
-    monkeypatch.setattr(bounds, "_iroot", lambda x, k: roots.append(iroot(x, k)) or roots[-1])
-    one = (1 << running.bits, -running.bits)
+def test_root_mantissa_has_more_than_f_bits(m, eps):
+    bits, y = bounds._Running(100, 1000, 1, ()).bits, 1 + Fraction(eps)
+    root = bounds._power((m, 0), y, bits)
+    man, exp = bounds._div((1 << bits, -bits), root)  # 1 / M^(1+eps), as the weak row divides
 
-    man, exp = running.divide_power(one, m, eps)
-
-    assert len(roots) == 1 and roots[0].bit_length() > running.bits
-    assert man.bit_length() >= running.bits
-    # man 2^exp is 1/M^(1+eps) to within two floors, each less than 2^-F relatively
-    with mp.workprec(running.bits + 64):
-        exact = mpf(m) ** -(1 + mpf(eps.numerator) / eps.denominator)
-        assert abs(exact - _dyadic(man, exp)) <= exact * mpf(2) ** (1 - running.bits)
+    assert root[0].bit_length() > bits and man.bit_length() >= bits
+    # man 2^exp is 1/M^(1+eps) within _power's |y| + 2 units of 2^(1-F) and the quotient's one
+    with mp.workprec(bits + 64):
+        exact = mpf(m) ** -(mpf(y.numerator) / y.denominator)
+        assert abs(exact - _dyadic(man, exp)) <= exact * (y + 3) * mpf(2) ** (1 - bits)
 
 
 def test_catalog_covers_every_ktheory_space():
