@@ -2,11 +2,10 @@
 
 All real arithmetic of the public functions runs under an explicit mpmath
 working precision P that auto-scales with the largest exponent in play
-(charpoly.profile_bits; a table takes its rows' P from
-charpoly.profile_bits_of, the same rule with the generator set's part
-computed once), so identical inputs give bit-identical outputs.  Rational
-constants (a, b, B, theta_safe, thresholds) are kept as exact Fractions in
-the parameter objects and only converted to floating point inside a formula;
+(charpoly.profile_bits_of, whose rule a table applies to each of its rows
+with the generator set's part computed once), so identical inputs give
+bit-identical outputs.  Rational constants (a, b, B, theta_safe,
+thresholds) are kept as exact Fractions in the parameter objects and only converted to floating point inside a formula;
 every profile comes from the one cache of charpoly (profile_at,
 profile_for_exponent).  The homology route's c and kappa involve no p: each
 formula computes them from the RootProfile of z^{q+1} - z - 1 that the route
@@ -42,7 +41,7 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from .charpoly import (
-    GeneratorSet, RootProfile, certified_phi, char_poly, profile_at, profile_bits, profile_bits_of, profile_for_exponent,
+    GeneratorSet, RootProfile, certified_phi, char_poly, profile_at, profile_bits_of, profile_for_exponent,
 )
 from .combinat import is_odd_prime
 from .errors import CoverageViolation, InternalError, InvalidArgument
@@ -80,8 +79,7 @@ def _as_fraction(x, name: str) -> Fraction:
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError):
-        shown = repr(x) if len(repr(x)) <= 40 else repr(x)[:37] + "..."
-        raise InvalidArgument(f"{name} must be rational, got {shown}") from None
+        raise InvalidArgument(f"{name} must be rational, got {x!r}") from None
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -145,7 +143,7 @@ def _homology_params(q: int, bits: int) -> RootProfile:
 
 def homology_params(q: int, n_max: int) -> RootProfile:
     # The profile of z^{q+1} - z - 1 for degree n_max, at the exponent budget n_max + 63 (cf. _exponent_budget)
-    return _homology_params(q, profile_bits(_homology_gen(q), n_max + 63))
+    return _homology_params(q, profile_bits_of(_homology_gen(q))(n_max + 63))
 
 
 def _c_kappa(q: int, profile: RootProfile) -> tuple[mpf, mpf]:
@@ -724,7 +722,7 @@ class _Running:
     by at most delta relatively, and a term holds at most one of them or 1/phi
     besides powers whose exponents sum to at most W.  So a term's log moves by
     at most delta (W + 2) (1 + 2^-127) <= 2^-80, as W < 2^40 and P >= 128
-    (profile_bits), and the formula by at most 2 delta (W + 2) S.
+    (profile_bits_of), and the formula by at most 2 delta (W + 2) S.
     e = S (2W + 32 + 4 j) 2^(9 - min(F, P)) + S (W + 2) 2^(3 - min(P, 149)),
     plus one unit of the sum per term for its alignment, covers all three.
     """

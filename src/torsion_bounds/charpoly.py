@@ -49,7 +49,6 @@ __all__ = [
     "char_poly",
     "newton_sums",
     "profile_at",
-    "profile_bits",
     "profile_bits_of",
     "profile_for_exponent",
     "root_profile",
@@ -618,18 +617,13 @@ def profile_at(gen: GeneratorSet, bits: int) -> RootProfile:
     return _cached_profile(char_poly(gen).coeffs, gen.g, bits)
 
 
-def profile_bits(gen: GeneratorSet, n_max: int) -> int:
-    """Precision for phi^n_max over char_poly(gen), bucketed to 64-bit steps
-    so sweeps share cached profiles: profile_bits_of(gen)(n_max)."""
-    return profile_bits_of(gen)(n_max)
-
-
 def profile_bits_of(gen: GeneratorSet) -> Callable[[int], int]:
-    """n_max -> profile_bits(gen, n_max), with the part that depends on gen alone
-    computed once, for the rows of a table.  phi^n_max must keep >= 64 correct
-    bits, so the rule is n_max log2(bound) + 64 bits, rounded up to a multiple
-    of 64.  The coefficients of char_poly(gen) are the -m_i, each at its own
-    power, so its coefficient bound is 1 + max m_i."""
+    """n_max -> the precision for phi^n_max over char_poly(gen), the package's
+    one bucket rule, with the part that depends on gen alone computed once,
+    for the rows of a table.  phi^n_max must keep >= 64 correct bits, so the
+    rule is n_max log2(bound) + 64 bits, rounded up to a multiple of 64, and
+    sweeps share cached profiles.  The coefficients of char_poly(gen) are the
+    -m_i, each at its own power, so its coefficient bound is 1 + max m_i."""
     bound = 1 + max(m for _, m in gen.degrees)
     try:
         log_bound = math.log2(bound + 1e-9)
@@ -639,5 +633,5 @@ def profile_bits_of(gen: GeneratorSet) -> Callable[[int], int]:
 
 
 def profile_for_exponent(gen: GeneratorSet, n_max: int) -> RootProfile:
-    """Root profile of char_poly(gen) at profile_bits(gen, n_max)."""
-    return profile_at(gen, profile_bits(gen, n_max))
+    """Root profile of char_poly(gen) at profile_bits_of(gen)(n_max)."""
+    return profile_at(gen, profile_bits_of(gen)(n_max))

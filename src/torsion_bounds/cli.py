@@ -56,8 +56,9 @@ MAX_WITNESS_VALUES = 10**6
 
 _DEGREES_HELP = f"generator degrees, e.g. 2:1,3:1, each at most {MAX_POLY_DEGREE}"
 
-# click echoes an option's value whole in its usage errors: each run of more than _ECHOED_CHARS
-# non-blank characters is cut to its first _ECHOED_CHARS - 3 and "...", and the line to 199 bytes
+# a refusal may echo a value whole (click's usage errors, a malformed rational, an unknown space, an
+# --out path): in every refusal line each run of more than _ECHOED_CHARS non-blank characters is
+# cut to its first _ECHOED_CHARS - 3 and "...", and the line to 199 bytes
 _ECHOED_CHARS, _MAX_LINE_BYTES = 40, 199
 
 _EXIT_INVALID = 1
@@ -74,15 +75,17 @@ def _exit_on_failure(fn, *args, **kwargs):
     except (CoverageViolation, DimensionMismatch, InternalError, OracleInconsistency, RootStructureViolation) as exc:
         message, code = f"verification failure: {exc}", _EXIT_VERIFICATION
     except click.UsageError as exc:  # click's own: a missing or unknown option, a value of the wrong type
-        message, code = _shortened(f"error: {' '.join(exc.format_message().splitlines())}"), _EXIT_INVALID
+        message, code = f"error: {exc.format_message()}", _EXIT_INVALID
     except TorsionBoundsError as exc:
         message, code = f"error: {exc}", _EXIT_INVALID
-    click.echo(message, err=True)
+    click.echo(_shortened(message), err=True)
     sys.exit(code)
 
 
-def _shortened(line: str) -> str:
-    """line with every long echoed value cut, and cut to _MAX_LINE_BYTES of UTF-8 with the newline."""
+def _shortened(message: str) -> str:
+    """message on one line, every long echoed value in it cut, and the line cut to _MAX_LINE_BYTES
+    of UTF-8 with the newline."""
+    line = " ".join(message.splitlines())
     line = re.sub(rf"\S{{{_ECHOED_CHARS + 1},}}", lambda run: run[0][: _ECHOED_CHARS - 3] + "...", line)
     encoded = line.encode("utf-8", "backslashreplace")
     if len(encoded) < _MAX_LINE_BYTES:
@@ -344,12 +347,13 @@ def report_cmd(space_name, q, p, r, n, k, l, eps, from_, upto, fmt, out):
     space = space_by_name(space_name)
     supplied = {"q": q, "p": p, "r": r, "n": n, "k": k, "l": l}
     params = {key: val for key, val in supplied.items() if val is not None}
+    eps = _as_fraction(eps, "--eps")
     if space.route == "homology":
         degree_range = _degree_range(from_, upto, 2)
     else:
-        gp = space.g_prime(p)
+        gp = space.ktheory(params).g_prime
         degree_range = _degree_range(from_, upto, gp, gp)
-    _emit_reports(space_report(space, params, degree_range, eps=_as_fraction(eps, "--eps")), fmt, out)
+    _emit_reports(space_report(space, params, degree_range, eps=eps), fmt, out)
 
 
 @main.command("verify")

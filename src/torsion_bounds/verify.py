@@ -483,10 +483,7 @@ def check_condition_star_minimality(samples: int = 200, seed: int = 13) -> list[
 
 def check_ktheory_positivity(space_name: str, params: dict, m_cap: int = 6000, window: int = 200, expect_m1: int | None = None) -> list[str]:
     """Find M1 with ktheory_lower > 0 on [M1, M1 + window*g'] multiples."""
-    space = space_by_name(space_name)
-    p = params["p"]
-    dim = space.dim(params)
-    kt = bnd.ktheory_params(p, space.gen, space.conn, dim)
+    kt = space_by_name(space_name).ktheory(params)
     gp = kt.g_prime
     m1 = None
     for m in range(gp, m_cap + 1, gp):
@@ -540,8 +537,7 @@ def check_closed_form_specializations(m_max: int = 500) -> list[str]:
             for n, l in ((2, 3), (3, 4))
         ]
         for label, name, params, d in cases:
-            space = space_by_name(name)
-            kt = bnd.ktheory_params(3, space.gen, space.conn, space.dim(params))
+            kt = space_by_name(name).ktheory(params)
             weak_rows = bnd.ktheory_rows(kt, range(2, 2 * m_max + 1, 2), Fraction(1, 2))[1::2]
             powers = _running_powers(golden4 ** (mpf(1) / d), m_max)
             for m, power, row in zip(range(1, m_max + 1), powers, weak_rows):

@@ -175,7 +175,11 @@ def test_usage_errors_exit_1_with_one_error_line(argv):
     ["bound", "--homology", "--q", "2", "--p", "3", "--upto", "1 " * 3000],
     ["bound", "--homology", "--q", "2", "--p", "3", "--upto", "\u20ac" * 3000],
     ["bound", "--" + "x" * 3000],
-], ids=["long-int", "digits-past-int", "long-with-blanks", "long-non-ascii", "long-option"])
+    ["report", "--space", "x" * 3000, "--p", "3", "--upto", "4"],
+    ["lie-rank", "--degrees", "x" * 3000, "--upto", "4"],
+    ["bound", "--homology", "--q", "2", "--p", "3", "--upto", "10", "--out", "/nonexistent/" + "x" * 3000],
+], ids=["long-int", "digits-past-int", "long-with-blanks", "long-non-ascii", "long-option", "long-space", "long-degrees",
+        "long-out-path"])
 def test_usage_errors_cut_long_values_below_200_bytes(argv):
     result = _invoke(argv)
     assert result.exit_code == 1 and result.stdout == ""

@@ -125,7 +125,6 @@ def test_precision_scaling():
     bits = charpoly.profile_bits_of(gen)
     for n in (1, 200, 1000):
         assert bits(n) % 64 == 0 and n * math.log2(3) + 64 <= bits(n) < n * math.log2(3) + 2 * 64 + 1
-        assert bits(n) == charpoly.profile_bits(gen, n)
 
 
 def test_phi_window_small():

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp, mpf
 
 from torsion_bounds import bounds, charpoly
-from torsion_bounds.bounds import BoundReport, _exponent_budget, _mpf_of, ktheory_params
+from torsion_bounds.bounds import BoundReport, _exponent_budget, _mpf_of
 from torsion_bounds.charpoly import profile_for_exponent
 from torsion_bounds.errors import InvalidArgument
 from torsion_bounds.render import decimal_str
@@ -26,8 +26,7 @@ EPS = "1/2"
 
 
 def _space_params(name, values):
-    space = space_by_name(name)
-    return ktheory_params(values["p"], space.gen, space.conn, space.dim(values))
+    return space_by_name(name).ktheory(values)
 
 
 def _tau_exponent(params) -> Fraction:

@@ -5,8 +5,9 @@ them, and a JSON row of cli pairs them with REPORT_FIELDS.  These tests
 compare those bytes with the writers the package had before: a dict per row,
 csv.writer over those dicts, and json.dumps with an indent.  They run the
 CLI under a caller's decimal context that rounds differently, and check that
-every row's precision is charpoly.profile_bits of its exponent over deep
-tables, and that the table's rule is the bucket rule at every exponent.
+every row's precision is charpoly.profile_bits_of's rule at its exponent
+over deep tables, and that the table's rule is the bucket rule at every
+exponent.
 """
 
 import contextlib
@@ -22,8 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torsion_bounds import cli, spaces
-from torsion_bounds.bounds import BoundReport, _exponent_budget, _homology_gen, homology_rows, ktheory_params
-from torsion_bounds.charpoly import GeneratorSet, profile_bits, profile_bits_of
+from torsion_bounds.bounds import BoundReport, _exponent_budget, _homology_gen, homology_rows
+from torsion_bounds.charpoly import GeneratorSet, profile_bits_of
 from torsion_bounds.cli import main
 from torsion_bounds.render import REPORT_FIELDS, report_rows, to_csv, to_json
 
@@ -106,7 +107,7 @@ def _table(draw_space, q, p, start, stop, eps):
         argv = ["report", "--space", "moore", "--q", str(q), "--p", str(p), "--r", "1"]
         return argv, spaces.report(spaces.space_by_name("moore"), {"q": q, "p": p, "r": 1}, range(start, stop + 1))
     space, params = spaces.space_by_name(draw_space), KTHEORY_SPACES[draw_space]
-    gp = space.g_prime(params["p"])
+    gp = space.ktheory(params).g_prime
     argv = ["report", "--space", draw_space, *(f"--{k}={v}" for k, v in params.items()), "--eps", eps]
     return argv, spaces.report(space, params, range(start + (-start) % gp, stop + 1, gp), eps=eps)
 
@@ -194,7 +195,7 @@ def test_a_caller_decimal_context_changes_no_byte_and_is_left_as_it_was(argv):
 
 
 def _reference_bits(gen: GeneratorSet, n_max: int) -> int:
-    """The bucket rule as profile_bits wrote it out in one expression: 64 bits past
+    """The bucket rule as profile_bits_of wrote it out in one expression: 64 bits past
     ceil(n_max log2(1 + max m_i)), rounded up to a multiple of 64."""
     log_upper = math.log2(1 + max(m for _, m in gen.degrees) + 1e-9)
     return 64 * math.ceil((math.ceil(max(n_max, 1) * log_upper) + 64) / 64)
@@ -215,7 +216,6 @@ def test_the_table_rule_is_the_bucket_rule_at_every_exponent(gen):
     exponents = range(1, 20_001)
     expected = [_reference_bits(gen, x) for x in exponents]
     assert [rule(x) for x in exponents] == expected
-    assert [profile_bits(gen, x) for x in exponents] == expected
     # the scan crosses every 64-bit bucket edge below 20000 log2(1 + max m_i) + 64 bits
     edges = [x for x, below, at in zip(exponents[1:], expected, expected[1:]) if at != below]
     assert len(edges) >= 20_000 * math.log2(1 + max(m for _, m in gen.degrees)) // 64 - 1
@@ -225,24 +225,23 @@ def test_the_table_rule_is_the_bucket_rule_at_every_exponent(gen):
 def test_homology_row_precision_is_profile_bits_at_every_row(q):
     gen, degrees = _homology_gen(q), range(2, 5001)
     rows = homology_rows(q, 3, degrees)
-    assert [row.precision_bits for row in rows] == [profile_bits(gen, n + 63) for n in degrees]
+    assert [row.precision_bits for row in rows] == [profile_bits_of(gen)(n + 63) for n in degrees]
 
 
 def test_homology_row_precision_follows_degrees_in_any_order():
     gen, degrees = _homology_gen(2), [2000, 5, 65, 64, 2, 4000]
     rows = homology_rows(2, 3, degrees)
     assert [row.degree for row in rows] == degrees
-    assert [row.precision_bits for row in rows] == [profile_bits(gen, n + 63) for n in degrees]
+    assert [row.precision_bits for row in rows] == [profile_bits_of(gen)(n + 63) for n in degrees]
 
 
 @pytest.mark.parametrize("name, params", KTHEORY_SPACES.items(), ids=list(KTHEORY_SPACES))
 def test_ktheory_row_precision_is_profile_bits_at_every_row(name, params):
     space = spaces.space_by_name(name)
-    gp = space.g_prime(params["p"])
-    degrees = range(gp, 4001, gp)
+    kt = space.ktheory(params)
+    degrees = range(kt.g_prime, 4001, kt.g_prime)
     rows = spaces.report(space, params, degrees)
-    kt = ktheory_params(params["p"], space.gen, space.conn, space.dim(params))
-    expected = [profile_bits(space.gen, _exponent_budget(kt, m)) for m in degrees for _ in range(2)]
+    expected = [profile_bits_of(space.gen)(_exponent_budget(kt, m)) for m in degrees for _ in range(2)]
     assert [row.precision_bits for row in rows] == expected
 
 

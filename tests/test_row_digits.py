@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
-from torsion_bounds import bounds, charpoly
+from torsion_bounds import GeneratorSet, bounds, charpoly
 from torsion_bounds.bounds import (
     _exponent_budget,
     f_q,
@@ -33,7 +33,7 @@ from torsion_bounds.bounds import (
     ktheory_rows,
     weak_lower,
 )
-from torsion_bounds.charpoly import profile_bits, profile_for_exponent
+from torsion_bounds.charpoly import profile_bits_of, profile_for_exponent
 from torsion_bounds.render import _ratio, common_text, decimal_str
 from torsion_bounds.spaces import catalog, space_by_name
 
@@ -60,8 +60,7 @@ KTHEORY_SPACES = {
 
 
 def _ktheory(name="grassmannian", values=None):
-    space, values = space_by_name(name), values or KTHEORY_SPACES[name]
-    return ktheory_params(values["p"], space.gen, space.conn, space.dim(values))
+    return space_by_name(name).ktheory(values or KTHEORY_SPACES[name])
 
 
 def _printed(bound, vacuous, bits):
@@ -206,19 +205,36 @@ def test_every_enclosure_holds_and_every_row_prints_its_reference(q, start, gaps
     _assert_ktheory_rows_print_references(params, ktheory_degrees, eps, ktheory)
 
 
-# (degrees, eps) of the small-F tables, eps None for homology: a contiguous run, a strided deep
-# run that restarts at every row, and a deep contiguous run
+# (degrees, eps, K-theory params) of the small-F tables, eps None for homology: a contiguous run, a
+# strided deep run that restarts at every row, and a deep contiguous run; and a wedge of dimension
+# 10^6, whose weak pass takes 3999 steps without a restart against a weight W of 247
 SMALL_F_TABLES = {
-    "homology": ([*range(2, 200), *range(900, 1400, 3), *range(1400, 1500)], None),
-    **{eps: ([*range(2, 400, 2), *range(1000, 1400, 6), *range(1400, 1600, 2)], eps) for eps in ("1/2", "1/3", "63/64")},
+    "homology": ([*range(2, 200), *range(900, 1400, 3), *range(1400, 1500)], None, None),
+    **{
+        eps: ([*range(2, 400, 2), *range(1000, 1400, 6), *range(1400, 1600, 2)], eps, _ktheory())
+        for eps in ("1/2", "1/3", "63/64")
+    },
+    "dim 10^6": (range(1, 4001), "1/2", ktheory_params(3, GeneratorSet.of((1, 1), (2, 1)), 1, 10**6)),
 }
 
 
 @pytest.mark.parametrize("table", SMALL_F_TABLES)
 def test_enclosures_hold_the_table_formula_at_small_f(monkeypatch, table):
-    # With F = 8 + bitlen(W) + bitlen(rows) and no safety bits, e is little more than the _Running
-    # inventory, and every [v - e, v + e] must still hold the row's formula at the table's own
-    # inputs, evaluated at 4F bits.
+    """With F = 8 + bitlen(W) + bitlen(rows) and no safety bits, e is little more than the _Running
+    inventory, and every [v - e, v + e] must still hold the row's formula at the table's own inputs,
+    evaluated at 4F bits.
+
+    Mutants of e's terms, each tried on a copy of bounds.py, in units of S u (S the sum of the term
+    magnitudes, u = 2^(1-F)):
+    - e without its per-step 4 j fails the dim 10^6 table.  Its weak pass multiplies by the
+      floor-rounded phi^(ratio) 3999 times without a restart and drifts by about 0.3 u a step,
+      1192 units at the end, past the 2 W + 32 = 526 left.  At dim 10^60 the factor rounds to
+      exactly 1 and there is no drift.
+    - e without its fixed 32 (2 W + 4 j) and e with both scales halved (W + 16 + 4 j, and
+      (W + 2) / 2 for the inputs) pass every test.  No realizable error reaches them: the largest
+      error these tables show is about 128 units at j < 100 (W >= 10477 there) and 0.3 j units in
+      the dim 10^6 table (W = 247), far under W + 16 + 4 j.
+    """
     monkeypatch.setattr(bounds, "_ROW_BITS", 8)
     monkeypatch.setattr(bounds, "_ROW_SAFETY_BITS", 0)
     passes, seen = [], []
@@ -231,7 +247,7 @@ def test_enclosures_hold_the_table_formula_at_small_f(monkeypatch, table):
 
     monkeypatch.setattr(bounds._Running, "__init__", lambda self, *args: init(self, *args) or passes.append(self))
     monkeypatch.setattr(bounds._Running, "enclose", recording_enclose)
-    degrees, eps = SMALL_F_TABLES[table]
+    degrees, eps, params = SMALL_F_TABLES[table]
     if eps is None:
         homology_rows(2, 3, degrees)
         top = homology_params(2, max(degrees))
@@ -242,7 +258,6 @@ def test_enclosures_hold_the_table_formula_at_small_f(monkeypatch, table):
             phi, psi = top.phi, top.psi_abs
             return phi**n / n - phi ** (n - 1) / (n - 1) - c * n * phi ** (mpf(n) / 2) - kappa * psi**n
     else:
-        params = _ktheory()
         ktheory_rows(params, degrees, eps)
         top = profile_for_exponent(params.gen, _exponent_budget(params, max(degrees)))
         g, big_e = params.g, 8 * (params.p - 1) ** 2
@@ -299,7 +314,7 @@ def test_a_wrong_table_profile_shows_in_the_printed_rows(monkeypatch):
     # profile's phi moves digits that the reference assertions see
     params, degrees = _ktheory(), range(2, 1501, 2)
     with monkeypatch.context() as patch:
-        top = profile_bits(params.gen, _exponent_budget(params, max(degrees)))
+        top = profile_bits_of(params.gen)(_exponent_budget(params, max(degrees)))
         patch.setattr(bounds, "profile_for_exponent", _shifted(profile_for_exponent, top))
         rows = ktheory_rows(params, degrees, "1/2")
     with pytest.raises(AssertionError):

@@ -6,16 +6,20 @@ from mpmath import mp, mpf
 
 import mpmath
 
+from click.testing import CliRunner
+
 from torsion_bounds import (
     GeneratorSet,
     InvalidArgument,
     ParameterMismatch,
+    SpaceSpec,
     catalog,
     f_q,
     report,
     space_by_name,
 )
-from torsion_bounds import bounds, verify
+from torsion_bounds import bounds, spaces, verify
+from torsion_bounds.cli import main
 from torsion_bounds.render import decimal_str
 from torsion_bounds.verify import (
     CATALOG_M1,
@@ -50,9 +54,30 @@ def test_catalog_contents():
 
 
 def test_catalog_g_prime():
-    assert space_by_name("grassmannian").g_prime(3) == 2
-    assert space_by_name("unitary").g_prime(3) == 1
-    assert space_by_name("unitary").g_prime(7) == 1
+    assert space_by_name("grassmannian").ktheory({"n": 3, "k": 1, "p": 3}).g_prime == 2
+    assert space_by_name("unitary").ktheory({"n": 3, "p": 3}).g_prime == 1
+    assert space_by_name("unitary").ktheory({"n": 3, "p": 7}).g_prime == 1
+
+
+def test_a_new_ktheory_record_is_all_a_new_space_needs(monkeypatch):
+    # a throwaway family with the Grassmannians' wedge and connectivity, its own condition and
+    # dimension 2n: put in the catalog, report refuses it with the record's text and prints its rows
+    record = SpaceSpec(
+        name="throwaway", route="ktheory", display="Sigma X_n", params=("n", "p"), note="S^3 v S^5 onto Sigma X_n",
+        condition="n >= 2", holds=lambda v: v["n"] >= 2,
+        gen=GeneratorSet.of((2, 1), (4, 1)), conn=1, dim=lambda v: 2 * v["n"],
+    )
+    monkeypatch.setattr(spaces, "_CATALOG", (*catalog(), record))
+    runner = CliRunner()
+    refused = runner.invoke(main, ["report", "--space", "throwaway", "--n", "1", "--p", "3", "--upto", "40"])
+    assert refused.exit_code == 1 and refused.stderr == "error: throwaway requires n >= 2\n"
+    assert record.ktheory({"n": 2, "p": 3}) is bounds.ktheory_params(3, record.gen, 1, 4)
+    printed = [
+        runner.invoke(main, ["report", "--space", *space, "--p", "3", "--upto", "400"])
+        for space in (["throwaway", "--n", "2"], ["grassmannian", "--n", "3", "--k", "1"])  # Gr_1(C^3) has dim 4 too
+    ]
+    assert printed[0].exit_code == 0 and printed[0].stdout_bytes == printed[1].stdout_bytes
+    assert printed[0].stdout.count("\n") == 401
 
 
 def test_unknown_space():
@@ -85,6 +110,8 @@ def test_parameter_mismatch():
         report(moore, {"q": 1, "p": 3, "r": 1}, range(2, 4))  # q < 2
     with pytest.raises(ParameterMismatch):
         report(moore, {"q": 2, "p": 4, "r": 1}, range(2, 4))  # p not odd prime
+    with pytest.raises(ParameterMismatch):
+        moore.ktheory({"q": 2, "p": 3, "r": 1})  # the homology route has no K-theory constants
     gr = space_by_name("grassmannian")
     with pytest.raises(ParameterMismatch):
         report(gr, {"n": 3, "k": 3, "p": 3}, [])  # k = n
