@@ -12,15 +12,15 @@ formula computes them from the RootProfile of z^{q+1} - z - 1 that the route
 reads phi and |psi| from (_c_kappa); p enters only sigma_upper.
 
 homology_rows and ktheory_rows build the report rows of the two routes, for
-the CLI's bound and report commands.  A row prints its bound to 24
-significant digits, and its precision_bits column is P, the precision whose
-digits those are.  One integer pass over the table (_Running), from the
-table's deepest root profile, encloses each row's P-bit value and decides the
-row when every real of the enclosure prints one decimal string (Ziv's
-rounding test, render.common_text); otherwise the row builds its own profile
-and formats the P-bit value of f_q, ktheory_lower or weak_lower once.  A row
-is that string (BoundReport.text), and is vacuous when it is 0 or negative:
-negative bound values are reported as-is, valid but vacuous.
+the CLI's bound and report commands, and rank_windows verify's rank windows.
+A row prints its bound to 24 significant digits, and its precision_bits column
+is P, the precision whose digits those are.  One integer pass over the table
+(_Running), from the table's deepest root profile, encloses each row's P-bit
+value and decides the row when every real of the enclosure prints one decimal
+string (Ziv's rounding test, render.common_text); otherwise the row builds its
+own profile and formats the P-bit value of f_q, ktheory_lower or weak_lower
+once.  A row is that string (BoundReport.text), and is vacuous when it is 0 or
+negative: negative bound values are reported as-is, valid but vacuous.
 
 The ktheory_lower value is computed once per (p, g, q_l, n(M), bits), and
 within a table the strong row's text likewise: M enters it only through n(M)
@@ -206,26 +206,31 @@ def sigma_upper(q: int, p: int, n: int) -> mpf:
         return 2 * (q + 2) * phi ** (mpf(2) / p) * n * phi ** (mpf(n) / p)
 
 
-def rank_window(gen: GeneratorSet, n: int) -> tuple[mpf, mpf]:
-    """Window (g/N) phi^N +- ((q_l/N)|psi|^N + g phi^{N/2} + q_l |psi|^{N/2}).
+def rank_windows(gen: GeneratorSet, degrees) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+    """The window (g/N) phi^N -+ ((q_l/N)|psi|^N + g phi^{N/2} + q_l |psi|^{N/2}) at each degree N,
+    in order, from one _Running pass: each end an enclosure (V, E, k) of the end at the true phi and
+    |psi|, within E 2^k of V 2^k.  Only defined when g | N, the rank being 0 otherwise; the psi terms
+    are dropped when every root lies on the max-modulus circle."""
+    degrees, _, deepest = _span(degrees)
+    top, g, q_l, bits_of, ends = profile_for_exponent(gen, deepest), gen.g, gen.q_max, profile_bits_of(gen), []
+    phi, psi = top.phi, top.psi_abs
+    running = _Running(_weight((phi, deepest), (phi, deepest / 2), (psi, deepest), (psi, deepest / 2)), len(degrees), g,
+                       ((phi, 1, 0), (phi, Fraction(1, 2), 0), (psi, 1, 0), (psi, Fraction(1, 2), 0)))
+    for n in degrees:
+        if n < 1 or n % g:
+            raise InvalidArgument(f"rank windows need N >= 1 and g | N (g={g}, N={n}); the rank is 0 off the g-grid")
+        (big, half, tail, tail_half), steps = running.powers(n)
+        center, errs = _div((g * big[0], big[1]), (n, 0)), [(g * half[0], half[1])]
+        if psi is not None:  # (q_l/N)|psi|^N and q_l |psi|^(N/2)
+            errs += [_div((q_l * tail[0], tail[1]), (n, 0)), (q_l * tail_half[0], tail_half[1])]
+        ends.append(tuple(running.enclose((center, *((s * m, k) for m, k in errs)), steps, bits_of(n)) for s in (-1, 1)))
+    return ends
 
-    Only defined when g | N; the rank is exactly zero otherwise.  The psi
-    terms are dropped when every root lies on the max-modulus circle.
-    """
-    if n < 1:
-        raise InvalidArgument(f"rank_window requires N >= 1, got {n}")
-    g = gen.g
-    if n % g:
-        raise InvalidArgument(f"rank_window needs g | N (g={g}, N={n}); the rank is 0 there")
-    profile = profile_for_exponent(gen, n)
-    ql = gen.q_max
-    with mp.workprec(profile.precision_bits):
-        big = profile.phi**n
-        center, err = g * big / n, g * mp.sqrt(big)
-        if profile.psi_abs is not None:
-            tail = profile.psi_abs**n
-            err += (mpf(ql) / n) * tail + ql * mp.sqrt(tail)
-        return center - err, center + err
+
+def rank_window(gen: GeneratorSet, n: int) -> tuple[mpf, mpf]:
+    """The ends of rank_windows(gen, [n]), each its enclosure's midpoint V 2^k at N's working precision."""
+    with mp.workprec(profile_bits_of(gen)(n)):
+        return tuple(mpf((v, k)) for v, _, k in rank_windows(gen, [n])[0])
 
 
 # -- Condition (*) and the covering certificate --------------------------------
@@ -725,6 +730,9 @@ class _Running:
     (profile_bits_of), and the formula by at most 2 delta (W + 2) S.
     e = S (2W + 32 + 4 j) 2^(9 - min(F, P)) + S (W + 2) 2^(3 - min(P, 149)),
     plus one unit of the sum per term for its alignment, covers all three.
+    rank_windows has no r: the true phi lies in every cell and the true |psi|
+    within 2^-151 |psi|, so e's input part covers the table's inputs against
+    the true ones too, and [v - e, v + e] holds the window's end at the truth.
     """
 
     def __init__(self, weight: int, rows: int, step: int, bases):

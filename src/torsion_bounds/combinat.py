@@ -57,15 +57,21 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_TESTED = 3_317_044_064_679_887_385_961_981  # Miller-Rabin on _WITNESSES decides every p below it
+
+
 def is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the prime bases 2..41, proven for p < MAX_PRIME_TESTED
+    (Sorenson & Webster, Math. Comp. 86 (2017) 985-1003); a larger p is refused."""
+    if p >= MAX_PRIME_TESTED:
+        raise InvalidArgument(f"p must be below {MAX_PRIME_TESTED}, where the primality test is proven")
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s, d odd
+    d = (p - 1) >> s
+    # p passes base a, p prime to it, when a^d = 1 or a^(d 2^r) = -1 for some r < s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s)) for a in _WITNESSES if a % p)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,7 @@ class SpaceSpec:
 
     name: str
     route: str  # "homology" | "ktheory"
-    display: str
     params: tuple[str, ...]
-    note: str
     condition: str
     holds: Callable[[dict[str, int]], bool]
     gen: GeneratorSet | None = None  # ktheory only
@@ -64,66 +62,60 @@ _S3_S5_SUSPENDED = GeneratorSet.of((2, 1), (4, 1))  # S^3 v S^5 into the suspens
 _S3_S5_INTO_GROUP = GeneratorSet.of((3, 1), (5, 1))  # S^3 v S^5 into the group itself
 
 _CATALOG = (
+    # P^{q+1}(p^r): mod-p^r Moore space; the identity map realizes the homology hypothesis
     SpaceSpec(
         name="moore",
         route="homology",
-        display="P^{q+1}(p^r)",
         params=("q", "p", "r"),
-        note="mod-p^r Moore space; the identity map realizes the homology hypothesis",
         condition="q >= 2 and r >= 1",
         holds=lambda v: v["q"] >= 2 and v["r"] >= 1,
     ),
+    # Sigma K(Z/p^r, q-1): suspended Eilenberg-MacLane space; bottom cell carries the Z/p^r summand
     SpaceSpec(
         name="suspended-em",
         route="homology",
-        display="Sigma K(Z/p^r, q-1)",
         params=("q", "p", "r"),
-        note="suspended Eilenberg-MacLane space; bottom cell carries the Z/p^r summand",
         condition="q >= 2 and r >= 1",
         holds=lambda v: v["q"] >= 2 and v["r"] >= 1,
     ),
+    # Sigma Gr_k(C^n): S^3 v S^5 -> Sigma Gr_k(C^n) is onto reduced K-theory mod p
     SpaceSpec(
         name="grassmannian",
         route="ktheory",
-        display="Sigma Gr_k(C^n)",
         params=("n", "k", "p"),
-        note="S^3 v S^5 -> Sigma Gr_k(C^n) is onto reduced K-theory mod p",
         condition="n >= 3 and 0 < k < n",
         holds=lambda v: v["n"] >= 3 and 0 < v["k"] < v["n"],
         gen=_S3_S5_SUSPENDED,
         conn=1,
         dim=lambda v: 2 * v["k"] * (v["n"] - v["k"]),
     ),
+    # Sigma H_{n,l}: S^3 v S^5 -> Sigma H_{n,l} is onto reduced K-theory mod p
     SpaceSpec(
         name="milnor-hypersurface",
         route="ktheory",
-        display="Sigma H_{n,l}",
         params=("n", "l", "p"),
-        note="S^3 v S^5 -> Sigma H_{n,l} is onto reduced K-theory mod p",
         condition="n >= 2 and l >= 3",
         holds=lambda v: v["n"] >= 2 and v["l"] >= 3,
         gen=_S3_S5_SUSPENDED,
         conn=1,
         dim=lambda v: 2 * (v["n"] + v["l"] - 1),
     ),
+    # Sigma U(n): S^3 v S^5 -> U(n) is onto reduced K-theory mod p; suspends to degrees 3, 5
     SpaceSpec(
         name="unitary",
         route="ktheory",
-        display="Sigma U(n)",
         params=("n", "p"),
-        note="S^3 v S^5 -> U(n) is onto reduced K-theory mod p; suspends to degrees 3, 5",
         condition="n >= 3",
         holds=lambda v: v["n"] >= 3,
         gen=_S3_S5_INTO_GROUP,
         conn=0,
         dim=lambda v: v["n"] ** 2,
     ),
+    # Sigma SU(n): the U(n) wedge map lifts to SU(n), which is 2-connected
     SpaceSpec(
         name="special-unitary",
         route="ktheory",
-        display="Sigma SU(n)",
         params=("n", "p"),
-        note="the U(n) wedge map lifts to SU(n), which is 2-connected",
         condition="n >= 3",
         holds=lambda v: v["n"] >= 3,
         gen=_S3_S5_INTO_GROUP,

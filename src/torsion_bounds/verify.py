@@ -3,13 +3,14 @@
 Each check_* function returns a list of failure strings (empty = pass),
 shared by the CLI `verify` command and the test suite.  Scales default to
 the certified ones, which tests may shrink.  The only tolerances are
-REL_SLACK and CLOSED_FORM_TOL; a fact of phi alone is exact on [phi_lo, phi_hi].
+REL_SLACK, for Newton growth, and CLOSED_FORM_TOL; a fact of phi alone is
+exact on [phi_lo, phi_hi], and a rank window's ends are integer enclosures.
 
-A check spends its time on the function under test, which it calls at
-every sample point, and not on the side it compares against: polynomial
+A check spends its time on the function under test and not on the side it
+compares against: the rank-window and f_q-chain scans read the tables'
+integer passes (bounds.rank_windows, bounds.homology_rows), polynomial
 signs at rational points are exact integer evaluations, and a reference
-curve c b^N is a running product of b at P + 32 bits (_running_powers),
-P the working precision of the comparison.
+curve c b^N is a running product of b at P + 32 bits (_running_powers).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .lie_rank import babenko_ranks, pbw_ranks
 from .render import decimal_str
 from .spaces import report, space_by_name
 
-REL_SLACK = 1e-6  # Newton growth and rank window: slack relative to 1 + |value|
+REL_SLACK = 1e-6  # Newton growth: slack relative to 1 + |S_N|
 CLOSED_FORM_TOL = 1e-9  # a weak K-theory bound's relative distance from its closed form
 
 
@@ -240,13 +241,14 @@ def check_g_divisibility(n_max: int = 40) -> list[str]:
 
 
 def check_rank_window(n_max: int = 60, family=None) -> list[str]:
+    """Each exact rank lies within the outward ends (V -+ E) 2^k of its bounds.rank_windows row, in integers."""
     fails = []
     for gen in family if family is not None else generator_family():
         ranks = babenko_ranks(gen, n_max)
-        for n in range(gen.g, n_max + 1, gen.g):
-            lo, hi = bnd.rank_window(gen, n)
-            slack = REL_SLACK * (1 + abs(hi))
-            if not (lo - slack <= ranks[n - 1] <= hi + slack):
+        degrees = range(gen.g, n_max + 1, gen.g)
+        for n, ((lo, lo_err, lo_k), (hi, hi_err, hi_k)) in zip(degrees, bnd.rank_windows(gen, degrees)):
+            rank = ranks[n - 1]  # x 2^k <= rank exactly when x 2^max(k, 0) <= rank 2^max(-k, 0)
+            if (lo - lo_err) << max(lo_k, 0) > rank << max(-lo_k, 0) or (hi + hi_err) << max(hi_k, 0) < rank << max(-hi_k, 0):
                 fails.append(f"{gen.spec_string()}: rank outside window at N={n}")
     return fails
 
@@ -382,23 +384,24 @@ def check_fq_chain(qs=(2, 3, 4), eps: float = 0.1, n_hi: int = 400) -> list[str]
     """Scan the threshold N0 and check the asymptotic chain up to n_hi.
 
     f_q(N) >= (1-eps)(1-1/phi) phi^N / N > (1-eps)(1-2^{-1/(q+1)}) 2^{N/(q+1)} / N
-    for all N0 <= N <= n_hi, with N0 <= n_hi existing.  f_q is called once
-    per N against phi^N, a running product at P + 32 bits, P the precision
-    of homology_params at n_hi.  The second link holds at every N exactly
-    when phi > 2^{1/(q+1)} (check_phi_dominates_two_power), decided once per q.
+    for all N0 <= N <= n_hi, with N0 <= n_hi existing.  f_q(N) is the text of
+    the homology row, as the CLI prints it (p does not enter f_q), against
+    phi^N, a running product at P + 32 bits, P the precision of
+    homology_params at n_hi.  The second link holds at every N exactly when
+    phi > 2^{1/(q+1)} (check_phi_dominates_two_power), decided once per q.
     """
     fails = []
     for q in qs:
         profile = bnd.homology_params(q, n_hi)
+        rows = bnd.homology_rows(q, 3, range(2, n_hi + 1))
         with mp.workprec(profile.precision_bits + 32):
             factor = (1 - eps) * (1 - 1 / profile.phi)
             n0 = None  # starts the run of N with f_q(N) >= the middle curve that reaches n_hi
-            powers = zip(range(1, n_hi + 1), _running_powers(profile.phi, n_hi))
-            for n, phi_n in itertools.islice(powers, 1, None):  # from N = 2
-                if not bnd.f_q(q, n) >= factor * phi_n / n:
+            for row, phi_n in zip(rows, itertools.islice(_running_powers(profile.phi, n_hi), 1, None)):  # from N = 2
+                if not mpf(row.text) >= factor * phi_n / row.degree:
                     n0 = None
                 elif n0 is None:
-                    n0 = n
+                    n0 = row.degree
         if n0 is None:
             fails.append(f"q={q}: no threshold N0 <= {n_hi}")
         elif not _window_ends(q)[0]:

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -82,9 +83,13 @@ def test_f_q_asymptotic_chain():
 
 
 def test_f_q_chain_catches_a_halved_f_q(monkeypatch):
-    f = bounds.f_q
+    rows = bounds.homology_rows
     assert check_fq_chain((2,), 0.1, 200) == []
-    monkeypatch.setattr(bounds, "f_q", lambda q, n: f(q, n) / 2)
+
+    def halved(q, p, degrees, note=None):  # every row prints half its f_q
+        return [row._replace(text=format(Decimal(row.text) / 2, "f")) for row in rows(q, p, degrees, note)]
+
+    monkeypatch.setattr(bounds, "homology_rows", halved)
     assert check_fq_chain((2,), 0.1, 200) == ["q=2: no threshold N0 <= 200"]
 
 
@@ -115,6 +120,13 @@ def test_f_q_chain_catches_a_phi_below_the_two_power(monkeypatch):
     assert check_fq_chain((2,), 0.1, 200) == ["q=2: chain fails at N=118"]
     monkeypatch.setattr(verify, "certified_phi", _lower_end_at_the_two_power(1))
     assert check_fq_chain((2,), 0.1, 200) == []
+
+
+def test_f_q_chain_reports_the_thresholds_of_f_q_itself(monkeypatch):
+    # the same fault names each q's threshold N0 <= 400: those of the printed rows are
+    # 179 and 244 for q = 3, 4, as a scan of f_q gives
+    monkeypatch.setattr(verify, "certified_phi", _lower_end_at_the_two_power(0))
+    assert check_fq_chain((3, 4), 0.1, 400) == ["q=3: chain fails at N=179", "q=4: chain fails at N=244"]
 
 
 def test_phi_dominance_check_catches_phi_at_the_two_power(monkeypatch):

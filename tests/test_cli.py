@@ -17,6 +17,7 @@ from torsion_bounds import GeneratorSet, babenko_ranks, bounds, cli
 from torsion_bounds.bounds import MAX_EPSILON
 from torsion_bounds.charpoly import MAX_POLY_DEGREE
 from torsion_bounds.cli import MAX_DGL_DEGREE, MAX_LIE_RANK_DEGREE, main
+from torsion_bounds.combinat import MAX_PRIME_TESTED
 from torsion_bounds.dgl_fp import MAX_PRIME
 from torsion_bounds.render import decimal_str
 
@@ -609,6 +610,22 @@ def test_dgl_prime_above_ceiling_exit_code():
     assert result.exit_code == 1
     assert result.stderr.startswith(f"error: p must be <= {MAX_PRIME}")
     assert str(MAX_PRIME) in run("dgl", "--help").stdout
+
+
+def test_a_prime_of_nineteen_digits_is_decided_at_once():
+    # trial division up to sqrt(p) ran past 20 s on this p
+    start = time.perf_counter()
+    result = run("report", "--space", "moore", "--q", "2", "--r", "1", "--p", "1000000000000000003", "--upto", "4")
+    assert result.exit_code == 0 and result.stdout.count("homology_boundary") == 3
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("p", [MAX_PRIME_TESTED, MAX_PRIME_TESTED + 2, 2**89 - 1])
+@pytest.mark.parametrize("command", [("report", "--space", "moore", "--q", "2", "--r", "1"), ("bound", "--homology", "--q", "2")])
+def test_a_p_past_the_proven_primality_range_is_refused(p, command):
+    result = run(*command, "--p", str(p), "--upto", "4")
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == f"error: p must be below {MAX_PRIME_TESTED}, where the primality test is proven\n"
 
 
 # a multiplicity past the float range (about 1.8e308)

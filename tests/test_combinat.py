@@ -10,6 +10,7 @@ from torsion_bounds import (
     divisors,
     mobius,
 )
+from torsion_bounds.combinat import MAX_PRIME_TESTED, is_odd_prime
 from torsion_bounds.verify import check_bezout_invariants, check_mobius_identity
 
 
@@ -87,3 +88,29 @@ def test_binom_div_p_rejects_bad_input():
         binom_div_p(3, 1, 0)  # j out of range
     with pytest.raises(InvalidArgument):
         binom_div_p(3, 1, 3)  # j = p^k
+
+
+def test_is_odd_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+    assert [n for n in range(-3, 200_000) if is_odd_prime(n) != by_trial_division(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # 151 * 751 * 28351, strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to the bases 2 to 23
+        318665857834031151167461,  # strong pseudoprime to the bases 2 to 37
+    ],
+)
+def test_is_odd_prime_rejects_strong_pseudoprimes(n):
+    assert not is_odd_prime(n)
+
+
+def test_is_odd_prime_accepts_large_primes_and_refuses_past_its_proven_range():
+    assert is_odd_prime(1000000000000000003) and is_odd_prime(2**61 - 1)
+    for p in (MAX_PRIME_TESTED, MAX_PRIME_TESTED + 1, 2**89 - 1):
+        with pytest.raises(InvalidArgument, match="primality test is proven"):
+            is_odd_prime(p)

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from torsion_bounds import (
     GeneratorSet,
@@ -8,9 +11,11 @@ from torsion_bounds import (
     OracleInconsistency,
     babenko_ranks,
     pbw_ranks,
+    rank_window,
     tensor_dims,
 )
 from torsion_bounds import bounds, verify
+from torsion_bounds.charpoly import profile_bits_of
 from torsion_bounds.lie_rank import _pbw_solve
 from torsion_bounds.verify import check_g_divisibility, check_oracle_equivalence, check_rank_window, generator_family
 
@@ -91,13 +96,16 @@ def test_g_divisibility_catches_a_rank_off_the_g_grid(monkeypatch):
 
 def test_rank_window_catches_a_shifted_window(monkeypatch):
     assert check_rank_window(12) == []
-    window = bounds.rank_window
+    windows = bounds.rank_windows
 
-    def shifted(gen, n):  # up by twice the width plus 1: the rank, inside the true window, is below this one
-        lo, hi = window(gen, n)
-        return lo + 2 * (hi - lo) + 1, hi + 2 * (hi - lo) + 1
+    def shifted(gen, degrees):  # up by twice the width plus 1: the rank, inside the true window, is below this one
+        rows = []
+        for (lo, lo_err, k), (hi, hi_err, _) in windows(gen, degrees):  # the ends share k: their terms differ in sign only
+            up = 2 * (hi - lo) + (1 << max(-k, 0))
+            rows.append(((lo + up, lo_err, k), (hi + up, hi_err, k)))
+        return rows
 
-    monkeypatch.setattr(bounds, "rank_window", shifted)
+    monkeypatch.setattr(bounds, "rank_windows", shifted)
     fails = check_rank_window(12)
     family = generator_family()
     assert fails == [f"{gen.spec_string()}: rank outside window at N={n}" for gen in family for n in range(gen.g, 13, gen.g)]
@@ -114,3 +122,37 @@ GENERATOR_SETS = st.dictionaries(st.integers(1, 8), st.integers(1, 4), min_size=
 @given(gen=GENERATOR_SETS, n_max=st.integers(1, 60))
 def test_pbw_ranks_equal_babenko_ranks(gen, n_max):
     assert pbw_ranks(gen, n_max) == babenko_ranks(gen, n_max)
+
+
+def _exact(end):
+    """The ends (V - E) 2^k and (V + E) 2^k of an enclosure, as Fractions."""
+    v, e, k = end
+    return Fraction(v - e) * Fraction(2) ** k, Fraction(v + e) * Fraction(2) ** k
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(gen=GENERATOR_SETS, n_max=st.integers(1, 150), pick=st.integers(0, 10**6))
+def test_every_table_window_holds_its_exact_rank(gen, n_max, pick):
+    degrees = range(gen.g, n_max + 1, gen.g)
+    table = bounds.rank_windows(gen, degrees)
+    assert len(table) == len(degrees)
+    ranks = babenko_ranks(gen, n_max)
+    for n, (lo, hi) in zip(degrees, table):
+        assert _exact(lo)[0] <= ranks[n - 1] <= _exact(hi)[1]
+    if degrees:
+        # rank_window is the one-row table; its ends and the long table's, each stepped from
+        # another deepest profile, are enclosures of the same two reals, so they overlap
+        row = pick % len(degrees)
+        n = degrees[row]
+        (one,) = bounds.rank_windows(gen, [n])
+        with mp.workprec(profile_bits_of(gen)(n)):
+            assert rank_window(gen, n) == tuple(mpf((v, k)) for v, _, k in one)
+        for short, long in zip(one, table[row]):
+            (a, b), (c, d) = _exact(short), _exact(long)
+            assert a <= d and c <= b
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(gen=GENERATOR_SETS)
+def test_rank_window_check_passes_at_degree_200(gen):
+    assert check_rank_window(200, [gen]) == []

@@ -63,7 +63,7 @@ def test_a_new_ktheory_record_is_all_a_new_space_needs(monkeypatch):
     # a throwaway family with the Grassmannians' wedge and connectivity, its own condition and
     # dimension 2n: put in the catalog, report refuses it with the record's text and prints its rows
     record = SpaceSpec(
-        name="throwaway", route="ktheory", display="Sigma X_n", params=("n", "p"), note="S^3 v S^5 onto Sigma X_n",
+        name="throwaway", route="ktheory", params=("n", "p"),
         condition="n >= 2", holds=lambda v: v["n"] >= 2,
         gen=GeneratorSet.of((2, 1), (4, 1)), conn=1, dim=lambda v: 2 * v["n"],
     )
