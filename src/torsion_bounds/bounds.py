@@ -21,12 +21,8 @@ string (Ziv's rounding test, render.common_text); otherwise the row builds its
 own profile and formats the P-bit value of f_q, ktheory_lower or weak_lower
 once.  A row is that string (BoundReport.text), and is vacuous when it is 0 or
 negative: negative bound values are reported as-is, valid but vacuous.
-
-The ktheory_lower value is computed once per (p, g, q_l, n(M), bits), and
-within a table the strong row's text likewise: M enters it only through n(M)
-and the row's precision, and a profile is fixed by its precision, so every
-result stays bit-identical.  Every power of the pass is one integer routine,
-_power: phi^(N/2), phi^(ratio M) and the weak row's M^(1+eps) among them.
+Every power of the pass is one integer routine, _power: phi^(N/2),
+phi^(ratio M) and the weak row's M^(1+eps) among them.
 """
 
 from __future__ import annotations
@@ -166,15 +162,16 @@ def homology_rows(q: int, p: int, degrees, note=None) -> list[BoundReport]:
     """The homology_boundary row at each degree N, in order: the digits of f_q(N)
     at its working precision, with note(N) as its note when note is given.
 
-    The deepest row's parameters are built first, so a range past the
-    precision ceiling fails before any row is computed.
+    The first degree, then q and p are checked (q and p of an empty range too),
+    and the deepest row's parameters built, so a range past the precision
+    ceiling fails before any row is computed.
     """
     degrees, least, deepest = _span(degrees)
-    if not degrees:
-        return []
-    if least < 2:
+    if degrees and least < 2:
         raise InvalidArgument(f"homology-route degrees start at 2, got {least}")
     _check_homology(q, p)
+    if not degrees:
+        return []
     gen, top = _homology_gen(q), homology_params(q, deepest)
     phi, psi = top.phi, top.psi_abs
     with mp.workprec(top.precision_bits):
@@ -212,6 +209,8 @@ def rank_windows(gen: GeneratorSet, degrees) -> list[tuple[tuple[int, int, int],
     |psi|, within E 2^k of V 2^k.  Only defined when g | N, the rank being 0 otherwise; the psi terms
     are dropped when every root lies on the max-modulus circle."""
     degrees, _, deepest = _span(degrees)
+    if not degrees:
+        return []
     top, g, q_l, bits_of, ends = profile_for_exponent(gen, deepest), gen.g, gen.q_max, profile_bits_of(gen), []
     phi, psi = top.phi, top.psi_abs
     running = _Running(_weight((phi, deepest), (phi, deepest / 2), (psi, deepest), (psi, deepest / 2)), len(degrees), g,
@@ -483,9 +482,7 @@ class KTheoryParams:
         return n if n >= 0 else None
 
 
-@lru_cache(maxsize=None)
-def _ktheory_params(p: int, gen: GeneratorSet, conn: int, dim: int) -> KTheoryParams:
-    return KTheoryParams.create(p, gen, conn, dim)
+_ktheory_params = lru_cache(maxsize=None)(KTheoryParams.create)
 
 
 def ktheory_params(p: int, gen: GeneratorSet, conn: int, dim: int) -> KTheoryParams:
@@ -525,7 +522,12 @@ def ktheory_lower(params: KTheoryParams, m: int) -> mpf:
     if n is None:
         return mpf(0)
     profile = profile_for_exponent(params.gen, _exponent_budget(params, m))
-    return _strong_value(params.p, params.g, params.gen.q_max, n, profile.precision_bits, profile.phi, profile.psi_abs)
+    g, big_e = params.g, n + 8 * (params.p - 1) ** 2
+    with mp.workprec(profile.precision_bits):
+        value = profile.phi ** (n * g) / big_e - g * profile.phi ** (mpf(big_e * g) / 2)
+        if profile.psi_abs is not None:
+            value -= params.gen.q_max * (3 + 2 * profile.psi_abs ** (big_e * g))
+        return value
 
 
 def _check_degree(params: KTheoryParams, m: int) -> None:
@@ -533,17 +535,6 @@ def _check_degree(params: KTheoryParams, m: int) -> None:
         raise InvalidArgument(f"M must be >= 1, got {m}")
     if m % params.g_prime:
         raise InvalidArgument(f"M={m} is not a multiple of g'={params.g_prime}")
-
-
-@lru_cache(maxsize=None)
-def _strong_value(p: int, g: int, q_max: int, n: int, bits: int, phi: mpf, psi_abs: mpf | None) -> mpf:
-    # keyed on the ints it reads: hashing a KTheoryParams rehashes its Fractions on every call
-    with mp.workprec(bits):
-        big_e = n + 8 * (p - 1) ** 2
-        value = phi ** (n * g) / big_e - g * phi ** (mpf(big_e * g) / 2)
-        if psi_abs is not None:
-            value -= q_max * (3 + 2 * psi_abs ** (big_e * g))
-        return value
 
 
 # Largest epsilon weak_lower accepts (the default is 1/2). The weak bound divides by
@@ -573,11 +564,13 @@ def _epsilon(epsilon) -> Fraction:
 def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[BoundReport]:
     """The ktheory_guaranteed and the ktheory_weak row at each degree M, in order.
 
-    eps and the first degree are checked, then the deepest row's profile is
-    built, so a range past the precision ceiling fails before any row is computed.
+    The first degree, then eps are checked (eps of an empty range too), and the
+    deepest row's profile built, so a range past the precision ceiling fails
+    before any row is computed.
     """
     degrees, _, m_top = _span(degrees)
     if not degrees:
+        _epsilon(eps)
         return []
     _check_degree(params, degrees[0])
     eps = _epsilon(eps)

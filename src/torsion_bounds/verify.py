@@ -1,16 +1,18 @@
 """Invariant suites: every cross-check the package certifies itself with.
 
 Each check_* function returns a list of failure strings (empty = pass),
-shared by the CLI `verify` command and the test suite.  Scales default to
-the certified ones, which tests may shrink.  The only tolerances are
-REL_SLACK, for Newton growth, and CLOSED_FORM_TOL; a fact of phi alone is
-exact on [phi_lo, phi_hi], and a rank window's ends are integer enclosures.
+shared by the CLI `verify` command and the test suite.  Its defaults are the
+scale `verify` runs it at (SUITES passes no arguments), which tests may
+shrink.  The only tolerances are REL_SLACK, for Newton growth, and
+CLOSED_FORM_TOL; a fact of phi alone is exact on [phi_lo, phi_hi], and a
+rank window's ends are integer enclosures.
 
 A check spends its time on the function under test and not on the side it
-compares against: the rank-window and f_q-chain scans read the tables'
-integer passes (bounds.rank_windows, bounds.homology_rows), polynomial
-signs at rational points are exact integer evaluations, and a reference
-curve c b^N is a running product of b at P + 32 bits (_running_powers).
+compares against: the rank-window, f_q-chain and K-theory positivity scans
+read the tables' integer passes (bounds.rank_windows, bounds.homology_rows,
+bounds.ktheory_rows), polynomial signs at rational points are exact integer
+evaluations, and a reference curve c b^N is a running product of b at
+P + 32 bits (_running_powers).
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def check_divisor_closure(n_max: int = 500) -> list[str]:
     return fails
 
 
-def check_bezout_invariants(limit: int = 200) -> list[str]:
+def check_bezout_invariants(limit: int = 100) -> list[str]:
     fails = []
     for alpha in range(1, limit + 1):
         for beta in range(1, limit + 1):
@@ -280,7 +282,7 @@ def check_basis_certification(qs=(2, 3), ps=(3, 5), up_to: int = 14) -> list[str
     return fails
 
 
-def check_differential_squares_to_zero(qs=(2, 3), ps=(3, 5), up_to: int = 14) -> list[str]:
+def check_differential_squares_to_zero(qs=(2, 3), ps=(3, 5), up_to: int = 12) -> list[str]:
     """d^2 = 0 on every basis element; a d whose image leaves the Lie algebra, as no
     graded derivation's does, is a failure too."""
     fails = []
@@ -485,22 +487,18 @@ def check_condition_star_minimality(samples: int = 200, seed: int = 13) -> list[
 
 
 def check_ktheory_positivity(space_name: str, params: dict, m_cap: int = 6000, window: int = 200, expect_m1: int | None = None) -> list[str]:
-    """Find M1 with ktheory_lower > 0 on [M1, M1 + window*g'] multiples."""
+    """Find M1, the first multiple of g' up to m_cap whose guaranteed bound is positive, and
+    check it stays so on [M1, M1 + window*g'], off the guaranteed rows report prints."""
     kt = space_by_name(space_name).ktheory(params)
     gp = kt.g_prime
-    m1 = None
-    for m in range(gp, m_cap + 1, gp):
-        if bnd.ktheory_lower(kt, m) > 0:
-            m1 = m
-            break
+    rows = bnd.ktheory_rows(kt, range(gp, m_cap + window * gp + 1, gp), Fraction(1, 2))[::2]
+    m1 = next((row.degree for row in rows if row.degree <= m_cap and not row.vacuous), None)
     if m1 is None:
         return [f"{space_name}: no positive guaranteed bound up to {m_cap}"]
     if expect_m1 is not None and m1 != expect_m1:
         return [f"{space_name}: scanned M1={m1} moved from stored {expect_m1}"]
-    for m in range(m1, m1 + window * gp + 1, gp):
-        if not bnd.ktheory_lower(kt, m) > 0:
-            return [f"{space_name}: bound dips back to vacuous at M={m}"]
-    return []
+    dip = next((row.degree for row in rows if m1 <= row.degree <= m1 + window * gp and row.vacuous), None)
+    return [] if dip is None else [f"{space_name}: bound dips back to vacuous at M={dip}"]
 
 
 # smallest M with a positive guaranteed bound, scanned once and frozen
@@ -581,13 +579,13 @@ SUITES = {
     "combinat": (
         ("mobius divisor-sum identity", check_mobius_identity, {}),
         ("divisor closure under n/d", check_divisor_closure, {}),
-        ("bezout minimal solutions", check_bezout_invariants, {"limit": 100}),
+        ("bezout minimal solutions", check_bezout_invariants, {}),
         ("divided binomials", check_binom_div_p, {}),
     ),
     "charpoly": (
         ("root sign structure", check_root_sign_structure, {}),
         ("root profile family", check_profile_family, {}),
-        ("phi window", check_phi_window, {"q_max": 100}),
+        ("phi window", check_phi_window, {}),
         ("newton growth", check_newton_growth, {}),
         ("newton vs root cloud", check_newton_root_agreement, {}),
     ),
@@ -598,8 +596,8 @@ SUITES = {
     ),
     "dgl": (
         ("basis certification", check_basis_certification, {}),
-        ("d squared is zero", check_differential_squares_to_zero, {"up_to": 12}),
-        ("graded jacobi", check_graded_jacobi, {"samples": 200}),
+        ("d squared is zero", check_differential_squares_to_zero, {}),
+        ("graded jacobi", check_graded_jacobi, {}),
         ("cycle elements", check_cycle_elements, {}),
         ("rank nullity", check_rank_nullity, {}),
         ("boundary bound", check_boundary_bound, {}),
@@ -609,7 +607,7 @@ SUITES = {
         ("f_q asymptotic chain", check_fq_chain, {}),
         ("phi dominates 2^{1/(q+1)}", check_phi_dominates_two_power, {}),
         ("condition-star minimality", check_condition_star_minimality, {}),
-        ("covering certificates", check_bezout_coverage, {"samples": 100}),
+        ("covering certificates", check_bezout_coverage, {}),
     ),
     "spaces": (
         ("closed-form specializations", check_closed_form_specializations, {}),

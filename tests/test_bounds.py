@@ -201,7 +201,9 @@ def test_homology_rows_refuse_q_then_p(q, p):
     with pytest.raises(InvalidArgument) as q_or_p:
         bounds.homology_rows(q, p, [10])
     assert str(q_or_p.value).startswith("q must be" if q == 1 else "generator degrees" if q == 200 else "p must be")
-    assert bounds.homology_rows(q, p, []) == []
+    with pytest.raises(InvalidArgument) as empty:  # an empty range is refused alike
+        bounds.homology_rows(q, p, [])
+    assert str(empty.value) == str(q_or_p.value)
     with pytest.raises(InvalidArgument, match="degrees start at 2"):
         bounds.homology_rows(q, p, [1, 10])
 
@@ -230,6 +232,12 @@ def test_rank_window_examples():
 def test_rank_window_rejects_off_grid():
     with pytest.raises(InvalidArgument):
         rank_window(GeneratorSet.of((2, 1), (4, 1)), 15)
+
+
+def test_rank_windows_of_no_degree_build_no_profile():
+    charpoly._cached_profile.cache_clear()
+    assert bounds.rank_windows(GeneratorSet.of((2, 1), (3, 1)), []) == []
+    assert charpoly._cached_profile.cache_info().misses == 0
 
 
 def test_rank_window_deep_degree():

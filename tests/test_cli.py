@@ -267,6 +267,23 @@ def test_eps_above_ceiling_exit_code(args, eps):
 
 
 @pytest.mark.parametrize(
+    "args, stderr",
+    [
+        (("bound", "--homology", "--q", "1", "--p", "4"), "error: q must be >= 2, got 1\n"),
+        (("bound", "--ktheory", "--degrees", "2:1,4:1", "--conn", "1", "--dim", "4", "--p", "3", "--eps", "0"),
+         "error: epsilon must be > 0, got 0\n"),
+        (("report", "--space", "grassmannian", "--n", "3", "--k", "1", "--p", "3", "--eps", "65"),
+         f"error: epsilon must be <= {MAX_EPSILON}\n"),
+    ],
+    ids=["homology-q", "ktheory-eps", "report-eps"],
+)
+def test_an_empty_degree_range_keeps_its_refusals(args, stderr):
+    # --upto 1 leaves no degree; the refusals of q, p and eps do not depend on one
+    result = run(*args, "--upto", "1")
+    assert result.exit_code == 1 and result.stdout == "" and result.stderr == stderr
+
+
+@pytest.mark.parametrize(
     "eps, text",
     [("1e-4300", "1/1" + "0" * 4300), ("0." + "0" * 4299 + "1", "1/1" + "0" * 4300), ("1/3", "1/3"), ("0.5", "1/2"), ("2", "2")],
     ids=["exponent", "digits", "third", "half", "integer"],

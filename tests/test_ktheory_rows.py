@@ -93,7 +93,6 @@ def _printed(row: BoundReport) -> tuple:
 def test_rows_match_uncached_reference(monkeypatch, name, values):
     params = _space_params(name, values)
     degrees = list(range(params.g_prime, 1201, params.g_prime))
-    bounds._strong_value.cache_clear()
     decided = []
     decide = bounds._Running.decide
     monkeypatch.setattr(bounds._Running, "decide", lambda self, *args: decided.append(self.step) or decide(self, *args))
@@ -107,16 +106,16 @@ def test_rows_match_uncached_reference(monkeypatch, name, values):
     pairs = {(params.n_of(m), row.precision_bits) for m, row in zip(degrees, rows[::2]) if params.n_of(m) is not None}
     # one strong evaluation per (n(M), bits) and one weak one per degree
     assert len(decided) == len(pairs) + len(degrees) and len(pairs) < len(degrees)
-    # the public functions keep the reference's exact values, the strong one computed once per pair
+    # the public functions keep the reference's exact values
     assert [bounds.ktheory_lower(params, m)._mpf_ for m in degrees] == [_reference_lower(params, m)._mpf_ for m in degrees]
     assert [bounds.weak_lower(params, m, EPS)._mpf_ for m in degrees] == [_reference_weak(params, m, EPS)._mpf_ for m in degrees]
-    assert bounds._strong_value.cache_info().misses == len(pairs)
 
 
 @pytest.mark.parametrize(
     "degrees, eps, message",
-    [([2, 4000], "0", "epsilon must be > 0"), ([3, 4000], "1/2", "M=3 is not a multiple of g'=2")],
-    ids=["eps", "first-degree"],
+    [([2, 4000], "0", "epsilon must be > 0"), ([3, 4000], "1/2", "M=3 is not a multiple of g'=2"),
+     ([], "65", "epsilon must be <= 64")],
+    ids=["eps", "first-degree", "no-degrees"],
 )
 def test_rows_refuse_their_input_before_any_profile(degrees, eps, message):
     params = _space_params(*SPACES[0])
@@ -144,7 +143,7 @@ def test_weak_rows_print_weak_lower_on_both_sides_of_the_root_caps(eps):
 
 
 def _count_powers(monkeypatch, build_rows) -> tuple[int, dict]:
-    """(mpf powers, {fallback function: calls}) of a second build_rows(), its profiles and strong values cached."""
+    """(mpf powers, {fallback function: calls}) of a second build_rows(), its profiles cached."""
     build_rows()
     cls, powers, fallbacks = type(mpf(1)), [], {"f_q": 0, "ktheory_lower": 0, "weak_lower": 0}
     with monkeypatch.context() as patch:
@@ -159,10 +158,11 @@ def _count_powers(monkeypatch, build_rows) -> tuple[int, dict]:
 
 @pytest.mark.parametrize("eps", ["1/2", "1/3", "63/64", "64", "1e-4300"])
 def test_weak_rows_make_no_mpmath_power_per_row(monkeypatch, eps):
-    # only a fallback row raises an mpf to a power: weak_lower twice, and ktheory_lower's value is cached
+    # only a fallback row raises an mpf to a power: weak_lower twice, and ktheory_lower three
+    # times, phi^(ng), phi^(Eg/2) and |psi|^(Eg), once per (n(M), bits)
     params = _space_params(*SPACES[0])
     powers, fallbacks = _count_powers(monkeypatch, lambda: bounds.ktheory_rows(params, range(2, 3001, 2), eps))
-    assert powers == 2 * fallbacks["weak_lower"]
+    assert powers == 2 * fallbacks["weak_lower"] + 3 * fallbacks["ktheory_lower"]
 
 
 def test_homology_rows_make_no_mpmath_power_per_row(monkeypatch):

@@ -25,6 +25,7 @@ from torsion_bounds.verify import (
     CATALOG_M1,
     check_catalog_positivity,
     check_closed_form_specializations,
+    check_ktheory_positivity,
     check_report_vs_boundary_oracle,
 )
 
@@ -205,3 +206,19 @@ def test_every_ktheory_entry_reaches_a_positive_bound():
     'frozen M1 per catalog entry, and positivity persists for 200 further steps'
     assert set(CATALOG_M1) == {s.name for s in catalog() if s.route == "ktheory"}
     assert check_catalog_positivity(window=200) == []
+
+
+@pytest.mark.parametrize("name", list(CATALOG_M1))
+def test_positivity_rows_agree_with_a_scan_of_ktheory_lower(name):
+    # the check reads M1 off the guaranteed rows: it is the first M of a scan of the scalar
+    # bound, and each row of its table is vacuous exactly where ktheory_lower is not positive
+    params, frozen = CATALOG_M1[name]
+    kt = space_by_name(name).ktheory(params)
+    window = 5
+    degrees = range(kt.g_prime, 2 * frozen + window * kt.g_prime + 1, kt.g_prime)
+    scanned = next(m for m in degrees if bounds.ktheory_lower(kt, m) > 0)
+    assert scanned == frozen
+    moved = check_ktheory_positivity(name, params, 2 * frozen, window, expect_m1=0)
+    assert moved == [f"{name}: scanned M1={scanned} moved from stored 0"]
+    rows = bounds.ktheory_rows(kt, degrees, Fraction(1, 2))[::2]
+    assert [row.vacuous for row in rows] == [bounds.ktheory_lower(kt, m) <= 0 for m in degrees]

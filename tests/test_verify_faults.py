@@ -172,3 +172,8 @@ def test_every_verify_check_has_a_fault_test():
     labels = [label for suite in verify.SUITES.values() for label, _, _ in suite]
     covered = [*FAULTS, *CLOUD_FAULTS, *STANDALONE]
     assert sorted(covered) == sorted(labels) and len(labels) == 26
+
+
+def test_every_check_runs_at_its_defaults():
+    # verify passes no arguments, so check_x() is what `verify --suite all` runs
+    assert [kwargs for suite in verify.SUITES.values() for _, _, kwargs in suite] == [{}] * 26
