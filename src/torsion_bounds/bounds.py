@@ -562,27 +562,29 @@ def _epsilon(epsilon) -> Fraction:
 
 
 def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[BoundReport]:
-    """The ktheory_guaranteed and the ktheory_weak row at each degree M, in order.
+    """The ktheory_guaranteed and the ktheory_weak row at each degree M, in order;
+    eps None gives the ktheory_guaranteed rows alone, with no weak work.
 
-    The first degree, then eps are checked (eps of an empty range too), and the
-    deepest row's profile built, so a range past the precision ceiling fails
-    before any row is computed.
+    The first degree, then eps are checked (eps of an empty range too; None is
+    not checked), and the deepest row's profile built, so a range past the
+    precision ceiling fails before any row is computed.
     """
     degrees, _, m_top = _span(degrees)
+    if degrees:
+        _check_degree(params, degrees[0])
+    eps = None if eps is None else _epsilon(eps)
     if not degrees:
-        _epsilon(eps)
         return []
-    _check_degree(params, degrees[0])
-    eps = _epsilon(eps)
     top = profile_for_exponent(params.gen, _exponent_budget(params, m_top))
     g, tail_e, phi, psi = params.g, 8 * (params.p - 1) ** 2, top.phi, top.psi_abs
     n_top = params.n_of(m_top) or 0
     weight = _weight((phi, n_top * g), (phi, (n_top + tail_e) * g / 2), (psi, (n_top + tail_e) * g),
-                     (phi, params.ratio * m_top), (m_top, 1 + eps))
+                     *(() if eps is None else ((phi, params.ratio * m_top), (m_top, 1 + eps))))
     strong = _Running(weight, len(degrees), 1,
                       ((phi, g, 0), (phi, Fraction(g, 2), Fraction(tail_e * g, 2)), (psi, g, tail_e * g)))
-    weak = _Running(weight, len(degrees), params.g_prime, ((phi, params.ratio, 0),))
-    one_plus = _exponent(1 + eps, weak.bits)  # once per table: eps may have thousands of digits
+    if eps is not None:
+        weak = _Running(weight, len(degrees), params.g_prime, ((phi, params.ratio, 0),))
+        one_plus = _exponent(1 + eps, weak.bits)  # once per table: eps may have thousands of digits
     bits_of, q_max = profile_bits_of(params.gen), params.gen.q_max
     strong_texts, rows = {}, []  # M enters the strong bound only through n(M) and the precision
     for m in degrees:
@@ -595,13 +597,14 @@ def ktheory_rows(params: KTheoryParams, degrees, eps, note: str = "") -> list[Bo
             if psi is not None:
                 terms += ((-3 * q_max, 0), (-2 * q_max * tail[0], tail[1]))
             strong_texts[n, bits] = strong.decide(terms, steps, bits) or decimal_str(ktheory_lower(params, m))
-        (power,), steps = weak.powers(m)
-        weak_term = _div(power, _power((m, 0), one_plus, weak.bits))  # phi^(ratio M) / M^(1+eps)
-        weak_text = weak.decide((weak_term,), steps, bits) or decimal_str(weak_lower(params, m, eps))
         # below the threshold (n None) the bound is 0
         rows.append(BoundReport(m, strong_texts.get((n, bits), "0"), "ktheory_guaranteed", bits,
                                 "below-threshold" if n is None else f"n(M)={n}"))
-        rows.append(BoundReport(m, weak_text, "ktheory_weak", bits, note))
+        if eps is not None:
+            (power,), steps = weak.powers(m)
+            weak_term = _div(power, _power((m, 0), one_plus, weak.bits))  # phi^(ratio M) / M^(1+eps)
+            weak_text = weak.decide((weak_term,), steps, bits) or decimal_str(weak_lower(params, m, eps))
+            rows.append(BoundReport(m, weak_text, "ktheory_weak", bits, note))
     return rows
 
 

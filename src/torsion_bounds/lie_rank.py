@@ -33,10 +33,10 @@ def babenko_ranks(gen: GeneratorSet, n_max: int) -> list[int]:
     if n_max < 1:
         raise InvalidArgument(f"babenko_ranks requires N >= 1, got {n_max}")
     sums = newton_sums(char_poly(gen), n_max)
-    ranks = []
+    ranks, mu = [], [0] + [mobius(d) for d in range(1, n_max + 1)]  # mu[d] = mobius(d), d >= 1
     for n in range(1, n_max + 1):
         total = sum(
-            (-1) ** (n // d) * mobius(d) * sums[n // d - 1] for d in divisors(n)
+            (-1) ** (n // d) * mu[d] * sums[n // d - 1] for d in divisors(n)
         )
         total *= (-1) ** n
         q, r = divmod(total, n)

@@ -8,9 +8,11 @@ CLOSED_FORM_TOL; a fact of phi alone is exact on [phi_lo, phi_hi], and a
 rank window's ends are integer enclosures.
 
 A check spends its time on the function under test and not on the side it
-compares against: the rank-window, f_q-chain and K-theory positivity scans
-read the tables' integer passes (bounds.rank_windows, bounds.homology_rows,
-bounds.ktheory_rows), polynomial signs at rational points are exact integer
+compares against, and builds only what it reads: the rank-window, f_q-chain
+and K-theory positivity scans read the tables' integer passes
+(bounds.rank_windows, bounds.homology_rows, bounds.ktheory_rows, the last with
+no eps, so its guaranteed rows alone), the Moebius identity takes mobius(d)
+once per d, polynomial signs at rational points are exact integer
 evaluations, and a reference curve c b^N is a running product of b at
 P + 32 bits (_running_powers).
 """
@@ -67,9 +69,9 @@ def generator_family(max_sum_m: int = 3, max_q: int = 5) -> list[GeneratorSet]:
 
 
 def check_mobius_identity(n_max: int = 10_000) -> list[str]:
-    fails = []
+    fails, mu = [], [0] + [mobius(d) for d in range(1, n_max + 1)]  # mu[d] = mobius(d), d >= 1
     for n in range(1, n_max + 1):
-        total = sum(mobius(d) for d in divisors(n))
+        total = sum(mu[d] for d in divisors(n))
         if total != (1 if n == 1 else 0):
             fails.append(f"sum of mobius over divisors of {n} is {total}")
     return fails
@@ -491,7 +493,7 @@ def check_ktheory_positivity(space_name: str, params: dict, m_cap: int = 6000, w
     check it stays so on [M1, M1 + window*g'], off the guaranteed rows report prints."""
     kt = space_by_name(space_name).ktheory(params)
     gp = kt.g_prime
-    rows = bnd.ktheory_rows(kt, range(gp, m_cap + window * gp + 1, gp), Fraction(1, 2))[::2]
+    rows = bnd.ktheory_rows(kt, range(gp, m_cap + window * gp + 1, gp), None)
     m1 = next((row.degree for row in rows if row.degree <= m_cap and not row.vacuous), None)
     if m1 is None:
         return [f"{space_name}: no positive guaranteed bound up to {m_cap}"]

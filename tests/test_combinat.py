@@ -10,6 +10,7 @@ from torsion_bounds import (
     divisors,
     mobius,
 )
+from torsion_bounds import verify
 from torsion_bounds.combinat import MAX_PRIME_TESTED, is_odd_prime
 from torsion_bounds.verify import check_bezout_invariants, check_mobius_identity
 
@@ -31,6 +32,13 @@ def test_mobius_rejects_zero():
 def test_mobius_divisor_sum_identity():
     'sum of mobius(d) over d | n is 1 at n=1 and 0 afterwards'
     assert check_mobius_identity(10_000) == []
+
+
+def test_mobius_identity_takes_mobius_once_per_d(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "mobius", lambda d: calls.append(d) or mobius(d))
+    assert check_mobius_identity(300) == []
+    assert sorted(calls) == list(range(1, 301))
 
 
 def test_divisors_known_values():

@@ -9,17 +9,21 @@ compared with them by raw mpf tuple, not by value; the rows, whose values may
 come from the integer pass, by their printed form.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from torsion_bounds import bounds, charpoly
 from torsion_bounds.bounds import BoundReport, _exponent_budget, _mpf_of
-from torsion_bounds.charpoly import profile_for_exponent
+from torsion_bounds.charpoly import GeneratorSet, profile_for_exponent
 from torsion_bounds.errors import InvalidArgument
 from torsion_bounds.render import decimal_str
 from torsion_bounds.spaces import space_by_name
+from torsion_bounds.verify import CATALOG_M1
 
 SPACES = (("grassmannian", {"n": 3, "k": 1, "p": 3}), ("milnor-hypersurface", {"n": 3, "l": 5, "p": 3}))
 EPS = "1/2"
@@ -114,14 +118,68 @@ def test_rows_match_uncached_reference(monkeypatch, name, values):
 @pytest.mark.parametrize(
     "degrees, eps, message",
     [([2, 4000], "0", "epsilon must be > 0"), ([3, 4000], "1/2", "M=3 is not a multiple of g'=2"),
-     ([], "65", "epsilon must be <= 64")],
-    ids=["eps", "first-degree", "no-degrees"],
+     ([], "65", "epsilon must be <= 64"), ([3, 4000], None, "M=3 is not a multiple of g'=2")],
+    ids=["eps", "first-degree", "no-degrees", "first-degree-no-eps"],
 )
 def test_rows_refuse_their_input_before_any_profile(degrees, eps, message):
     params = _space_params(*SPACES[0])
     charpoly._cached_profile.cache_clear()
     with pytest.raises(InvalidArgument, match=message):
         bounds.ktheory_rows(params, degrees, eps)
+    assert charpoly._cached_profile.cache_info().misses == 0
+
+
+# -- the guaranteed rows alone ------------------------------------------------------
+
+
+def _guaranteed_only_matches_full_table(params, degrees) -> None:
+    assert bounds.ktheory_rows(params, degrees, None) == bounds.ktheory_rows(params, degrees, EPS)[::2]
+
+
+@pytest.mark.parametrize("name", list(CATALOG_M1))
+def test_guaranteed_rows_alone_are_the_full_tables_guaranteed_rows(monkeypatch, name):
+    # at the range check_ktheory_positivity scans for the space
+    values, m1 = CATALOG_M1[name]
+    params = _space_params(name, values)
+    degrees = range(params.g_prime, 2 * m1 + 200 * params.g_prime + 1, params.g_prime)
+    _guaranteed_only_matches_full_table(params, degrees)
+    decided = []  # the bases of each deciding pass: three for the strong one, one for the weak
+    decide = bounds._Running.decide
+    monkeypatch.setattr(bounds._Running, "decide", lambda self, *args: decided.append(len(self.bases)) or decide(self, *args))
+
+    rows = bounds.ktheory_rows(params, degrees, None)
+
+    pairs = {(params.n_of(row.degree), row.precision_bits) for row in rows if params.n_of(row.degree) is not None}
+    assert [row.theorem for row in rows] == ["ktheory_guaranteed"] * len(degrees)
+    assert decided == [3] * len(pairs)
+    # the strong rows fall back to ktheory_lower where the full table's do, and none to weak_lower
+    _, alone = _count_powers(monkeypatch, lambda: bounds.ktheory_rows(params, degrees, None))
+    _, full = _count_powers(monkeypatch, lambda: bounds.ktheory_rows(params, degrees, EPS))
+    assert alone == {**full, "weak_lower": 0}
+
+
+@st.composite
+def _wedge_and_degree_runs(draw):
+    """A bound --ktheory wedge and runs of its degrees about the guaranteed threshold, in any order."""
+    gen = GeneratorSet.of(*sorted(draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=2,
+                                                unique_by=lambda t: t[0]))))
+    conn = draw(st.integers(0, 3))
+    params = bounds.ktheory_params(draw(st.sampled_from([3, 5])), gen, conn, conn + draw(st.integers(1, 4)))
+    gp, start = params.g_prime, math.floor(params.offset) // params.g_prime
+    runs = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 30)), min_size=1, max_size=4))
+    return params, [gp * k for lead, length in runs for k in range(max(start + lead, 1), max(start + lead, 1) + length)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=_wedge_and_degree_runs())
+def test_guaranteed_rows_alone_match_the_full_table_of_any_wedge(drawn):
+    _guaranteed_only_matches_full_table(*drawn)
+
+
+def test_guaranteed_rows_of_no_degree_build_no_profile():
+    params = _space_params(*SPACES[0])
+    charpoly._cached_profile.cache_clear()
+    assert bounds.ktheory_rows(params, [], None) == []
     assert charpoly._cached_profile.cache_info().misses == 0
 
 

@@ -14,8 +14,9 @@ from torsion_bounds import (
     rank_window,
     tensor_dims,
 )
-from torsion_bounds import bounds, verify
+from torsion_bounds import bounds, lie_rank, verify
 from torsion_bounds.charpoly import profile_bits_of
+from torsion_bounds.combinat import mobius
 from torsion_bounds.lie_rank import _pbw_solve
 from torsion_bounds.verify import check_g_divisibility, check_oracle_equivalence, check_rank_window, generator_family
 
@@ -33,6 +34,14 @@ def test_babenko_known_values():
     assert babenko_ranks(one_even, 4)[1::2] == [1, 0]
     assert babenko_ranks(GeneratorSet.of((2, 1), (3, 1)), 5)[4] == 1
     assert babenko_ranks(GeneratorSet.of((1, 2)), 3)[2] == 2
+
+
+def test_babenko_takes_mobius_once_per_d(monkeypatch):
+    gen, calls = GeneratorSet.of((2, 1), (3, 1)), []
+    want = pbw_ranks(gen, 300)
+    monkeypatch.setattr(lie_rank, "mobius", lambda d: calls.append(d) or mobius(d))
+    assert babenko_ranks(gen, 300) == want
+    assert sorted(calls) == list(range(1, 301))
 
 
 def test_babenko_rejects_zero():
